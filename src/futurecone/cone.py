@@ -9,6 +9,14 @@ trajectory, propagated ballistically) renders it, and Lambert targeting
 Guaranteed intercept is cone containment: if every point the target can
 reach lies inside the interceptor's cone, the interceptor can stand on a
 commitment to meet the target wherever it goes.
+
+Containment is batched: the target's sampled arcs are held as arrays
+(kepler.ArcBatch), and the draws x grid times are tested in chunks of
+at most _CHUNK_POINTS points. Each chunk takes its leaf positions from
+one vectorized Kepler solve, its connecting arcs from one
+lambert_batch call, and its floor check in closed form
+(kepler.swept_min_radius). membership and leaf are batches of one on
+the same kernels.
 """
 from __future__ import annotations
 
@@ -20,19 +28,28 @@ import numpy as np
 from .constants import DEFAULT_FLOOR_KM, EARTH_RADIUS_KM, MU_EARTH
 from .errors import (
     AmbiguousPlane,
-    EccentricityOutOfRange,
     EmptyCone,
     EmptyOverlap,
     NoBoundArc,
 )
-from .kepler import BallisticArc, StateVector, arc_from_state, min_radius, state_at
-from .lambert import solve_lambert
+from .kepler import (
+    ArcBatch,
+    StateVector,
+    arcs_from_states,
+    is_bound,
+    positions_at,
+    swept_min_radius,
+)
+from .lambert import lambert_batch, solve_lambert
 from .maneuver import ImpulsiveTrajectory
 
 # Absolute slack on delta-v comparisons, km/s. Lambert velocity recovery
 # carries round-off near 1e-14; without slack a coasting point can fail
 # membership in its own zero-budget cone.
 _DV_SLACK = 1e-12
+# Target points per containment chunk: bounds the kernels' working
+# arrays (a few MB) whatever the sample count and grid.
+_CHUNK_POINTS = 16384
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,18 +96,21 @@ class ConeSampleSet:
 
     Attributes:
         spec: The generating cone.
-        trajectories: Post-burn ballistic arcs, one per retained draw.
+        trajectories: Post-burn ballistic arcs, one per retained draw,
+            held as arrays; any sequence of BallisticArc is accepted.
         seed: RNG seed used for the draws.
         leaf_times: Default time grid for leaf extraction, s.
     """
 
     spec: ConeSpec
-    trajectories: tuple[BallisticArc, ...]
+    trajectories: ArcBatch
     seed: int
     leaf_times: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "trajectories", tuple(self.trajectories))
+        if not isinstance(self.trajectories, ArcBatch):
+            object.__setattr__(self, "trajectories",
+                               ArcBatch.from_arcs(self.trajectories))
         times = np.asarray(self.leaf_times, dtype=float)
         times.setflags(write=False)
         object.__setattr__(self, "leaf_times", times)
@@ -174,20 +194,15 @@ def sample_cone(spec: ConeSpec, n: int, seed: int,
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     rng = np.random.default_rng(seed)
-    dvs = _ball_points(rng, n, spec.budget)
-    arcs: list[BallisticArc] = []
-    for dv in dvs:
-        post = StateVector(spec.vertex.r, spec.vertex.v + dv, spec.vertex.t)
-        try:
-            arcs.append(arc_from_state(post, spec.mu))
-        except EccentricityOutOfRange:
-            continue
-    if not arcs:
+    v = spec.vertex.v + _ball_points(rng, n, spec.budget)
+    v = v[is_bound(spec.vertex.r, v, spec.mu)]
+    if not len(v):
         raise EmptyCone(
             f"no bound trajectory among {n} draws at budget "
             f"{spec.budget!r} km/s")
+    arcs = arcs_from_states(spec.vertex.r, v, spec.vertex.t, spec.mu)
     leaf_times = np.linspace(spec.window[0], spec.window[1], time_grid)
-    return ConeSampleSet(spec=spec, trajectories=tuple(arcs), seed=int(seed),
+    return ConeSampleSet(spec=spec, trajectories=arcs, seed=int(seed),
                          leaf_times=leaf_times)
 
 
@@ -212,11 +227,8 @@ def leaf(sample_set: ConeSampleSet, t: float) -> np.ndarray:
     if not spec.vertex.t <= t <= spec.window[1]:
         raise ValueError(
             f"t={t} outside [{spec.vertex.t}, {spec.window[1]}]")
-    floor_radius = EARTH_RADIUS_KM + spec.floor
-    points = np.empty((len(sample_set.trajectories), 3))
-    for i, arc in enumerate(sample_set.trajectories):
-        points[i] = state_at(arc, t).r
-    keep = np.linalg.norm(points, axis=1) >= floor_radius
+    points = positions_at(sample_set.trajectories, t)
+    keep = np.linalg.norm(points, axis=1) >= EARTH_RADIUS_KM + spec.floor
     return points[keep]
 
 
@@ -227,7 +239,7 @@ def membership(spec: ConeSpec, point, t: float,
     Solves the two-point boundary problem from the vertex to the point
     over t - t0 and takes the cheapest connecting arc that stays above
     the altitude floor the whole way. Membership is that cost against
-    the budget.
+    the budget. The batch of one of containment's kernel.
 
     Args:
         spec: Cone to test against.
@@ -249,26 +261,44 @@ def membership(spec: ConeSpec, point, t: float,
         raise ValueError(
             f"t={t} must lie in the window [{t1}, {t2}] and after the "
             f"vertex epoch {spec.vertex.t}")
-    dt = t - spec.vertex.t
+    required, checked = _required_dv(spec, point[None], np.array([t]),
+                                     max_revs)
+    required = float(required[0])
+    return MembershipResult(member=required <= spec.budget + _DV_SLACK,
+                            required_dv=required,
+                            margin=spec.budget - required,
+                            solutions_checked=int(checked[0]))
+
+
+def _required_dv(spec: ConeSpec, points: np.ndarray, times: np.ndarray,
+                 max_revs: int) -> tuple[np.ndarray, np.ndarray]:
+    """Cheapest admissible departure burn from the vertex to each point.
+
+    One lambert_batch over the rows, then the closed-form floor check on
+    every connecting arc; arcs dipping below the floor are not
+    admissible. Rows with no admissible arc cost +inf.
+
+    Returns:
+        (required dv per row, km/s; connecting arcs examined per row).
+
+    Raises:
+        AmbiguousPlane: degenerate transfer geometry, naming the query
+            time of the first such row.
+    """
     try:
-        sols = solve_lambert(spec.vertex.r, point, dt, spec.mu, max_revs)
+        sols = lambert_batch(spec.vertex.r, points, times - spec.vertex.t,
+                             spec.mu, max_revs)
     except AmbiguousPlane as exc:
         raise AmbiguousPlane(
-            f"membership query at t={t}: {exc}") from exc
-    floor_radius = EARTH_RADIUS_KM + spec.floor
-    required = math.inf
-    for sol in sols:
-        depart = StateVector(spec.vertex.r, sol.v_depart, spec.vertex.t)
-        arc = arc_from_state(depart, spec.mu)
-        if min_radius(arc, spec.vertex.t, t) < floor_radius:
-            continue
-        cost = float(np.linalg.norm(sol.v_depart - spec.vertex.v))
-        if cost < required:
-            required = cost
-    member = required <= spec.budget + _DV_SLACK
-    return MembershipResult(member=member, required_dv=required,
-                            margin=spec.budget - required,
-                            solutions_checked=len(sols))
+            f"membership query at t={float(times[exc.row])}: {exc}",
+            row=exc.row) from exc
+    lowest = swept_min_radius(spec.vertex.r, sols.v_depart,
+                              np.linalg.norm(points, axis=1)[:, None],
+                              sols.sweep, spec.mu)
+    admissible = sols.found & (lowest >= EARTH_RADIUS_KM + spec.floor)
+    cost = np.linalg.norm(sols.v_depart - spec.vertex.v, axis=-1)
+    required = np.where(admissible, cost, np.inf).min(axis=1)
+    return required, np.count_nonzero(sols.found, axis=1)
 
 
 def containment(interceptor: ConeSpec, target: ConeSpec,
@@ -276,11 +306,11 @@ def containment(interceptor: ConeSpec, target: ConeSpec,
                 seed: int = 0, max_revs: int = 1) -> ContainmentReport:
     """Sampled test of target-cone containment in an interceptor cone.
 
-    Renders the target cone by Monte Carlo, then runs membership of every
-    sampled target position at every grid time over the window overlap
-    against the interceptor spec. Contained means every tested point was
-    a member: the interceptor can guarantee interception no matter how
-    the target spends its allowance.
+    Renders the target cone by Monte Carlo, then tests membership of
+    every sampled target position at every grid time over the window
+    overlap against the interceptor spec, in array chunks. Contained
+    means every tested point was a member: the interceptor can guarantee
+    interception no matter how the target spends its allowance.
 
     Args:
         interceptor: Cone that must contain the other.
@@ -306,27 +336,35 @@ def containment(interceptor: ConeSpec, target: ConeSpec,
             f"{target.window} do not overlap")
     sample_set = sample_cone(target, n_target_samples, seed,
                              time_grid=time_grid)
+    arcs = sample_set.trajectories
     grid = np.linspace(lo, hi, time_grid)
+    # membership is undefined at or before the vertex epoch
+    times = grid[grid > interceptor.vertex.t]
     floor_radius = EARTH_RADIUS_KM + target.floor
     tested = 0
     members = 0
     worst_margin = math.inf
     worst_point = (interceptor.vertex.r, grid[0])
-    for t in grid:
-        t = float(t)
-        if t <= interceptor.vertex.t:
-            continue  # membership undefined at or before the vertex epoch
-        for arc in sample_set.trajectories:
-            point = state_at(arc, t).r
-            if float(np.linalg.norm(point)) < floor_radius:
-                continue
-            result = membership(interceptor, point, t, max_revs)
-            tested += 1
-            if result.member:
-                members += 1
-            if result.margin < worst_margin:
-                worst_margin = result.margin
-                worst_point = (point, t)
+    # points in grid-time order, draws within a time: the worst point is
+    # the first one reaching the lowest margin in that order
+    total = times.size * len(arcs)
+    for start in range(0, total, _CHUNK_POINTS):
+        flat = np.arange(start, min(start + _CHUNK_POINTS, total))
+        t = times[flat // len(arcs)]
+        points = positions_at(arcs, t, flat % len(arcs))
+        above = np.linalg.norm(points, axis=1) >= floor_radius
+        points, t = points[above], t[above]
+        if not t.size:
+            continue
+        required, _ = _required_dv(interceptor, points, t, max_revs)
+        margin = interceptor.budget - required
+        tested += t.size
+        members += int(np.count_nonzero(
+            required <= interceptor.budget + _DV_SLACK))
+        i = int(np.argmin(margin))
+        if margin[i] < worst_margin:
+            worst_margin = float(margin[i])
+            worst_point = (points[i].copy(), float(t[i]))
     if tested == 0:
         raise EmptyCone(
             "no testable target points: every grid sample fell below the "

@@ -27,7 +27,16 @@ class ConvergenceError(FutureConeError):
 
 
 class AmbiguousPlane(FutureConeError):
-    """Transfer geometry does not define a unique orbital plane."""
+    """Transfer geometry does not define a unique orbital plane.
+
+    Attributes:
+        row: Index of the offending row when raised from a batch of
+            boundary problems (lambert_batch), else None.
+    """
+
+    def __init__(self, message: str, row: int | None = None):
+        super().__init__(message)
+        self.row = row
 
 
 class NoBoundArc(FutureConeError):

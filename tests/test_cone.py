@@ -1,12 +1,19 @@
 """Tests for cone sampling, membership, and containment."""
 import math
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from futurecone import (
+    AmbiguousPlane,
     ConeSpec,
+    EARTH_RADIUS_KM,
+    EccentricityOutOfRange,
     EmptyOverlap,
     MU_EARTH,
     ImpulsiveSchedule,
@@ -23,6 +30,7 @@ from futurecone import (
     sample_cone,
     state_at,
 )
+from futurecone.cone import _required_dv
 
 rng = np.random.default_rng(11)
 
@@ -218,6 +226,24 @@ class TestContainment:
         assert r1.worst_point[1] == r2.worst_point[1]
         assert r1.samples == r2.samples
 
+    def test_chunk_size_does_not_change_report(self, monkeypatch):
+        """Chunks split the (time, draw) order without reordering it."""
+        import futurecone.cone as cone_module
+
+        interceptor = leo_spec(budget=0.01, window=(60.0, 400.0))
+        target = leo_spec(budget=0.03, window=(60.0, 400.0))
+        whole = containment(interceptor, target, n_target_samples=40,
+                            time_grid=7, seed=5)
+        monkeypatch.setattr(cone_module, "_CHUNK_POINTS", 9)
+        chunked = containment(interceptor, target, n_target_samples=40,
+                              time_grid=7, seed=5)
+        assert not whole.contained
+        assert chunked.fraction_contained == whole.fraction_contained
+        assert chunked.worst_margin == whole.worst_margin
+        assert np.array_equal(chunked.worst_point[0], whole.worst_point[0])
+        assert chunked.worst_point[1] == whole.worst_point[1]
+        assert chunked.samples == whole.samples
+
     def test_worst_point_consistent_with_membership(self):
         spec = leo_spec(budget=0.02, window=(60.0, 400.0))
         report = containment(spec, spec, n_target_samples=40, time_grid=7,
@@ -245,6 +271,130 @@ class TestContainment:
             StateVector(spec.vertex.r, best.v_depart, spec.vertex.t),
             t - spec.vertex.t)
         assert float(np.linalg.norm(arrived.r - point)) < 1e-5 * RN
+
+
+def leo_vertex(radius: float, speed_ratio: float,
+               inclination: float) -> StateVector:
+    """Vertex at radius on the x axis; speed_ratio times circular speed."""
+    speed = speed_ratio * math.sqrt(MU_EARTH / radius)
+    return StateVector([radius, 0.0, 0.0],
+                       [0.0, speed * math.cos(inclination),
+                        speed * math.sin(inclination)], 0.0)
+
+
+# LEO vertices from just above the 90 km floor (radius 6461 km) up, a
+# little off circular either way, so that long-way and multi-revolution
+# arcs often dip below the floor and are rejected.
+vertices = st.builds(leo_vertex,
+                     st.floats(6480.0, 7400.0),
+                     st.floats(0.96, 1.04),
+                     st.floats(0.0, math.pi))
+# Target points: the vertex after a burn of up to 0.3 km/s per axis and a
+# coast of up to two revolutions, moved by up to 150 km per axis.
+burns = st.tuples(st.floats(-0.3, 0.3), st.floats(-0.3, 0.3),
+                  st.floats(-0.3, 0.3))
+offsets = st.tuples(st.floats(-150.0, 150.0), st.floats(-150.0, 150.0),
+                    st.floats(-150.0, 150.0))
+targets = st.lists(st.tuples(burns, st.floats(0.02, 2.0), offsets),
+                   min_size=1, max_size=6)
+
+
+def target_points(vertex: StateVector, drawn):
+    """Positions and times of drawn (burn, revolutions, offset) targets."""
+    period = 2.0 * math.pi * math.sqrt(
+        float(np.linalg.norm(vertex.r)) ** 3 / MU_EARTH)
+    points, times = [], []
+    for burn, revs, offset in drawn:
+        kicked = StateVector(vertex.r, vertex.v + np.array(burn), vertex.t)
+        t = revs * period
+        try:
+            r = propagate_time(kicked, t).r
+        except EccentricityOutOfRange:
+            r = vertex.r  # an unbound kick: aim back at the vertex instead
+        points.append(r + np.array(offset))
+        times.append(t)
+    return np.array(points), np.array(times), period
+
+
+class TestBatchedKernel:
+    @given(vertices, st.floats(0.0, 0.5), st.integers(0, 2), targets)
+    @example(leo_vertex(6480.0, 1.0, 0.9), 0.4, 2,
+             [((0.0, 0.2, 0.0), 1.3, (0.0, 0.0, 0.0)),
+              ((0.0, -0.2, 0.1), 1.8, (40.0, 0.0, -20.0))])
+    def test_batch_matches_batch_of_one(self, vertex, budget, max_revs,
+                                        drawn):
+        """Containment's kernel and membership agree point by point."""
+        points, times, period = target_points(vertex, drawn)
+        spec = ConeSpec(vertex=vertex, budget=budget,
+                        window=(0.0, 2.0 * period))
+        singles = []
+        for point, t in zip(points, times):
+            try:
+                singles.append(membership(spec, point, float(t), max_revs))
+            except AmbiguousPlane:
+                with pytest.raises(AmbiguousPlane):
+                    _required_dv(spec, points, times, max_revs)
+                return
+        required, checked = _required_dv(spec, points, times, max_revs)
+        for single, dv, n in zip(singles, required, checked):
+            assert single.solutions_checked == n
+            assert single.member == (dv <= budget + 1e-12)
+            if math.isinf(single.required_dv):
+                assert math.isinf(dv)
+            else:
+                assert abs(single.required_dv - dv) <= 1e-12
+
+    def test_floor_rejects_arcs(self):
+        """The example above keeps arcs only above the floor."""
+        vertex = leo_vertex(6480.0, 1.0, 0.9)
+        points, times, period = target_points(
+            vertex, [((0.0, -0.2, 0.1), 1.8, (40.0, 0.0, -20.0))])
+        spec = ConeSpec(vertex=vertex, budget=0.4,
+                        window=(0.0, 2.0 * period))
+        no_floor = replace(spec, floor=-EARTH_RADIUS_KM)
+        floored, _ = _required_dv(spec, points, times, 2)
+        unfloored, _ = _required_dv(no_floor, points, times, 2)
+        assert floored[0] > unfloored[0]
+
+    @given(st.builds(leo_vertex, st.floats(6600.0, 7400.0),
+                     st.floats(0.99, 1.03), st.floats(0.0, math.pi)),
+           st.floats(0.0, 0.05), st.floats(0.0, 0.3), st.floats(0.001, 0.03),
+           st.integers(0, 2), st.integers(0, 1000))
+    def test_more_budget_never_breaks_containment(self, vertex, budget,
+                                                  extra, target_budget,
+                                                  max_revs, seed):
+        target = ConeSpec(vertex=vertex, budget=target_budget,
+                          window=(300.0, 3000.0))
+        interceptor = ConeSpec(vertex=vertex, budget=budget,
+                               window=(100.0, 4000.0))
+        richer = replace(interceptor, budget=budget + extra)
+        low = containment(interceptor, target, n_target_samples=12,
+                          time_grid=4, seed=seed, max_revs=max_revs)
+        high = containment(richer, target, n_target_samples=12,
+                           time_grid=4, seed=seed, max_revs=max_revs)
+        assert high.samples == low.samples
+        assert high.fraction_contained >= low.fraction_contained
+        assert high.contained or not low.contained
+
+
+def test_antipodal_point_is_ambiguous():
+    """A target point opposite the vertex has no transfer plane; the
+    error names the query time."""
+    interceptor = ConeSpec(vertex=circular_state(), budget=0.1,
+                           window=(60.0, 900.0))
+    # a coasting target that reaches (-RN2, 0, 0) at t = 425 s
+    rn2 = 7000.0
+    rate = math.sqrt(MU_EARTH / rn2**3)
+    phase = math.pi - rate * 425.0
+    speed = math.sqrt(MU_EARTH / rn2)
+    target = ConeSpec(
+        vertex=StateVector([rn2 * math.cos(phase), rn2 * math.sin(phase), 0.0],
+                           [-speed * math.sin(phase),
+                            speed * math.cos(phase), 0.0], 0.0),
+        budget=0.0, window=(425.0, 475.0))
+    with pytest.raises(AmbiguousPlane,
+                       match=re.escape("membership query at t=425.0")):
+        containment(interceptor, target, n_target_samples=5, time_grid=3)
 
 
 class TestReduceToSingleBurn:

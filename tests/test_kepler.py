@@ -12,12 +12,21 @@ from futurecone import (
     arc_from_state,
     eccentric_from_true,
     mean_motion,
+    min_radius,
     propagate_theta,
     propagate_time,
     solve_kepler,
     state_at,
     time_of_flight,
     true_from_eccentric,
+)
+from futurecone.kepler import (
+    ArcBatch,
+    _solve_kepler_array,
+    arcs_from_states,
+    is_bound,
+    positions_at,
+    swept_min_radius,
 )
 
 rng = np.random.default_rng(0)
@@ -278,22 +287,31 @@ class TestPropagation:
             assert_allclose(float(np.linalg.norm(s.r)), expected, rtol=1e-10)
 
     def test_against_numerical_integration(self):
-        """Cross-check one arc against a dense RK integration."""
+        """Cross-check arcs against a dense RK integration.
+
+        The second arc starts at an apsis of a near-circular orbit (a
+        small tangential burn on a circular one), where the epoch true
+        anomaly is hardest to recover from the state.
+        """
         from scipy.integrate import solve_ivp
 
-        s0 = state_from_elements(8200.0, 0.25, 0.4, random_rotation())
-        dt = 2500.0
+        vc = math.sqrt(MU_EARTH / 6878.0)
+        apsis = StateVector([6878.0, 0.0, 0.0], [0.0, vc + 1e-4, 0.0], 0.0)
+        cases = ((state_from_elements(8200.0, 0.25, 0.4, random_rotation()),
+                  2500.0),
+                 (apsis, 3000.0))
 
         def rhs(t, y):
             r = y[:3]
             rn = np.linalg.norm(r)
             return np.concatenate([y[3:], -MU_EARTH * r / rn**3])
 
-        sol = solve_ivp(rhs, (0.0, dt), np.concatenate([s0.r, s0.v]),
-                        method="DOP853", rtol=1e-12, atol=1e-12)
-        s1 = propagate_time(s0, dt)
-        assert_allclose(s1.r, sol.y[:3, -1], rtol=1e-8)
-        assert_allclose(s1.v, sol.y[3:, -1], rtol=1e-8)
+        for s0, dt in cases:
+            sol = solve_ivp(rhs, (0.0, dt), np.concatenate([s0.r, s0.v]),
+                            method="DOP853", rtol=1e-12, atol=1e-12)
+            s1 = propagate_time(s0, dt)
+            assert_allclose(s1.r, sol.y[:3, -1], rtol=1e-8)
+            assert_allclose(s1.v, sol.y[3:, -1], rtol=1e-8)
 
 
 class TestStateVector:
@@ -320,3 +338,77 @@ class TestStateVector:
         c = StateVector([7000.0, 0.0, 1e-12], [0.0, 7.5, 0.0], 0.0)
         assert a == b
         assert a != c
+
+
+class TestArrayKernels:
+    """The array kernels against the scalar functions, row by row."""
+
+    def batch(self, n: int = 40):
+        states = [random_bound_state(e_max=0.8) for _ in range(n)]
+        r = np.array([s.r for s in states])
+        v = np.array([s.v for s in states])
+        return states, arcs_from_states(r, v, 0.0)
+
+    def test_elements_match_arc_from_state(self):
+        states, arcs = self.batch()
+        for i, s in enumerate(states):
+            arc = arc_from_state(s)
+            got = arcs[i]
+            for name in ("a", "e", "p", "sigma0", "tau"):
+                assert_allclose(getattr(got, name), getattr(arc, name),
+                                rtol=1e-12, atol=1e-9)
+            for name in ("f0", "E0"):
+                assert_allclose(getattr(got, name), getattr(arc, name),
+                                rtol=0, atol=1e-12)
+            assert got.r0 == s
+
+    def test_positions_match_state_at(self):
+        states, arcs = self.batch()
+        rows = rng.integers(0, len(states), 200)
+        times = rng.uniform(0.0, 30000.0, 200)
+        times[:5] = 0.0  # the epoch itself returns the epoch position
+        got = positions_at(arcs, times, rows)
+        for row, t, r in zip(rows, times, got):
+            expected = state_at(arc_from_state(states[row]), float(t)).r
+            assert_allclose(r, expected, rtol=1e-9)
+        assert np.array_equal(got[:5], arcs.r0[rows[:5]])
+
+    def test_from_arcs_round_trips(self):
+        _, arcs = self.batch(5)
+        again = ArcBatch.from_arcs(list(arcs))
+        assert len(again) == 5
+        assert np.array_equal(again.r0, arcs.r0)
+        assert np.array_equal(again.tau, arcs.tau)
+        assert len(arcs[1:3]) == 2
+        assert len(ArcBatch.from_arcs(())) == 0
+
+    def test_swept_min_radius_matches_min_radius(self):
+        states, arcs = self.batch()
+        for i, s in enumerate(states):
+            arc = arc_from_state(s)
+            n = mean_motion(arc.a)
+            for t in rng.uniform(1.0, 3.0 * 2.0 * math.pi / n, 5):
+                E = solve_kepler(n * (float(t) - arc.tau), arc.e)
+                sweep = true_from_eccentric(E, arc.e) - arc.f0
+                r1n = float(np.linalg.norm(state_at(arc, float(t)).r))
+                got = swept_min_radius(s.r, s.v, r1n, sweep)
+                assert_allclose(got, min_radius(arc, 0.0, float(t)),
+                                rtol=1e-9)
+
+    def test_kepler_solve_near_parabolic(self):
+        """Rows whose Newton iterate strays finish on the scalar solver."""
+        M = rng.uniform(-50.0, 50.0, 2000)
+        e = rng.uniform(0.9, 0.999999, 2000)
+        E = _solve_kepler_array(M, e)
+        assert np.max(np.abs(E - e * np.sin(E) - M)) < 1e-12
+        expected = [solve_kepler(float(m), float(x)) for m, x in zip(M, e)]
+        assert_allclose(E, expected, rtol=0, atol=1e-6)
+
+    def test_is_bound_matches_arc_from_state(self):
+        r = np.tile([7000.0, 0.0, 0.0], (4, 1))
+        escape = math.sqrt(2.0 * MU_EARTH / 7000.0)
+        v = np.array([[0.0, 7.5, 0.0], [0.0, 1.01 * escape, 0.0],
+                      [3.0, 0.0, 0.0], [0.0, 0.99 * escape, 0.0]])
+        assert is_bound(r, v).tolist() == [True, False, False, True]
+        with pytest.raises(EccentricityOutOfRange):
+            arcs_from_states(r, v, 0.0)

@@ -14,6 +14,7 @@ from futurecone import (
     propagate_time,
     solve_lambert,
 )
+from futurecone.lambert import lambert_batch
 
 rng = np.random.default_rng(1)
 
@@ -192,3 +193,44 @@ class TestEdges:
             for sol in sols:
                 arc2 = arc_from_state(StateVector(s0.r, sol.v_depart, 0.0))
                 assert arc2.e < 1.0
+
+
+class TestBatch:
+    def test_rows_match_solve_lambert(self):
+        """Each row of a batch equals its own batch of one."""
+        r0, r1, dts = [], [], []
+        for _ in range(30):
+            s0 = random_bound_state(e_max=0.5)
+            period = 2.0 * math.pi / mean_motion(arc_from_state(s0).a)
+            dt = float(rng.uniform(0.1, 2.5)) * period
+            r0.append(s0.r)
+            r1.append(propagate_time(s0, dt).r)
+            dts.append(dt)
+        # a periodic self-transfer row takes the closed-form branch
+        rn = 7238.137
+        s0 = StateVector([rn, 0.0, 0.0], [0.0, math.sqrt(MU_EARTH / rn), 0.0],
+                         0.0)
+        period = 2.0 * math.pi / mean_motion(rn)
+        r0.append(s0.r)
+        r1.append(propagate_time(s0, period).r)
+        dts.append(period)
+        batch = lambert_batch(np.array(r0), np.array(r1), np.array(dts),
+                              max_revs=2)
+        for i in range(len(dts)):
+            single = solve_lambert(r0[i], r1[i], dts[i], max_revs=2)
+            slots = np.flatnonzero(batch.found[i])
+            assert [(s.revs, s.branch) for s in single] == [
+                (batch.revs[k], batch.branch[k]) for k in slots]
+            for sol, k in zip(single, slots):
+                assert_allclose(sol.v_depart, batch.v_depart[i, k],
+                                rtol=0, atol=1e-12)
+                assert_allclose(sol.v_arrive, batch.v_arrive[i, k],
+                                rtol=0, atol=1e-12)
+        assert batch.found[-1, 2:].any() and not batch.found[-1, :2].any()
+
+    def test_ambiguous_row_is_named(self):
+        r0 = np.array([7000.0, 0.0, 0.0])
+        r1 = np.array([[0.0, 7000.0, 0.0], [-7500.0, 0.0, 0.0]])
+        with pytest.raises(AmbiguousPlane) as info:
+            lambert_batch(r0, r1, 3000.0)
+        assert info.value.row == 1
