@@ -52,7 +52,7 @@ _DV_SLACK = 1e-12
 _CHUNK_POINTS = 16384
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class ConeSpec:
     """Vertex, allowance, window, and floor defining one future cone.
 

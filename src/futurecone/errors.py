@@ -51,6 +51,10 @@ class EmptyOverlap(FutureConeError):
     """Containment was asked for cones whose time windows do not overlap."""
 
 
+class WorkCapExceeded(FutureConeError):
+    """A request needs more samples or steps than the module's cap."""
+
+
 class ScenarioError(FutureConeError):
     """Scenario file is unreadable, malformed, or violates an invariant.
 

@@ -56,6 +56,11 @@ class ShockEvent:
         dv.setflags(write=False)
         object.__setattr__(self, "dv", dv)
 
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ShockEvent):
+            return NotImplemented
+        return self.t == other.t and np.array_equal(self.dv, other.dv)
+
     @property
     def magnitude(self) -> float:
         return float(np.linalg.norm(self.dv))

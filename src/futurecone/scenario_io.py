@@ -93,7 +93,7 @@ class TwoCarsGame:
                 f"{self.headstart}, horizon={self.horizon}")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Scenario:
     """One engagement description, orbital or planar.
 
@@ -158,35 +158,6 @@ class Scenario:
     def kind(self) -> str:
         """"orbital" or "twocars"."""
         return "twocars" if self.twocars is not None else "orbital"
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Scenario):
-            return NotImplemented
-        if (self.name, self.mu, self.floor_km, self.sampling) != \
-                (other.name, other.mu, other.floor_km, other.sampling):
-            return False
-        if self.twocars != other.twocars:
-            return False
-        if len(self.shocks) != len(other.shocks):
-            return False
-        for a, b in zip(self.shocks, other.shocks):
-            if a.t != b.t or not np.array_equal(a.dv, b.dv):
-                return False
-        for mine, theirs in ((self.interceptor, other.interceptor),
-                             (self.target, other.target)):
-            if (mine is None) != (theirs is None):
-                return False
-            if mine is None:
-                continue
-            if (mine.budget, mine.window, mine.floor, mine.mu) != \
-                    (theirs.budget, theirs.window, theirs.floor, theirs.mu):
-                return False
-            if mine.vertex.t != theirs.vertex.t:
-                return False
-            if not (np.array_equal(mine.vertex.r, theirs.vertex.r)
-                    and np.array_equal(mine.vertex.v, theirs.vertex.v)):
-                return False
-        return True
 
     __hash__ = None
 

@@ -10,14 +10,22 @@ reachable sets for the cones, the interception inequalities, the
 explicit pursuit policy (drive to the evader's starting point, then
 follow its track), and a sampled containment test that is compared
 against the inequalities.
+
+Every path is built by one exact arc kernel over constant-rate
+segments: each moves by its chord along the mid-heading, and heading
+and position accumulate by cumulative sums. Steering laws report their
+rates for many epochs at once (``SteeringLaw.rates_at``), so a
+propagation is one rate lookup and one kernel call.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
+
+from .errors import WorkCapExceeded
 
 # Steering is bounded strictly below v/R; the supremum is approached
 # through this relative margin, never attained.
@@ -25,6 +33,9 @@ _RATE_MARGIN = 1e-9
 # Below this turn angle per step the exact arc update degenerates to a
 # straight segment (the v/u lever arm overflows as u -> 0).
 _TINY_TURN = 1e-12
+# Samples one pursuit, or steps one propagation, may allocate. The
+# largest criterion-8 games need about 5e5.
+_MAX_SAMPLES = 10**7
 # Relative headroom granted to empirical comparisons against analytic
 # bounds, absorbing round-off without admitting real violations.
 _GEOM_SLACK = 1e-12
@@ -110,12 +121,15 @@ class SteeringLaw:
             of absolute time.
         rate_cap: Largest magnitude the law may return, rad/s. Laws
             built by the constructors validate their rates against the
-            car's admissible bound at construction; raw callables are
-            checked sample by sample during propagation.
+            car's admissible bound at construction; a raw callable has
+            every rate it returns checked during propagation.
     """
 
     thetadot: Callable[[float], float]
     rate_cap: float
+    # (switches, rates) of a constructor-built law; None for a raw callable
+    _table: tuple[np.ndarray, np.ndarray] | None = field(
+        default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.rate_cap) and self.rate_cap >= 0.0):
@@ -129,8 +143,7 @@ class SteeringLaw:
         Raises:
             ValueError: |rate| exceeds the admissible bound.
         """
-        _check_rate(rate, cfg)
-        return cls(thetadot=lambda t: rate, rate_cap=abs(rate))
+        return cls.piecewise([], [rate], cfg)
 
     @classmethod
     def piecewise(cls, switches, rates, cfg: CarConfig) -> "SteeringLaw":
@@ -154,20 +167,28 @@ class SteeringLaw:
                 f"and {rates.size} rates")
         if switches.size and not np.all(np.diff(switches) > 0.0):
             raise ValueError("switch epochs must be strictly increasing")
-        for rate in rates:
-            _check_rate(rate, cfg)
+        bad = np.flatnonzero(~(np.abs(rates) <= cfg.admissible_rate))
+        if bad.size:
+            raise ValueError(
+                f"turn rate {rates[bad[0]]} exceeds the admissible bound "
+                f"{cfg.admissible_rate} (strictly below v/R = "
+                f"{cfg.max_turn_rate})")
 
-        def thetadot(t: float) -> float:
-            return float(rates[np.searchsorted(switches, t, side="right")])
+        law = cls(thetadot=lambda t: float(law.rates_at(t)),
+                  rate_cap=float(np.max(np.abs(rates))))
+        object.__setattr__(law, "_table", (switches, rates))
+        return law
 
-        return cls(thetadot=thetadot, rate_cap=float(np.max(np.abs(rates))))
+    def rates_at(self, times: np.ndarray) -> np.ndarray:
+        """Turn rates at each epoch, rad/s, shape of times.
 
-
-def _check_rate(rate: float, cfg: CarConfig) -> None:
-    if not math.isfinite(rate) or abs(rate) > cfg.admissible_rate:
-        raise ValueError(
-            f"turn rate {rate} exceeds the admissible bound "
-            f"{cfg.admissible_rate} (strictly below v/R = {cfg.max_turn_rate})")
+        Constructor-built laws answer with one table lookup, which is
+        also their thetadot; a raw callable is evaluated per epoch.
+        """
+        if self._table is None:
+            return np.fromiter(map(self.thetadot, times.tolist()), float)
+        switches, rates = self._table
+        return rates[np.searchsorted(switches, times, side="right")]
 
 
 @dataclass(frozen=True, eq=False)
@@ -207,18 +228,13 @@ class CarPath:
         return self.states[:, :2]
 
     @property
-    def headings(self) -> np.ndarray:
-        """Heading samples, shape (n,)."""
-        return self.states[:, 2]
-
-    @property
     def velocities(self) -> np.ndarray:
         """Velocity samples v*(sin theta, cos theta), shape (n, 2).
 
         The heading is stored as an angle, so every sample has speed
         exactly v.
         """
-        theta = self.headings
+        theta = self.states[:, 2]
         return self.cfg.v * np.column_stack([np.sin(theta), np.cos(theta)])
 
     @property
@@ -227,34 +243,52 @@ class CarPath:
         x, y, theta = self.states[-1]
         return CarState(float(x), float(y), float(theta), float(self.times[-1]))
 
-    def position_at(self, t: float) -> np.ndarray:
-        """Position at time t by linear interpolation, clamped to the span."""
-        return np.array([np.interp(t, self.times, self.states[:, 0]),
-                         np.interp(t, self.times, self.states[:, 1])])
 
-    def heading_at(self, t: float) -> float:
-        """Heading at time t by linear interpolation, clamped to the span."""
-        return float(np.interp(t, self.times, self.states[:, 2]))
+def _arc_poses(v: float, start: tuple[float, float, float],
+               rates: np.ndarray, durations: np.ndarray) -> np.ndarray:
+    """Poses along constant-rate segments by exact arc composition.
 
+    Each segment moves by the chord 2(v/u) sin(turn/2) along its
+    mid-heading, which avoids the cancellation of differenced cosines
+    and never exceeds the arc length v*tau, so the distance bound
+    survives round-off. Heading and position accumulate from the start
+    pose segment by segment, in order.
 
-def _arc_step(x: float, y: float, theta: float, v: float, u: float,
-              tau: float) -> tuple[float, float, float]:
-    """Exact pose update over one interval of constant turn rate u.
+    Args:
+        v: Speed, m/s.
+        start: Start pose (x0, y0, theta0).
+        rates: Turn rates, rad/s, segments along the last axis.
+        durations: Segment durations, s, broadcasting against rates.
 
-    The chord form 2(v/u) sin(turn/2) along the mid-heading avoids the
-    cancellation of differenced cosines and never exceeds the arc
-    length v*tau, so the distance bound survives round-off.
+    Returns:
+        Poses (x, y, theta), shape (..., k + 1, 3): the start pose, then
+        the pose after each of the k segments.
     """
-    turn = u * tau
-    if abs(turn) < _TINY_TURN:
-        return (x + v * tau * math.sin(theta),
-                y + v * tau * math.cos(theta),
-                theta + turn)
+    turn = rates * durations
     half = 0.5 * turn
-    chord = 2.0 * (v / u) * math.sin(half)
-    return (x + chord * math.sin(theta + half),
-            y + chord * math.cos(theta + half),
-            theta + turn)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        chord = np.where(np.abs(turn) < _TINY_TURN, v * durations,
+                         2.0 * (v / rates) * np.sin(half))
+
+    def accumulate(origin: float, steps: np.ndarray) -> np.ndarray:
+        head = np.full(steps.shape[:-1] + (1,), origin)
+        return np.cumsum(np.concatenate([head, steps], axis=-1), axis=-1)
+
+    theta = accumulate(start[2], turn)
+    mid = theta[..., :-1] + half
+    x = accumulate(start[0], chord * np.sin(mid))
+    y = accumulate(start[1], chord * np.cos(mid))
+    return np.stack([x, y, theta], axis=-1)
+
+
+def _sample_count(ratio: float, what: str) -> int:
+    """ceil(ratio), at least 1, refused above _MAX_SAMPLES before any
+    array of that length exists."""
+    if ratio > _MAX_SAMPLES:
+        raise WorkCapExceeded(
+            f"{what} needs {ratio:.6g} samples, more than the cap of "
+            f"{_MAX_SAMPLES}")
+    return max(1, math.ceil(ratio))
 
 
 def propagate_car(cfg: CarConfig, s0: CarState, law: SteeringLaw, t: float,
@@ -262,11 +296,12 @@ def propagate_car(cfg: CarConfig, s0: CarState, law: SteeringLaw, t: float,
     """Drive a car under a steering law for duration t.
 
     Fixed-step integration of x' = v sin(theta), y' = v cos(theta),
-    theta' = law(t). Each step holds the rate sampled at the step
-    midpoint and applies the exact constant-rate arc, so speed is
-    exactly v at every sample and piecewise-constant laws whose
-    switches fall on step boundaries propagate without integration
-    error.
+    theta' = law(t). Each step holds the rate at the step midpoint
+    (all midpoints in one ``law.rates_at`` call, a table lookup for
+    constructor-built laws) and applies the exact constant-rate arc,
+    all steps in one kernel call. Speed is exactly v at every sample,
+    and piecewise-constant laws whose switches fall on step boundaries
+    propagate without integration error.
 
     Args:
         cfg: Car speed and turn radius.
@@ -274,14 +309,15 @@ def propagate_car(cfg: CarConfig, s0: CarState, law: SteeringLaw, t: float,
         law: Admissible steering law; its cap must not exceed the
             car's admissible bound.
         t: Duration, s, > 0.
-        step: Step size, s, > 0; the final step is shortened to land
-            exactly on s0.t + t.
+        step: Largest step, s, > 0; t is split into ceil(t/step)
+            equal steps, the last landing exactly on s0.t + t.
 
     Returns:
         CarPath sampled at every step boundary, including s0.
 
     Raises:
         ValueError: nonpositive t or step, or a law rate over the bound.
+        WorkCapExceeded: more than _MAX_SAMPLES steps.
     """
     if not (t > 0.0 and math.isfinite(t)):
         raise ValueError(f"duration must be positive and finite, got {t}")
@@ -291,23 +327,14 @@ def propagate_car(cfg: CarConfig, s0: CarState, law: SteeringLaw, t: float,
         raise ValueError(
             f"law rate cap {law.rate_cap} exceeds the admissible bound "
             f"{cfg.admissible_rate} for v={cfg.v}, R={cfg.R}")
-    n_steps = max(1, math.ceil(t / step - _GEOM_SLACK))
-    times = np.empty(n_steps + 1)
-    states = np.empty((n_steps + 1, 3))
-    times[0] = s0.t
-    states[0] = (s0.x, s0.y, s0.theta)
-    x, y, theta = s0.x, s0.y, s0.theta
-    cap = law.rate_cap * (1.0 + _GEOM_SLACK)
-    for k in range(n_steps):
-        lo = s0.t + (t * k) / n_steps
-        hi = s0.t + (t * (k + 1)) / n_steps
-        u = float(law.thetadot(0.5 * (lo + hi)))
-        if abs(u) > cap:
-            raise ValueError(
-                f"law returned rate {u} above its declared cap {law.rate_cap}")
-        x, y, theta = _arc_step(x, y, theta, cfg.v, u, hi - lo)
-        times[k + 1] = hi
-        states[k + 1] = (x, y, theta)
+    n_steps = _sample_count(t / step - _GEOM_SLACK, "propagation")
+    times = s0.t + (t * np.arange(n_steps + 1)) / n_steps
+    rates = law.rates_at(0.5 * (times[:-1] + times[1:]))
+    over = np.flatnonzero(np.abs(rates) > law.rate_cap * (1.0 + _GEOM_SLACK))
+    if over.size:
+        raise ValueError(f"law returned rate {float(rates[over[0]])} above "
+                         f"its declared cap {law.rate_cap}")
+    states = _arc_poses(cfg.v, (s0.x, s0.y, s0.theta), rates, np.diff(times))
     times[-1] = s0.t + t
     return CarPath(cfg=cfg, times=times, states=states)
 
@@ -328,41 +355,10 @@ def path_accelerations(path: CarPath) -> np.ndarray:
     return (vel[2:] - vel[:-2]) / dt[:, None]
 
 
-def _compose_endpoints(v: float, theta0: float, rates: np.ndarray,
-                       durations: np.ndarray) -> np.ndarray:
-    """Endpoints of piecewise-constant laws by exact arc composition.
-
-    Args:
-        v: Speed, m/s.
-        theta0: Common initial heading, rad.
-        rates: Turn rates, shape (m, k).
-        durations: Segment durations, shape (m, k).
-
-    Returns:
-        Endpoint offsets from the start position, shape (m, 2).
-    """
-    m = rates.shape[0]
-    x = np.zeros(m)
-    y = np.zeros(m)
-    theta = np.full(m, float(theta0))
-    for j in range(rates.shape[1]):
-        u = rates[:, j]
-        tau = durations[:, j]
-        turn = u * tau
-        half = 0.5 * turn
-        # chord form of the arc: no cancellation, never beyond v*tau
-        with np.errstate(divide="ignore", invalid="ignore"):
-            chord = 2.0 * (v / u) * np.sin(half)
-        chord = np.where(np.abs(turn) < _TINY_TURN, v * tau, chord)
-        x = x + chord * np.sin(theta + half)
-        y = y + chord * np.cos(theta + half)
-        theta = theta + turn
-    return np.column_stack([x, y])
-
-
-def _control_family(cfg: CarConfig, tau: float, n_random: int,
-                    rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Rates and durations spanning the admissible controls over tau.
+def _family_endpoints(cfg: CarConfig, theta0: float, tau: float,
+                      n_random: int, rng: np.random.Generator) -> np.ndarray:
+    """Endpoint offsets, shape (m, 2), of controls spanning the
+    admissible set over tau from initial heading theta0.
 
     Deterministic extremals come first: straight, both constant
     saturated turns, and saturated bang-bang pairs switching at a fan
@@ -390,7 +386,7 @@ def _control_family(cfg: CarConfig, tau: float, n_random: int,
         random_rates[:half] = u_max * rng.choice([-1.0, 1.0], (half, 3))
         rates = np.vstack([rates, random_rates])
         durations = np.vstack([durations, random_dur])
-    return rates, durations
+    return _arc_poses(cfg.v, (0.0, 0.0, theta0), rates, durations)[:, -1, :2]
 
 
 @dataclass(frozen=True, eq=False)
@@ -458,9 +454,8 @@ def reachable_set(cfg: CarConfig, s0: CarState, t: float,
     if n_controls < 0:
         raise ValueError(f"n_controls must be nonnegative, got {n_controls}")
     rng = np.random.default_rng(seed)
-    rates, durations = _control_family(cfg, t, n_controls, rng)
-    endpoints = s0.position + _compose_endpoints(cfg.v, s0.theta, rates,
-                                                 durations)
+    endpoints = s0.position + _family_endpoints(cfg, s0.theta, t, n_controls,
+                                                rng)
     half = cfg.v * t
     cell = 2.0 * half / resolution
     idx = np.floor((endpoints - (s0.position - half)) / cell).astype(int)
@@ -539,46 +534,6 @@ def _tangent_path(p0: CarState, goal: np.ndarray, goal_heading: float,
     return [(rate, dur) for rate, dur in best if dur > 0.0]
 
 
-def _pose_along(segments: list[tuple[float, float]], start: CarState,
-                v: float, elapsed: float) -> tuple[float, float, float]:
-    """Pose after driving the (rate, duration) segments for elapsed time."""
-    x, y, theta = start.x, start.y, start.theta
-    remaining = elapsed
-    for u, dur in segments:
-        if remaining <= 0.0:
-            break
-        step = min(dur, remaining)
-        x, y, theta = _arc_step(x, y, theta, v, u, step)
-        remaining -= step
-    return x, y, theta
-
-
-def _poses_along(segments: list[tuple[float, float]], start: CarState,
-                 v: float, elapsed: np.ndarray) -> np.ndarray:
-    """Poses after driving the segments for each elapsed time, (m, 3).
-
-    Per-sample accumulation: each segment advances every sample by its
-    own clipped duration, a no-op for samples that stopped earlier.
-    """
-    x = np.full(elapsed.shape, start.x)
-    y = np.full(elapsed.shape, start.y)
-    theta = np.full(elapsed.shape, start.theta)
-    cursor = 0.0
-    for u, dur in segments:
-        tau = np.clip(elapsed - cursor, 0.0, dur)
-        turn = u * tau
-        half = 0.5 * turn
-        if u == 0.0:
-            chord = v * tau
-        else:
-            chord = 2.0 * (v / u) * np.sin(half)
-        x = x + chord * np.sin(theta + half)
-        y = y + chord * np.cos(theta + half)
-        theta = theta + turn
-        cursor += dur
-    return np.column_stack([x, y, theta])
-
-
 @dataclass(frozen=True, eq=False)
 class PursuitResult:
     """Outcome of one explicit-policy pursuit.
@@ -634,12 +589,18 @@ def explicit_policy_pursuit(pursuer: CarConfig, evader: CarConfig,
         PursuitResult with the verdict and the pursuer path.
 
     Raises:
-        ValueError: mismatched evader config or empty horizon.
+        ValueError: mismatched evader config, empty horizon, or a
+            capture radius that is not positive and finite.
+        WorkCapExceeded: the sampling needs more than _MAX_SAMPLES
+            samples.
     """
     if evader_path.cfg != evader:
         raise ValueError("evader config does not match the recorded track")
     if capture_radius is None:
         capture_radius = 1e-3 * pursuer.R
+    if not (math.isfinite(capture_radius) and capture_radius > 0.0):
+        raise ValueError(
+            f"capture radius must be positive and finite, got {capture_radius}")
     track_t0 = float(evader_path.times[0])
     track_end = float(evader_path.times[-1])
     if track_end <= p0.t:
@@ -648,46 +609,47 @@ def explicit_policy_pursuit(pursuer: CarConfig, evader: CarConfig,
             f"starts at {p0.t}")
     start = evader_path.states[0]
     segments = _tangent_path(p0, np.array(start[:2]), float(start[2]), pursuer)
-    approach = sum(dur for _, dur in segments)
-    t_acq = p0.t + approach
+    # a pursuer already on the track start gets no segments at all
+    rates, durations = np.array(segments).reshape(-1, 2).T
+    edges = np.concatenate([[0.0], np.cumsum(durations)])
+    t_acq = p0.t + float(edges[-1])
 
     # sample finely enough that the separation cannot step across the
     # capture ball between samples
     step = min(float(np.median(np.diff(evader_path.times))),
                capture_radius / (pursuer.v + evader.v))
-    n = max(1, math.ceil((track_end - p0.t) / step))
+    n = _sample_count((track_end - p0.t) / step, "pursuit")
     times = p0.t + (track_end - p0.t) * np.arange(n + 1) / n
     states = np.empty((n + 1, 3))
     n_approach = int(np.searchsorted(times, t_acq, side="right"))
-    states[:n_approach] = _poses_along(segments, p0, pursuer.v,
-                                       times[:n_approach] - p0.t)
+    # each approach sample drives every segment for its own clipped time
+    elapsed = times[:n_approach, None] - p0.t
+    states[:n_approach] = _arc_poses(
+        pursuer.v, (p0.x, p0.y, p0.theta), rates,
+        np.clip(elapsed - edges[:-1], 0.0, durations))[:, -1]
     # follow the track: arc length v1*(t - t_acq) into a track recorded
     # at speed v2 lands at evader epoch u
     u = track_t0 + (pursuer.v / evader.v) * (times[n_approach:] - t_acq)
     for col in range(3):
         states[n_approach:, col] = np.interp(u, evader_path.times,
                                              evader_path.states[:, col])
-    path = CarPath(cfg=pursuer, times=times, states=states)
 
-    evader_pos = np.column_stack([
-        np.interp(times, evader_path.times, evader_path.states[:, 0]),
-        np.interp(times, evader_path.times, evader_path.states[:, 1])])
-    gap = np.linalg.norm(path.positions - evader_pos, axis=1)
+    # one coordinate at a time: few full-length temporaries at once
+    dx = states[:, 0] - np.interp(times, evader_path.times,
+                                  evader_path.states[:, 0])
+    dy = states[:, 1] - np.interp(times, evader_path.times,
+                                  evader_path.states[:, 1])
+    gap = np.sqrt(dx * dx + dy * dy)
     hits = np.flatnonzero(gap <= capture_radius)
-    if hits.size:
-        cut = hits[0] + 1
-        closest = int(np.argmin(gap[:cut]))
-        return PursuitResult(captured=True, capture_time=float(times[hits[0]]),
-                             closest_approach=float(gap[closest]),
-                             closest_time=float(times[closest]),
-                             acquisition_time=t_acq,
-                             capture_radius=capture_radius, path=path)
-    closest = int(np.argmin(gap))
-    return PursuitResult(captured=False, capture_time=None,
-                         closest_approach=float(gap[closest]),
-                         closest_time=float(times[closest]),
-                         acquisition_time=t_acq,
-                         capture_radius=capture_radius, path=path)
+    captured = bool(hits.size)
+    closest = int(np.argmin(gap[:hits[0] + 1] if captured else gap))
+    return PursuitResult(
+        captured=captured,
+        capture_time=float(times[hits[0]]) if captured else None,
+        closest_approach=float(gap[closest]),
+        closest_time=float(times[closest]), acquisition_time=t_acq,
+        capture_radius=capture_radius,
+        path=CarPath(cfg=pursuer, times=times, states=states))
 
 
 def _measured_peak_accel(cfg: CarConfig, angle_step: float = 0.01,
@@ -810,12 +772,10 @@ def containment_equivalence(pursuer: CarConfig, evader: CarConfig,
     witness = None
     for k, t in enumerate(times):
         tau = float(t)
-        rates_e, dur_e = _control_family(evader, tau, samples,
-                                         np.random.default_rng([seed, k]))
-        rates_p, dur_p = _control_family(pursuer, tau, samples,
-                                         np.random.default_rng([seed, k]))
-        evader_pts = _compose_endpoints(evader.v, 0.0, rates_e, dur_e)
-        pursuer_pts = _compose_endpoints(pursuer.v, 0.0, rates_p, dur_p)
+        evader_pts = _family_endpoints(evader, 0.0, tau, samples,
+                                       np.random.default_rng([seed, k]))
+        pursuer_pts = _family_endpoints(pursuer, 0.0, tau, samples,
+                                        np.random.default_rng([seed, k]))
         ranges = np.linalg.norm(evader_pts, axis=1)
         frontier = float(np.max(np.linalg.norm(pursuer_pts, axis=1)))
         # proper inclusion: a frontier tie already breaks containment,

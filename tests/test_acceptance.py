@@ -287,6 +287,7 @@ def test_criterion_7_two_cars_equivalence():
 
 def test_criterion_8_explicit_policy_pursuit():
     """Track-following captures within ten head-start times."""
+    start = time.perf_counter()
     for seed in range(100):
         local = np.random.default_rng(seed)
         v2 = float(local.uniform(0.5, 1.5))
@@ -328,6 +329,7 @@ def test_criterion_8_explicit_policy_pursuit():
             np.interp(result.path.times, track.times, track.states[:, 1])])
         gaps = np.linalg.norm(result.path.positions - evader_pos, axis=1)
         assert np.all(np.diff(gaps) >= -1e-9)
+    assert time.perf_counter() - start < 20.0
 
 
 def test_criterion_9_cli_determinism(tmp_path, capsys):

@@ -152,6 +152,21 @@ class TestScenarioInvariants:
             target=ConeSpec(vertex=leo_vertex(), budget=0.02,
                             window=(200.0, 400.0)))
 
+    def test_equality_compares_arrays_by_value(self):
+        def shocks(dz):
+            return (ShockEvent(t=250.0, dv=[0.0, 0.01, 0.0]),
+                    ShockEvent(t=300.0, dv=[0.0, 0.0, dz]))
+
+        assert orbital_scenario(shocks=shocks(0.02)) \
+            == orbital_scenario(shocks=shocks(0.02))
+        assert orbital_scenario(shocks=shocks(0.02)) \
+            != orbital_scenario(shocks=shocks(0.03))
+        assert orbital_scenario() != orbital_scenario(
+            target=ConeSpec(vertex=leo_vertex(t=1.0), budget=0.01,
+                            window=(200.0, 400.0)))
+        with pytest.raises(TypeError):
+            hash(orbital_scenario())
+
 
 class TestLoadScenario:
     """File parsing with line-precise diagnostics."""

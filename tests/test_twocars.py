@@ -1,10 +1,13 @@
 """Tests for the planar pursuit kinematics and verdicts."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from futurecone import twocars
+from futurecone.errors import WorkCapExceeded
 from futurecone.twocars import (
     CarConfig,
     CarState,
@@ -16,7 +19,7 @@ from futurecone.twocars import (
     path_accelerations,
     propagate_car,
     reachable_set,
-    _pose_along,
+    _arc_poses,
     _tangent_path,
 )
 
@@ -39,6 +42,31 @@ BANGBANG_END = (3.5027483114865117, 3.0331908331561332, 0.29999999999999927)
 def wrap_angle(delta: float) -> float:
     """Reduce an angle difference to (-pi, pi]."""
     return (delta + math.pi) % TWO_PI - math.pi
+
+
+def loop_propagate(cfg, s0, law, t, step):
+    """Scalar reference for propagate_car: one exact arc per step,
+    rate at the step midpoint, pose updated in a Python loop."""
+    n = max(1, math.ceil(t / step - 1e-12))
+    times = [s0.t]
+    states = [(s0.x, s0.y, s0.theta)]
+    x, y, theta = states[0]
+    for k in range(n):
+        lo = s0.t + (t * k) / n
+        hi = s0.t + (t * (k + 1)) / n
+        u = law.thetadot(0.5 * (lo + hi))
+        turn = u * (hi - lo)
+        if abs(turn) < 1e-12:
+            chord, half = cfg.v * (hi - lo), 0.0
+        else:
+            chord, half = 2.0 * (cfg.v / u) * math.sin(0.5 * turn), 0.5 * turn
+        x += chord * math.sin(theta + half)
+        y += chord * math.cos(theta + half)
+        theta += turn
+        times.append(hi)
+        states.append((x, y, theta))
+    times[-1] = s0.t + t
+    return np.array(times), np.array(states)
 
 
 class TestCarConfig:
@@ -180,6 +208,63 @@ class TestPropagateCar:
             propagate_car(cfg, s0, law, t=0.0, step=0.1)
         with pytest.raises(ValueError):
             propagate_car(cfg, s0, law, t=1.0, step=0.0)
+
+    def test_error_names_first_rate_over_cap(self):
+        cfg = CarConfig(v=1.0, R=1.0)
+        s0 = CarState(x=0.0, y=0.0, theta=0.0, t=0.0)
+        liar = SteeringLaw(
+            thetadot=lambda t: 0.0 if t < 0.5 else (0.7 if t < 0.8 else 0.9),
+            rate_cap=0.1)
+        with pytest.raises(ValueError, match="rate 0.7 above"):
+            propagate_car(cfg, s0, liar, t=1.0, step=0.1)
+
+    def test_matches_scalar_loop(self):
+        """The array kernel agrees with the per-step loop; numpy's sin
+        may differ from math.sin by an ulp, hence no bit identity."""
+        cfg = CarConfig(v=BANGBANG_V, R=BANGBANG_R)
+        amp = 0.9 * cfg.admissible_rate
+        laws = [SteeringLaw.piecewise(BANGBANG_SWITCHES, BANGBANG_RATES, cfg),
+                SteeringLaw(thetadot=lambda t: amp * math.sin(1.3 * t),
+                            rate_cap=amp)]
+        s0 = CarState(*BANGBANG_START, t=0.25)
+        for law in laws:
+            path = propagate_car(cfg, s0, law, t=7.0, step=0.013)
+            times, states = loop_propagate(cfg, s0, law, t=7.0, step=0.013)
+            assert np.array_equal(path.times, times)
+            assert_allclose(path.states, states, rtol=1e-12,
+                            atol=1e-12 * cfg.v * 7.0)
+
+    def test_raw_callable_matches_table(self):
+        """A raw callable wrapping a piecewise law takes the per-epoch
+        branch of rates_at and must drive the identical path."""
+        cfg = CarConfig(v=BANGBANG_V, R=BANGBANG_R)
+        table = SteeringLaw.piecewise(BANGBANG_SWITCHES, BANGBANG_RATES, cfg)
+        raw = SteeringLaw(thetadot=table.thetadot, rate_cap=table.rate_cap)
+        s0 = CarState(*BANGBANG_START, t=0.25)
+        a = propagate_car(cfg, s0, table, t=4.0, step=0.013)
+        b = propagate_car(cfg, s0, raw, t=4.0, step=0.013)
+        assert np.array_equal(a.times, b.times)
+        assert np.array_equal(a.states, b.states)
+
+    def test_step_count_capped_before_allocation(self, monkeypatch):
+        cfg = CarConfig(v=1.0, R=1.0)
+        s0 = CarState(x=0.0, y=0.0, theta=0.0, t=0.0)
+        law = SteeringLaw.constant(0.5, cfg)
+        with pytest.raises(WorkCapExceeded):
+            propagate_car(cfg, s0, law, t=1.0, step=1e-300)
+        cap = 100_000
+        monkeypatch.setattr(twocars, "_MAX_SAMPLES", cap)
+        assert propagate_car(cfg, s0, law, t=1.0,
+                             step=1.0 / cap).times.size == cap + 1
+        tracemalloc.start()
+        try:
+            with pytest.raises(WorkCapExceeded):
+                propagate_car(cfg, s0, law, t=1.0, step=1.0 / (cap + 1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one array of cap floats would already be 8 * cap bytes
+        assert peak < cap
 
 
 class TestPathInvariants:
@@ -338,8 +423,9 @@ class TestTangentPath:
             for rate, duration in segments:
                 assert abs(rate) <= cfg.admissible_rate * (1 + 1e-12)
                 assert duration > 0.0
-            total = sum(d for _, d in segments)
-            x, y, theta = _pose_along(segments, p0, cfg.v, total)
+            rates, durations = np.array(segments).T
+            x, y, theta = _arc_poses(cfg.v, (p0.x, p0.y, p0.theta), rates,
+                                     durations)[-1]
             assert_allclose([x, y], goal, atol=1e-9)
             assert abs(wrap_angle(theta - goal_heading)) < 1e-9
 
@@ -456,6 +542,47 @@ class TestExplicitPolicyPursuit:
             2.0, 1.0, 3.0, horizon=8.0)
         result = explicit_policy_pursuit(pursuer, evader, p0, track)
         assert result.capture_radius == 1e-3 * pursuer.R
+
+    def test_start_on_track_start_captures_at_once(self):
+        """A pursuer already at the evader's start pose needs no route."""
+        pursuer, evader = CarConfig(v=2.0, R=1.0), CarConfig(v=1.0, R=1.0)
+        e0 = CarState(x=1.0, y=2.0, theta=0.0, t=0.0)
+        track = propagate_car(evader, e0, SteeringLaw.constant(0.3, evader),
+                              t=5.0, step=0.01)
+        assert _tangent_path(e0, e0.position, e0.theta, pursuer) == []
+        result = explicit_policy_pursuit(pursuer, evader, e0, track)
+        assert result.acquisition_time == 0.0
+        assert result.captured and result.capture_time == 0.0
+
+    def test_rejects_bad_capture_radius(self):
+        pursuer, evader, p0, track = self.straight_engagement(
+            2.0, 1.0, 3.0, horizon=5.0)
+        for radius in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="capture radius"):
+                explicit_policy_pursuit(pursuer, evader, p0, track,
+                                        capture_radius=radius)
+
+    def test_sample_count_capped_before_allocation(self, monkeypatch):
+        pursuer, evader, p0, track = self.straight_engagement(
+            2.0, 1.0, 3.0, horizon=5.0)
+        with pytest.raises(WorkCapExceeded):
+            explicit_policy_pursuit(pursuer, evader, p0, track,
+                                    capture_radius=1e-300)
+        cap = 100_000
+        monkeypatch.setattr(twocars, "_MAX_SAMPLES", cap)
+        # 5 s of track sampled at radius / (v1 + v2) = 5 / n
+        fits = explicit_policy_pursuit(pursuer, evader, p0, track,
+                                       capture_radius=3.0 * 5.0 / (cap - 1))
+        assert fits.path.times.size <= cap + 1
+        tracemalloc.start()
+        try:
+            with pytest.raises(WorkCapExceeded):
+                explicit_policy_pursuit(pursuer, evader, p0, track,
+                                        capture_radius=3.0 * 5.0 / (2 * cap))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < cap
 
 
 def equivalence_horizon(pursuer: CarConfig, evader: CarConfig,
