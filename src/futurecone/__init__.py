@@ -3,68 +3,29 @@
 Future cones (attainable-trajectory sets) for impulsively maneuvering
 spacecraft in inverse-square gravity, plus the planar Two Cars game as a
 flat-space benchmark with known closed-form answers.
+The root re-exports the orbital core; scenario files, the Two Cars game
+and the array kernels are imported from their own modules.
 """
-from .constants import DEFAULT_FLOOR_KM, EARTH_RADIUS_KM, G0_KM_S2, MU_EARTH
+from .constants import EARTH_RADIUS_KM, MU_EARTH
 from .errors import (
     AmbiguousPlane,
-    ConvergenceError,
     EccentricityOutOfRange,
-    EmptyCone,
     EmptyOverlap,
-    FutureConeError,
     NoBoundArc,
-    ScenarioError,
-    ScenarioInvariantError,
-    ScenarioParseError,
-    ScenarioSchemaError,
     SurfaceViolation,
     UnboundResult,
-    WorkCapExceeded,
 )
 from .cone import (
-    ConeSampleSet,
     ConeSpec,
-    ContainmentReport,
-    MembershipResult,
     containment,
     leaf,
     membership,
     reduce_to_single_burn,
     sample_cone,
 )
-from .lambert import LambertSolution, solve_lambert
-from .scenario_io import (
-    FY1CParameters,
-    SamplingSpec,
-    Scenario,
-    TwoCarsGame,
-    builtin_scenario,
-    bundled_path,
-    export_points,
-    fy1c_scenario,
-    load_scenario,
-    save_scenario,
-)
-from .twocars import (
-    CarConfig,
-    CarPath,
-    CarState,
-    CockayneVerdict,
-    EquivalenceVerdict,
-    PursuitResult,
-    ReachableSet,
-    SteeringLaw,
-    cockayne_check,
-    containment_equivalence,
-    explicit_policy_pursuit,
-    path_accelerations,
-    propagate_car,
-    reachable_set,
-)
+from .lambert import solve_lambert
 from .maneuver import (
     ImpulsiveSchedule,
-    ImpulsiveTrajectory,
-    SampledTrajectory,
     ShockEvent,
     ThrustProfile,
     apply_shock,
@@ -75,7 +36,6 @@ from .maneuver import (
     shock_approximation,
 )
 from .kepler import (
-    BallisticArc,
     StateVector,
     arc_from_state,
     eccentric_from_true,
@@ -93,75 +53,34 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AmbiguousPlane",
-    "BallisticArc",
-    "CarConfig",
-    "CarPath",
-    "CarState",
-    "CockayneVerdict",
-    "ConeSampleSet",
     "ConeSpec",
-    "ContainmentReport",
-    "ConvergenceError",
-    "DEFAULT_FLOOR_KM",
     "EARTH_RADIUS_KM",
     "EccentricityOutOfRange",
-    "EmptyCone",
     "EmptyOverlap",
-    "EquivalenceVerdict",
-    "FY1CParameters",
-    "FutureConeError",
-    "G0_KM_S2",
     "ImpulsiveSchedule",
-    "ImpulsiveTrajectory",
-    "LambertSolution",
     "MU_EARTH",
-    "MembershipResult",
     "NoBoundArc",
-    "PursuitResult",
-    "ReachableSet",
-    "SampledTrajectory",
-    "SamplingSpec",
-    "Scenario",
-    "ScenarioError",
-    "ScenarioInvariantError",
-    "ScenarioParseError",
-    "ScenarioSchemaError",
     "ShockEvent",
     "StateVector",
-    "SteeringLaw",
     "SurfaceViolation",
     "ThrustProfile",
-    "TwoCarsGame",
     "UnboundResult",
-    "WorkCapExceeded",
     "apply_shock",
     "arc_from_state",
-    "builtin_scenario",
-    "bundled_path",
-    "cockayne_check",
     "containment",
-    "containment_equivalence",
     "eccentric_from_true",
-    "explicit_policy_pursuit",
-    "export_points",
-    "fy1c_scenario",
     "integrate_thrust",
     "leaf",
-    "load_scenario",
     "mean_motion",
     "membership",
     "min_radius",
-    "path_accelerations",
     "profile_impulse",
-    "propagate_car",
     "propagate_schedule",
     "propagate_theta",
     "propagate_time",
-    "reachable_set",
     "reduce_to_single_burn",
     "rocket_delta_v",
     "sample_cone",
-    "save_scenario",
     "shock_approximation",
     "solve_kepler",
     "solve_lambert",

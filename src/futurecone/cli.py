@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import sys
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,44 +33,6 @@ from .scenario_io import (
 )
 from .twocars import EquivalenceVerdict, containment_equivalence
 
-_COMMAND_NAMES = ("propagate", "contain", "twocars")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """One CLI invocation, resolved from flags.
-
-    Attributes:
-        command: Subcommand name, one of "propagate", "contain",
-            "twocars".
-        scenario: Path to a scenario file, or None when builtin is set.
-        builtin: Bundled scenario name, or None when scenario is set.
-        seed: Override for the scenario's sampling seed, or None.
-        samples: Override for the scenario's sample count, or None.
-        grid: Override for the scenario's time grid size, or None.
-        out: Output file path.
-        format: "csv" or "report"; None picks the subcommand default
-            (csv for propagate, report otherwise).
-    """
-
-    command: str
-    scenario: str | None
-    builtin: str | None
-    seed: int | None
-    samples: int | None
-    grid: int | None
-    out: str
-    format: str | None
-
-    def __post_init__(self) -> None:
-        if self.command not in _COMMAND_NAMES:
-            raise ValueError(f"unknown command {self.command!r}")
-        if (self.scenario is None) == (self.builtin is None):
-            raise ValueError("exactly one of scenario or builtin required")
-        if self.format not in (None, "csv", "report"):
-            raise ValueError(f"unknown format {self.format!r}")
-
-
 class _Parser(argparse.ArgumentParser):
     """Parser whose usage errors exit 1 with a one-line diagnostic."""
 
@@ -83,18 +44,19 @@ def _bool(flag: bool) -> str:
     return "true" if flag else "false"
 
 
-def _resolve_scenario(config: RunConfig) -> Scenario:
-    if config.builtin is not None:
-        return builtin_scenario(config.builtin)
-    return load_scenario(config.scenario)
+def _resolve_scenario(args: argparse.Namespace) -> Scenario:
+    if args.builtin is not None:
+        return builtin_scenario(args.builtin)
+    return load_scenario(args.scenario)
 
 
-def _resolve_sampling(scenario: Scenario, config: RunConfig) -> SamplingSpec:
+def _resolve_sampling(scenario: Scenario,
+                      args: argparse.Namespace) -> SamplingSpec:
     base = scenario.sampling
     return SamplingSpec(
-        n_samples=base.n_samples if config.samples is None else config.samples,
-        time_grid=base.time_grid if config.grid is None else config.grid,
-        seed=base.seed if config.seed is None else config.seed,
+        n_samples=base.n_samples if args.samples is None else args.samples,
+        time_grid=base.time_grid if args.grid is None else args.grid,
+        seed=base.seed if args.seed is None else args.seed,
     )
 
 
@@ -104,7 +66,7 @@ def _require_kind(scenario: Scenario, kind: str, command: str) -> None:
                          f"got {scenario.kind}")
 
 
-def cmd_propagate(scenario: Scenario, config: RunConfig) -> int:
+def cmd_propagate(scenario: Scenario, args: argparse.Namespace) -> int:
     """Fly the target body through its shock schedule and export it.
 
     The scenario's [shock] sections become an impulsive schedule whose
@@ -115,17 +77,18 @@ def cmd_propagate(scenario: Scenario, config: RunConfig) -> int:
 
     Args:
         scenario: Orbital scenario; its target cone is propagated.
-        config: Resolved flags.
+        args: Parsed flags.
 
     Returns:
         0 on success.
 
     Raises:
-        ValueError: Scenario is not orbital, or flags are inconsistent.
+        ValueError: Scenario is not orbital, or an override is out of
+            range.
         FutureConeError: Propagation left the model's valid range.
     """
     _require_kind(scenario, "orbital", "propagate")
-    sampling = _resolve_sampling(scenario, config)
+    sampling = _resolve_sampling(scenario, args)
     budget = float(sum(np.linalg.norm(shock.dv)
                        for shock in scenario.shocks))
     schedule = ImpulsiveSchedule(shocks=scenario.shocks, budget=budget)
@@ -135,33 +98,34 @@ def cmd_propagate(scenario: Scenario, config: RunConfig) -> int:
                                     mu=scenario.mu, floor=scenario.floor_km)
     times = np.linspace(target.vertex.t, target.window[1],
                         sampling.time_grid)
-    export_points(trajectory, config.out, format=config.format or "csv",
+    export_points(trajectory, args.out, format=args.format or "csv",
                   body_tag="target", times=times)
-    print(f"propagate: wrote {sampling.time_grid} states to {config.out}")
+    print(f"propagate: wrote {sampling.time_grid} states to {args.out}")
     return 0
 
 
-def cmd_contain(scenario: Scenario, config: RunConfig) -> int:
+def cmd_contain(scenario: Scenario, args: argparse.Namespace) -> int:
     """Run the containment test and write the verdict file.
 
     Args:
         scenario: Orbital scenario with interceptor and target cones.
-        config: Resolved flags.
+        args: Parsed flags.
 
     Returns:
         0 when the target cone is contained, 3 when it is not; the
         verdict file is written either way.
 
     Raises:
-        ValueError: Scenario is not orbital, or flags are inconsistent.
+        ValueError: Scenario is not orbital, or an override is out of
+            range.
         FutureConeError: Sampling or propagation failed numerically.
     """
     _require_kind(scenario, "orbital", "contain")
-    sampling = _resolve_sampling(scenario, config)
+    sampling = _resolve_sampling(scenario, args)
     report = containment(scenario.interceptor, scenario.target,
                          n_target_samples=sampling.n_samples,
                          time_grid=sampling.time_grid, seed=sampling.seed)
-    export_points(report, config.out, format=config.format or "report")
+    export_points(report, args.out, format=args.format or "report")
     print(f"contain: contained = {_bool(report.contained)} "
           f"fraction = {float(report.fraction_contained)!r} "
           f"worst_margin = {float(report.worst_margin)!r}")
@@ -190,13 +154,13 @@ def _write_twocars_report(verdict: EquivalenceVerdict, path: str) -> None:
         stream.write("\n".join(lines) + "\n")
 
 
-def cmd_twocars(scenario: Scenario, config: RunConfig) -> int:
+def cmd_twocars(scenario: Scenario, args: argparse.Namespace) -> int:
     """Run both Two Cars verdicts and write them side by side.
 
     Args:
         scenario: Two Cars scenario with pursuer, evader, and game
             window.
-        config: Resolved flags; the format must be report.
+        args: Parsed flags; the format must be report.
 
     Returns:
         0 when the sampled verdict is contained, 3 when it is not.
@@ -207,8 +171,8 @@ def cmd_twocars(scenario: Scenario, config: RunConfig) -> int:
             turn.
     """
     _require_kind(scenario, "twocars", "twocars")
-    sampling = _resolve_sampling(scenario, config)
-    if (config.format or "report") != "report":
+    sampling = _resolve_sampling(scenario, args)
+    if (args.format or "report") != "report":
         raise ValueError("twocars verdicts only have a report form")
     game = scenario.twocars
     verdict = containment_equivalence(game.pursuer, game.evader,
@@ -217,7 +181,7 @@ def cmd_twocars(scenario: Scenario, config: RunConfig) -> int:
                                       samples=sampling.n_samples,
                                       time_grid=sampling.time_grid,
                                       seed=sampling.seed)
-    _write_twocars_report(verdict, config.out)
+    _write_twocars_report(verdict, args.out)
     print(f"twocars: contained = {_bool(verdict.contained)} "
           f"cockayne = {_bool(verdict.cockayne.intercept)} "
           f"agree = {_bool(verdict.agree)}")
@@ -244,9 +208,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "twocars": "Compare the sampled Two Cars verdict with the "
                    "closed-form one (exit 0 contained, 3 not).",
     }
-    for name in _COMMAND_NAMES:
-        sub = subparsers.add_parser(name, help=descriptions[name],
-                                    description=descriptions[name])
+    for name, text in descriptions.items():
+        sub = subparsers.add_parser(name, help=text, description=text)
         source = sub.add_mutually_exclusive_group(required=True)
         source.add_argument("--scenario", metavar="PATH",
                             help="scenario file to run")
@@ -278,13 +241,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         3 not contained.
     """
     args = _build_parser().parse_args(argv)
-    config = RunConfig(command=args.command, scenario=args.scenario,
-                       builtin=args.builtin, seed=args.seed,
-                       samples=args.samples, grid=args.grid,
-                       out=args.out, format=args.format)
     try:
-        scenario = _resolve_scenario(config)
-        return _COMMANDS[config.command](scenario, config)
+        scenario = _resolve_scenario(args)
+        return _COMMANDS[args.command](scenario, args)
     except (ScenarioError, OSError, ValueError) as err:
         print(f"futurecone: error: {err}", file=sys.stderr)
         return 1

@@ -56,6 +56,9 @@ _CHUNK_POINTS = 16384
 class ConeSpec:
     """Vertex, allowance, window, and floor defining one future cone.
 
+    Construction errors are ValueErrors whose message starts with the
+    offending field: budget, window, or vertex.
+
     Attributes:
         vertex: State at the cone vertex (epoch t0).
         budget: Total delta-v allowance, km/s.
@@ -79,10 +82,12 @@ class ConeSpec:
         if self.budget < 0.0:
             raise ValueError(f"budget must be nonnegative, got {self.budget}")
         t1, t2 = self.window
-        if not (self.vertex.t <= t1 < t2):
+        if not t1 < t2:
+            raise ValueError(f"window: t2 must exceed t1, got ({t1}, {t2})")
+        if not self.vertex.t <= t1:
             raise ValueError(
-                f"window must satisfy vertex epoch {self.vertex.t} <= t1 < t2, "
-                f"got ({t1}, {t2})")
+                f"window must start at or after the vertex epoch "
+                f"{self.vertex.t}, got ({t1}, {t2})")
         floor_radius = EARTH_RADIUS_KM + self.floor
         if float(np.linalg.norm(self.vertex.r)) < floor_radius:
             raise ValueError(

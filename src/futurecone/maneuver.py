@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -26,7 +26,9 @@ from .errors import (
 from .kepler import (
     BallisticArc,
     StateVector,
+    _as_vec3,
     arc_from_state,
+    is_bound,
     min_radius,
     state_at,
 )
@@ -48,13 +50,7 @@ class ShockEvent:
 
     def __post_init__(self):
         object.__setattr__(self, "t", float(self.t))
-        dv = np.asarray(self.dv, dtype=float).copy()
-        if dv.shape != (3,):
-            raise ValueError(f"dv must have 3 components, got {dv.shape}")
-        if not np.all(np.isfinite(dv)):
-            raise ValueError(f"dv must be finite, got {dv}")
-        dv.setflags(write=False)
-        object.__setattr__(self, "dv", dv)
+        object.__setattr__(self, "dv", _as_vec3(self.dv, "dv"))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ShockEvent):
@@ -64,6 +60,27 @@ class ShockEvent:
     @property
     def magnitude(self) -> float:
         return float(np.linalg.norm(self.dv))
+
+
+class ShockOrderError(ValueError):
+    """A shock epoch that does not strictly follow its predecessor's.
+
+    Attributes:
+        index: Position of the offending shock in its sequence.
+    """
+
+    def __init__(self, index: int, t: float, previous: float):
+        self.index = index
+        super().__init__(f"shock epochs must strictly increase; shock {index} "
+                         f"at t = {t!r} follows t = {previous!r}")
+
+
+def check_shock_order(shocks) -> None:
+    """Raise ShockOrderError at the first shock whose epoch does not
+    strictly follow its predecessor's."""
+    for i in range(1, len(shocks)):
+        if shocks[i].t <= shocks[i - 1].t:
+            raise ShockOrderError(i, shocks[i].t, shocks[i - 1].t)
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,9 +101,7 @@ class ImpulsiveSchedule:
         object.__setattr__(self, "budget", float(self.budget))
         if self.budget < 0.0:
             raise ValueError(f"budget must be nonnegative, got {self.budget}")
-        times = [s.t for s in self.shocks]
-        if any(b <= a for a, b in zip(times, times[1:])):
-            raise ValueError(f"shock times must be strictly increasing: {times}")
+        check_shock_order(self.shocks)
         if self.total_dv > self.budget + _BUDGET_SLACK:
             raise ValueError(
                 f"schedule spends {self.total_dv!r} km/s, over the "
@@ -116,6 +131,8 @@ class ImpulsiveTrajectory:
     windows: tuple[tuple[float, float], ...]
     schedule: ImpulsiveSchedule
     origin: StateVector
+    # window starts, for the segment lookup in state_at
+    _starts: tuple[float, ...] = field(default=(), init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "arcs", tuple(self.arcs))
@@ -125,9 +142,10 @@ class ImpulsiveTrajectory:
             raise ValueError("one validity window per arc required")
         if any(b < a for a, b in self.windows):
             raise ValueError(f"windows must be ordered: {self.windows}")
-        starts = [w[0] for w in self.windows]
+        starts = tuple(w[0] for w in self.windows)
         if any(s2 < s1 for s1, s2 in zip(starts, starts[1:])):
             raise ValueError("windows must be in ascending order")
+        object.__setattr__(self, "_starts", starts)
 
     @property
     def t_start(self) -> float:
@@ -143,8 +161,7 @@ class ImpulsiveTrajectory:
             raise ValueError(
                 f"t={t} outside trajectory window "
                 f"[{self.t_start}, {self.t_end}]")
-        starts = [w[0] for w in self.windows]
-        idx = max(0, bisect_right(starts, t) - 1)
+        idx = max(0, bisect_right(self._starts, t) - 1)
         return state_at(self.arcs[idx], t)
 
 
@@ -228,7 +245,7 @@ def apply_shock(s: StateVector, dv, mu: float = MU_EARTH,
         Post-shock state on a bound arc.
 
     Raises:
-        UnboundResult: post-shock orbit has e >= 1.
+        UnboundResult: post-shock orbit is not a bound ellipse.
         SurfaceViolation: the state sits below the altitude floor.
     """
     dv = np.asarray(dv, dtype=float)
@@ -239,10 +256,10 @@ def apply_shock(s: StateVector, dv, mu: float = MU_EARTH,
         raise SurfaceViolation(
             f"state radius {rn!r} km is below the floor radius "
             f"{floor_radius!r} km")
-    try:
-        arc_from_state(post, mu)
-    except FutureConeError as exc:
-        raise UnboundResult(f"post-shock state is not bound: {exc}") from exc
+    if not is_bound(post.r, post.v, mu):
+        raise UnboundResult(
+            f"post-shock state is unbound or rectilinear: |v| = "
+            f"{float(np.linalg.norm(post.v))!r} km/s at r = {rn!r} km")
     return post
 
 

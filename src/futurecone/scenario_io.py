@@ -29,7 +29,13 @@ from .errors import (
     ScenarioSchemaError,
 )
 from .kepler import StateVector
-from .maneuver import ImpulsiveTrajectory, ShockEvent, rocket_delta_v
+from .maneuver import (
+    ImpulsiveTrajectory,
+    ShockEvent,
+    ShockOrderError,
+    check_shock_order,
+    rocket_delta_v,
+)
 from .twocars import CarConfig
 
 __all__ = [
@@ -93,6 +99,15 @@ class TwoCarsGame:
                 f"{self.headstart}, horizon={self.horizon}")
 
 
+def _check_kind(orbital: bool, planar: bool) -> None:
+    """A scenario is orbital (cones, shocks) or planar (two cars)."""
+    if orbital and planar:
+        raise ValueError("scenario mixes orbital and planar sections")
+    if not (orbital or planar):
+        raise ValueError(
+            "scenario needs either both cones or a twocars section")
+
+
 @dataclass(frozen=True)
 class Scenario:
     """One engagement description, orbital or planar.
@@ -131,28 +146,22 @@ class Scenario:
                 or self.name != self.name.strip()):
             raise ValueError(f"name must be a bare single-line token, "
                              f"got {self.name!r}")
-        orbital = self.interceptor is not None or self.target is not None
-        if orbital and self.twocars is not None:
-            raise ValueError("scenario mixes orbital and planar sections")
+        cones = (("interceptor", self.interceptor), ("target", self.target))
+        orbital = bool(self.shocks) or any(spec is not None
+                                           for _, spec in cones)
+        _check_kind(orbital, self.twocars is not None)
         if orbital:
-            if self.interceptor is None or self.target is None:
+            missing = [label for label, spec in cones if spec is None]
+            if missing:
                 raise ValueError(
-                    "orbital scenario needs both interceptor and target")
-            for label, spec in (("interceptor", self.interceptor),
-                                ("target", self.target)):
+                    f"orbital scenario is missing {' and '.join(missing)}")
+            for label, spec in cones:
                 if spec.mu != self.mu or spec.floor != self.floor_km:
                     raise ValueError(
                         f"{label} cone carries mu={spec.mu}, "
                         f"floor={spec.floor}; scenario says mu={self.mu}, "
                         f"floor={self.floor_km}")
-        elif self.twocars is None:
-            raise ValueError(
-                "scenario needs either both cones or a twocars section")
-        elif self.shocks:
-            raise ValueError("shock schedules apply to orbital scenarios")
-        times = [s.t for s in self.shocks]
-        if any(b <= a for a, b in zip(times, times[1:])):
-            raise ValueError(f"shock epochs must strictly increase: {times}")
+        check_shock_order(self.shocks)
 
     @property
     def kind(self) -> str:
@@ -266,6 +275,11 @@ def _check_keys(name: str, lineno: int, pairs: _Pairs) -> None:
             f"[{name}] is missing {', '.join(missing)}", lineno)
 
 
+# ConeSpec errors start with the offending field; this is its file key
+_CONE_FIELD_KEYS = {"window": "window_s", "budget": "budget_km_s",
+                    "vertex": "r_km"}
+
+
 def _cone_from_section(name: str, lineno: int, pairs: _Pairs,
                        mu: float, floor_km: float) -> ConeSpec:
     r = _floats(pairs, "r_km", 3)
@@ -273,24 +287,14 @@ def _cone_from_section(name: str, lineno: int, pairs: _Pairs,
     t = _float(pairs, "t_s")
     budget = _float(pairs, "budget_km_s")
     window = _floats(pairs, "window_s", 2)
-    window_line = pairs["window_s"][1]
-    if not window[0] < window[1]:
-        raise ScenarioInvariantError(
-            f"window_s: t2 must exceed t1, got {window}", window_line)
-    if not t <= window[0]:
-        raise ScenarioInvariantError(
-            f"window_s must start at or after the vertex epoch "
-            f"t_s = {t}, got {window}", window_line)
-    if budget < 0.0:
-        raise ScenarioInvariantError(
-            f"budget_km_s must be nonnegative, got {budget}",
-            pairs["budget_km_s"][1])
     try:
         vertex = StateVector(r=r, v=v, t=t)
         return ConeSpec(vertex=vertex, budget=budget, window=window,
                         floor=floor_km, mu=mu)
     except ValueError as exc:
-        raise ScenarioInvariantError(f"[{name}]: {exc}", lineno) from exc
+        key = _CONE_FIELD_KEYS.get(str(exc).split()[0].rstrip(":"))
+        line = lineno if key is None else pairs[key][1]
+        raise ScenarioInvariantError(f"[{name}] {exc}", line) from exc
 
 
 def _car_from_section(name: str, lineno: int, pairs: _Pairs) -> CarConfig:
@@ -353,13 +357,13 @@ def load_scenario(path) -> Scenario:
         blocks[sec_name] = (lineno, pairs)
 
     present = set(blocks)
-    orbital = sorted(present & _ORBITAL_SECTIONS) or (
-        ["shock"] if shocks_raw else [])
-    planar = sorted(present & _PLANAR_SECTIONS)
-    if orbital and planar:
+    planar_lines = sorted(blocks[s][0] for s in present & _PLANAR_SECTIONS)
+    try:
+        _check_kind(bool(present & _ORBITAL_SECTIONS or shocks_raw),
+                    bool(planar_lines))
+    except ValueError as exc:
         raise ScenarioInvariantError(
-            f"scenario mixes orbital ({', '.join(orbital)}) and planar "
-            f"({', '.join(planar)}) sections", blocks[planar[0]][0])
+            str(exc), planar_lines[0] if planar_lines else None) from exc
 
     sampling = SamplingSpec()
     if "sampling" in blocks:
@@ -370,7 +374,9 @@ def load_scenario(path) -> Scenario:
         except ValueError as exc:
             raise ScenarioInvariantError(f"[sampling]: {exc}", lineno) from exc
 
-    if planar:
+    game = None
+    if planar_lines:
+        # a TwoCarsGame cannot be built without all three sections
         missing = sorted(_PLANAR_SECTIONS - present)
         if missing:
             raise ScenarioInvariantError(
@@ -385,37 +391,27 @@ def load_scenario(path) -> Scenario:
                                headstart=_float(game_pairs, "headstart"))
         except ValueError as exc:
             raise ScenarioInvariantError(f"[game]: {exc}", game_line) from exc
-        return Scenario(name=name, mu=mu, floor_km=floor_km, twocars=game,
-                        sampling=sampling)
 
-    missing = sorted({"interceptor", "target"} - present)
-    if missing:
-        raise ScenarioInvariantError(
-            "orbital scenario is missing "
-            + ", ".join(f"[{m}]" for m in missing), None)
-    interceptor = _cone_from_section("interceptor", *blocks["interceptor"],
-                                     mu=mu, floor_km=floor_km)
-    target = _cone_from_section("target", *blocks["target"],
-                                mu=mu, floor_km=floor_km)
-
+    cones = {label: _cone_from_section(label, *blocks[label], mu=mu,
+                                       floor_km=floor_km)
+             for label in ("interceptor", "target") if label in blocks}
     shocks = []
-    last_t = None
     for lineno, pairs in shocks_raw:
-        t = _float(pairs, "t_s")
-        dv = _floats(pairs, "dv_km_s", 3)
-        if last_t is not None and t <= last_t:
-            raise ScenarioInvariantError(
-                f"shock epochs must strictly increase; t_s = {t} follows "
-                f"{last_t}", lineno)
-        last_t = t
         try:
-            shocks.append(ShockEvent(t=t, dv=dv))
+            shocks.append(ShockEvent(t=_float(pairs, "t_s"),
+                                     dv=_floats(pairs, "dv_km_s", 3)))
         except ValueError as exc:
             raise ScenarioInvariantError(f"[shock]: {exc}", lineno) from exc
 
-    return Scenario(name=name, mu=mu, floor_km=floor_km,
-                    interceptor=interceptor, target=target,
-                    shocks=tuple(shocks), sampling=sampling)
+    try:
+        return Scenario(name=name, mu=mu, floor_km=floor_km, twocars=game,
+                        shocks=tuple(shocks), sampling=sampling, **cones)
+    except ShockOrderError as exc:
+        raise ScenarioInvariantError(str(exc),
+                                     shocks_raw[exc.index][0]) from exc
+    except ValueError as exc:
+        line = top["name"][1] if str(exc).startswith("name") else None
+        raise ScenarioInvariantError(str(exc), line) from exc
 
 
 def _vec(values) -> str:

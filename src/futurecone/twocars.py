@@ -615,9 +615,10 @@ def explicit_policy_pursuit(pursuer: CarConfig, evader: CarConfig,
     t_acq = p0.t + float(edges[-1])
 
     # sample finely enough that the separation cannot step across the
-    # capture ball between samples
-    step = min(float(np.median(np.diff(evader_path.times))),
-               capture_radius / (pursuer.v + evader.v))
+    # capture ball between samples, and no coarser than the track
+    step = capture_radius / (pursuer.v + evader.v)
+    if evader_path.times.size > 1:
+        step = min(float(np.median(np.diff(evader_path.times))), step)
     n = _sample_count((track_end - p0.t) / step, "pursuit")
     times = p0.t + (track_end - p0.t) * np.arange(n + 1) / n
     states = np.empty((n + 1, 3))

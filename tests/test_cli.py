@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from futurecone.cli import RunConfig, main
+from futurecone.cli import main
 from futurecone.cone import ConeSpec
 from futurecone.constants import EARTH_RADIUS_KM, MU_EARTH
 from futurecone.kepler import StateVector, arc_from_state, state_at
@@ -58,29 +58,32 @@ def report_fields(path) -> dict[str, str]:
     return dict(line.split(" = ", 1) for line in lines[1:])
 
 
-class TestRunConfig:
-    """Flag-grammar invariants."""
+def usage_error(argv, capsys) -> None:
+    """Run main on flags argparse must refuse: exit 1, one error line."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("futurecone: error:")
+    assert err.count("\n") == 1
 
-    def test_rejects_unknown_command(self):
-        with pytest.raises(ValueError):
-            RunConfig(command="plot", scenario="x.cone", builtin=None,
-                      seed=None, samples=None, grid=None, out="o", format=None)
 
-    def test_rejects_both_sources(self):
-        with pytest.raises(ValueError):
-            RunConfig(command="contain", scenario="x.cone", builtin="fy1c",
-                      seed=None, samples=None, grid=None, out="o", format=None)
+class TestFlagGrammar:
+    """Flag-grammar invariants, enforced by the parser alone."""
 
-    def test_rejects_neither_source(self):
-        with pytest.raises(ValueError):
-            RunConfig(command="contain", scenario=None, builtin=None,
-                      seed=None, samples=None, grid=None, out="o", format=None)
+    def test_rejects_unknown_command(self, capsys):
+        usage_error(["plot", "--scenario", "x.cone", "--out", "o"], capsys)
 
-    def test_rejects_unknown_format(self):
-        with pytest.raises(ValueError):
-            RunConfig(command="contain", scenario="x.cone", builtin=None,
-                      seed=None, samples=None, grid=None, out="o",
-                      format="vrml")
+    def test_rejects_both_sources(self, capsys):
+        usage_error(["contain", "--scenario", "x.cone", "--builtin", "fy1c",
+                     "--out", "o"], capsys)
+
+    def test_rejects_neither_source(self, capsys):
+        usage_error(["contain", "--out", "o"], capsys)
+
+    def test_rejects_unknown_format(self, capsys):
+        usage_error(["contain", "--scenario", "x.cone", "--out", "o",
+                     "--format", "vrml"], capsys)
 
 
 class TestPropagate:

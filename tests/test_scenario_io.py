@@ -276,6 +276,14 @@ class TestLoadScenario:
             load_scenario(path)
         assert "name" in str(err.value)
 
+    def test_blank_name_is_invariant_error_with_line(self, tmp_path):
+        path = tmp_path / "bad.cone"
+        path.write_text(MINIMAL_ORBITAL.replace("name = minimal", "name =", 1))
+        with pytest.raises(ScenarioInvariantError) as err:
+            load_scenario(path)
+        assert err.value.line == 1
+        assert "name" in str(err.value)
+
     def test_below_floor_vertex_is_invariant_error(self, tmp_path):
         low = MINIMAL_ORBITAL.replace("r_km = 7238.137, 0.0, 0.0",
                                       "r_km = 6400.0, 0.0, 0.0", 1)
@@ -301,6 +309,52 @@ class TestLoadScenario:
         with pytest.raises(ScenarioInvariantError) as err:
             load_scenario(path)
         assert "strictly increase" in str(err.value)
+
+    def test_unordered_shock_reports_its_section_line(self, tmp_path):
+        bad = (MINIMAL_ORBITAL
+               + "\n[shock]\nt_s = 250.0\ndv_km_s = 0.001, 0.0, 0.0\n"
+               + "\n[shock]\nt_s = 300.0\ndv_km_s = 0.0, 0.002, 0.0\n"
+               + "\n[shock]\nt_s = 300.0\ndv_km_s = 0.0, 0.0, 0.001\n")
+        path = tmp_path / "bad.cone"
+        path.write_text(bad)
+        with pytest.raises(ScenarioInvariantError) as err:
+            load_scenario(path)
+        headers = [i + 1 for i, line in enumerate(bad.splitlines())
+                   if line == "[shock]"]
+        assert err.value.line == headers[2]
+        assert "strictly increase" in str(err.value)
+
+    def test_negative_budget_reports_its_key_line(self, tmp_path):
+        bad = MINIMAL_ORBITAL.replace("budget_km_s = 0.01",
+                                      "budget_km_s = -0.01")
+        path = tmp_path / "bad.cone"
+        path.write_text(bad)
+        with pytest.raises(ScenarioInvariantError) as err:
+            load_scenario(path)
+        assert err.value.line == bad.splitlines().index(
+            "budget_km_s = -0.01") + 1
+        assert "nonnegative" in str(err.value)
+
+    def test_window_before_vertex_reports_its_key_line(self, tmp_path):
+        bad = MINIMAL_ORBITAL.replace("t_s = 0.0\nbudget_km_s = 0.01",
+                                      "t_s = 250.0\nbudget_km_s = 0.01")
+        path = tmp_path / "bad.cone"
+        path.write_text(bad)
+        with pytest.raises(ScenarioInvariantError) as err:
+            load_scenario(path)
+        assert err.value.line == bad.splitlines().index(
+            "window_s = 200.0, 400.0") + 1
+        assert "vertex epoch" in str(err.value)
+
+    def test_mixed_kinds_reports_first_planar_section_line(self, tmp_path):
+        planar = TWOCARS_FILE.split("\n", 1)[1].split("\n[sampling]")[0]
+        bad = MINIMAL_ORBITAL + planar
+        path = tmp_path / "bad.cone"
+        path.write_text(bad)
+        with pytest.raises(ScenarioInvariantError) as err:
+            load_scenario(path)
+        assert err.value.line == bad.splitlines().index("[pursuer]") + 1
+        assert "mixes" in str(err.value)
 
 
 class TestSaveScenario:

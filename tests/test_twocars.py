@@ -10,6 +10,7 @@ from futurecone import twocars
 from futurecone.errors import WorkCapExceeded
 from futurecone.twocars import (
     CarConfig,
+    CarPath,
     CarState,
     CockayneVerdict,
     SteeringLaw,
@@ -553,6 +554,20 @@ class TestExplicitPolicyPursuit:
         result = explicit_policy_pursuit(pursuer, evader, e0, track)
         assert result.acquisition_time == 0.0
         assert result.captured and result.capture_time == 0.0
+
+    def test_one_sample_track(self):
+        """A single-sample track is held at its one pose; the sampling
+        step then comes from the capture radius alone."""
+        pursuer, evader = CarConfig(v=2.0, R=1.0), CarConfig(v=1.0, R=1.0)
+        track = CarPath(cfg=evader, times=[1.0], states=[[0.0, 3.0, 0.0]])
+        p0 = CarState(x=0.0, y=0.0, theta=0.0, t=0.0)
+        result = explicit_policy_pursuit(pursuer, evader, p0, track)
+        assert result.path.times[0] == 0.0
+        assert result.path.times[-1] == 1.0
+        step = result.capture_radius / (pursuer.v + evader.v)
+        assert np.diff(result.path.times).max() <= step * (1.0 + 1e-9)
+        assert not result.captured
+        assert result.closest_approach == pytest.approx(1.0)
 
     def test_rejects_bad_capture_radius(self):
         pursuer, evader, p0, track = self.straight_engagement(
