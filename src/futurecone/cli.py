@@ -27,21 +27,19 @@ from .maneuver import ImpulsiveSchedule, propagate_schedule
 from .scenario_io import (
     SamplingSpec,
     Scenario,
+    _bool,
     builtin_scenario,
     export_points,
     load_scenario,
 )
-from .twocars import EquivalenceVerdict, containment_equivalence
+from .twocars import containment_equivalence
+
 
 class _Parser(argparse.ArgumentParser):
     """Parser whose usage errors exit 1 with a one-line diagnostic."""
 
     def error(self, message: str) -> None:
         self.exit(1, f"futurecone: error: {message}\n")
-
-
-def _bool(flag: bool) -> str:
-    return "true" if flag else "false"
 
 
 def _resolve_scenario(args: argparse.Namespace) -> Scenario:
@@ -132,48 +130,23 @@ def cmd_contain(scenario: Scenario, args: argparse.Namespace) -> int:
     return 0 if report.contained else 3
 
 
-def _write_twocars_report(verdict: EquivalenceVerdict, path: str) -> None:
-    lines = [
-        "twocars_report",
-        f"cockayne_speed_ok = {_bool(verdict.cockayne.speed_ok)}",
-        f"cockayne_accel_ok = {_bool(verdict.cockayne.accel_ok)}",
-        f"cockayne_intercept = {_bool(verdict.cockayne.intercept)}",
-        f"equivalence_radius_ok = {_bool(verdict.radius_ok)}",
-        f"equivalence_accel_ok = {_bool(verdict.accel_ok)}",
-        f"equivalence_contained = {_bool(verdict.contained)}",
-        f"agree = {_bool(verdict.agree)}",
-        f"evader_peak_accel = {float(verdict.evader_peak_accel)!r}",
-        f"pursuer_peak_accel = {float(verdict.pursuer_peak_accel)!r}",
-    ]
-    if verdict.witness is None:
-        lines.append("witness = none")
-    else:
-        lines.append("witness = " + ", ".join(repr(float(c))
-                                              for c in verdict.witness))
-    with open(path, "w", newline="\n") as stream:
-        stream.write("\n".join(lines) + "\n")
-
-
 def cmd_twocars(scenario: Scenario, args: argparse.Namespace) -> int:
     """Run both Two Cars verdicts and write them side by side.
 
     Args:
         scenario: Two Cars scenario with pursuer, evader, and game
             window.
-        args: Parsed flags; the format must be report.
+        args: Parsed flags.
 
     Returns:
         0 when the sampled verdict is contained, 3 when it is not.
 
     Raises:
-        ValueError: Scenario is not a Two Cars game, the format is not
-            report, or the game window starts before a full pursuer
-            turn.
+        ValueError: Scenario is not a Two Cars game, the format is csv,
+            or the game window starts before a full pursuer turn.
     """
     _require_kind(scenario, "twocars", "twocars")
     sampling = _resolve_sampling(scenario, args)
-    if (args.format or "report") != "report":
-        raise ValueError("twocars verdicts only have a report form")
     game = scenario.twocars
     verdict = containment_equivalence(game.pursuer, game.evader,
                                       horizon=game.horizon,
@@ -181,7 +154,7 @@ def cmd_twocars(scenario: Scenario, args: argparse.Namespace) -> int:
                                       samples=sampling.n_samples,
                                       time_grid=sampling.time_grid,
                                       seed=sampling.seed)
-    _write_twocars_report(verdict, args.out)
+    export_points(verdict, args.out, format=args.format or "report")
     print(f"twocars: contained = {_bool(verdict.contained)} "
           f"cockayne = {_bool(verdict.cockayne.intercept)} "
           f"agree = {_bool(verdict.agree)}")

@@ -57,7 +57,7 @@ class ConeSpec:
     """Vertex, allowance, window, and floor defining one future cone.
 
     Construction errors are ValueErrors whose message starts with the
-    offending field: budget, window, or vertex.
+    offending field: budget, window, vertex, floor, or mu.
 
     Attributes:
         vertex: State at the cone vertex (epoch t0).
@@ -79,8 +79,13 @@ class ConeSpec:
         object.__setattr__(self, "window", (float(a), float(b)))
         object.__setattr__(self, "floor", float(self.floor))
         object.__setattr__(self, "mu", float(self.mu))
-        if self.budget < 0.0:
-            raise ValueError(f"budget must be nonnegative, got {self.budget}")
+        if not 0.0 <= self.budget < math.inf:
+            raise ValueError(
+                f"budget must be finite and nonnegative, got {self.budget}")
+        if not math.isfinite(self.floor):
+            raise ValueError(f"floor must be finite, got {self.floor}")
+        if not 0.0 < self.mu < math.inf:
+            raise ValueError(f"mu must be finite and positive, got {self.mu}")
         t1, t2 = self.window
         if not t1 < t2:
             raise ValueError(f"window: t2 must exceed t1, got ({t1}, {t2})")

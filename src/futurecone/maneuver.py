@@ -18,10 +18,10 @@ import numpy as np
 
 from .constants import DEFAULT_FLOOR_KM, EARTH_RADIUS_KM, G0_KM_S2, MU_EARTH
 from .errors import (
-    ConvergenceError,
     FutureConeError,
     SurfaceViolation,
     UnboundResult,
+    WorkCapExceeded,
 )
 from .kepler import (
     BallisticArc,
@@ -34,6 +34,9 @@ from .kepler import (
 )
 
 _BUDGET_SLACK = 1e-12  # float headroom on the schedule budget check
+# RK4 steps one integrate_thrust resolution may take. Engagement-scale
+# burns settle at 128-256 steps.
+_MAX_STEPS = 2**16
 
 
 @dataclass(frozen=True, eq=False)
@@ -50,6 +53,8 @@ class ShockEvent:
 
     def __post_init__(self):
         object.__setattr__(self, "t", float(self.t))
+        if not math.isfinite(self.t):
+            raise ValueError(f"shock epoch must be finite, got {self.t}")
         object.__setattr__(self, "dv", _as_vec3(self.dv, "dv"))
 
     def __eq__(self, other) -> bool:
@@ -99,8 +104,9 @@ class ImpulsiveSchedule:
     def __post_init__(self):
         object.__setattr__(self, "shocks", tuple(self.shocks))
         object.__setattr__(self, "budget", float(self.budget))
-        if self.budget < 0.0:
-            raise ValueError(f"budget must be nonnegative, got {self.budget}")
+        if not 0.0 <= self.budget < math.inf:
+            raise ValueError(
+                f"budget must be finite and nonnegative, got {self.budget}")
         check_shock_order(self.shocks)
         if self.total_dv > self.budget + _BUDGET_SLACK:
             raise ValueError(
@@ -117,50 +123,41 @@ class ImpulsiveTrajectory:
     """Piecewise-ballistic chain produced by a shock schedule.
 
     Position is continuous across every shock; velocity jumps by exactly
-    the scheduled dv. Arc i is valid on windows[i]; windows abut at shock
-    epochs and a query at a shock epoch returns the post-shock state.
+    the scheduled dv. Arc i is valid from its epoch to the next arc's
+    epoch, the last arc to t_end; a query at a shock epoch returns the
+    post-shock state.
 
     Attributes:
-        arcs: Conic descriptors, one per ballistic segment.
-        windows: (start, end) validity interval per arc, s.
+        arcs: Conic descriptors, one per ballistic segment, in epoch
+            order.
+        t_end: End of the last segment, s.
         schedule: The generating schedule.
         origin: State at the start of the chain.
     """
 
     arcs: tuple[BallisticArc, ...]
-    windows: tuple[tuple[float, float], ...]
+    t_end: float
     schedule: ImpulsiveSchedule
     origin: StateVector
-    # window starts, for the segment lookup in state_at
+    # arc epochs, for the segment lookup in state_at
     _starts: tuple[float, ...] = field(default=(), init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "arcs", tuple(self.arcs))
-        object.__setattr__(self, "windows",
-                           tuple((float(a), float(b)) for a, b in self.windows))
-        if len(self.arcs) != len(self.windows):
-            raise ValueError("one validity window per arc required")
-        if any(b < a for a, b in self.windows):
-            raise ValueError(f"windows must be ordered: {self.windows}")
-        starts = tuple(w[0] for w in self.windows)
-        if any(s2 < s1 for s1, s2 in zip(starts, starts[1:])):
-            raise ValueError("windows must be in ascending order")
+        object.__setattr__(self, "t_end", float(self.t_end))
+        starts = tuple(arc.r0.t for arc in self.arcs)
+        ends = (*starts[1:], self.t_end)
+        if not starts or any(b < a for a, b in zip(starts, ends)):
+            raise ValueError(f"need arcs whose epochs ascend to t_end="
+                             f"{self.t_end}, got {starts}")
         object.__setattr__(self, "_starts", starts)
-
-    @property
-    def t_start(self) -> float:
-        return self.windows[0][0]
-
-    @property
-    def t_end(self) -> float:
-        return self.windows[-1][1]
 
     def state_at(self, t: float) -> StateVector:
         """State at time t; shock epochs resolve to the post-shock arc."""
-        if not self.t_start <= t <= self.t_end:
+        if not self._starts[0] <= t <= self.t_end:
             raise ValueError(
                 f"t={t} outside trajectory window "
-                f"[{self.t_start}, {self.t_end}]")
+                f"[{self._starts[0]}, {self.t_end}]")
         idx = max(0, bisect_right(self._starts, t) - 1)
         return state_at(self.arcs[idx], t)
 
@@ -302,7 +299,6 @@ def propagate_schedule(origin: StateVector, sched: ImpulsiveSchedule,
 
     floor_radius = EARTH_RADIUS_KM + floor
     arcs: list[BallisticArc] = []
-    windows: list[tuple[float, float]] = []
     current = origin
 
     def coast(state: StateVector, until: float, label: str) -> StateVector:
@@ -316,7 +312,6 @@ def propagate_schedule(origin: StateVector, sched: ImpulsiveSchedule,
         except FutureConeError as exc:
             raise type(exc)(f"{label}: {exc}") from exc
         arcs.append(arc)
-        windows.append((state.t, until))
         return state if until == state.t else state_at(arc, until)
 
     for i, shock in enumerate(sched.shocks):
@@ -327,8 +322,8 @@ def propagate_schedule(origin: StateVector, sched: ImpulsiveSchedule,
         except FutureConeError as exc:
             raise type(exc)(f"shock {i}: {exc}") from exc
     coast(current, t_end, "final segment")
-    return ImpulsiveTrajectory(arcs=tuple(arcs), windows=tuple(windows),
-                               schedule=sched, origin=origin)
+    return ImpulsiveTrajectory(arcs=tuple(arcs), t_end=t_end, schedule=sched,
+                               origin=origin)
 
 
 def integrate_thrust(origin: StateVector, profile: ThrustProfile,
@@ -338,8 +333,8 @@ def integrate_thrust(origin: StateVector, profile: ThrustProfile,
     """Fixed-step RK4 integration of gravity plus the thrust profile.
 
     Integrates dr/dt = v, dv/dt = -mu r/|r|^3 + accel(t) over the profile
-    window. The step count doubles until halving it moves the endpoint by
-    less than rel_tol relative to the position scale.
+    window. The step count doubles from 64 until halving it moves the
+    endpoint by less than rel_tol relative to the position scale.
 
     Args:
         origin: State at the window start; epochs must agree.
@@ -354,7 +349,8 @@ def integrate_thrust(origin: StateVector, profile: ThrustProfile,
     Raises:
         ValueError: origin epoch differs from the window start.
         SurfaceViolation, UnboundResult: first violation time attached.
-        ConvergenceError: step halving fails to settle.
+        WorkCapExceeded: the endpoint has not settled at _MAX_STEPS
+            steps.
     """
     t0, t1 = profile.window
     if origin.t != t0:
@@ -369,6 +365,10 @@ def integrate_thrust(origin: StateVector, profile: ThrustProfile,
         return np.concatenate([y[3:], acc])
 
     def run(n_steps: int) -> tuple[np.ndarray, np.ndarray]:
+        if n_steps > _MAX_STEPS:
+            raise WorkCapExceeded(
+                f"endpoint did not settle to {rel_tol} within the cap of "
+                f"{_MAX_STEPS} steps")
         h = (t1 - t0) / n_steps
         times = np.empty(n_steps + 1)
         rows = np.empty((n_steps + 1, 6))
@@ -394,19 +394,33 @@ def integrate_thrust(origin: StateVector, profile: ThrustProfile,
 
     scale = float(np.linalg.norm(origin.r))
     n = 64
-    times, rows = run(n)
-    while n <= (1 << 20):
+    rows = run(n)[1]
+    while True:
         n *= 2
-        times2, rows2 = run(n)
-        shift = float(np.linalg.norm(rows2[-1, :3] - rows[-1, :3]))
-        times, rows = times2, rows2
-        if shift / scale < rel_tol:
+        end = rows[-1, :3]
+        times, rows = run(n)
+        if float(np.linalg.norm(rows[-1, :3] - end)) / scale < rel_tol:
             return SampledTrajectory(times=times, rv=rows)
-    raise ConvergenceError(
-        f"endpoint did not settle to {rel_tol} after {n} steps")
 
 
 _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(8)
+
+
+def _thrust_at_nodes(profile: ThrustProfile,
+                     n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The window in n equal sub-intervals, and the acceleration at each
+    one's Gauss-Legendre nodes.
+
+    Returns:
+        (mid, half, accel): sub-interval midpoints and half-widths, shape
+        (n,), and the acceleration at every node, shape (8, n, 3).
+    """
+    edges = np.linspace(*profile.window, n + 1)
+    half = (edges[1:] - edges[:-1]) / 2.0
+    mid = (edges[:-1] + edges[1:]) / 2.0
+    accel = np.array([[profile.accel(t) for t in (mid + half * node).tolist()]
+                      for node in _GAUSS_NODES], dtype=float)
+    return mid, half, accel
 
 
 def shock_approximation(profile: ThrustProfile, n: int) -> ImpulsiveSchedule:
@@ -427,32 +441,20 @@ def shock_approximation(profile: ThrustProfile, n: int) -> ImpulsiveSchedule:
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    t0, t1 = profile.window
-    edges = np.linspace(t0, t1, n + 1)
-    shocks: list[ShockEvent] = []
-    for a, b in zip(edges, edges[1:]):
-        half = (b - a) / 2.0
-        mid = (a + b) / 2.0
-        dv = np.zeros(3)
-        for node, weight in zip(_GAUSS_NODES, _GAUSS_WEIGHTS):
-            dv += weight * np.asarray(profile.accel(mid + half * node),
-                                      dtype=float)
-        dv *= half
-        if float(np.linalg.norm(dv)) > 0.0:
-            shocks.append(ShockEvent(t=mid, dv=dv))
+    mid, half, accel = _thrust_at_nodes(profile, n)
+    # summed node by node in quadrature order, as a per-shock loop would
+    dv = np.zeros((n, 3))
+    for weight, at_node in zip(_GAUSS_WEIGHTS, accel):
+        dv += weight * at_node
+    dv *= half[:, None]
+    shocks = [ShockEvent(t=t, dv=row)
+              for t, row in zip(mid, dv)
+              if float(np.linalg.norm(row)) > 0.0]
     total = float(sum(s.magnitude for s in shocks))
     return ImpulsiveSchedule(shocks=tuple(shocks), budget=total)
 
 
 def profile_impulse(profile: ThrustProfile, n: int = 512) -> float:
     """Numerical total impulse of a profile: integral of |accel(t)| dt."""
-    t0, t1 = profile.window
-    edges = np.linspace(t0, t1, n + 1)
-    total = 0.0
-    for a, b in zip(edges, edges[1:]):
-        half = (b - a) / 2.0
-        mid = (a + b) / 2.0
-        for node, weight in zip(_GAUSS_NODES, _GAUSS_WEIGHTS):
-            total += weight * float(np.linalg.norm(
-                profile.accel(mid + half * node))) * half
-    return total
+    _, half, accel = _thrust_at_nodes(profile, n)
+    return float(_GAUSS_WEIGHTS @ np.linalg.norm(accel, axis=2) @ half)

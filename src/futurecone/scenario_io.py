@@ -7,8 +7,10 @@ pursuit game (two cars). The format is line-based: `key = value` pairs,
 names so a mis-scaled number is visible at the point it is written.
 Every load error carries the 1-based line it refers to.
 
-The bundled `fy1c` scenario reconstructs a direct-ascent intercept of a
-sun-synchronous satellite at 860 km. Its vertex states are approximate
+Bundled scenarios are the files in the package's `data/` directory.
+`fy1c.cone` reconstructs a direct-ascent intercept of a sun-synchronous
+satellite at 860 km; FY1CParameters holds the published numbers its
+budgets and windows derive from. Its vertex states are approximate
 scenario data, frozen from a simplified great-circle ascent (launch
 site 28.13 N 102.02 E, azimuth 345.73 deg, vertex at 104 km altitude
 68 s after launch), not the output of a flown booster model.
@@ -36,7 +38,7 @@ from .maneuver import (
     check_shock_order,
     rocket_delta_v,
 )
-from .twocars import CarConfig
+from .twocars import CarConfig, EquivalenceVerdict
 
 __all__ = [
     "FY1CParameters",
@@ -45,7 +47,6 @@ __all__ = [
     "TwoCarsGame",
     "builtin_scenario",
     "export_points",
-    "fy1c_scenario",
     "load_scenario",
     "save_scenario",
 ]
@@ -277,10 +278,10 @@ def _check_keys(name: str, lineno: int, pairs: _Pairs) -> None:
 
 # ConeSpec errors start with the offending field; this is its file key
 _CONE_FIELD_KEYS = {"window": "window_s", "budget": "budget_km_s",
-                    "vertex": "r_km"}
+                    "vertex": "r_km", "floor": "floor_km", "mu": "mu_km3_s2"}
 
 
-def _cone_from_section(name: str, lineno: int, pairs: _Pairs,
+def _cone_from_section(name: str, lineno: int, pairs: _Pairs, top: _Pairs,
                        mu: float, floor_km: float) -> ConeSpec:
     r = _floats(pairs, "r_km", 3)
     v = _floats(pairs, "v_km_s", 3)
@@ -293,7 +294,8 @@ def _cone_from_section(name: str, lineno: int, pairs: _Pairs,
                         floor=floor_km, mu=mu)
     except ValueError as exc:
         key = _CONE_FIELD_KEYS.get(str(exc).split()[0].rstrip(":"))
-        line = lineno if key is None else pairs[key][1]
+        where = {**top, **pairs}
+        line = where[key][1] if key in where else lineno
         raise ScenarioInvariantError(f"[{name}] {exc}", line) from exc
 
 
@@ -392,7 +394,7 @@ def load_scenario(path) -> Scenario:
         except ValueError as exc:
             raise ScenarioInvariantError(f"[game]: {exc}", game_line) from exc
 
-    cones = {label: _cone_from_section(label, *blocks[label], mu=mu,
+    cones = {label: _cone_from_section(label, *blocks[label], top, mu=mu,
                                        floor_km=floor_km)
              for label in ("interceptor", "target") if label in blocks}
     shocks = []
@@ -416,6 +418,10 @@ def load_scenario(path) -> Scenario:
 
 def _vec(values) -> str:
     return ", ".join(repr(float(x)) for x in values)
+
+
+def _bool(flag: bool) -> str:
+    return "true" if flag else "false"
 
 
 def save_scenario(scenario: Scenario, path) -> None:
@@ -573,71 +579,28 @@ class FY1CParameters:
         return stage2 + divert
 
 
-# Frozen vertex states for the bundled engagement. Derived once from the
-# FY1CParameters geometry: great-circle ascent ground track, encounter
-# 250 km downrange at the target altitude, ascending-pass orbit plane,
-# target back-propagated to launch, interceptor velocity the cheapest
-# zero-rev arc from vertex to encounter. Approximate by construction.
-_FY1C_INTERCEPTOR_R_KM = (-1176.7798552137733, 5574.943157217145,
-                          3090.8409944430614)
-_FY1C_INTERCEPTOR_V_KM_S = (-0.43756194008432386, 2.8416147275412222,
-                            2.2649146452830995)
-_FY1C_TARGET_R_KM = (-1979.4790816403834, 6941.797875878563,
-                     532.6650898560224)
-_FY1C_TARGET_V_KM_S = (1.2427223815229218, -0.20679425738498436,
-                       7.313163293775773)
+def bundled_path(name: str):
+    """Path of the bundled scenario file data/<name>.cone.
 
-
-def fy1c_scenario() -> Scenario:
-    """The bundled demonstration engagement.
-
-    Returns:
-        Orbital scenario with the interceptor cone rooted at the 104 km
-        ascent vertex and the target cone rooted at the satellite's
-        launch-epoch state, windows per FY1CParameters. The target
-        budget is the rocket-equation stock rounded to 0.0101 km/s; the
-        interceptor budget is the stage-2 remainder plus divert stage.
+    Raises:
+        ValueError: no bundled scenario has that name.
     """
-    params = FY1CParameters()
-    interceptor = ConeSpec(
-        vertex=StateVector(r=_FY1C_INTERCEPTOR_R_KM,
-                           v=_FY1C_INTERCEPTOR_V_KM_S,
-                           t=params.vertex_t_s),
-        budget=params.interceptor_budget_km_s,
-        window=params.interceptor_window_s,
-        floor=params.floor_km)
-    target = ConeSpec(
-        vertex=StateVector(r=_FY1C_TARGET_R_KM, v=_FY1C_TARGET_V_KM_S,
-                           t=0.0),
-        budget=round(params.target_budget_km_s, 4),
-        window=params.target_window_s,
-        floor=params.floor_km)
-    return Scenario(name="fy1c", mu=MU_EARTH, floor_km=params.floor_km,
-                    interceptor=interceptor, target=target,
-                    sampling=SamplingSpec(n_samples=2000, time_grid=51,
-                                          seed=0))
+    data = resources.files("futurecone").joinpath("data")
+    names = sorted(entry.name[:-len(".cone")] for entry in data.iterdir()
+                   if entry.name.endswith(".cone"))
+    if name not in names:
+        raise ValueError(f"unknown built-in scenario {name!r}; try "
+                         + ", ".join(map(repr, names)))
+    return data.joinpath(f"{name}.cone")
 
 
 def builtin_scenario(name: str) -> Scenario:
-    """Look up a scenario bundled with the package.
-
-    Args:
-        name: Built-in name; currently only "fy1c".
-
-    Returns:
-        The named scenario.
+    """Load a scenario bundled with the package, by file stem.
 
     Raises:
-        ValueError: unknown name.
+        ValueError: no bundled scenario has that name.
     """
-    if name == "fy1c":
-        return fy1c_scenario()
-    raise ValueError(f"unknown built-in scenario {name!r}; try 'fy1c'")
-
-
-def bundled_path(name: str):
-    """Filesystem path of a bundled scenario file (for copying/editing)."""
-    return resources.files("futurecone").joinpath(f"data/{name}.cone")
+    return load_scenario(bundled_path(name))
 
 
 # ---------------------------------------------------------------------------
@@ -653,18 +616,50 @@ def _write_rows(path, rows) -> None:
         writer.writerows(rows)
 
 
+def _report_lines(verdict) -> list[str]:
+    """The verdict's report, one field per line."""
+    if isinstance(verdict, ContainmentReport):
+        return [
+            "containment_report",
+            f"contained = {_bool(verdict.contained)}",
+            f"fraction_contained = {verdict.fraction_contained!r}",
+            f"worst_margin = {verdict.worst_margin!r}",
+            f"worst_point_r = {_vec(verdict.worst_point[0])}",
+            f"worst_point_t = {verdict.worst_point[1]!r}",
+            f"samples = {verdict.samples}",
+            f"window_tested = {_vec(verdict.window_tested)}",
+        ]
+    cockayne = verdict.cockayne
+    return [
+        "twocars_report",
+        f"cockayne_speed_ok = {_bool(cockayne.speed_ok)}",
+        f"cockayne_accel_ok = {_bool(cockayne.accel_ok)}",
+        f"cockayne_intercept = {_bool(cockayne.intercept)}",
+        f"equivalence_radius_ok = {_bool(verdict.radius_ok)}",
+        f"equivalence_accel_ok = {_bool(verdict.accel_ok)}",
+        f"equivalence_contained = {_bool(verdict.contained)}",
+        f"agree = {_bool(verdict.agree)}",
+        f"evader_peak_accel = {float(verdict.evader_peak_accel)!r}",
+        f"pursuer_peak_accel = {float(verdict.pursuer_peak_accel)!r}",
+        "witness = " + ("none" if verdict.witness is None
+                        else _vec(verdict.witness)),
+    ]
+
+
 def export_points(obj, path, format: str = "csv", *, body_tag: str = "cone",
                   times=None) -> None:
-    """Write a point cloud, trajectory, or containment report to a file.
+    """Write a point cloud, trajectory, or verdict report to a file.
 
     CSV files carry the fixed columns t, x, y, z, body_tag, margin with
     '.' decimals; margin is blank where no membership margin exists.
     Rows are ordered by time, then by sample index, so identical inputs
-    produce identical bytes. The structured-text format mirrors the
-    containment report's fields one per line.
+    produce identical bytes. The report format writes a verdict's
+    fields one per line; it is the only form of a Two Cars verdict, and
+    a containment report's csv form is its worst-point row.
 
     Args:
-        obj: ConeSampleSet, ImpulsiveTrajectory, or ContainmentReport.
+        obj: ConeSampleSet, ImpulsiveTrajectory, ContainmentReport, or
+            EquivalenceVerdict.
         path: Destination file.
         format: "csv" or "report".
         body_tag: Label written in the body_tag column.
@@ -678,46 +673,31 @@ def export_points(obj, path, format: str = "csv", *, body_tag: str = "cone",
     """
     if format not in ("csv", "report"):
         raise ValueError(f"format must be 'csv' or 'report', got {format!r}")
-    if isinstance(obj, ContainmentReport):
-        if format == "csv":
-            r, t = obj.worst_point
-            _write_rows(path, [(repr(float(t)), repr(float(r[0])),
-                                repr(float(r[1])), repr(float(r[2])),
-                                "worst", repr(obj.worst_margin))])
-            return
-        lines = [
-            "containment_report",
-            f"contained = {'true' if obj.contained else 'false'}",
-            f"fraction_contained = {obj.fraction_contained!r}",
-            f"worst_margin = {obj.worst_margin!r}",
-            f"worst_point_r = {_vec(obj.worst_point[0])}",
-            f"worst_point_t = {obj.worst_point[1]!r}",
-            f"samples = {obj.samples}",
-            f"window_tested = {_vec(obj.window_tested)}",
-        ]
-        with open(path, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write("\n".join(lines) + "\n")
-        return
     if format == "report":
-        raise ValueError("the report format is for containment reports; "
-                         "point clouds export as csv")
+        if not isinstance(obj, (ContainmentReport, EquivalenceVerdict)):
+            raise ValueError("the report format is for verdicts; point "
+                             "clouds and trajectories export as csv")
+        with open(path, "w", encoding="utf-8", newline="\n") as handle:
+            handle.write("\n".join(_report_lines(obj)) + "\n")
+        return
+    if isinstance(obj, EquivalenceVerdict):
+        raise ValueError("twocars verdicts only have a report form")
+    if isinstance(obj, ContainmentReport):
+        r, t = obj.worst_point
+        _write_rows(path, [(repr(float(t)), repr(float(r[0])),
+                            repr(float(r[1])), repr(float(r[2])),
+                            "worst", repr(obj.worst_margin))])
+        return
     if isinstance(obj, ConeSampleSet):
-        rows = []
-        for t in obj.leaf_times:
-            points = leaf(obj, float(t))
-            rows += [(repr(float(t)), repr(p[0]), repr(p[1]), repr(p[2]),
-                      body_tag, "") for p in points.tolist()]
-        _write_rows(path, rows)
+        _write_rows(path, [(repr(t), *map(repr, p), body_tag, "")
+                           for t in obj.leaf_times.tolist()
+                           for p in leaf(obj, t).tolist()])
         return
     if isinstance(obj, ImpulsiveTrajectory):
         if times is None:
             raise ValueError("trajectory export needs sample times")
-        rows = []
-        for t in np.asarray(times, dtype=float):
-            state = obj.state_at(float(t))
-            r = state.r.tolist()
-            rows.append((repr(float(t)), repr(r[0]), repr(r[1]), repr(r[2]),
-                         body_tag, ""))
-        _write_rows(path, rows)
+        _write_rows(path, [(repr(t), *map(repr, obj.state_at(t).r.tolist()),
+                            body_tag, "")
+                           for t in np.asarray(times, dtype=float).tolist()])
         return
     raise ValueError(f"cannot export {type(obj).__name__}")

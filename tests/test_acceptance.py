@@ -40,7 +40,7 @@ from futurecone.scenario_io import (
     SamplingSpec,
     Scenario,
     TwoCarsGame,
-    fy1c_scenario,
+    builtin_scenario,
     save_scenario,
 )
 from futurecone.twocars import (
@@ -211,7 +211,7 @@ def test_criterion_5_rocket_equation_anchors():
 def test_criterion_6_bundled_engagement_containment():
     """The bundled engagement is contained; a rigged control is not."""
     start = time.perf_counter()
-    scn = fy1c_scenario()
+    scn = builtin_scenario("fy1c")
     assert scn.interceptor.window == (68.0, 750.0)
     assert scn.target.window == (425.0, 475.0)
     assert scn.target.budget == 0.0101

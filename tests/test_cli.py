@@ -271,6 +271,26 @@ class TestErrorPaths:
         assert code == 1
         assert "nope" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name", ["../data/fy1c", "nope"])
+    def test_builtin_outside_the_bundle_exits_1(self, tmp_path, capsys, name):
+        out = tmp_path / "x.report"
+        code = main(["contain", "--builtin", name, "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("futurecone: error: unknown built-in scenario")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    def test_nan_budget_exits_1_without_verdict(self, tmp_path, capsys):
+        path, _ = orbital_file(tmp_path)
+        path.write_text(path.read_text().replace("budget_km_s = 0.5",
+                                                 "budget_km_s = nan"))
+        out = tmp_path / "x.report"
+        code = main(["contain", "--scenario", str(path), "--out", str(out)])
+        assert code == 1
+        assert "budget" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_kind_mismatch_exits_1(self, tmp_path, capsys):
         path, _ = twocars_file(tmp_path, CarConfig(v=2.0, R=1.0),
                                CarConfig(v=1.0, R=1.0))

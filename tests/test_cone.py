@@ -59,6 +59,18 @@ class TestConeSpec:
             ConeSpec(vertex=circular_state(), budget=-0.1,
                      window=(60.0, 600.0))
 
+    @pytest.mark.parametrize("field, value", [
+        ("budget", math.nan), ("budget", math.inf),
+        ("floor", math.nan), ("floor", math.inf), ("floor", -math.inf),
+        ("mu", math.nan), ("mu", math.inf), ("mu", -MU_EARTH), ("mu", 0.0),
+    ])
+    def test_rejects_numbers_that_are_not_finite_or_out_of_range(
+            self, field, value):
+        spec = dict(vertex=circular_state(), budget=0.1, window=(60.0, 600.0))
+        spec[field] = value
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            ConeSpec(**spec)
+
     def test_rejects_vertex_below_floor(self):
         low = StateVector([6400.0, 0.0, 0.0], [0.0, 7.9, 0.0], 0.0)
         with pytest.raises(ValueError):

@@ -25,6 +25,9 @@ from futurecone import (
     solve_lambert,
     state_at,
 )
+from futurecone import maneuver
+from futurecone.errors import WorkCapExceeded
+from futurecone.maneuver import ImpulsiveTrajectory
 
 rng = np.random.default_rng(7)
 
@@ -121,6 +124,16 @@ class TestScheduleValidation:
                   ShockEvent(20.0, [0.0, 0.04, 0.0]))
         sched = ImpulsiveSchedule(events, budget=0.08)
         assert_allclose(sched.total_dv, 0.07, rtol=1e-15)
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_shock_epoch(self, t):
+        with pytest.raises(ValueError, match="shock epoch must be finite"):
+            ShockEvent(t, [0.01, 0.0, 0.0])
+
+    @pytest.mark.parametrize("budget", [math.nan, math.inf, -0.1])
+    def test_rejects_budget_not_finite_and_nonnegative(self, budget):
+        with pytest.raises(ValueError, match="^budget"):
+            ImpulsiveSchedule((), budget=budget)
 
 
 class TestPropagateSchedule:
@@ -222,6 +235,21 @@ class TestPropagateSchedule:
         with pytest.raises(ValueError):
             traj.state_at(101.0)
 
+    def test_arc_epochs_must_ascend_to_t_end(self):
+        sched = ImpulsiveSchedule((ShockEvent(100.0, [0.0, 0.01, 0.0]),),
+                                  budget=0.01)
+        traj = propagate_schedule(circular_state(), sched, 500.0)
+        assert [arc.r0.t for arc in traj.arcs] == [0.0, 100.0]
+        with pytest.raises(ValueError, match="ascend"):
+            ImpulsiveTrajectory(arcs=traj.arcs[::-1], t_end=500.0,
+                                schedule=sched, origin=traj.origin)
+        with pytest.raises(ValueError, match="ascend"):
+            ImpulsiveTrajectory(arcs=traj.arcs, t_end=50.0, schedule=sched,
+                                origin=traj.origin)
+        with pytest.raises(ValueError, match="ascend"):
+            ImpulsiveTrajectory(arcs=(), t_end=500.0, schedule=sched,
+                                origin=traj.origin)
+
 
 class TestIntegrateThrust:
     def test_zero_thrust_matches_ballistic(self):
@@ -268,6 +296,26 @@ class TestIntegrateThrust:
         profile = ThrustProfile(lambda t: np.zeros(3), (10.0, 20.0))
         with pytest.raises(ValueError):
             integrate_thrust(circular_state(t=0.0), profile)
+
+    def test_step_cap(self, monkeypatch):
+        """A resolution over _MAX_STEPS raises before it takes a step."""
+        s = circular_state()
+        calls = []
+
+        def push(t):
+            calls.append(t)
+            return np.array([1e-6, 0.0, 0.0])
+
+        profile = ThrustProfile(push, (0.0, 600.0))
+        steps = integrate_thrust(s, profile).times.size - 1
+        monkeypatch.setattr(maneuver, "_MAX_STEPS", steps)
+        assert integrate_thrust(s, profile).times.size == steps + 1
+        monkeypatch.setattr(maneuver, "_MAX_STEPS", steps // 2)
+        calls.clear()
+        with pytest.raises(WorkCapExceeded, match="cap"):
+            integrate_thrust(s, profile)
+        # RK4 takes 4 samples per step; only the resolutions under the cap ran
+        assert len(calls) == 4 * (steps - 64)
 
 
 class TestShockApproximation:

@@ -23,11 +23,10 @@ from futurecone.scenario_io import (
     builtin_scenario,
     bundled_path,
     export_points,
-    fy1c_scenario,
     load_scenario,
     save_scenario,
 )
-from futurecone.twocars import CarConfig
+from futurecone.twocars import CarConfig, CockayneVerdict, EquivalenceVerdict
 
 LEO_R = EARTH_RADIUS_KM + 860.0
 LEO_V = math.sqrt(MU_EARTH / LEO_R)
@@ -335,6 +334,41 @@ class TestLoadScenario:
             "budget_km_s = -0.01") + 1
         assert "nonnegative" in str(err.value)
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_shock_epoch_reports_its_section_line(self, tmp_path,
+                                                             value):
+        bad = (MINIMAL_ORBITAL
+               + f"\n[shock]\nt_s = {value}\ndv_km_s = 0.001, 0.0, 0.0\n")
+        path = tmp_path / "bad.cone"
+        path.write_text(bad)
+        with pytest.raises(ScenarioInvariantError) as err:
+            load_scenario(path)
+        assert err.value.line == bad.splitlines().index("[shock]") + 1
+        assert "shock epoch must be finite" in str(err.value)
+
+    @pytest.mark.parametrize("line, field", [
+        ("budget_km_s = nan", "budget"),
+        ("budget_km_s = inf", "budget"),
+        ("floor_km = nan", "floor"),
+        ("floor_km = inf", "floor"),
+        ("mu_km3_s2 = nan", "mu"),
+        ("mu_km3_s2 = inf", "mu"),
+        ("mu_km3_s2 = -398600.4418", "mu"),
+    ])
+    def test_bad_cone_number_reports_its_key_line(self, tmp_path, line,
+                                                  field):
+        if line.startswith("budget"):
+            bad = MINIMAL_ORBITAL.replace("budget_km_s = 0.01", line)
+        else:
+            bad = MINIMAL_ORBITAL.replace("name = minimal\n",
+                                          f"name = minimal\n{line}\n")
+        path = tmp_path / "bad.cone"
+        path.write_text(bad)
+        with pytest.raises(ScenarioInvariantError) as err:
+            load_scenario(path)
+        assert err.value.line == bad.splitlines().index(line) + 1
+        assert str(err.value).split("] ", 1)[1].startswith(field)
+
     def test_window_before_vertex_reports_its_key_line(self, tmp_path):
         bad = MINIMAL_ORBITAL.replace("t_s = 0.0\nbudget_km_s = 0.01",
                                       "t_s = 250.0\nbudget_km_s = 0.01")
@@ -391,27 +425,35 @@ class TestSaveScenario:
 class TestFY1C:
     """The bundled engagement's pinned numbers."""
 
-    def test_bundled_file_matches_constructor(self):
-        assert load_scenario(bundled_path("fy1c")) == fy1c_scenario()
+    def test_bundled_file_matches_parameters(self):
+        params = FY1CParameters()
+        scn = builtin_scenario("fy1c")
+        assert scn.interceptor.budget == params.interceptor_budget_km_s
+        assert scn.target.budget == round(params.target_budget_km_s, 4)
+        assert scn.interceptor.window == params.interceptor_window_s
+        assert scn.target.window == params.target_window_s
+        assert scn.floor_km == params.floor_km
+        assert scn.interceptor.vertex.t == params.vertex_t_s
+        assert scn.target.vertex.t == 0.0
 
     def test_windows(self):
-        scn = fy1c_scenario()
+        scn = builtin_scenario("fy1c")
         assert scn.interceptor.window == (68.0, 750.0)
         assert scn.target.window == (425.0, 475.0)
 
     def test_target_budget(self):
-        scn = fy1c_scenario()
+        scn = builtin_scenario("fy1c")
         assert scn.target.budget == 0.0101
         assert 0.0101 <= scn.target.budget <= 0.011
 
     def test_vertex_altitude(self):
-        scn = fy1c_scenario()
+        scn = builtin_scenario("fy1c")
         alt = np.linalg.norm(scn.interceptor.vertex.r) - EARTH_RADIUS_KM
         assert abs(alt - 104.0) < 1e-9
         assert scn.interceptor.vertex.t == 68.0
 
     def test_target_orbit_is_circular_860(self):
-        scn = fy1c_scenario()
+        scn = builtin_scenario("fy1c")
         r = float(np.linalg.norm(scn.target.vertex.r))
         v = float(np.linalg.norm(scn.target.vertex.v))
         np.testing.assert_allclose(r, EARTH_RADIUS_KM + 860.0, rtol=1e-9)
@@ -422,12 +464,20 @@ class TestFY1C:
             FY1CParameters(target_mass_current_kg=958.0)
 
     def test_builtin_lookup(self):
-        assert builtin_scenario("fy1c") == fy1c_scenario()
+        assert builtin_scenario("fy1c") == builtin_scenario("fy1c")
         with pytest.raises(ValueError):
             builtin_scenario("unknown")
 
+    @pytest.mark.parametrize("name", ["../data/fy1c", "data/fy1c", "nope",
+                                      ""])
+    def test_only_bundled_file_stems_resolve(self, name):
+        with pytest.raises(ValueError, match="unknown built-in scenario"):
+            bundled_path(name)
+        with pytest.raises(ValueError, match="unknown built-in scenario"):
+            builtin_scenario(name)
+
     def test_desk_scale_containment_report(self, tmp_path):
-        scn = fy1c_scenario()
+        scn = builtin_scenario("fy1c")
         report = containment(scn.interceptor, scn.target,
                              n_target_samples=120, time_grid=5, seed=0)
         assert report.contained
@@ -499,6 +549,39 @@ class TestExportPoints:
                                   t_end=1000.0)
         with pytest.raises(ValueError):
             export_points(traj, tmp_path / "x.csv")
+
+    def twocars_verdict(self, witness) -> EquivalenceVerdict:
+        return EquivalenceVerdict(
+            contained=False, radius_ok=False, accel_ok=True,
+            cockayne=CockayneVerdict(speed_ok=False, accel_ok=True),
+            witness=witness, evader_peak_accel=0.5,
+            pursuer_peak_accel=np.float64(0.75), headstart=1.0, horizon=9.0,
+            n_samples=4, n_times=3)
+
+    def test_twocars_report_text(self, tmp_path):
+        path = tmp_path / "v.report"
+        export_points(self.twocars_verdict(np.array([1.0, -2.5, 3.0])), path,
+                      format="report")
+        assert path.read_bytes() == (
+            b"twocars_report\n"
+            b"cockayne_speed_ok = false\n"
+            b"cockayne_accel_ok = true\n"
+            b"cockayne_intercept = false\n"
+            b"equivalence_radius_ok = false\n"
+            b"equivalence_accel_ok = true\n"
+            b"equivalence_contained = false\n"
+            b"agree = true\n"
+            b"evader_peak_accel = 0.5\n"
+            b"pursuer_peak_accel = 0.75\n"
+            b"witness = 1.0, -2.5, 3.0\n")
+        export_points(self.twocars_verdict(None), path, format="report")
+        assert path.read_text().splitlines()[-1] == "witness = none"
+
+    def test_twocars_verdict_has_no_csv_form(self, tmp_path):
+        path = tmp_path / "v.csv"
+        with pytest.raises(ValueError, match="only have a report form"):
+            export_points(self.twocars_verdict(None), path, format="csv")
+        assert not path.exists()
 
     def test_report_text_mirrors_fields(self, tmp_path):
         report = ContainmentReport(
