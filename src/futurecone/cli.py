@@ -96,7 +96,7 @@ def cmd_propagate(scenario: Scenario, args: argparse.Namespace) -> int:
                                     mu=scenario.mu, floor=scenario.floor_km)
     times = np.linspace(target.vertex.t, target.window[1],
                         sampling.time_grid)
-    export_points(trajectory, args.out, format=args.format or "csv",
+    export_points(trajectory, args.out, format=args.format,
                   body_tag="target", times=times)
     print(f"propagate: wrote {sampling.time_grid} states to {args.out}")
     return 0
@@ -123,7 +123,7 @@ def cmd_contain(scenario: Scenario, args: argparse.Namespace) -> int:
     report = containment(scenario.interceptor, scenario.target,
                          n_target_samples=sampling.n_samples,
                          time_grid=sampling.time_grid, seed=sampling.seed)
-    export_points(report, args.out, format=args.format or "report")
+    export_points(report, args.out, format=args.format)
     print(f"contain: contained = {_bool(report.contained)} "
           f"fraction = {float(report.fraction_contained)!r} "
           f"worst_margin = {float(report.worst_margin)!r}")
@@ -142,8 +142,8 @@ def cmd_twocars(scenario: Scenario, args: argparse.Namespace) -> int:
         0 when the sampled verdict is contained, 3 when it is not.
 
     Raises:
-        ValueError: Scenario is not a Two Cars game, the format is csv,
-            or the game window starts before a full pursuer turn.
+        ValueError: Scenario is not a Two Cars game, or the game window
+            starts before a full pursuer turn.
     """
     _require_kind(scenario, "twocars", "twocars")
     sampling = _resolve_sampling(scenario, args)
@@ -154,17 +154,24 @@ def cmd_twocars(scenario: Scenario, args: argparse.Namespace) -> int:
                                       samples=sampling.n_samples,
                                       time_grid=sampling.time_grid,
                                       seed=sampling.seed)
-    export_points(verdict, args.out, format=args.format or "report")
+    export_points(verdict, args.out, format=args.format)
     print(f"twocars: contained = {_bool(verdict.contained)} "
           f"cockayne = {_bool(verdict.cockayne.intercept)} "
           f"agree = {_bool(verdict.agree)}")
     return 0 if verdict.contained else 3
 
 
+# name: (function, description, output formats with the default first)
 _COMMANDS = {
-    "propagate": cmd_propagate,
-    "contain": cmd_contain,
-    "twocars": cmd_twocars,
+    "propagate": (cmd_propagate,
+                  "Fly the target through its shocks and export sampled "
+                  "states.", ("csv",)),
+    "contain": (cmd_contain,
+                "Decide whether the target cone sits inside the "
+                "interceptor cone (exit 0 yes, 3 no).", ("report", "csv")),
+    "twocars": (cmd_twocars,
+                "Compare the sampled Two Cars verdict with the "
+                "closed-form one (exit 0 contained, 3 not).", ("report",)),
 }
 
 
@@ -173,15 +180,7 @@ def _build_parser() -> argparse.ArgumentParser:
                      description="Reachability runs from scenario files.")
     subparsers = parser.add_subparsers(dest="command", required=True,
                                        parser_class=_Parser)
-    descriptions = {
-        "propagate": "Fly the target through its shocks and export "
-                     "sampled states.",
-        "contain": "Decide whether the target cone sits inside the "
-                   "interceptor cone (exit 0 yes, 3 no).",
-        "twocars": "Compare the sampled Two Cars verdict with the "
-                   "closed-form one (exit 0 contained, 3 not).",
-    }
-    for name, text in descriptions.items():
+    for name, (_, text, formats) in _COMMANDS.items():
         sub = subparsers.add_parser(name, help=text, description=text)
         source = sub.add_mutually_exclusive_group(required=True)
         source.add_argument("--scenario", metavar="PATH",
@@ -197,9 +196,9 @@ def _build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--out", metavar="PATH", required=True,
                          help="output file to write")
         sub.add_argument("--format", choices=("csv", "report"),
-                         default=None,
-                         help="output format (default: csv for "
-                              "propagate, report otherwise)")
+                         default=formats[0],
+                         help=f"output format: {' or '.join(formats)} "
+                              f"(default: {formats[0]})")
     return parser
 
 
@@ -214,9 +213,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         3 not contained.
     """
     args = _build_parser().parse_args(argv)
+    command, _, formats = _COMMANDS[args.command]
     try:
-        scenario = _resolve_scenario(args)
-        return _COMMANDS[args.command](scenario, args)
+        if args.format not in formats:
+            raise ValueError(f"{args.command} has no {args.format} output; "
+                             f"--format takes {' or '.join(formats)}")
+        return command(_resolve_scenario(args), args)
     except (ScenarioError, OSError, ValueError) as err:
         print(f"futurecone: error: {err}", file=sys.stderr)
         return 1

@@ -37,7 +37,7 @@ from .kepler import (
     StateVector,
     arcs_from_states,
     is_bound,
-    positions_at,
+    states_at,
     swept_min_radius,
 )
 from .lambert import lambert_batch, solve_lambert
@@ -237,7 +237,7 @@ def leaf(sample_set: ConeSampleSet, t: float) -> np.ndarray:
     if not spec.vertex.t <= t <= spec.window[1]:
         raise ValueError(
             f"t={t} outside [{spec.vertex.t}, {spec.window[1]}]")
-    points = positions_at(sample_set.trajectories, t)
+    points, _, _ = states_at(sample_set.trajectories, t)
     keep = np.linalg.norm(points, axis=1) >= EARTH_RADIUS_KM + spec.floor
     return points[keep]
 
@@ -361,7 +361,7 @@ def containment(interceptor: ConeSpec, target: ConeSpec,
     for start in range(0, total, _CHUNK_POINTS):
         flat = np.arange(start, min(start + _CHUNK_POINTS, total))
         t = times[flat // len(arcs)]
-        points = positions_at(arcs, t, flat % len(arcs))
+        points, _, _ = states_at(arcs, t, flat % len(arcs))
         above = np.linalg.norm(points, axis=1) >= floor_radius
         points, t = points[above], t[above]
         if not t.size:
@@ -409,7 +409,7 @@ def reduce_to_single_burn(traj: ImpulsiveTrajectory,
             schedule total (reported, never silently dropped).
     """
     origin = traj.origin
-    mu = traj.arcs[0].mu
+    mu = traj.arcs.mu
     end = traj.state_at(traj.t_end)
     dt = traj.t_end - origin.t
     sols = solve_lambert(origin.r, end.r, dt, mu, max_revs)

@@ -6,14 +6,13 @@ state transition parameterized by true-anomaly change. Anomalies are
 tracked unwrapped (multi-revolution) so time of flight stays monotone;
 angles are reduced only inside trig evaluation.
 
-The scalar functions work on one state or arc in plain floating point.
-The array kernels at the end of the module do the same work for many
-rows at once (ArcBatch, arcs_from_states, positions_at) and give the
-floor check in closed form (swept_min_radius); the containment engine
-runs on them. The scalar path does not wrap the kernels because a batch
-of one costs several scalar calls: 121 us for positions_at against
-26 us for state_at on a 2-core x86 machine, and the shock chains of
-maneuver make thousands of scalar calls.
+Each computation is written once, as an array kernel over many rows:
+the Kepler solve, the conic of a state (arcs_from_states, giving an
+ArcBatch), the Lagrange step (states_at) and the perigee-crossing floor
+test (states_at, swept_min_radius). The containment engine and the
+shock chains of maneuver run on the kernels; the scalar functions
+(solve_kepler, arc_from_state, state_at, min_radius, propagate_time,
+propagate_theta) run them on one row.
 
 Units: km, s, km/s. Bound orbits only (0 <= e < 1); unbound states raise.
 """
@@ -30,14 +29,16 @@ from .errors import ConvergenceError, EccentricityOutOfRange
 
 _KEPLER_TOL = 1e-14  # internal target; contract promises < 1e-12
 _KEPLER_MAX_ITER = 50
+_BISECT_STEPS = 64  # halve a bracket of width <= 2 past float resolution
 _CIRCULAR_E = 1e-10
+_TWO_PI = 2.0 * math.pi
 
 
 def _as_vec3(value, name: str) -> np.ndarray:
     arr = np.asarray(value, dtype=float)
     if arr.shape != (3,):
         raise ValueError(f"{name} must have 3 components, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} must be finite, got {arr}")
     arr = arr.copy()
     arr.setflags(write=False)
@@ -64,7 +65,7 @@ class StateVector:
         object.__setattr__(self, "t", float(self.t))
         if not math.isfinite(self.t):
             raise ValueError(f"epoch must be finite, got {self.t}")
-        if float(np.linalg.norm(self.r)) == 0.0:
+        if not self.r.any():
             raise ValueError("position magnitude must be positive")
 
     def __eq__(self, other) -> bool:
@@ -107,7 +108,7 @@ class BallisticArc:
     mu: float
 
 
-# -- scalar anomaly machinery ------------------------------------------------
+# -- scalar API: one-row views of the array kernels ---------------------------
 
 def solve_kepler(M: float, e: float) -> float:
     """Solve Kepler's equation E - e*sin(E) = M for the eccentric anomaly.
@@ -132,28 +133,8 @@ def solve_kepler(M: float, e: float) -> float:
         raise ValueError(f"eccentricity must be in [0, 1), got {e}")
     if not math.isfinite(M):
         raise ValueError(f"mean anomaly must be finite, got {M}")
-    branch = 2.0 * math.pi * math.floor(M / (2.0 * math.pi))
-    Mr = M - branch
-    E = Mr + e * math.sin(Mr)
-    for _ in range(_KEPLER_MAX_ITER):
-        resid = E - e * math.sin(E) - Mr
-        if abs(resid) < _KEPLER_TOL:
-            return E + branch
-        E -= resid / (1.0 - e * math.cos(E))
-        if not (Mr - e - 0.5 <= E <= Mr + e + 0.5):
-            break  # Newton left the bracket; bisection below
-    lo, hi = Mr - e, Mr + e
-    for _ in range(200):
-        E = 0.5 * (lo + hi)
-        resid = E - e * math.sin(E) - Mr
-        if abs(resid) < _KEPLER_TOL:
-            return E + branch
-        if resid < 0.0:
-            lo = E
-        else:
-            hi = E
-    raise ConvergenceError(
-        f"Kepler solve did not converge for M={M!r}, e={e!r}")
+    return float(_solve_kepler(np.array([M], dtype=float),
+                               np.array([e], dtype=float))[0])
 
 
 def true_from_eccentric(E: float, e: float) -> float:
@@ -162,32 +143,32 @@ def true_from_eccentric(E: float, e: float) -> float:
     Implements tan(f/2) = sqrt((1+e)/(1-e)) * tan(E/2) in the form
     f = E + 2*atan2(beta*sin E, 1 - beta*cos E), which keeps f/2 in the
     quadrant of E/2 and carries unwrapped multi-revolution anomalies
-    through unchanged.
+    through unchanged. Elementwise on arrays.
     """
-    if not 0.0 <= e < 1.0:
+    if not np.logical_and(0.0 <= e, e < 1.0).all():
         raise ValueError(f"eccentricity must be in [0, 1), got {e}")
-    beta = e / (1.0 + math.sqrt(1.0 - e * e))
-    return E + 2.0 * math.atan2(beta * math.sin(E), 1.0 - beta * math.cos(E))
+    beta = e / (1.0 + np.sqrt(1.0 - e * e))
+    return E + 2.0 * np.arctan2(beta * np.sin(E), 1.0 - beta * np.cos(E))
 
 
 def eccentric_from_true(f: float, e: float) -> float:
     """Eccentric anomaly from true anomaly; inverse of true_from_eccentric."""
-    if not 0.0 <= e < 1.0:
+    if not np.logical_and(0.0 <= e, e < 1.0).all():
         raise ValueError(f"eccentricity must be in [0, 1), got {e}")
-    beta = e / (1.0 + math.sqrt(1.0 - e * e))
-    return f - 2.0 * math.atan2(beta * math.sin(f), 1.0 + beta * math.cos(f))
+    beta = e / (1.0 + np.sqrt(1.0 - e * e))
+    return f - 2.0 * np.arctan2(beta * np.sin(f), 1.0 + beta * np.cos(f))
 
 
 def mean_motion(a: float, mu: float = MU_EARTH) -> float:
     """Mean motion n = sqrt(mu / a^3), rad/s.
 
     Raises:
-        ValueError: nonpositive semimajor axis or mu.
+        ValueError: semimajor axis or mu not positive and finite.
     """
-    if a <= 0.0:
-        raise ValueError(f"semimajor axis must be positive, got {a}")
-    if mu <= 0.0:
-        raise ValueError(f"mu must be positive, got {mu}")
+    if not 0.0 < a < math.inf:
+        raise ValueError(f"semimajor axis must be finite and > 0, got {a}")
+    if not 0.0 < mu < math.inf:
+        raise ValueError(f"mu must be finite and > 0, got {mu}")
     return math.sqrt(mu / a**3)
 
 
@@ -201,8 +182,6 @@ def time_of_flight(arc: BallisticArc, E1: float, E2: float) -> float:
     return scale * ((E2 - E1) - arc.e * (math.sin(E2) - math.sin(E1)))
 
 
-# -- state <-> elements ------------------------------------------------------
-
 def arc_from_state(s: StateVector, mu: float = MU_EARTH) -> BallisticArc:
     """Classical-element arc descriptor from a Cartesian state.
 
@@ -215,51 +194,7 @@ def arc_from_state(s: StateVector, mu: float = MU_EARTH) -> BallisticArc:
         EccentricityOutOfRange: unbound or rectilinear state
             (a <= 0, e >= 1, or p = 0).
     """
-    r = s.r
-    v = s.v
-    rn = float(np.linalg.norm(r))
-    v2 = float(v @ v)
-    alpha = 2.0 / rn - v2 / mu  # 1/a
-    if alpha <= 0.0:
-        raise EccentricityOutOfRange(
-            f"state is unbound: 2/r - v^2/mu = {alpha!r} <= 0")
-    a = 1.0 / alpha
-    h = np.cross(r, v)
-    p = float(h @ h) / mu
-    if p <= 0.0:
-        raise EccentricityOutOfRange("rectilinear state: r x v = 0")
-    e2 = 1.0 - p / a
-    e = math.sqrt(e2) if e2 > 0.0 else 0.0
-    if e >= 1.0:
-        raise EccentricityOutOfRange(f"eccentricity {e!r} >= 1")
-    sigma0 = float(r @ v) / math.sqrt(mu)
-    # e*cos(f0) = p/r - 1 and e*sin(f0) = sigma0*sqrt(p)/r; atan2 keeps
-    # full precision near the apsides, where acos of the cosine does not
-    f0 = 0.0 if e < _CIRCULAR_E else math.atan2(sigma0 * math.sqrt(p) / rn,
-                                                p / rn - 1.0)
-    E0 = eccentric_from_true(f0, e)
-    n = mean_motion(a, mu)
-    tau = s.t - (E0 - e * math.sin(E0)) / n
-    return BallisticArc(a=a, e=e, p=p, sigma0=sigma0, f0=f0, E0=E0,
-                        tau=tau, r0=s, mu=mu)
-
-
-def _lagrange_step(arc: BallisticArc, theta: float, t1: float) -> StateVector:
-    """Advance arc.r0 by true-anomaly change theta; epoch stamped t1."""
-    f1 = arc.f0 + theta
-    r1n = arc.p / (1.0 + arc.e * math.cos(f1))
-    r0n = float(np.linalg.norm(arc.r0.r))
-    cos_t = math.cos(theta)
-    sin_t = math.sin(theta)
-    sqrt_mu = math.sqrt(arc.mu)
-    F = 1.0 - (r1n / arc.p) * (1.0 - cos_t)
-    G = r1n * r0n * sin_t / (sqrt_mu * math.sqrt(arc.p))
-    Ft = sqrt_mu / (r0n * arc.p) * (arc.sigma0 * (1.0 - cos_t)
-                                    - math.sqrt(arc.p) * sin_t)
-    Gt = 1.0 - (r0n / arc.p) * (1.0 - cos_t)
-    return StateVector(r=F * arc.r0.r + G * arc.r0.v,
-                       v=Ft * arc.r0.r + Gt * arc.r0.v,
-                       t=t1)
+    return arcs_from_states(s.r[None], s.v[None], s.t, mu)[0]
 
 
 def state_at(arc: BallisticArc, t: float) -> StateVector:
@@ -269,13 +204,8 @@ def state_at(arc: BallisticArc, t: float) -> StateVector:
     derived once and each call costs one Kepler solve plus one
     Lagrange-coefficient step.
     """
-    if t == arc.r0.t:
-        return arc.r0
-    n = mean_motion(arc.a, arc.mu)
-    M = n * (t - arc.tau)
-    E = solve_kepler(M, arc.e)
-    f = true_from_eccentric(E, arc.e)
-    return _lagrange_step(arc, f - arc.f0, t)
+    r, v, _ = states_at(ArcBatch.from_arcs((arc,)), t)
+    return StateVector(r[0], v[0], t)
 
 
 def min_radius(arc: BallisticArc, t_from: float, t_to: float) -> float:
@@ -285,16 +215,10 @@ def min_radius(arc: BallisticArc, t_from: float, t_to: float) -> float:
     radius when the interval crosses a perigee passage (E = 2*pi*k) and
     an endpoint radius a*(1 - e*cos E) otherwise: two Kepler solves.
     """
-    n = mean_motion(arc.a, arc.mu)
-    E_a = solve_kepler(n * (t_from - arc.tau), arc.e)
-    r_from = arc.a * (1.0 - arc.e * math.cos(E_a))
-    if t_to <= t_from:
-        return r_from
-    E_b = solve_kepler(n * (t_to - arc.tau), arc.e)
-    k_lo = math.ceil(E_a / (2.0 * math.pi))
-    if 2.0 * math.pi * k_lo <= E_b:
-        return arc.a * (1.0 - arc.e)
-    return min(r_from, arc.a * (1.0 - arc.e * math.cos(E_b)))
+    s = state_at(arc, t_from)
+    _, _, lowest = coast(s.r[None], s.v[None], t_from, max(t_from, t_to),
+                         arc.mu)
+    return float(lowest[0])
 
 
 def propagate_theta(s0: StateVector, theta: float,
@@ -319,8 +243,7 @@ def propagate_theta(s0: StateVector, theta: float,
     """
     arc = arc_from_state(s0, mu)
     E1 = eccentric_from_true(arc.f0 + theta, arc.e)
-    dt = time_of_flight(arc, arc.E0, E1)
-    return _lagrange_step(arc, theta, s0.t + dt)
+    return propagate_time(s0, time_of_flight(arc, arc.E0, E1), mu)
 
 
 def propagate_time(s0: StateVector, dt: float,
@@ -332,13 +255,12 @@ def propagate_time(s0: StateVector, dt: float,
     Raises:
         EccentricityOutOfRange: s0 is not a bound ellipse.
     """
-    return state_at(arc_from_state(s0, mu), s0.t + dt)
+    t = s0.t + dt
+    r, v, _ = coast(s0.r[None], s0.v[None], s0.t, t, mu)
+    return StateVector(r[0], v[0], t)
 
 
 # -- array kernels -----------------------------------------------------------
-
-_TWO_PI = 2.0 * math.pi
-
 
 @dataclass(frozen=True, eq=False)
 class ArcBatch(Sequence):
@@ -374,8 +296,8 @@ class ArcBatch(Sequence):
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return ArcBatch(**{field.name: getattr(self, field.name)[i]
-                               for field in fields(self)[:-1]}, mu=self.mu)
+            return ArcBatch(*(getattr(self, field.name)[i]
+                              for field in fields(self)[:-1]), mu=self.mu)
         return BallisticArc(
             a=float(self.a[i]), e=float(self.e[i]), p=float(self.p[i]),
             sigma0=float(self.sigma0[i]), f0=float(self.f0[i]),
@@ -398,36 +320,101 @@ class ArcBatch(Sequence):
                    mu=mus.pop() if mus else MU_EARTH)
 
 
+def _solve_kepler(M: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """Kepler's equation E - e*sin(E) = M, row by row.
+
+    Newton iteration from E = M + e*sin(M) on M reduced mod 2*pi, each
+    row stopping at its own first residual below _KEPLER_TOL. A row
+    whose iterate leaves [Mr - e - 0.5, Mr + e + 0.5] or runs out of
+    steps is bisected on [Mr - e, Mr + e] down to float resolution.
+
+    Raises:
+        ConvergenceError: a row did not converge; names the first.
+    """
+    branch = _TWO_PI * np.floor(M / _TWO_PI)
+    Mr = M - branch
+    E = Mr + e * np.sin(Mr)
+    low, high = Mr - e - 0.5, Mr + e + 0.5
+    newton = np.ones(M.shape, dtype=bool)
+    stray = np.zeros(M.shape, dtype=bool)
+    for _ in range(_KEPLER_MAX_ITER):
+        resid = E - e * np.sin(E) - Mr
+        newton &= np.abs(resid) >= _KEPLER_TOL
+        if not newton.any():
+            break
+        np.subtract(E, resid / (1.0 - e * np.cos(E)), out=E, where=newton)
+        left = newton & ((E < low) | (E > high))
+        if left.any():
+            stray |= left
+            newton &= ~left
+    stray |= newton
+    if stray.any():
+        m, x = Mr[stray], e[stray]
+        lo, hi = m - x, m + x
+        for _ in range(_BISECT_STEPS):
+            mid = 0.5 * (lo + hi)
+            below = mid - x * np.sin(mid) < m
+            lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+        failed = np.abs(mid - x * np.sin(mid) - m) >= _KEPLER_TOL
+        if failed.any():
+            i = np.flatnonzero(stray)[np.argmax(failed)]
+            raise ConvergenceError(f"Kepler solve did not converge for "
+                                   f"M={float(M[i])!r}, e={float(e[i])!r}")
+        E[stray] = mid
+    return E + branch
+
+
+def _cross(x, y):
+    """np.cross on the last axis, without its 40 us cost a call."""
+    x0, x1, x2 = x[..., 0], x[..., 1], x[..., 2]
+    y0, y1, y2 = y[..., 0], y[..., 1], y[..., 2]
+    return np.stack([x1 * y2 - x2 * y1, x2 * y0 - x0 * y2,
+                     x0 * y1 - x1 * y0], axis=-1)
+
+
 def _energy_and_parameter(r, v, mu: float):
     """|r|, 1/a from vis-viva, and p = |r x v|^2 / mu, per row."""
     rn = np.linalg.norm(r, axis=-1)
     alpha = 2.0 / rn - np.einsum("...i,...i->...", v, v) / mu
-    h = np.cross(r, v)
+    h = _cross(r, v)
     return rn, alpha, np.einsum("...i,...i->...", h, h) / mu
 
 
 def is_bound(r, v, mu: float = MU_EARTH) -> np.ndarray:
     """Rows whose state is a bound, non-rectilinear ellipse.
 
-    The vis-viva energy sign plus a nonzero angular momentum: exactly
-    the states arc_from_state accepts, without building an arc.
+    The vis-viva energy sign plus a nonzero angular momentum, without
+    building an arc.
     """
     _, alpha, p = _energy_and_parameter(r, v, mu)
     return (alpha > 0.0) & (p > 0.0)
 
 
 def _conic(r, v, mu: float):
-    """|r|, a, e, p, sigma0 and the epoch true anomaly f0, per row.
-
-    f0 comes from e*cos(f0) = p/r - 1 and e*sin(f0) = sigma0*sqrt(p)/r,
-    as in arc_from_state, with f0 := 0 on near-circular rows.
-    """
+    """|r|, 1/a, a, e, p, sigma0 and f0 per state row, as arc_from_state
+    defines them, from one vis-viva pass; atan2 keeps f0 precise near
+    the apsides. Rows that are not bound ellipses get meaningless ones."""
     rn, alpha, p = _energy_and_parameter(r, v, mu)
-    a = 1.0 / alpha
+    with np.errstate(divide="ignore"):
+        a = 1.0 / alpha
     e = np.sqrt(np.maximum(1.0 - p / a, 0.0))
     sigma0 = np.einsum("...i,...i->...", r, v) / math.sqrt(mu)
     f0 = np.arctan2(sigma0 * np.sqrt(p) / rn, p / rn - 1.0)
-    return rn, a, e, p, sigma0, np.where(e < _CIRCULAR_E, 0.0, f0)
+    return rn, alpha, a, e, p, sigma0, np.where(e < _CIRCULAR_E, 0.0, f0)
+
+
+def _arc_fields(r, v, t, mu: float) -> tuple:
+    """arcs_from_states without the batch: its fields r0 through tau."""
+    rn, alpha, a, e, p, sigma0, f0 = _conic(r, v, mu)
+    bound = (alpha > 0.0) & (p > 0.0) & (e < 1.0)
+    if not bound.all():
+        i = int(np.argmin(bound))
+        raise EccentricityOutOfRange(
+            f"state {i} is unbound or rectilinear: 2/r - v^2/mu = "
+            f"{float(alpha[i])!r}, |r x v|^2/mu = {float(p[i])!r}")
+    E0 = eccentric_from_true(f0, e)
+    tau = t - (E0 - e * np.sin(E0)) / np.sqrt(mu / a**3)
+    return r, v, t, a, e, p, sigma0, f0, E0, tau
 
 
 def arcs_from_states(r, v, t, mu: float = MU_EARTH) -> ArcBatch:
@@ -444,50 +431,45 @@ def arcs_from_states(r, v, t, mu: float = MU_EARTH) -> ArcBatch:
     """
     r, v = np.broadcast_arrays(np.asarray(r, dtype=float),
                                np.asarray(v, dtype=float))
-    if not np.all(is_bound(r, v, mu)):
-        raise EccentricityOutOfRange(
-            "batch holds an unbound or rectilinear state")
-    rn, a, e, p, sigma0, f0 = _conic(r, v, mu)
-    beta = e / (1.0 + np.sqrt(1.0 - e * e))
-    E0 = f0 - 2.0 * np.arctan2(beta * np.sin(f0), 1.0 + beta * np.cos(f0))
-    tau = t - (E0 - e * np.sin(E0)) / np.sqrt(mu / a**3)
-    return ArcBatch(r0=r, v0=v, t0=np.broadcast_to(t, rn.shape), a=a, e=e,
-                    p=p, sigma0=sigma0, f0=f0, E0=E0, tau=tau, mu=mu)
+    r0, v0, t0, *elements = _arc_fields(r, v, t, mu)
+    return ArcBatch(r0, v0, np.full(r.shape[:-1], t0), *elements, mu=mu)
 
 
-def _solve_kepler_array(M: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """Array form of solve_kepler, with the same Newton iteration.
-
-    A row whose Newton iterate leaves its bracket or runs out of steps
-    is finished by the scalar solver (bisection), as solve_kepler would.
-    """
-    branch = _TWO_PI * np.floor(M / _TWO_PI)
-    Mr = M - branch
-    E = Mr + e * np.sin(Mr)
-    active = np.ones(M.shape, dtype=bool)
-    fallback = np.zeros(M.shape, dtype=bool)
-    for _ in range(_KEPLER_MAX_ITER):
-        resid = E - e * np.sin(E) - Mr
-        active &= np.abs(resid) >= _KEPLER_TOL
-        if not active.any():
-            break
-        E = np.where(active, E - resid / (1.0 - e * np.cos(E)), E)
-        stray = active & ((E < Mr - e - 0.5) | (E > Mr + e + 0.5))
-        fallback |= stray
-        active &= ~stray
-    fallback |= active
-    E = E + branch
-    for i in np.flatnonzero(fallback):
-        E[i] = solve_kepler(float(M[i]), float(e[i]))
-    return E
+def _floor_radius(a, e, f0, sweep, r0n, r1n):
+    """The perigee-crossing floor test of swept_min_radius."""
+    crossed = _TWO_PI * np.ceil(f0 / _TWO_PI) <= f0 + sweep
+    return np.where(crossed, a * (1.0 - e), np.minimum(r0n, r1n))
 
 
-def positions_at(arcs: ArcBatch, t, rows=None) -> np.ndarray:
-    """Positions on many arcs at once, the array form of state_at(...).r.
+def _fly(r0, v0, t0, a, e, p, sigma0, f0, E0, tau, t, mu: float):
+    """states_at on arcs given by their fields."""
+    t = np.asarray(t, dtype=float)
+    E = _solve_kepler(np.sqrt(mu / a**3) * (t - tau), e)
+    theta = true_from_eccentric(E, e) - f0
+    # the Lagrange coefficients F, G, Ft, Gt of the step by theta
+    r1n = p / (1.0 + e * np.cos(f0 + theta))
+    r0n = np.linalg.norm(r0, axis=-1)
+    versine = 1.0 - np.cos(theta)
+    sin_t = np.sin(theta)
+    sqrt_mu = math.sqrt(mu)
+    sqrt_p = np.sqrt(p)
+    F = 1.0 - (r1n / p) * versine
+    G = r1n * r0n * sin_t / (sqrt_mu * sqrt_p)
+    Ft = sqrt_mu / (r0n * p) * (sigma0 * versine - sqrt_p * sin_t)
+    Gt = 1.0 - (r0n / p) * versine
+    at_epoch = (t == t0)[..., None]
+    return (np.where(at_epoch, r0, F[:, None] * r0 + G[:, None] * v0),
+            np.where(at_epoch, v0, Ft[:, None] * r0 + Gt[:, None] * v0),
+            _floor_radius(a, e, f0, theta, r0n, r1n))
+
+
+def states_at(arcs: ArcBatch, t, rows=None):
+    """States on many arcs at once, the array form of state_at.
 
     Row i is arc rows[i] at time t[i]: one vectorized Kepler solve and
     Lagrange step per row. A query at an arc's own epoch returns its
-    epoch position exactly.
+    epoch state exactly. Each row also gets the lowest radius its arc
+    reaches from the epoch to t[i], for t[i] at or after the epoch.
 
     Args:
         arcs: Arcs to query.
@@ -495,21 +477,19 @@ def positions_at(arcs: ArcBatch, t, rows=None) -> np.ndarray:
         rows: Arc index per row; None queries every arc once.
 
     Returns:
-        Array of shape (len(rows), 3), km.
+        (r, v, lowest): positions, km, and velocities, km/s, each of
+        shape (len(rows), 3), and the lowest radii, km.
     """
     rows = slice(None) if rows is None else rows
-    r0, v0, t0 = arcs.r0[rows], arcs.v0[rows], arcs.t0[rows]
-    a, e, p, f0 = arcs.a[rows], arcs.e[rows], arcs.p[rows], arcs.f0[rows]
-    t = np.broadcast_to(np.asarray(t, dtype=float), t0.shape)
-    E = _solve_kepler_array(np.sqrt(arcs.mu / a**3) * (t - arcs.tau[rows]), e)
-    beta = e / (1.0 + np.sqrt(1.0 - e * e))
-    theta = E + 2.0 * np.arctan2(beta * np.sin(E), 1.0 - beta * np.cos(E)) - f0
-    r1n = p / (1.0 + e * np.cos(f0 + theta))
-    r0n = np.linalg.norm(r0, axis=-1)
-    F = 1.0 - (r1n / p) * (1.0 - np.cos(theta))
-    G = r1n * r0n * np.sin(theta) / (math.sqrt(arcs.mu) * np.sqrt(p))
-    out = F[:, None] * r0 + G[:, None] * v0
-    return np.where((t == t0)[:, None], r0, out)
+    return _fly(*(getattr(arcs, field.name)[rows]
+                  for field in fields(arcs)[:-1]), t, arcs.mu)
+
+
+def coast(r, v, t, t_end, mu: float = MU_EARTH):
+    """States (n, 3) flown on their own arcs from epochs t to t_end: the
+    (r, v, lowest) of states_at(arcs_from_states(r, v, t, mu), t_end)
+    without building the batch, the step of a shock chain."""
+    return _fly(*_arc_fields(r, v, t, mu), t_end, mu)
 
 
 def swept_min_radius(r0, v0, r1n, sweep, mu: float = MU_EARTH) -> np.ndarray:
@@ -520,7 +500,7 @@ def swept_min_radius(r0, v0, r1n, sweep, mu: float = MU_EARTH) -> np.ndarray:
     falls to perigee and rises after it, so the arc passes perigee iff
     the interval holds a multiple of 2*pi, and its lowest radius is then
     a*(1 - e); otherwise it is the lower of |r0| and r1n. No Kepler
-    solve; min_radius is the same test for a time interval on one arc.
+    solve; states_at applies the same test to the arcs it flies.
 
     Args:
         r0: Departure positions, km, (..., 3).
@@ -529,6 +509,5 @@ def swept_min_radius(r0, v0, r1n, sweep, mu: float = MU_EARTH) -> np.ndarray:
         sweep: True anomaly swept, rad, >= 0 (2*pi per full revolution).
         mu: Gravitational parameter, km^3/s^2.
     """
-    rn, a, e, _, _, f0 = _conic(r0, v0, mu)
-    crossed = _TWO_PI * np.ceil(f0 / _TWO_PI) <= f0 + sweep
-    return np.where(crossed, a * (1.0 - e), np.minimum(rn, r1n))
+    rn, _, a, e, _, _, f0 = _conic(r0, v0, mu)
+    return _floor_radius(a, e, f0, sweep, rn, r1n)

@@ -10,8 +10,7 @@ finite thrust inside the impulsive framework.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -24,13 +23,13 @@ from .errors import (
     WorkCapExceeded,
 )
 from .kepler import (
-    BallisticArc,
+    ArcBatch,
     StateVector,
     _as_vec3,
-    arc_from_state,
+    arcs_from_states,
+    coast,
     is_bound,
-    min_radius,
-    state_at,
+    states_at,
 )
 
 _BUDGET_SLACK = 1e-12  # float headroom on the schedule budget check
@@ -129,37 +128,44 @@ class ImpulsiveTrajectory:
 
     Attributes:
         arcs: Conic descriptors, one per ballistic segment, in epoch
-            order.
+            order; a sequence of BallisticArc is stored as an ArcBatch.
         t_end: End of the last segment, s.
         schedule: The generating schedule.
         origin: State at the start of the chain.
     """
 
-    arcs: tuple[BallisticArc, ...]
+    arcs: ArcBatch
     t_end: float
     schedule: ImpulsiveSchedule
     origin: StateVector
-    # arc epochs, for the segment lookup in state_at
-    _starts: tuple[float, ...] = field(default=(), init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "arcs", tuple(self.arcs))
+        if not isinstance(self.arcs, ArcBatch):
+            object.__setattr__(self, "arcs", ArcBatch.from_arcs(self.arcs))
         object.__setattr__(self, "t_end", float(self.t_end))
-        starts = tuple(arc.r0.t for arc in self.arcs)
-        ends = (*starts[1:], self.t_end)
-        if not starts or any(b < a for a, b in zip(starts, ends)):
+        starts = self.arcs.t0
+        if not starts.size or np.any(np.diff(starts, append=self.t_end) < 0):
             raise ValueError(f"need arcs whose epochs ascend to t_end="
-                             f"{self.t_end}, got {starts}")
-        object.__setattr__(self, "_starts", starts)
+                             f"{self.t_end}, got {tuple(starts.tolist())}")
+
+    def states(self, times) -> tuple[np.ndarray, np.ndarray]:
+        """Positions and velocities at many times, one row each; raises
+        ValueError for a time outside the window."""
+        times = np.asarray(times, dtype=float)
+        starts = self.arcs.t0
+        inside = (starts[0] <= times) & (times <= self.t_end)
+        if not inside.all():
+            raise ValueError(
+                f"t={times[~inside][0]} outside trajectory window "
+                f"[{starts[0]}, {self.t_end}]")
+        r, v, _ = states_at(self.arcs, times,
+                            np.searchsorted(starts, times, side="right") - 1)
+        return r, v
 
     def state_at(self, t: float) -> StateVector:
         """State at time t; shock epochs resolve to the post-shock arc."""
-        if not self._starts[0] <= t <= self.t_end:
-            raise ValueError(
-                f"t={t} outside trajectory window "
-                f"[{self._starts[0]}, {self.t_end}]")
-        idx = max(0, bisect_right(self._starts, t) - 1)
-        return state_at(self.arcs[idx], t)
+        r, v = self.states([t])
+        return StateVector(r[0], v[0], t)
 
 
 @dataclass(frozen=True, eq=False)
@@ -298,31 +304,34 @@ def propagate_schedule(origin: StateVector, sched: ImpulsiveSchedule,
         raise ValueError(f"t_end={t_end} precedes the origin epoch {origin.t}")
 
     floor_radius = EARTH_RADIUS_KM + floor
-    arcs: list[BallisticArc] = []
+    starts: list[StateVector] = []
     current = origin
 
-    def coast(state: StateVector, until: float, label: str) -> StateVector:
+    def segment(state: StateVector, until: float, label: str) -> StateVector:
         try:
-            arc = arc_from_state(state, mu)
-            lowest = min_radius(arc, state.t, until)
-            if lowest < floor_radius:
+            r, v, lowest = coast(state.r[None], state.v[None], state.t, until,
+                                 mu)
+            if lowest[0] < floor_radius:
                 raise SurfaceViolation(
-                    f"segment dips to radius {lowest!r} km, below the "
-                    f"floor radius {floor_radius!r} km")
+                    f"segment dips to radius {float(lowest[0])!r} km, below "
+                    f"the floor radius {floor_radius!r} km")
         except FutureConeError as exc:
             raise type(exc)(f"{label}: {exc}") from exc
-        arcs.append(arc)
-        return state if until == state.t else state_at(arc, until)
+        starts.append(state)
+        return StateVector(r[0], v[0], until)
 
     for i, shock in enumerate(sched.shocks):
         if shock.t > current.t:
-            current = coast(current, shock.t, f"segment before shock {i}")
+            current = segment(current, shock.t, f"segment before shock {i}")
         try:
             current = apply_shock(current, shock.dv, mu, floor)
         except FutureConeError as exc:
             raise type(exc)(f"shock {i}: {exc}") from exc
-    coast(current, t_end, "final segment")
-    return ImpulsiveTrajectory(arcs=tuple(arcs), t_end=t_end, schedule=sched,
+    segment(current, t_end, "final segment")
+    # the arcs the segments flew, row by row the same numbers in one batch
+    arcs = arcs_from_states([s.r for s in starts], [s.v for s in starts],
+                            [s.t for s in starts], mu)
+    return ImpulsiveTrajectory(arcs=arcs, t_end=t_end, schedule=sched,
                                origin=origin)
 
 

@@ -147,6 +147,10 @@ class Scenario:
                 or self.name != self.name.strip()):
             raise ValueError(f"name must be a bare single-line token, "
                              f"got {self.name!r}")
+        if not 0.0 < self.mu < np.inf:
+            raise ValueError(f"mu must be finite and positive, got {self.mu}")
+        if not np.isfinite(self.floor_km):
+            raise ValueError(f"floor_km must be finite, got {self.floor_km}")
         cones = (("interceptor", self.interceptor), ("target", self.target))
         orbital = bool(self.shocks) or any(spec is not None
                                            for _, spec in cones)
@@ -276,9 +280,10 @@ def _check_keys(name: str, lineno: int, pairs: _Pairs) -> None:
             f"[{name}] is missing {', '.join(missing)}", lineno)
 
 
-# ConeSpec errors start with the offending field; this is its file key
-_CONE_FIELD_KEYS = {"window": "window_s", "budget": "budget_km_s",
-                    "vertex": "r_km", "floor": "floor_km", "mu": "mu_km3_s2"}
+# ConeSpec and Scenario errors start with the offending field; its key:
+_FIELD_KEYS = {"window": "window_s", "budget": "budget_km_s",
+               "vertex": "r_km", "floor": "floor_km", "floor_km": "floor_km",
+               "mu": "mu_km3_s2", "name": "name"}
 
 
 def _cone_from_section(name: str, lineno: int, pairs: _Pairs, top: _Pairs,
@@ -293,7 +298,7 @@ def _cone_from_section(name: str, lineno: int, pairs: _Pairs, top: _Pairs,
         return ConeSpec(vertex=vertex, budget=budget, window=window,
                         floor=floor_km, mu=mu)
     except ValueError as exc:
-        key = _CONE_FIELD_KEYS.get(str(exc).split()[0].rstrip(":"))
+        key = _FIELD_KEYS.get(str(exc).split()[0].rstrip(":"))
         where = {**top, **pairs}
         line = where[key][1] if key in where else lineno
         raise ScenarioInvariantError(f"[{name}] {exc}", line) from exc
@@ -412,8 +417,9 @@ def load_scenario(path) -> Scenario:
         raise ScenarioInvariantError(str(exc),
                                      shocks_raw[exc.index][0]) from exc
     except ValueError as exc:
-        line = top["name"][1] if str(exc).startswith("name") else None
-        raise ScenarioInvariantError(str(exc), line) from exc
+        key = _FIELD_KEYS.get(str(exc).split()[0])
+        raise ScenarioInvariantError(
+            str(exc), top[key][1] if key in top else None) from exc
 
 
 def _vec(values) -> str:
@@ -696,8 +702,9 @@ def export_points(obj, path, format: str = "csv", *, body_tag: str = "cone",
     if isinstance(obj, ImpulsiveTrajectory):
         if times is None:
             raise ValueError("trajectory export needs sample times")
-        _write_rows(path, [(repr(t), *map(repr, obj.state_at(t).r.tolist()),
-                            body_tag, "")
-                           for t in np.asarray(times, dtype=float).tolist()])
+        times = np.asarray(times, dtype=float)
+        positions = obj.states(times)[0].tolist()
+        _write_rows(path, [(repr(t), *map(repr, r), body_tag, "")
+                           for t, r in zip(times.tolist(), positions)])
         return
     raise ValueError(f"cannot export {type(obj).__name__}")

@@ -1,9 +1,11 @@
-"""The benchmark's traced names still resolve on the package.
+"""The benchmark still runs on the package as it stands.
 
 ``perfbench/layers.py`` wraps every (module, attribute) pair in its
 ``TRACED`` table and reads some arguments of the wrapped calls by name.
 Deleting or renaming one of them breaks the traced benchmark run, so
-these tests check both against the package as it stands.
+these tests check both. A burn_chains request must also pass the
+workload's own output check, so that a change to the shock chains or
+the ephemeris export that would fail benchmark requests fails here.
 """
 from __future__ import annotations
 
@@ -14,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-LAYERS = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 # Arguments the counter hooks in layers.install read, per traced pair.
 HOOK_ARGUMENTS = {
@@ -25,11 +27,16 @@ HOOK_ARGUMENTS = {
 }
 
 
+def _load(name: str):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def _traced() -> dict:
-    spec = importlib.util.spec_from_file_location("perfbench_layers", LAYERS)
-    layers = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(layers)
-    return layers.TRACED
+    return _load("layers").TRACED
 
 
 def _resolve(module: str, attr: str):
@@ -50,3 +57,15 @@ def test_hook_arguments_are_parameters(module, attr):
     parameters = inspect.signature(_resolve(module, attr)).parameters
     for name in HOOK_ARGUMENTS[module, attr]:
         assert name in parameters, f"{module}.{attr} has no {name!r}"
+
+
+def test_burn_chains_request_passes_its_check(tmp_path):
+    """One burn_chains request, checked as the benchmark checks it: the
+    chain endpoint against RK4, the single burn, and the exported last
+    row equal to the endpoint bit for bit."""
+    import futurecone
+    import futurecone.scenario_io  # binds the modules the workload calls
+
+    workload = _load("workloads").BurnChains(
+        futurecone, str(PERFBENCH.parent), str(tmp_path), 0)
+    assert workload.check(0, workload.request(0)) == 1

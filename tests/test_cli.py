@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from futurecone import cli
 from futurecone.cli import main
 from futurecone.cone import ConeSpec
 from futurecone.constants import EARTH_RADIUS_KM, MU_EARTH
@@ -84,6 +85,30 @@ class TestFlagGrammar:
     def test_rejects_unknown_format(self, capsys):
         usage_error(["contain", "--scenario", "x.cone", "--out", "o",
                      "--format", "vrml"], capsys)
+
+
+    @pytest.mark.parametrize("command, solver, fmt", [
+        ("propagate", "propagate_schedule", "report"),
+        ("twocars", "containment_equivalence", "csv"),
+    ])
+    def test_format_the_command_lacks_fails_before_any_solve(
+            self, tmp_path, capsys, monkeypatch, command, solver, fmt):
+        def refuse(*args, **kwargs):
+            raise AssertionError(f"{solver} ran")
+
+        monkeypatch.setattr(cli, solver, refuse)
+        if command == "propagate":
+            path, _ = orbital_file(tmp_path)
+        else:
+            path, _ = twocars_file(tmp_path, CarConfig(v=2.0, R=1.0),
+                                   CarConfig(v=1.0, R=1.0))
+        out = tmp_path / "x.out"
+        assert main([command, "--scenario", str(path), "--format", fmt,
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("futurecone: error:")
+        assert err.count("\n") == 1
+        assert not out.exists()
 
 
 class TestPropagate:

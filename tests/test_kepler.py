@@ -20,14 +20,18 @@ from futurecone import (
     time_of_flight,
     true_from_eccentric,
 )
+from futurecone import kepler
+from futurecone.errors import ConvergenceError
 from futurecone.kepler import (
     ArcBatch,
-    _solve_kepler_array,
+    _solve_kepler,
     arcs_from_states,
     is_bound,
-    positions_at,
+    states_at,
     swept_min_radius,
 )
+
+import kepler_reference as ref
 
 rng = np.random.default_rng(0)
 
@@ -148,10 +152,12 @@ class TestTimeOfFlight:
         assert_allclose(split, total, rtol=1e-13)
 
     def test_rejects_nonpositive_axis(self):
-        with pytest.raises(ValueError):
-            mean_motion(-7000.0)
-        with pytest.raises(ValueError):
-            mean_motion(0.0)
+        for a, mu in ((-7000.0, MU_EARTH), (0.0, MU_EARTH),
+                      (math.nan, MU_EARTH), (math.inf, MU_EARTH),
+                      (7000.0, math.nan), (7000.0, math.inf),
+                      (7000.0, 0.0), (7000.0, -MU_EARTH)):
+            with pytest.raises(ValueError):
+                mean_motion(a, mu)
 
 
 class TestArcFromState:
@@ -340,8 +346,35 @@ class TestStateVector:
         assert a != c
 
 
+class TestScalarViews:
+    """The one-row views against the scalar reference."""
+
+    def test_views_match_reference(self):
+        for _ in range(40):
+            s = random_bound_state(e_max=0.8)
+            arc, expected = arc_from_state(s), ref.arc_from_state(s)
+            for name in ("a", "e", "p", "sigma0", "f0", "E0", "tau"):
+                assert_allclose(getattr(arc, name), getattr(expected, name),
+                                rtol=1e-12, atol=1e-9)
+            t1, t2 = sorted(rng.uniform(0.0, 30000.0, 2))
+            theta = t1 / 1000.0
+            for got, want in ((state_at(arc, t1), ref.state_at(expected, t1)),
+                              (propagate_time(s, t2),
+                               ref.propagate_time(s, t2)),
+                              (propagate_theta(s, theta),
+                               ref.propagate_theta(s, theta))):
+                assert_allclose(got.r, want.r, rtol=1e-9)
+                assert_allclose(got.v, want.v, rtol=1e-9)
+                assert_allclose(got.t, want.t, rtol=1e-12)
+            assert_allclose(min_radius(arc, t1, t2),
+                            ref.min_radius(expected, t1, t2), rtol=1e-9)
+            M = float(rng.uniform(-50.0, 50.0))
+            assert_allclose(solve_kepler(M, arc.e),
+                            ref.solve_kepler(M, arc.e), rtol=0, atol=1e-12)
+
+
 class TestArrayKernels:
-    """The array kernels against the scalar functions, row by row."""
+    """The array kernels against the scalar reference, row by row."""
 
     def batch(self, n: int = 40):
         states = [random_bound_state(e_max=0.8) for _ in range(n)]
@@ -352,7 +385,7 @@ class TestArrayKernels:
     def test_elements_match_arc_from_state(self):
         states, arcs = self.batch()
         for i, s in enumerate(states):
-            arc = arc_from_state(s)
+            arc = ref.arc_from_state(s)
             got = arcs[i]
             for name in ("a", "e", "p", "sigma0", "tau"):
                 assert_allclose(getattr(got, name), getattr(arc, name),
@@ -366,12 +399,27 @@ class TestArrayKernels:
         states, arcs = self.batch()
         rows = rng.integers(0, len(states), 200)
         times = rng.uniform(0.0, 30000.0, 200)
-        times[:5] = 0.0  # the epoch itself returns the epoch position
-        got = positions_at(arcs, times, rows)
-        for row, t, r in zip(rows, times, got):
-            expected = state_at(arc_from_state(states[row]), float(t)).r
-            assert_allclose(r, expected, rtol=1e-9)
-        assert np.array_equal(got[:5], arcs.r0[rows[:5]])
+        times[:5] = 0.0  # the epoch itself returns the epoch state
+        r, v, _ = states_at(arcs, times, rows)
+        for row, t, r_i, v_i in zip(rows, times, r, v):
+            expected = ref.state_at(ref.arc_from_state(states[row]), float(t))
+            assert_allclose(r_i, expected.r, rtol=1e-9)
+            assert_allclose(v_i, expected.v, rtol=1e-9)
+        assert np.array_equal(r[:5], arcs.r0[rows[:5]])
+        assert np.array_equal(v[:5], arcs.v0[rows[:5]])
+
+    def test_rows_do_not_depend_on_the_batch(self):
+        """A row of a large batch equals the same query as a batch of
+        one, bit for bit."""
+        _, arcs = self.batch()
+        rows = rng.integers(0, len(arcs), 300)
+        times = rng.uniform(0.0, 30000.0, 300)
+        r, v, lowest = states_at(arcs, times, rows)
+        for i in range(0, 300, 7):
+            r1, v1, lowest1 = states_at(arcs, times[i:i + 1], rows[i:i + 1])
+            assert np.array_equal(r1[0], r[i])
+            assert np.array_equal(v1[0], v[i])
+            assert lowest1[0] == lowest[i]
 
     def test_from_arcs_round_trips(self):
         _, arcs = self.batch(5)
@@ -385,24 +433,34 @@ class TestArrayKernels:
     def test_swept_min_radius_matches_min_radius(self):
         states, arcs = self.batch()
         for i, s in enumerate(states):
-            arc = arc_from_state(s)
+            arc = ref.arc_from_state(s)
             n = mean_motion(arc.a)
             for t in rng.uniform(1.0, 3.0 * 2.0 * math.pi / n, 5):
-                E = solve_kepler(n * (float(t) - arc.tau), arc.e)
-                sweep = true_from_eccentric(E, arc.e) - arc.f0
-                r1n = float(np.linalg.norm(state_at(arc, float(t)).r))
+                E = ref.solve_kepler(n * (float(t) - arc.tau), arc.e)
+                sweep = ref.true_from_eccentric(E, arc.e) - arc.f0
+                r1n = float(np.linalg.norm(ref.state_at(arc, float(t)).r))
+                expected = ref.min_radius(arc, 0.0, float(t))
                 got = swept_min_radius(s.r, s.v, r1n, sweep)
-                assert_allclose(got, min_radius(arc, 0.0, float(t)),
-                                rtol=1e-9)
+                assert_allclose(got, expected, rtol=1e-9)
+                _, _, lowest = states_at(arcs, float(t), [i])
+                assert_allclose(lowest[0], expected, rtol=1e-9)
 
     def test_kepler_solve_near_parabolic(self):
-        """Rows whose Newton iterate strays finish on the scalar solver."""
+        """Rows whose Newton iterate strays finish on the bisection."""
         M = rng.uniform(-50.0, 50.0, 2000)
         e = rng.uniform(0.9, 0.999999, 2000)
-        E = _solve_kepler_array(M, e)
+        E = _solve_kepler(M, e)
         assert np.max(np.abs(E - e * np.sin(E) - M)) < 1e-12
-        expected = [solve_kepler(float(m), float(x)) for m, x in zip(M, e)]
+        expected = [ref.solve_kepler(float(m), float(x)) for m, x in zip(M, e)]
         assert_allclose(E, expected, rtol=0, atol=1e-6)
+
+    def test_kepler_solve_names_the_row_that_does_not_converge(
+            self, monkeypatch):
+        monkeypatch.setattr(kepler, "_KEPLER_TOL", 0.0)
+        with pytest.raises(ConvergenceError, match="M=2.5, e=0.3"):
+            _solve_kepler(np.array([2.5, 1.0]), np.array([0.3, 0.1]))
+        with pytest.raises(ConvergenceError):
+            solve_kepler(1.0, 0.1)
 
     def test_is_bound_matches_arc_from_state(self):
         r = np.tile([7000.0, 0.0, 0.0], (4, 1))

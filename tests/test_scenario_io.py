@@ -369,6 +369,22 @@ class TestLoadScenario:
         assert err.value.line == bad.splitlines().index(line) + 1
         assert str(err.value).split("] ", 1)[1].startswith(field)
 
+    @pytest.mark.parametrize("line", [
+        "mu_km3_s2 = nan", "mu_km3_s2 = inf", "mu_km3_s2 = -inf",
+        "mu_km3_s2 = 0", "floor_km = nan", "floor_km = inf",
+        "floor_km = -inf",
+    ])
+    def test_bad_top_number_of_twocars_file_reports_its_key_line(
+            self, tmp_path, line):
+        bad = TWOCARS_FILE.replace("name = cars\n", f"name = cars\n{line}\n")
+        path = tmp_path / "bad.cone"
+        path.write_text(bad)
+        with pytest.raises(ScenarioInvariantError) as err:
+            load_scenario(path)
+        assert err.value.line == bad.splitlines().index(line) + 1
+        field = "mu" if line.startswith("mu") else "floor_km"
+        assert str(err.value).split(": ", 1)[1].startswith(field)
+
     def test_window_before_vertex_reports_its_key_line(self, tmp_path):
         bad = MINIMAL_ORBITAL.replace("t_s = 0.0\nbudget_km_s = 0.01",
                                       "t_s = 250.0\nbudget_km_s = 0.01")
@@ -413,6 +429,26 @@ class TestSaveScenario:
         path = tmp_path / "rt.cone"
         save_scenario(scn, path)
         assert load_scenario(path) == scn
+
+    @pytest.mark.parametrize("field, value", [
+        ("mu", math.nan), ("mu", math.inf), ("mu", -math.inf), ("mu", 0.0),
+        ("floor_km", math.nan), ("floor_km", math.inf),
+        ("floor_km", -math.inf), ("floor_km", 0.0),
+    ])
+    def test_round_trip_twocars_top_numbers(self, tmp_path, field, value):
+        """Top-level numbers a planar scenario cannot round-trip are
+        refused; the rest come back equal."""
+        game = TwoCarsGame(pursuer=CarConfig(v=2.0, R=1.0),
+                           evader=CarConfig(v=1.0, R=1.0),
+                           horizon=40.0, headstart=6.3)
+        if field == "floor_km" and value == 0.0:
+            scn = Scenario(name="cars", twocars=game, floor_km=value)
+            path = tmp_path / "rt.cone"
+            save_scenario(scn, path)
+            assert load_scenario(path) == scn
+            return
+        with pytest.raises(ValueError, match=f"^{field} "):
+            Scenario(name="cars", twocars=game, **{field: value})
 
     def test_save_is_deterministic(self, tmp_path):
         scn = orbital_scenario()
@@ -541,6 +577,20 @@ class TestExportPoints:
             cells = line.split(",")
             expect = traj.state_at(float(t)).r
             assert [float(c) for c in cells[1:4]] == expect.tolist()
+        # the row at the shock epoch reads the post-shock arc
+        assert grid[2] == 500.0
+        assert ([float(c) for c in lines[2].split(",")[1:4]]
+                == traj.arcs[1].r0.r.tolist())
+
+    @pytest.mark.parametrize("t", [-1.0, 2000.5, math.nan])
+    def test_trajectory_export_outside_window_writes_nothing(self, tmp_path,
+                                                             t):
+        traj = propagate_schedule(leo_vertex(), ImpulsiveSchedule(
+            shocks=(), budget=0.0), t_end=2000.0)
+        path = tmp_path / "traj.csv"
+        with pytest.raises(ValueError, match="outside trajectory window"):
+            export_points(traj, path, times=[0.0, t, 1000.0])
+        assert not path.exists()
 
     def test_trajectory_export_needs_times(self, tmp_path):
         origin = leo_vertex()
