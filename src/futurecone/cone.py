@@ -303,12 +303,13 @@ def _required_dv(spec: ConeSpec, points: np.ndarray, times: np.ndarray,
             f"membership query at t={float(times[exc.row])}: {exc}",
             row=exc.row) from exc
     lowest = swept_min_radius(spec.vertex.r, sols.v_depart,
-                              np.linalg.norm(points, axis=1)[:, None],
+                              np.linalg.norm(points, axis=1)[sols.row],
                               sols.sweep, spec.mu)
-    admissible = sols.found & (lowest >= EARTH_RADIUS_KM + spec.floor)
-    cost = np.linalg.norm(sols.v_depart - spec.vertex.v, axis=-1)
-    required = np.where(admissible, cost, np.inf).min(axis=1)
-    return required, np.count_nonzero(sols.found, axis=1)
+    admissible = lowest >= EARTH_RADIUS_KM + spec.floor
+    cost = np.full((len(points), sols.revs.size), np.inf)
+    cost[sols.row[admissible], sols.slot[admissible]] = np.linalg.norm(
+        sols.v_depart[admissible] - spec.vertex.v, axis=-1)
+    return cost.min(axis=1), np.bincount(sols.row, minlength=len(points))
 
 
 def containment(interceptor: ConeSpec, target: ConeSpec,

@@ -2,24 +2,31 @@
 
 Given two positions and a transfer time, find the terminal velocities of
 every connecting bound ballistic arc, both transfer senses, zero through
-max_revs complete revolutions. Universal-variable formulation: the free
-parameter psi maps to a time of flight that is monotone on the zero-rev
-band and U-shaped on each multi-revolution band, so every solution is
-found by bracketed root-finding. Bound solutions correspond to psi > 0.
+max_revs complete revolutions. Izzo's formulation (Izzo, "Revisiting
+Lambert's problem", CMDA 121, 2015): with chord c and semiperimeter s,
+the geometry is one parameter lambda = sqrt(1 - c/s), negative for the
+long sense, and the time of flight a nondimensional T(x). Bound arcs
+have x in (-1, 1), where x^2 = 1 - s / (2a). With no complete
+revolution T falls from infinity at x = -1 to the parabolic time T1 at
+x = 1, so a zero-rev arc exists iff T > T1. With M revolutions T is
+U-shaped, infinite at both ends, and only T >= M*pi can reach its
+bottom T_min; a time above T_min has one arc on each side of it.
 
-One array kernel, lambert_batch, solves many boundary problems at once.
-Every row solves for psi on the zero-rev band, both senses together. On
-the revs-th band, the rows whose transfer time admits revs revolutions
-find the bottom of the U and then solve each side of it. Each solve is
-Newton's method on the analytic slope of the time of flight, kept
-inside a shrinking bracket by bisection; every element iterates until
-its own step is negligible, so a row's solution does not depend on the
-other rows of its batch. solve_lambert is the batch of one.
+One array kernel, lambert_batch, solves many boundary problems at once
+and returns only the arcs that exist. T_min is the root of dT/dx by
+Halley steps from x = 0, each arc a root of T(x) - T by Householder
+steps from Izzo's closed-form guess. Every search stays inside a bracket
+that each step shrinks, a step leaving it is replaced by the midpoint,
+and every element iterates until its own step is negligible, so a row's
+solution does not depend on the other rows of its batch. T(x) is
+Battin's hypergeometric series near the parabola and near zero transfer
+angle, where Lancaster's closed form cancels, and that form elsewhere.
+solve_lambert is the batch of one.
 
 Coincident endpoints (periodic self-transfer) are a separate closed-form
-branch: the universal-variable bands pinch off numerically there, but the
-solution family is elementary (any arc whose period divides the transfer
-time returns to its start).
+branch: lambda reaches +-1 there and the transfer plane is undefined,
+but the solution family is elementary (any arc whose period divides the
+transfer time returns to its start).
 """
 from __future__ import annotations
 
@@ -30,18 +37,26 @@ import numpy as np
 
 from .constants import MU_EARTH
 from .errors import AmbiguousPlane
-from .kepler import is_bound
+from .kepler import _cross, is_bound
 
-_FOUR_PI2 = 4.0 * math.pi**2
 _TWO_PI = 2.0 * math.pi
-_EDGE_INSET = 1e-9       # relative inset from band edges where tof blows up
-_ZERO_REV_LO = 1e-10     # psi just above the parabolic limit
 _PLANE_TOL = 1e-8        # rad, transfer angles this close to pi are ambiguous
 _COINCIDENT_REL = 1e-6   # |r1 - r0| below this fraction of |r0| is a self-transfer
-_TANGENT_TOL = 1e-9      # two roots this close on one band are one double root
-_STEP_TOL = 1e-13        # a psi step below this * (1 + |psi|) ends the search
-_NEWTON_MAX = 200        # cap on steps; bisection alone converges well before
-_CURVATURE_STEP = 1e-7   # relative psi step of the tof-slope difference quotient
+_X_TOL = 1e-13           # an x step below this ends a root search
+_MAX_STEPS = 64          # cap on steps; bisection alone converges well before
+_SERIES_S1 = 0.1         # Battin's series below this argument, Lancaster above
+
+
+def _series_coefficients(terms: int) -> tuple[float, ...]:
+    """Taylor coefficients of 4/3 * 2F1(3, 1; 5/2; z), Battin's Q(z)."""
+    c = [4.0 / 3.0]
+    for k in range(terms - 1):
+        c.append(c[-1] * (3.0 + k) / (2.5 + k))
+    return tuple(c)
+
+
+# 17 terms reach double precision for z below _SERIES_S1
+_SERIES = _series_coefficients(17)
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,174 +87,167 @@ class LambertSolution:
 
 @dataclass(frozen=True, eq=False)
 class LambertBatch:
-    """Connecting arcs of many boundary problems, one row each.
+    """Connecting arcs of many boundary problems, one entry per arc.
 
-    Every row has the same slots. Slot s holds the arc with revs[s]
+    Arcs are ordered by row, then slot. Slot s is the arc with revs[s]
     complete revolutions in transfer sense branch[s]: zero revolutions
-    short then long, then per revolution count short low-psi, short
-    high-psi, long low-psi, long high-psi. That is the order
-    solve_lambert lists solutions in.
+    short then long, then per revolution count short right, short left,
+    long right, long left, where the right arc has x above the bottom of
+    T and sweeps the less eccentric anomaly. That is the order
+    solve_lambert lists solutions in. A row holds an entry only for the
+    slots where a bound arc exists.
 
     Attributes:
-        v_depart: Velocity at r0, km/s, (n, slots, 3); zero where the
-            slot holds no arc.
-        v_arrive: Velocity at r1, km/s, (n, slots, 3); zero likewise.
-        found: Slots holding a bound arc, (n, slots).
-        sweep: True anomaly each slot's arc sweeps, rad, (n, slots).
+        row: Boundary problem of each arc, (k,).
+        slot: Slot of each arc, (k,).
+        v_depart: Velocity at r0, km/s, (k, 3).
+        v_arrive: Velocity at r1, km/s, (k, 3).
+        sweep: True anomaly each arc sweeps, rad, (k,).
         revs: Complete revolutions per slot, (slots,).
         branch: Transfer sense per slot, "short" or "long".
     """
 
+    row: np.ndarray
+    slot: np.ndarray
     v_depart: np.ndarray
     v_arrive: np.ndarray
-    found: np.ndarray
     sweep: np.ndarray
     revs: np.ndarray
     branch: tuple[str, ...]
 
 
-def _stumpff(psi) -> tuple[np.ndarray, ...]:
-    """Stumpff functions C2, C3 for psi > 0 and their slopes d/dpsi.
+def _norm(v) -> np.ndarray:
+    """Euclidean norm over the last axis."""
+    return np.sqrt(np.einsum("...i,...i->...", v, v))
 
-    Series near 0, half-angle form elsewhere to avoid cancellation.
+
+def _t_of_x(x, lam, one_minus_lam2, revs) -> tuple[np.ndarray, ...]:
+    """Nondimensional time of flight T(x) and its first three x-slopes.
+
+    Elementwise over x in (-1, 1). 1 - lambda^2 (= c/s) is passed in
+    rather than formed, which keeps it exact near zero transfer angle;
+    eta = y - lambda*x likewise uses (y - lambda*x)(y + lambda*x) =
+    1 - lambda^2 on the side where the difference cancels. The slopes
+    are Izzo's eq. (22).
     """
-    psi = np.asarray(psi, dtype=float)
-    sq = np.sqrt(psi)
-    c2 = 2.0 * np.sin(sq / 2.0) ** 2 / psi
-    c3 = (sq - np.sin(sq)) / (psi * sq)
-    dc2 = (1.0 - psi * c3 - 2.0 * c2) / (2.0 * psi)
-    dc3 = (c2 - 3.0 * c3) / (2.0 * psi)
-    small = psi <= 1e-6
-    if small.any():
-        c2 = np.where(small, 1.0 / 2.0 - psi / 24.0 + psi**2 / 720.0, c2)
-        c3 = np.where(small, 1.0 / 6.0 - psi / 120.0 + psi**2 / 5040.0, c3)
-        dc2 = np.where(small, -1.0 / 24.0 + psi / 360.0, dc2)
-        dc3 = np.where(small, -1.0 / 120.0 + psi / 2520.0, dc3)
-    return c2, c3, dc2, dc3
+    u2 = (1.0 - x) * (1.0 + x)
+    u = np.sqrt(u2)
+    lam_sq = lam * lam
+    y = np.sqrt(one_minus_lam2 + lam_sq * x * x)
+    lx = lam * x
+    eta = np.where(lx > 0.0, one_minus_lam2 / (y + lx), y - lx)
+    s1 = 0.5 * (1.0 - lam - x * eta)
+    q = _SERIES[-1]
+    for c in _SERIES[-2::-1]:
+        q = q * s1 + c
+    battin = 0.5 * eta * (eta * eta * q + 4.0 * lam)
+    psi = np.arctan2(u * eta, x * y + lam * u2)
+    lancaster = (psi / u - x + lam * y) / u2
+    T = (np.where(s1 < _SERIES_S1, battin, lancaster)
+         + revs * math.pi / (u2 * u))
+    lam3 = lam_sq * lam
+    y_sq = y * y
+    y3 = y_sq * y
+    dT = (3.0 * T * x - 2.0 + 2.0 * lam3 * x / y) / u2
+    ddT = (3.0 * T + 5.0 * x * dT + 2.0 * one_minus_lam2 * lam3 / y3) / u2
+    dddT = (7.0 * x * ddT + 8.0 * dT
+            - 6.0 * one_minus_lam2 * lam3 * lam_sq * x / (y3 * y_sq)) / u2
+    return T, dT, ddT, dddT
 
 
-def _tof(psi, r_sum, A, mu: float) -> tuple[np.ndarray, np.ndarray]:
-    """Time of flight at universal parameter psi and its slope d/dpsi.
+def _bracketed(step, x, lo, hi, *args) -> np.ndarray:
+    """Elementwise root search on (lo, hi), starting from x.
 
-    The slope is the Bate-Mueller-White derivative. Time is inf where
-    y < 0.
+    step(x, *args) gives the next iterate and whether the root lies
+    above x. An element stops after a step below _X_TOL; only the others
+    go on. For them x becomes the bracket's lower or upper end, and a
+    step that leaves the bracket (or is nan) is replaced by its midpoint.
     """
-    c2, c3, dc2, dc3 = _stumpff(psi)
-    y = r_sum + A * (psi * c3 - 1.0) / np.sqrt(c2)
-    chi = np.sqrt(y / c2)
-    chi3 = chi * chi * chi
-    sqrt_y = np.sqrt(y)
-    sqrt_mu = math.sqrt(mu)
-    tof = (chi3 * c3 + A * sqrt_y) / sqrt_mu
-    slope = (chi3 * (dc3 - 1.5 * c3 * dc2 / c2)
-             + A / 8.0 * (3.0 * c3 * sqrt_y / c2 + A / chi)) / sqrt_mu
-    return np.where((y < 0.0) | (c2 <= 0.0), np.inf, tof), slope
-
-
-def _band(revs: int) -> tuple[float, float]:
-    """psi bracket of the revs-th band, inset from its edges."""
-    lo = _FOUR_PI2 * revs**2
-    hi = _FOUR_PI2 * (revs + 1) ** 2
-    width = hi - lo
-    lo = lo + width * _EDGE_INSET if revs > 0 else _ZERO_REV_LO
-    return lo, hi - width * _EDGE_INSET
-
-
-def _newton(f_slope, lo, hi, rising) -> np.ndarray:
-    """Elementwise root of f in [lo, hi]: Newton, bisecting as needed.
-
-    f_slope(x) gives f and its slope; f changes sign on every bracket,
-    upward where rising is true. Each step shrinks the bracket, and a
-    Newton step that would leave it is replaced by the midpoint. An
-    element stops after a step below _STEP_TOL * (1 + |x|); the others
-    go on, so a row's root does not depend on its batch.
-    """
-    x = 0.5 * (lo + hi)
-    active = np.ones(x.shape, dtype=bool)
-    for _ in range(_NEWTON_MAX):
-        f, slope = f_slope(x)
-        up = (f < 0.0) == rising
-        lo = np.where(up, x, lo)
-        hi = np.where(up, hi, x)
-        step = x - f / slope
-        step = np.where((lo <= step) & (step <= hi), step, 0.5 * (lo + hi))
-        moving = np.abs(step - x) > _STEP_TOL * (1.0 + np.abs(x))
-        x = np.where(active, step, x)
-        active &= moving
-        if not active.any():
+    out = np.empty_like(x)
+    idx = np.arange(x.size)
+    x = np.where((lo < x) & (x < hi), x, 0.5 * (lo + hi))
+    for _ in range(_MAX_STEPS):
+        nxt, above = step(x, *args)
+        going = ~(np.abs(nxt - x) <= _X_TOL)
+        lo = np.where(above, x, lo)
+        hi = np.where(above, hi, x)
+        nxt = np.where(going & ~((lo < nxt) & (nxt < hi)), 0.5 * (lo + hi),
+                       nxt)
+        out[idx] = nxt
+        if not going.any():
             break
-    return x
+        if not going.all():
+            idx, nxt, lo, hi = idx[going], nxt[going], lo[going], hi[going]
+            args = tuple(a[going] for a in args)
+        x = nxt
+    return out
 
 
-def _match_time(r_sum, A, dt, lo, hi, rising, mu: float) -> np.ndarray:
-    """psi in [lo, hi] whose time of flight is dt, elementwise.
+def _halley_bottom(x, lam, one_minus_lam2, revs):
+    """Halley step towards the root of dT/dx, the bottom of T."""
+    _, d1, d2, d3 = _t_of_x(x, lam, one_minus_lam2, revs)
+    return x - d1 * d2 / (d2 * d2 - 0.5 * d1 * d3), d1 < 0.0
 
-    Newton on log(tof / dt), which stays near linear where the time of
-    flight blows up at a band edge.
+
+def _householder(x, lam, one_minus_lam2, revs, target, falling):
+    """Householder step towards T(x) = target; T falls in x if falling."""
+    T, d1, d2, d3 = _t_of_x(x, lam, one_minus_lam2, revs)
+    delta = T - target
+    d1sq = d1 * d1
+    step = (delta * (d1sq - 0.5 * delta * d2)
+            / (d1 * (d1sq - delta * d2) + d3 * delta * delta / 6.0))
+    return x - step, (delta > 0.0) == falling
+
+
+def _roots(lam, one_minus_lam2, T, max_revs: int):
+    """x of every bound arc whose time of flight is T, per row.
+
+    lam is the short-sense lambda of each row; the long sense negates
+    it. Returns (row, slot, x, sense) per arc, sense +1 short, -1 long.
     """
-    def err(x):
-        tof, slope = _tof(x, r_sum, A, mu)
-        return np.log(tof / dt), slope / tof
+    sense = np.array([1.0, -1.0])
+    # zero revolutions need T above the parabolic T1 = 2/3 (1 - lambda^3),
+    # factored for the short sense (lambda >= 0), where it cancels
+    lam_sq = lam * lam
+    t1 = (2.0 / 3.0) * np.stack(
+        [one_minus_lam2 * (1.0 + lam + lam_sq) / (1.0 + lam),
+         1.0 + lam * lam_sq], axis=1)
+    row, k = np.nonzero(T[:, None] > t1)
+    lam0, oml0, tt, t1 = (lam[row] * sense[k], one_minus_lam2[row], T[row],
+                          t1[row, k])
+    t0 = np.arctan2(np.sqrt(oml0), lam0) + lam0 * np.sqrt(oml0)  # T(x = 0)
+    slow = tt >= t0
+    guess = np.where(slow, t0 / tt, tt / t0) ** np.where(
+        slow, 2.0 / 3.0, math.log(2.0) / np.log(t1 / t0)) - 1.0
+    n = row.size
+    parts = [(row, k, k, np.zeros(n), guess, np.full(n, -1.0), np.ones(n),
+              np.ones(n, dtype=bool))]
 
-    return _newton(err, lo, hi, rising)
-
-
-def _zero_rev(r_sum, A, dt, mu: float) -> np.ndarray:
-    """psi on the zero-rev band per row and sense, (m, 2); nan if none.
-
-    The time of flight rises monotonically from the parabolic limit, so
-    a root exists iff dt lies strictly between the band's end values.
-    """
-    lo, hi = _band(0)
-    has = ((_tof(lo, r_sum, A, mu)[0] < dt)
-           & (_tof(hi, r_sum, A, mu)[0] > dt))
-    psi = np.full(A.shape, np.nan)
-    idx = np.nonzero(has)
-    if idx[0].size:
-        t = np.broadcast_to(dt, A.shape)[idx]
-        psi[idx] = _match_time(np.broadcast_to(r_sum, A.shape)[idx], A[idx],
-                               t, np.full(t.shape, lo), np.full(t.shape, hi),
-                               True, mu)
-    return psi
-
-
-def _multi_rev(r_sum, A, dt, mu: float, revs: int) -> np.ndarray:
-    """psi on the revs-th band per row and sense, (m, 2, 2) low/high.
-
-    The time of flight is U-shaped on the band: find its bottom (the
-    root of its slope, whose own slope is a difference quotient), then
-    solve each side that brackets dt. Two roots closer than
-    _TANGENT_TOL are one double root and keep only the low one.
-    """
-    lo, hi = _band(revs)
-
-    def slope_and_curvature(x):
-        step = _CURVATURE_STEP * (1.0 + x)
-        slope = _tof(x, r_sum, A, mu)[1]
-        return slope, (_tof(x + step, r_sum, A, mu)[1] - slope) / step
-
-    full = np.full(A.shape, lo), np.full(A.shape, hi)
-    psi_min = _newton(slope_and_curvature, *full, True)
-    e_min = _tof(psi_min, r_sum, A, mu)[0] - dt
-    e_lo = _tof(lo, r_sum, A, mu)[0] - dt
-    e_hi = _tof(hi, r_sum, A, mu)[0] - dt
-    has = np.stack([(e_lo * e_min <= 0.0), (e_min * e_hi <= 0.0)], axis=-1)
-    has &= (e_min <= 0.0)[..., None]
-
-    roots = np.full(has.shape, np.nan)
-    idx = np.nonzero(has)
-    if idx[0].size:
-        def pick(values):
-            return np.broadcast_to(values[..., None], has.shape)[idx]
-
-        bottom = pick(psi_min)
-        high = idx[-1] == 1
-        roots[idx] = _match_time(pick(r_sum), pick(A), pick(dt),
-                                 np.where(high, bottom, lo),
-                                 np.where(high, hi, bottom), high, mu)
-    has[..., 1] &= ~(has[..., 0]
-                     & (np.abs(roots[..., 1] - roots[..., 0]) < _TANGENT_TOL))
-    return np.where(has, roots, np.nan)
+    # M revolutions: rows with T >= M pi may reach T_min; one arc each side
+    revs = np.arange(1, max_revs + 1)
+    row, k, m = np.nonzero(np.broadcast_to(
+        (T[:, None] >= math.pi * revs)[:, None, :], (T.size, 2, max_revs)))
+    m = revs[m].astype(float)
+    if row.size:
+        args = (lam[row] * sense[k], one_minus_lam2[row], m)
+        bottom = _bracketed(_halley_bottom, np.zeros(row.size),
+                            np.full(row.size, -1.0), np.ones(row.size), *args)
+        reach = T[row] >= _t_of_x(bottom, *args)[0]
+        row, k, m, bottom = row[reach], k[reach], m[reach], bottom[reach]
+        n = row.size
+        tt = T[row]
+        left = ((m + 1.0) * math.pi / (8.0 * tt)) ** (2.0 / 3.0)
+        right = (8.0 * tt / (m * math.pi)) ** (2.0 / 3.0)
+        slot = (4 * m - 2 + 2 * k).astype(np.intp)
+        parts.append((row, k, slot, m, (right - 1.0) / (right + 1.0), bottom,
+                      np.ones(n), np.zeros(n, dtype=bool)))
+        parts.append((row, k, slot + 1, m, (left - 1.0) / (left + 1.0),
+                      np.full(n, -1.0), bottom, np.ones(n, dtype=bool)))
+    row, k, slot, m, guess, lo, hi, falling = (np.concatenate(c)
+                                               for c in zip(*parts))
+    x = _bracketed(_householder, guess, lo, hi, lam[row] * sense[k],
+                   one_minus_lam2[row], m, T[row], falling)
+    return row, slot, x, sense[k]
 
 
 def _slots(max_revs: int) -> tuple[np.ndarray, np.ndarray]:
@@ -255,20 +263,22 @@ def _self_transfer(r0, delta, r0n, dt, mu: float, max_revs: int):
     The connecting family is degenerate (any orbit plane through r0
     works), so the transfer plane is taken from the residual offset
     r1 - r0, which for propagated inputs points along the original
-    velocity. Both signs are returned, in the low-psi slot of each
-    sense; returns departure velocities (m, slots, 3) and found flags.
+    velocity. Both signs are returned, in the right slot of each sense;
+    returns (row, slot, velocity) lists of the bound arcs.
     """
-    direction = delta / np.linalg.norm(delta, axis=-1)[:, None]
-    v = np.zeros((len(dt), 2 + 4 * max_revs, 3))
-    found = np.zeros(v.shape[:2], dtype=bool)
+    direction = delta / _norm(delta)[:, None]
+    rows, slots, vs = [], [], []
     for revs in range(1, max_revs + 1):
         a = (mu * (dt / (_TWO_PI * revs)) ** 2) ** (1.0 / 3.0)
         vis = mu * (2.0 / r0n - 1.0 / a)  # <= 0: r0 outside any such orbit
         speed = np.sqrt(np.maximum(vis, 0.0))
         for sign, slot in ((1.0, 4 * revs - 2), (-1.0, 4 * revs)):
-            v[:, slot] = sign * speed[:, None] * direction
-            found[:, slot] = (vis > 0.0) & is_bound(r0, v[:, slot], mu)
-    return v, found
+            v = sign * speed[:, None] * direction
+            i = np.flatnonzero((vis > 0.0) & is_bound(r0, v, mu))
+            rows.append(i)
+            slots.append(np.full(i.size, slot))
+            vs.append(v[i])
+    return rows, slots, vs
 
 
 def lambert_batch(r0, r1, dt, mu: float = MU_EARTH,
@@ -294,8 +304,8 @@ def lambert_batch(r0, r1, dt, mu: float = MU_EARTH,
     r1 = np.asarray(r1, dtype=float).reshape(-1, 3)
     r0 = np.broadcast_to(np.asarray(r0, dtype=float), r1.shape)
     dt = np.broadcast_to(np.asarray(dt, dtype=float), r1.shape[:1])
-    r0n = np.linalg.norm(r0, axis=-1)
-    r1n = np.linalg.norm(r1, axis=-1)
+    r0n = _norm(r0)
+    r1n = _norm(r1)
     if not (np.all(r0n > 0.0) and np.all(r1n > 0.0)):
         raise ValueError("positions must have nonzero magnitude")
     if not np.all(dt > 0.0):
@@ -304,9 +314,9 @@ def lambert_batch(r0, r1, dt, mu: float = MU_EARTH,
     if max_revs < 0:
         raise ValueError(f"max_revs must be nonnegative, got {max_revs}")
 
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         delta = r1 - r0
-        chord = np.linalg.norm(delta, axis=-1)
+        chord = _norm(delta)
         coincident = chord <= _COINCIDENT_REL * r0n
         cos_dnu = np.clip(np.einsum("ij,ij->i", r0, r1) / (r0n * r1n),
                           -1.0, 1.0)
@@ -322,53 +332,59 @@ def lambert_batch(r0, r1, dt, mu: float = MU_EARTH,
                 f"transfer angle {float(dnu[i])!r} rad is within {_PLANE_TOL} "
                 "of pi; the transfer plane is undefined", row=i)
 
-        A = np.sqrt(r0n * r1n * (1.0 + cos_dnu))
-        r_sum = r0n + r1n
-        a_min = (r_sum + chord) / 4.0  # minimum-energy semimajor axis
-        t_rev = _TWO_PI * np.sqrt(a_min**3 / mu)
-        slot_revs, slot_sense = _slots(max_revs)
+        i0 = r0 / r0n[:, None]
+        i1 = r1 / r1n[:, None]
+        s = 0.5 * (r0n + r1n + chord)
+        root_r = np.sqrt(r0n * r1n)
+        lam = root_r * _norm(i0 + i1) / (2.0 * s)
+        T = np.sqrt(2.0 * mu / s**3) * dt
+        T[coincident] = 0.0  # no arc here: they take the closed form below
+        row, slot, x, sense = _roots(lam, chord / s, T, max_revs)
 
-        A2 = A[:, None] * slot_sense[:2]
-        psi = np.full((len(dt), slot_revs.size), np.nan)
-        psi[:, :2] = _zero_rev(r_sum[:, None], A2, dt[:, None], mu)
-        for revs in range(1, max_revs + 1):
-            # dt cannot fit revs revolutions on any bound arc below revs * t_rev
-            rows = np.flatnonzero(~coincident & (dt >= revs * t_rev))
-            if not rows.size:
-                break
-            psi[rows, 4 * revs - 2:4 * revs + 2] = _multi_rev(
-                r_sum[rows, None], A2[rows], dt[rows, None], mu,
-                revs).reshape(-1, 4)
-        psi[coincident] = np.nan
-
-        # velocity recovery from psi (Lagrange f, g, gdot)
-        found = ~np.isnan(psi)
-        psi = np.where(found, psi, 1.0)
-        c2, c3 = _stumpff(psi)[:2]
-        A_slot = A[:, None] * slot_sense
-        y = r_sum[:, None] + A_slot * (psi * c3 - 1.0) / np.sqrt(c2)
-        g = A_slot * np.sqrt(y / mu)
-        found &= (y > 0.0) & (g != 0.0)
-        g = np.where(found, g, 1.0)[..., None]
-        f = (1.0 - y / r0n[:, None])[..., None]
-        gdot = (1.0 - y / r1n[:, None])[..., None]
-        v_depart = (r1[:, None] - f * r0[:, None]) / g
-        v_arrive = (gdot * r1[:, None] - r0[:, None]) / g
-        found &= is_bound(r0[:, None], v_depart, mu)
+        # velocity recovery, Izzo's eq. (21): radial and transverse parts
+        normal = _cross(i0, i1)
+        normal /= _norm(normal)[:, None]
+        rho = ((r0n - r1n) / chord)[row]
+        sigma = (root_r * _norm(i1 - i0) / chord)[row]  # sqrt(1 - rho^2)
+        gamma = np.sqrt(0.5 * mu * s)[row]
+        lam = sense * lam[row]
+        oml2 = (chord / s)[row]
+        y = np.sqrt(oml2 + lam * lam * x * x)
+        lx = lam * x
+        y_plus = np.where(lx < 0.0, oml2 / (y - lx), y + lx)  # y + lambda x
+        ly = lam * y
+        vr0 = gamma * ((ly - x) - rho * (ly + x)) / r0n[row]
+        vr1 = -gamma * ((ly - x) + rho * (ly + x)) / r1n[row]
+        vt = sense * gamma * sigma * y_plus
+        v_depart = (vr0[:, None] * i0.take(row, axis=0)
+                    + (vt / r0n[row])[:, None]
+                    * _cross(normal, i0).take(row, axis=0))
+        v_arrive = (vr1[:, None] * i1.take(row, axis=0)
+                    + (vt / r1n[row])[:, None]
+                    * _cross(normal, i1).take(row, axis=0))
+        bound = is_bound(r0.take(row, axis=0), v_depart, mu)
+        rows, slots = [row[bound]], [slot[bound]]
+        departs, arrives = [v_depart[bound]], [v_arrive[bound]]
 
         if coincident.any():
             c = np.flatnonzero(coincident)
-            v_self, found[c] = _self_transfer(r0[c], delta[c], r0n[c], dt[c],
-                                              mu, max_revs)
-            v_depart[c] = v_self
-            v_arrive[c] = v_self
+            c_rows, c_slots, c_vs = _self_transfer(
+                r0[c], delta[c], r0n[c], dt[c], mu, max_revs)
+            rows += [c[i] for i in c_rows]
+            slots += c_slots
+            departs += c_vs
+            arrives += c_vs
 
-    keep = found[..., None]
-    sweep = (np.where(slot_sense > 0.0, dnu[:, None], _TWO_PI - dnu[:, None])
-             + _TWO_PI * slot_revs)
+    row = np.concatenate(rows)
+    slot = np.concatenate(slots)
+    order = np.lexsort((slot, row))
+    row, slot = row[order], slot[order]
+    slot_revs, slot_sense = _slots(max_revs)
+    sweep = (np.where(slot_sense[slot] > 0.0, dnu[row], _TWO_PI - dnu[row])
+             + _TWO_PI * slot_revs[slot])
     return LambertBatch(
-        v_depart=np.where(keep, v_depart, 0.0),
-        v_arrive=np.where(keep, v_arrive, 0.0), found=found, sweep=sweep,
+        row=row, slot=slot, v_depart=np.concatenate(departs)[order],
+        v_arrive=np.concatenate(arrives)[order], sweep=sweep,
         revs=slot_revs,
         branch=tuple("short" if s > 0.0 else "long" for s in slot_sense))
 
@@ -389,8 +405,8 @@ def solve_lambert(r0, r1, dt: float, mu: float = MU_EARTH,
     Returns:
         Bound solutions for 0..max_revs revolutions, both transfer senses
         where they exist, ordered by (revs, branch). Empty list when the
-        geometry and time admit no bound arc (dt below the parabolic
-        limit of both senses).
+        geometry and time admit no bound arc (dt at or below the
+        parabolic time of both senses).
 
     Raises:
         ValueError: zero-length position, nonpositive dt, negative max_revs.
@@ -402,7 +418,7 @@ def solve_lambert(r0, r1, dt: float, mu: float = MU_EARTH,
     if r1.shape != (3,):
         raise ValueError(f"r1 must have 3 components, got shape {r1.shape}")
     batch = lambert_batch(r0, r1, dt, mu, max_revs)
-    return [LambertSolution(v_depart=batch.v_depart[0, s],
-                            v_arrive=batch.v_arrive[0, s],
+    return [LambertSolution(v_depart=batch.v_depart[i],
+                            v_arrive=batch.v_arrive[i],
                             revs=batch.revs[s], branch=batch.branch[s])
-            for s in np.flatnonzero(batch.found[0])]
+            for i, s in enumerate(batch.slot)]

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from futurecone import (
     AmbiguousPlane,
@@ -14,36 +14,70 @@ from futurecone import (
     propagate_time,
     solve_lambert,
 )
+from futurecone.kepler import coast
 from futurecone.lambert import lambert_batch
+
+import lambert_reference
 
 rng = np.random.default_rng(1)
 
 
-def random_rotation() -> np.ndarray:
-    q, r = np.linalg.qr(rng.normal(size=(3, 3)))
+def random_rotation(gen=rng) -> np.ndarray:
+    q, r = np.linalg.qr(gen.normal(size=(3, 3)))
     q = q * np.sign(np.diag(r))
     if np.linalg.det(q) < 0.0:
         q[:, 0] = -q[:, 0]
     return q
 
 
-def random_bound_state(e_max: float = 0.8) -> StateVector:
-    a = rng.uniform(6900.0, 20000.0)
-    e = rng.uniform(0.0, e_max)
-    f = rng.uniform(-math.pi, math.pi)
+def random_bound_state(e_max: float = 0.8, gen=rng) -> StateVector:
+    a = gen.uniform(6900.0, 20000.0)
+    e = gen.uniform(0.0, e_max)
+    f = gen.uniform(-math.pi, math.pi)
     p = a * (1.0 - e * e)
     rn = p / (1.0 + e * math.cos(f))
-    rot = random_rotation()
+    rot = random_rotation(gen)
     r_pf = rn * np.array([math.cos(f), math.sin(f), 0.0])
     v_pf = math.sqrt(MU_EARTH / p) * np.array(
         [-math.sin(f), e + math.cos(f), 0.0])
     return StateVector(rot @ r_pf, rot @ v_pf, 0.0)
 
 
+def landing_miss(r0, v_depart, r1, dt) -> float:
+    """Relative arrival miss when re-propagating a departure velocity."""
+    s = propagate_time(StateVector(r0, v_depart, 0.0), dt)
+    return float(np.linalg.norm(s.r - r1) / np.linalg.norm(r1))
+
+
 def certify(sol, r0, r1, dt) -> float:
     """Relative arrival miss when re-propagating a solution."""
-    s = propagate_time(StateVector(r0, sol.v_depart, 0.0), dt)
-    return float(np.linalg.norm(s.r - r1) / np.linalg.norm(r1))
+    return landing_miss(r0, sol.v_depart, r1, dt)
+
+
+@pytest.fixture(scope="module")
+def random_problems():
+    """1500 random problems solved in one batch, with every arc's
+    relative miss when re-propagated.
+
+    Origins are bound states with e <= 0.5, transfer times 0.05 to 2.5
+    periods of the origin's orbit, up to two revolutions.
+    """
+    gen = np.random.default_rng(20)
+    r0, r1, dts = [], [], []
+    for _ in range(1500):
+        s0 = random_bound_state(e_max=0.5, gen=gen)
+        period = 2.0 * math.pi / mean_motion(arc_from_state(s0).a)
+        dt = float(gen.uniform(0.05, 2.5)) * period
+        r0.append(s0.r)
+        r1.append(propagate_time(s0, dt).r)
+        dts.append(dt)
+    r0, r1, dts = np.array(r0), np.array(r1), np.array(dts)
+    batch = lambert_batch(r0, r1, dts, max_revs=2)
+    # coast is the kernel propagate_time runs on one row
+    landed, _, _ = coast(r0[batch.row], batch.v_depart, 0.0, dts[batch.row])
+    miss = (np.linalg.norm(landed - r1[batch.row], axis=1)
+            / np.linalg.norm(r1[batch.row], axis=1))
+    return r0, r1, dts, batch, miss
 
 
 class TestCircularQuarterTransfer:
@@ -178,6 +212,28 @@ class TestEdges:
         with pytest.raises(ValueError):
             solve_lambert(r0, r1, 100.0, max_revs=-1)
 
+    def test_near_parabolic_arcs_exist(self):
+        """Just above the parabolic time (Lambert's theorem) every short
+        zero-rev arc exists, however close to parabolic; those not too
+        close land, where Kepler propagation is still well conditioned."""
+        gen = np.random.default_rng(8)
+        angle = gen.uniform(0.01, 1.0, 300)
+        r0 = np.array([7000.0, 0.0, 0.0])
+        r1 = gen.uniform(7000.0, 9000.0, 300)[:, None] * np.stack(
+            [np.cos(angle), np.sin(angle), np.zeros(300)], axis=1)
+        chord = np.linalg.norm(r1 - r0, axis=1)
+        s = 0.5 * (7000.0 + np.linalg.norm(r1, axis=1) + chord)
+        t_parabolic = (math.sqrt(2.0 / MU_EARTH) / 3.0
+                       * (s**1.5 - (s - chord) ** 1.5))
+        excess = 10.0 ** gen.uniform(-9.0, -3.0, 300)
+        dts = t_parabolic * (1.0 + excess)
+        batch = lambert_batch(r0, r1, dts, max_revs=0)
+        short = batch.slot == 0
+        assert_array_equal(batch.row[short], np.arange(300))
+        for i, v in zip(batch.row[short], batch.v_depart[short]):
+            if excess[i] >= 1e-4:
+                assert landing_miss(r0, v, r1[i], dts[i]) < 1e-8
+
     def test_bound_only(self):
         """Every solution implies e < 1."""
         for _ in range(20):
@@ -218,15 +274,16 @@ class TestBatch:
                               max_revs=2)
         for i in range(len(dts)):
             single = solve_lambert(r0[i], r1[i], dts[i], max_revs=2)
-            slots = np.flatnonzero(batch.found[i])
+            arcs = np.flatnonzero(batch.row == i)
             assert [(s.revs, s.branch) for s in single] == [
-                (batch.revs[k], batch.branch[k]) for k in slots]
-            for sol, k in zip(single, slots):
-                assert_allclose(sol.v_depart, batch.v_depart[i, k],
+                (batch.revs[k], batch.branch[k]) for k in batch.slot[arcs]]
+            for sol, j in zip(single, arcs):
+                assert_allclose(sol.v_depart, batch.v_depart[j],
                                 rtol=0, atol=1e-12)
-                assert_allclose(sol.v_arrive, batch.v_arrive[i, k],
+                assert_allclose(sol.v_arrive, batch.v_arrive[j],
                                 rtol=0, atol=1e-12)
-        assert batch.found[-1, 2:].any() and not batch.found[-1, :2].any()
+        self_slots = batch.slot[batch.row == len(dts) - 1]
+        assert self_slots.size and self_slots.min() >= 2
 
     def test_ambiguous_row_is_named(self):
         r0 = np.array([7000.0, 0.0, 0.0])
@@ -234,3 +291,46 @@ class TestBatch:
         with pytest.raises(AmbiguousPlane) as info:
             lambert_batch(r0, r1, 3000.0)
         assert info.value.row == 1
+
+
+class TestEverySlot:
+    def test_every_arc_lands(self, random_problems):
+        """Every returned arc, in every slot, re-propagates onto r1."""
+        _, _, _, batch, miss = random_problems
+        assert batch.row.size > 5000
+        assert set(batch.slot) == set(range(10))
+        assert miss.max() < 1e-8
+
+    def test_matches_reference_solver(self, random_problems):
+        """Same slots as the universal-variable solver, same arcs where
+        its own arc lands; where they differ, the new arc is the one
+        that lands."""
+        r0, r1, dts, batch, miss = random_problems
+        found, v_ref, _ = lambert_reference.lambert_dense(r0, r1, dts,
+                                                          max_revs=2)
+        rows, slots = np.nonzero(found)
+        assert_array_equal(batch.row, rows)
+        assert_array_equal(batch.slot, slots)
+        dv = np.linalg.norm(batch.v_depart - v_ref[rows, slots], axis=1)
+        for k in np.flatnonzero(dv > 1e-9):
+            i = rows[k]
+            ref_miss = landing_miss(r0[i], v_ref[i, slots[k]], r1[i], dts[i])
+            assert ref_miss > 1e-10
+            assert miss[k] < ref_miss
+
+    def test_long_branch_pairs_near_zero_angle(self):
+        """Multi-rev pairs at a 1 degree transfer angle. On the long
+        branch lambda is near -0.99 and a first Halley step from x = 0
+        towards the one-rev bottom of T lands outside (-1, 1)."""
+        rn = 7000.0
+        angle = math.radians(1.0)
+        r0 = np.array([rn, 0.0, 0.0])
+        r1 = rn * np.array([math.cos(angle), math.sin(angle), 0.0])
+        dt = 2.5 * 2.0 * math.pi / mean_motion(rn)
+        sols = solve_lambert(r0, r1, dt, max_revs=2)
+        assert [(s.revs, s.branch) for s in sols] == [
+            (0, "short"), (0, "long")] + [
+            (revs, branch) for revs in (1, 2)
+            for branch in ("short", "short", "long", "long")]
+        for sol in sols:
+            assert certify(sol, r0, r1, dt) < 1e-8
