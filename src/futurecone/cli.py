@@ -87,8 +87,7 @@ def cmd_propagate(scenario: Scenario, args: argparse.Namespace) -> int:
     """
     _require_kind(scenario, "orbital", "propagate")
     sampling = _resolve_sampling(scenario, args)
-    budget = float(sum(np.linalg.norm(shock.dv)
-                       for shock in scenario.shocks))
+    budget = float(sum(shock.magnitude for shock in scenario.shocks))
     schedule = ImpulsiveSchedule(shocks=scenario.shocks, budget=budget)
     target = scenario.target
     trajectory = propagate_schedule(target.vertex, schedule,

@@ -488,7 +488,7 @@ def states_at(arcs: ArcBatch, t, rows=None):
 def coast(r, v, t, t_end, mu: float = MU_EARTH):
     """States (n, 3) flown on their own arcs from epochs t to t_end: the
     (r, v, lowest) of states_at(arcs_from_states(r, v, t, mu), t_end)
-    without building the batch, the step of a shock chain."""
+    without building the batch, the step of propagate_time."""
     return _fly(*_arc_fields(r, v, t, mu), t_end, mu)
 
 

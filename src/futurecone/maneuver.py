@@ -11,12 +11,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
 from .constants import DEFAULT_FLOOR_KM, EARTH_RADIUS_KM, G0_KM_S2, MU_EARTH
 from .errors import (
+    EccentricityOutOfRange,
     FutureConeError,
     SurfaceViolation,
     UnboundResult,
@@ -25,9 +27,9 @@ from .errors import (
 from .kepler import (
     ArcBatch,
     StateVector,
+    _arc_fields,
     _as_vec3,
-    arcs_from_states,
-    coast,
+    _fly,
     is_bound,
     states_at,
 )
@@ -61,7 +63,7 @@ class ShockEvent:
             return NotImplemented
         return self.t == other.t and np.array_equal(self.dv, other.dv)
 
-    @property
+    @cached_property
     def magnitude(self) -> float:
         return float(np.linalg.norm(self.dv))
 
@@ -112,7 +114,7 @@ class ImpulsiveSchedule:
                 f"schedule spends {self.total_dv!r} km/s, over the "
                 f"{self.budget!r} km/s budget")
 
-    @property
+    @cached_property
     def total_dv(self) -> float:
         return float(sum(s.magnitude for s in self.shocks))
 
@@ -251,19 +253,31 @@ def apply_shock(s: StateVector, dv, mu: float = MU_EARTH,
         UnboundResult: post-shock orbit is not a bound ellipse.
         SurfaceViolation: the state sits below the altitude floor.
     """
-    dv = np.asarray(dv, dtype=float)
-    post = StateVector(r=s.r, v=s.v + dv, t=s.t)
-    floor_radius = EARTH_RADIUS_KM + floor
-    rn = float(np.linalg.norm(post.r))
+    post = StateVector(r=s.r, v=s.v + np.asarray(dv, dtype=float), t=s.t)
+    _shocked_arc(post.r[None], post.v[None], post.t, mu,
+                 EARTH_RADIUS_KM + floor)
+    return post
+
+
+def _shocked_arc(r, v, t: float, mu: float, floor_radius: float):
+    """apply_shock's floor and bound checks on one post-shock state row,
+    returning the fields of the arc the shock starts: one vis-viva pass
+    (kepler._arc_fields) is the bound check and the next segment's conic.
+    A bound row whose e rounds to 1 gives None, for its segment to refuse.
+    """
+    rn = float(np.linalg.norm(r))
     if rn < floor_radius:
         raise SurfaceViolation(
             f"state radius {rn!r} km is below the floor radius "
             f"{floor_radius!r} km")
-    if not is_bound(post.r, post.v, mu):
-        raise UnboundResult(
-            f"post-shock state is unbound or rectilinear: |v| = "
-            f"{float(np.linalg.norm(post.v))!r} km/s at r = {rn!r} km")
-    return post
+    try:
+        return _arc_fields(r, v, t, mu)
+    except EccentricityOutOfRange:
+        if is_bound(r, v, mu)[0]:
+            return None
+    raise UnboundResult(
+        f"post-shock state is unbound or rectilinear: |v| = "
+        f"{float(np.linalg.norm(v))!r} km/s at r = {rn!r} km")
 
 
 def propagate_schedule(origin: StateVector, sched: ImpulsiveSchedule,
@@ -273,7 +287,8 @@ def propagate_schedule(origin: StateVector, sched: ImpulsiveSchedule,
 
     Coasts on Lagrange-coefficient arcs between shock epochs, applies each
     shock in turn, and coasts to t_end. Every ballistic segment is checked
-    against the altitude floor at its lowest in-window point.
+    against the altitude floor at its lowest in-window point. Each
+    segment's conic is derived once and kept as its row of the trajectory.
 
     Args:
         origin: State at the start of the window.
@@ -304,33 +319,36 @@ def propagate_schedule(origin: StateVector, sched: ImpulsiveSchedule,
         raise ValueError(f"t_end={t_end} precedes the origin epoch {origin.t}")
 
     floor_radius = EARTH_RADIUS_KM + floor
-    starts: list[StateVector] = []
-    current = origin
+    flown: list[tuple] = []  # the arc fields of each segment
 
-    def segment(state: StateVector, until: float, label: str) -> StateVector:
+    def segment(r, v, t: float, arc, until: float, label: str):
         try:
-            r, v, lowest = coast(state.r[None], state.v[None], state.t, until,
-                                 mu)
+            if arc is None:
+                arc = _arc_fields(r, v, t, mu)
+            r, v, lowest = _fly(*arc, until, mu)
             if lowest[0] < floor_radius:
                 raise SurfaceViolation(
                     f"segment dips to radius {float(lowest[0])!r} km, below "
                     f"the floor radius {floor_radius!r} km")
         except FutureConeError as exc:
             raise type(exc)(f"{label}: {exc}") from exc
-        starts.append(state)
-        return StateVector(r[0], v[0], until)
+        flown.append(arc)
+        return r, v
 
+    # the chain as one state row; arc is None until a conic is derived
+    r, v, t, arc = origin.r[None], origin.v[None], origin.t, None
     for i, shock in enumerate(sched.shocks):
-        if shock.t > current.t:
-            current = segment(current, shock.t, f"segment before shock {i}")
+        if shock.t > t:
+            r, v = segment(r, v, t, arc, shock.t, f"segment before shock {i}")
+        t, v = shock.t, v + shock.dv
         try:
-            current = apply_shock(current, shock.dv, mu, floor)
+            arc = _shocked_arc(r, v, t, mu, floor_radius)
         except FutureConeError as exc:
             raise type(exc)(f"shock {i}: {exc}") from exc
-    segment(current, t_end, "final segment")
-    # the arcs the segments flew, row by row the same numbers in one batch
-    arcs = arcs_from_states([s.r for s in starts], [s.v for s in starts],
-                            [s.t for s in starts], mu)
+    segment(r, v, t, arc, t_end, "final segment")
+    r0, v0, t0, *elements = zip(*flown)
+    arcs = ArcBatch(np.concatenate(r0), np.concatenate(v0), t0,
+                    *map(np.concatenate, elements), mu=mu)
     return ImpulsiveTrajectory(arcs=arcs, t_end=t_end, schedule=sched,
                                origin=origin)
 
@@ -456,9 +474,8 @@ def shock_approximation(profile: ThrustProfile, n: int) -> ImpulsiveSchedule:
     for weight, at_node in zip(_GAUSS_WEIGHTS, accel):
         dv += weight * at_node
     dv *= half[:, None]
-    shocks = [ShockEvent(t=t, dv=row)
-              for t, row in zip(mid, dv)
-              if float(np.linalg.norm(row)) > 0.0]
+    shocks = [shock for shock in map(ShockEvent, mid, dv)
+              if shock.magnitude > 0.0]
     total = float(sum(s.magnitude for s in shocks))
     return ImpulsiveSchedule(shocks=tuple(shocks), budget=total)
 

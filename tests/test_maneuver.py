@@ -25,9 +25,16 @@ from futurecone import (
     solve_lambert,
     state_at,
 )
-from futurecone import maneuver
-from futurecone.errors import WorkCapExceeded
+from futurecone import kepler, maneuver
+from futurecone.errors import (
+    EccentricityOutOfRange,
+    FutureConeError,
+    WorkCapExceeded,
+)
+from futurecone.kepler import ArcBatch
 from futurecone.maneuver import ImpulsiveTrajectory
+
+import maneuver_reference as ref
 
 rng = np.random.default_rng(7)
 
@@ -251,6 +258,128 @@ class TestPropagateSchedule:
                                 origin=traj.origin)
 
 
+def random_chain(gen: np.random.Generator):
+    """Origin, schedule and end of a random chain from a near-circular
+    orbit: a few kicks of tens of m/s, or a finite burn as 8-64 shocks."""
+    radius = float(gen.uniform(6900.0, 7400.0))
+    speed = math.sqrt(MU_EARTH / radius) * float(gen.uniform(0.98, 1.02))
+    spin = random_rotation(gen)
+    origin = StateVector(spin @ [radius, 0.0, 0.0], spin @ [0.0, speed, 0.0],
+                         float(gen.uniform(-100.0, 100.0)))
+    period = 2.0 * math.pi * radius / speed
+    t_end = origin.t + float(gen.uniform(0.1, 0.6)) * period
+    if gen.random() < 0.5:
+        times = np.sort(gen.uniform(origin.t, t_end, int(gen.integers(1, 9))))
+        dvs = gen.normal(0.0, 0.02, (len(times), 3))
+        events = tuple(map(ShockEvent, times.tolist(), dvs))
+        return origin, ImpulsiveSchedule(events, budget=1.0), t_end
+    axis = spin @ gen.normal(size=3)
+    profile = ThrustProfile(
+        lambda t: 3e-6 * math.sin((t - origin.t) / 300.0) * axis,
+        (origin.t, t_end))
+    sched = shock_approximation(profile, int(gen.integers(8, 65)))
+    return origin, sched, t_end
+
+
+def random_rotation(gen: np.random.Generator) -> np.ndarray:
+    q, _ = np.linalg.qr(gen.normal(size=(3, 3)))
+    return q
+
+
+def assert_same_chain(got: ImpulsiveTrajectory, want: ImpulsiveTrajectory):
+    """Every arc field and 1000 exported states equal to the bit."""
+    for field in ArcBatch.__dataclass_fields__:
+        a, b = getattr(got.arcs, field), getattr(want.arcs, field)
+        assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), field
+    times = np.linspace(want.arcs.t0[0], want.t_end, 1000)
+    for a, b in zip(got.states(times), want.states(times)):
+        assert a.tobytes() == b.tobytes()
+
+
+def chain_error(propagate, origin, sched, t_end):
+    with pytest.raises(FutureConeError) as info:
+        propagate(origin, sched, t_end)
+    return info.value
+
+
+class TestChainAgainstReference:
+    """propagate_schedule against the chain loop of maneuver_reference."""
+
+    def test_random_chains_bit_identical(self):
+        gen = np.random.default_rng(2026)
+        for _ in range(30):
+            origin, sched, t_end = random_chain(gen)
+            assert_same_chain(propagate_schedule(origin, sched, t_end),
+                              ref.propagate_schedule(origin, sched, t_end))
+
+    @pytest.mark.parametrize("times", [(), (0.0,), (700.0,)],
+                             ids=["empty", "shock_at_origin", "single_shock"])
+    def test_short_schedules_bit_identical(self, times):
+        s = circular_state()
+        events = tuple(ShockEvent(t, [0.01, -0.02, 0.005]) for t in times)
+        sched = ImpulsiveSchedule(events, budget=0.05)
+        assert_same_chain(propagate_schedule(s, sched, 2500.0),
+                          ref.propagate_schedule(s, sched, 2500.0))
+
+
+LOW = StateVector([6400.0, 0.0, 0.0], [0.0, math.sqrt(MU_EARTH / 6400.0), 0.0],
+                  0.0)
+ESCAPING = StateVector([RN, 0.0, 0.0], [0.0, 1.05 * math.sqrt(2.0) * VC, 0.0],
+                       0.0)
+
+
+class TestChainErrors:
+    """Each refusal names the shock or segment that caused it."""
+
+    @pytest.mark.parametrize("origin, events, t_end, kind, label", [
+        (LOW, ((0.0, [0.0, 0.0, 0.0]),), 600.0, SurfaceViolation,
+         "shock 0: state radius"),
+        (circular_state(), ((100.0, [0.0, 0.01, 0.0]),
+                            (500.0, [0.0, 0.0, 20.0])), 900.0,
+         UnboundResult, "shock 1: post-shock state is unbound"),
+        (circular_state(), ((100.0, [0.0, -0.9, 0.0]),
+                            (4000.0, [0.0, 0.01, 0.0])), 6000.0,
+         SurfaceViolation, "segment before shock 1: segment dips"),
+        (circular_state(), ((100.0, [0.0, -0.9, 0.0]),), 6000.0,
+         SurfaceViolation, "final segment: segment dips"),
+        (ESCAPING, ((100.0, [0.0, 0.01, 0.0]),), 600.0,
+         EccentricityOutOfRange, "segment before shock 0: state 0 is unbound"),
+        # bound, but so nearly radial that e rounds to 1: the shock passes
+        # and the segment after it cannot fly the arc
+        (circular_state(), ((0.0, [0.1, 1e-9 - VC, 0.0]),), 600.0,
+         EccentricityOutOfRange, "final segment: state 0 is unbound"),
+    ], ids=["below_floor_at_shock", "escape_kick", "dip_before_shock",
+            "dip_in_final_segment", "unbound_origin", "radial_after_shock"])
+    def test_labels_match_reference(self, origin, events, t_end, kind, label):
+        sched = ImpulsiveSchedule(tuple(ShockEvent(t, dv) for t, dv in events),
+                                  budget=25.0)
+        got = chain_error(propagate_schedule, origin, sched, t_end)
+        want = chain_error(ref.propagate_schedule, origin, sched, t_end)
+        assert type(got) is kind and str(got).startswith(label)
+        assert (type(got), str(got)) == (type(want), str(want))
+
+
+def test_one_conic_pass_per_segment(monkeypatch):
+    """A 256-shock chain derives each segment's conic once, the shock's
+    bound check included: one vis-viva pass per arc, not two."""
+    period = 2.0 * math.pi / mean_motion(RN)
+    profile = ThrustProfile(
+        lambda t: 3e-6 * np.array([-math.sin(t / period), math.cos(t / period),
+                                   0.1]), (0.0, 0.25 * period))
+    sched = shock_approximation(profile, 256)
+    passes = []
+    pass_once = kepler._energy_and_parameter
+
+    def counted(*args):
+        passes.append(1)
+        return pass_once(*args)
+
+    monkeypatch.setattr(kepler, "_energy_and_parameter", counted)
+    traj = propagate_schedule(circular_state(), sched, 0.25 * period)
+    assert len(traj.arcs) == 257
+    assert len(passes) <= len(traj.arcs)
+
+
 class TestIntegrateThrust:
     def test_zero_thrust_matches_ballistic(self):
         s = circular_state()
@@ -355,3 +484,32 @@ class TestShockApproximation:
             gaps.append(float(np.linalg.norm(end.r - end_true.r)))
         assert gaps[1] < gaps[0]
         assert gaps[2] < gaps[1]
+
+    def test_rows_whose_norm_underflows_are_dropped(self):
+        """A sub-interval's shock is kept iff its magnitude is above 0."""
+        profile = ThrustProfile(
+            lambda t: np.array([1e-5 if t < 50.0 else 1e-300, 0.0, 0.0]),
+            (0.0, 100.0))
+        sched = shock_approximation(profile, 4)
+        assert [shock.t for shock in sched.shocks] == [12.5, 37.5]
+        tiny = ThrustProfile(lambda t: np.full(3, 1e-300), (0.0, 100.0))
+        assert shock_approximation(tiny, 4).shocks == ()
+
+    def test_each_magnitude_computed_once(self, monkeypatch):
+        """The zero-impulse filter, the budget and total_dv share one
+        norm per sub-interval."""
+        norms = []
+        norm = np.linalg.norm
+
+        def counted(*args, **kwargs):
+            norms.append(1)
+            return norm(*args, **kwargs)
+
+        profile = ThrustProfile(
+            lambda t: np.array([1e-5 * math.sin(t / 30.0), 1e-5, 0.0]),
+            (0.0, 300.0))
+        monkeypatch.setattr(np.linalg, "norm", counted)
+        sched = shock_approximation(profile, 256)
+        total = sched.total_dv
+        assert sched.total_dv == total == sched.budget
+        assert len(norms) == len(sched.shocks) == 256
