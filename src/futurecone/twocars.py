@@ -197,9 +197,10 @@ class CarPath:
 
     Attributes:
         cfg: Car that drove the path.
-        times: Sample epochs, s, strictly increasing, shape (n,).
-        states: Pose samples (x, y, theta), shape (n, 3). Heading is
-            continuous (not reduced mod 2*pi).
+        times: Sample epochs, s, finite and strictly increasing, shape
+            (n,).
+        states: Finite pose samples (x, y, theta), shape (n, 3). Heading
+            is continuous (not reduced mod 2*pi).
     """
 
     cfg: CarConfig
@@ -215,8 +216,14 @@ class CarPath:
                 f"and {states.shape}")
         if times.size < 1:
             raise ValueError("a path needs at least one sample")
-        if np.any(np.diff(times) <= 0.0):
-            raise ValueError("sample epochs must be strictly increasing")
+        # nan fails every comparison, so this also refuses nan epochs;
+        # increasing epochs are all finite once both ends are
+        if not (np.all(np.diff(times) > 0.0) and math.isfinite(times[0])
+                and math.isfinite(times[-1])):
+            raise ValueError(
+                "sample epochs must be finite and strictly increasing")
+        if not np.all(np.isfinite(states)):
+            raise ValueError("pose samples must be finite")
         times.setflags(write=False)
         states.setflags(write=False)
         object.__setattr__(self, "times", times)
@@ -244,7 +251,8 @@ class CarPath:
         return CarState(float(x), float(y), float(theta), float(self.times[-1]))
 
 
-def _arc_poses(v: float, start: tuple[float, float, float],
+def _arc_poses(v: float | np.ndarray,
+               start: tuple[float, float, float] | np.ndarray,
                rates: np.ndarray, durations: np.ndarray) -> np.ndarray:
     """Poses along constant-rate segments by exact arc composition.
 
@@ -255,8 +263,8 @@ def _arc_poses(v: float, start: tuple[float, float, float],
     pose segment by segment, in order.
 
     Args:
-        v: Speed, m/s.
-        start: Start pose (x0, y0, theta0).
+        v: Speed, m/s, broadcasting against rates.
+        start: Start pose (x0, y0, theta0), or start poses (..., 3).
         rates: Turn rates, rad/s, segments along the last axis.
         durations: Segment durations, s, broadcasting against rates.
 
@@ -269,16 +277,17 @@ def _arc_poses(v: float, start: tuple[float, float, float],
     with np.errstate(divide="ignore", invalid="ignore"):
         chord = np.where(np.abs(turn) < _TINY_TURN, v * durations,
                          2.0 * (v / rates) * np.sin(half))
-
-    def accumulate(origin: float, steps: np.ndarray) -> np.ndarray:
-        head = np.full(steps.shape[:-1] + (1,), origin)
-        return np.cumsum(np.concatenate([head, steps], axis=-1), axis=-1)
-
-    theta = accumulate(start[2], turn)
+    poses = np.empty(chord.shape[:-1] + (chord.shape[-1] + 1, 3))
+    poses[..., 0, :] = start
+    x, y, theta = np.moveaxis(poses, -1, 0)
+    theta[..., 1:] = turn
+    np.cumsum(theta, axis=-1, out=theta)
     mid = theta[..., :-1] + half
-    x = accumulate(start[0], chord * np.sin(mid))
-    y = accumulate(start[1], chord * np.cos(mid))
-    return np.stack([x, y, theta], axis=-1)
+    np.multiply(chord, np.sin(mid), out=x[..., 1:])
+    np.cumsum(x, axis=-1, out=x)
+    np.multiply(chord, np.cos(mid), out=y[..., 1:])
+    np.cumsum(y, axis=-1, out=y)
+    return poses
 
 
 def _sample_count(ratio: float, what: str) -> int:
@@ -355,28 +364,46 @@ def path_accelerations(path: CarPath) -> np.ndarray:
     return (vel[2:] - vel[:-2]) / dt[:, None]
 
 
-def _family_endpoints(cfg: CarConfig, theta0: float, tau: float,
-                      n_random: int, rng: np.random.Generator) -> np.ndarray:
-    """Endpoint offsets, shape (m, 2), of controls spanning the
-    admissible set over tau from initial heading theta0.
+# Unit rates and duration fractions, each (31, 3), of the deterministic
+# extremals: straight, both constant saturated turns, and saturated
+# bang-bang pairs switching at a fan of fractions (these trace the
+# attainable boundary). Each entry is 0, +-1, frac or 1 - frac, so a
+# scaled entry is the one rounding of u_max * rate or tau * fraction.
+_FRACTIONS = np.linspace(0.125, 0.875, 7)
+_EXTREMAL_RATES = np.array(
+    [[0.0, 0.0, 0.0], [1.0, 1.0, 1.0], [-1.0, -1.0, -1.0]]
+    + [[first, second, 0.0] for _ in _FRACTIONS for first in (1.0, -1.0)
+       for second in (-first, 0.0)])
+_EXTREMAL_DURATIONS = np.array(
+    [[1.0, 0.0, 0.0]] * 3
+    + [[frac, 1.0 - frac, 0.0] for frac in _FRACTIONS for _ in range(4)])
+_EXTREMAL_RATES.setflags(write=False)
+_EXTREMAL_DURATIONS.setflags(write=False)
 
-    Deterministic extremals come first: straight, both constant
-    saturated turns, and saturated bang-bang pairs switching at a fan
-    of fractions (these trace the attainable boundary). Random draws
-    are three-segment laws, half with saturated rates and half with
-    rates uniform in the admissible interval.
+
+def _check_draw_count(n: int, name: str) -> None:
+    """Refuse a negative count of random control draws, and one above
+    _MAX_SAMPLES before any array of that length exists."""
+    if n < 0:
+        raise ValueError(f"{name} must be nonnegative, got {n}")
+    if n > _MAX_SAMPLES:
+        raise WorkCapExceeded(
+            f"{name} = {n} random controls, more than the cap of "
+            f"{_MAX_SAMPLES}")
+
+
+def _control_family(u_max: float, tau: float, n_random: int,
+                    rng: np.random.Generator
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """Rates and durations, each (31 + n_random, 3), of three-segment
+    controls spanning the admissible set over tau.
+
+    The extremals come first. Random draws are three-segment laws, half
+    with saturated rates and half with rates uniform in the admissible
+    interval.
     """
-    u_max = cfg.admissible_rate
-    fractions = np.linspace(0.125, 0.875, 7)
-    rates = [[0.0, 0.0, 0.0], [u_max, u_max, u_max], [-u_max, -u_max, -u_max]]
-    durations = [[tau, 0.0, 0.0]] * 3
-    for frac in fractions:
-        for first in (u_max, -u_max):
-            for second in (-first, 0.0):
-                rates.append([first, second, 0.0])
-                durations.append([frac * tau, (1.0 - frac) * tau, 0.0])
-    rates = np.array(rates)
-    durations = np.array(durations)
+    rates = u_max * _EXTREMAL_RATES
+    durations = tau * _EXTREMAL_DURATIONS
     if n_random > 0:
         cuts = np.sort(rng.uniform(0.0, 1.0, (n_random, 2)), axis=1)
         random_dur = tau * np.column_stack(
@@ -386,7 +413,7 @@ def _family_endpoints(cfg: CarConfig, theta0: float, tau: float,
         random_rates[:half] = u_max * rng.choice([-1.0, 1.0], (half, 3))
         rates = np.vstack([rates, random_rates])
         durations = np.vstack([durations, random_dur])
-    return _arc_poses(cfg.v, (0.0, 0.0, theta0), rates, durations)[:, -1, :2]
+    return rates, durations
 
 
 @dataclass(frozen=True, eq=False)
@@ -446,16 +473,17 @@ def reachable_set(cfg: CarConfig, s0: CarState, t: float,
 
     Raises:
         ValueError: nonpositive t, resolution, or n_controls < 0.
+        WorkCapExceeded: n_controls above _MAX_SAMPLES.
     """
     if not (t > 0.0 and math.isfinite(t)):
         raise ValueError(f"elapsed time must be positive and finite, got {t}")
     if resolution < 1:
         raise ValueError(f"resolution must be at least 1, got {resolution}")
-    if n_controls < 0:
-        raise ValueError(f"n_controls must be nonnegative, got {n_controls}")
-    rng = np.random.default_rng(seed)
-    endpoints = s0.position + _family_endpoints(cfg, s0.theta, t, n_controls,
-                                                rng)
+    _check_draw_count(n_controls, "n_controls")
+    rates, durations = _control_family(cfg.admissible_rate, t, n_controls,
+                                       np.random.default_rng(seed))
+    endpoints = s0.position + _arc_poses(
+        cfg.v, (0.0, 0.0, s0.theta), rates, durations)[:, -1, :2]
     half = cfg.v * t
     cell = 2.0 * half / resolution
     idx = np.floor((endpoints - (s0.position - half)) / cell).astype(int)
@@ -612,6 +640,7 @@ def explicit_policy_pursuit(pursuer: CarConfig, evader: CarConfig,
     # a pursuer already on the track start gets no segments at all
     rates, durations = np.array(segments).reshape(-1, 2).T
     edges = np.concatenate([[0.0], np.cumsum(durations)])
+    corners = _arc_poses(pursuer.v, (p0.x, p0.y, p0.theta), rates, durations)
     t_acq = p0.t + float(edges[-1])
 
     # sample finely enough that the separation cannot step across the
@@ -623,11 +652,16 @@ def explicit_policy_pursuit(pursuer: CarConfig, evader: CarConfig,
     times = p0.t + (track_end - p0.t) * np.arange(n + 1) / n
     states = np.empty((n + 1, 3))
     n_approach = int(np.searchsorted(times, t_acq, side="right"))
-    # each approach sample drives every segment for its own clipped time
-    elapsed = times[:n_approach, None] - p0.t
-    states[:n_approach] = _arc_poses(
-        pursuer.v, (p0.x, p0.y, p0.theta), rates,
-        np.clip(elapsed - edges[:-1], 0.0, durations))[:, -1]
+    if segments:
+        # each approach sample flies one arc from the corner where its
+        # segment starts; every segment before it was flown in full
+        elapsed = times[:n_approach] - p0.t
+        seg = np.searchsorted(edges[1:-1], elapsed)
+        states[:n_approach] = _arc_poses(
+            pursuer.v, corners[seg], rates[seg, None],
+            np.clip(elapsed - edges[seg], 0.0, durations[seg])[:, None])[:, -1]
+    else:
+        states[:n_approach] = corners[0]
     # follow the track: arc length v1*(t - t_acq) into a track recorded
     # at speed v2 lands at evader epoch u
     u = track_t0 + (pursuer.v / evader.v) * (times[n_approach:] - t_acq)
@@ -635,13 +669,26 @@ def explicit_policy_pursuit(pursuer: CarConfig, evader: CarConfig,
         states[n_approach:, col] = np.interp(u, evader_path.times,
                                              evader_path.states[:, col])
 
-    # one coordinate at a time: few full-length temporaries at once
-    dx = states[:, 0] - np.interp(times, evader_path.times,
-                                  evader_path.states[:, 0])
-    dy = states[:, 1] - np.interp(times, evader_path.times,
-                                  evader_path.states[:, 1])
-    gap = np.sqrt(dx * dx + dy * dy)
+    def separation(lo: int, hi: int) -> np.ndarray:
+        # one coordinate at a time: few full-length temporaries at once
+        dx = states[lo:hi, 0] - np.interp(times[lo:hi], evader_path.times,
+                                          evader_path.states[:, 0])
+        dy = states[lo:hi, 1] - np.interp(times[lo:hi], evader_path.times,
+                                          evader_path.states[:, 1])
+        return np.sqrt(dx * dx + dy * dy)
+
+    # A pursuer trailing the evader along its own track by less than
+    # half the capture radius is within it (no chord of the track is
+    # longer than its arc), so the first such sample bounds the first
+    # hit; the rest is taken only if no hit comes before it.
+    trailing = evader.v * (times[n_approach:] - u) < 0.5 * capture_radius
+    sure = (n_approach + int(np.argmax(trailing)) + 1 if trailing.any()
+            else n + 1)
+    gap = separation(0, sure)
     hits = np.flatnonzero(gap <= capture_radius)
+    if not hits.size:
+        gap = np.concatenate([gap, separation(sure, n + 1)])
+        hits = np.flatnonzero(gap <= capture_radius)
     captured = bool(hits.size)
     closest = int(np.argmin(gap[:hits[0] + 1] if captured else gap))
     return PursuitResult(
@@ -737,7 +784,9 @@ def containment_equivalence(pursuer: CarConfig, evader: CarConfig,
     way the closed-form inequalities do: an equal pair fails the strict
     frontier test and passes the acceleration test. Free heading makes
     both frontiers rotation invariant, so each car is sampled in its
-    own frame.
+    own frame. Both cars' families at one sampled time fly in one
+    kernel call, and the scan stops at the first sampled time with a
+    witness.
 
     Args:
         pursuer: Car whose cone must contain the evader's.
@@ -755,8 +804,9 @@ def containment_equivalence(pursuer: CarConfig, evader: CarConfig,
         EquivalenceVerdict with both verdicts and any witness point.
 
     Raises:
-        ValueError: horizon not past the headstart, or headstart below
-            the come-about time.
+        ValueError: horizon not past the headstart, headstart below
+            the come-about time, time_grid below 2, or samples < 0.
+        WorkCapExceeded: samples above _MAX_SAMPLES.
     """
     come_about = math.pi * pursuer.R / pursuer.v
     if headstart < come_about * (1.0 - _GEOM_SLACK):
@@ -768,24 +818,28 @@ def containment_equivalence(pursuer: CarConfig, evader: CarConfig,
             f"horizon {horizon} must exceed the headstart {headstart}")
     if time_grid < 2:
         raise ValueError(f"time_grid must be at least 2, got {time_grid}")
+    _check_draw_count(samples, "samples")
     times = np.linspace(headstart, horizon, time_grid)
+    cars = (evader, pursuer)
+    speeds = np.array([car.v for car in cars])[:, None, None]
     radius_ok = True
     witness = None
     for k, t in enumerate(times):
         tau = float(t)
-        evader_pts = _family_endpoints(evader, 0.0, tau, samples,
-                                       np.random.default_rng([seed, k]))
-        pursuer_pts = _family_endpoints(pursuer, 0.0, tau, samples,
-                                        np.random.default_rng([seed, k]))
-        ranges = np.linalg.norm(evader_pts, axis=1)
-        frontier = float(np.max(np.linalg.norm(pursuer_pts, axis=1)))
+        families = [_control_family(car.admissible_rate, tau, samples,
+                                    np.random.default_rng([seed, k]))
+                    for car in cars]
+        rates, durations = map(np.stack, zip(*families))
+        ends = _arc_poses(speeds, (0.0, 0.0, 0.0), rates,
+                          durations)[:, :, -1, :2]
+        ranges, reach = np.linalg.norm(ends, axis=-1)
+        frontier = float(np.max(reach))
         # proper inclusion: a frontier tie already breaks containment,
         # mirroring the strict speed inequality
         over = np.flatnonzero(ranges >= frontier)
         if over.size:
             worst = over[np.argmax(ranges[over])]
-            witness = np.array([evader_pts[worst, 0],
-                                evader_pts[worst, 1], tau])
+            witness = np.array([ends[0, worst, 0], ends[0, worst, 1], tau])
             radius_ok = False
             break
     evader_peak = _measured_peak_accel(evader)

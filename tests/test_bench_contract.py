@@ -3,9 +3,10 @@
 ``perfbench/layers.py`` wraps every (module, attribute) pair in its
 ``TRACED`` table and reads some arguments of the wrapped calls by name.
 Deleting or renaming one of them breaks the traced benchmark run, so
-these tests check both. A burn_chains request must also pass the
-workload's own output check, so that a change to the shock chains or
-the ephemeris export that would fail benchmark requests fails here.
+these tests check both. A burn_chains request and a twocars_pursuit
+request must also pass their workload's own output check, so that a
+change to the shock chains, the ephemeris export or the Two Cars game
+that would fail benchmark requests fails here.
 """
 from __future__ import annotations
 
@@ -67,5 +68,17 @@ def test_burn_chains_request_passes_its_check(tmp_path):
     import futurecone.scenario_io  # binds the modules the workload calls
 
     workload = _load("workloads").BurnChains(
+        futurecone, str(PERFBENCH.parent), str(tmp_path), 0)
+    assert workload.check(0, workload.request(0)) == 1
+
+
+def test_twocars_request_passes_its_check(tmp_path):
+    """One twocars_pursuit request, checked as the benchmark checks it:
+    capture within the bound, and both verdicts equal to Cockayne's
+    inequalities."""
+    import futurecone
+    import futurecone.twocars  # binds the module the workload calls
+
+    workload = _load("workloads").TwocarsPursuit(
         futurecone, str(PERFBENCH.parent), str(tmp_path), 0)
     assert workload.check(0, workload.request(0)) == 1

@@ -1,4 +1,5 @@
 """Tests for the planar pursuit kinematics and verdicts."""
+import dataclasses
 import math
 import tracemalloc
 
@@ -23,6 +24,8 @@ from futurecone.twocars import (
     _arc_poses,
     _tangent_path,
 )
+
+import twocars_reference as ref
 
 rng = np.random.default_rng(20260817)
 
@@ -100,6 +103,26 @@ class TestCarState:
             CarState(x=math.nan, y=0.0, theta=0.0, t=0.0)
         with pytest.raises(ValueError):
             CarState(x=0.0, y=0.0, theta=math.inf, t=0.0)
+
+
+class TestCarPath:
+    """Sample validation."""
+
+    def test_rejects_non_finite_epochs(self):
+        cfg = CarConfig(v=1.0, R=1.0)
+        for times in ([0.0, math.nan, 2.0], [math.nan], [0.0, 1.0, math.inf],
+                      [-math.inf, 1.0, 2.0], [0.0, 2.0, 1.0]):
+            with pytest.raises(ValueError, match="epochs"):
+                CarPath(cfg=cfg, times=times,
+                        states=np.zeros((len(times), 3)))
+
+    def test_rejects_non_finite_poses(self):
+        cfg = CarConfig(v=1.0, R=1.0)
+        for bad in (math.inf, -math.inf, math.nan):
+            states = np.zeros((3, 3))
+            states[1, 2] = bad
+            with pytest.raises(ValueError, match="finite"):
+                CarPath(cfg=cfg, times=[0.0, 1.0, 2.0], states=states)
 
 
 class TestSteeringLaw:
@@ -385,6 +408,24 @@ class TestReachableSet:
         with pytest.raises(ValueError):
             reachable_set(cfg, s0, t=1.0, n_controls=-1)
 
+    def test_control_draws_capped_before_allocation(self, monkeypatch):
+        cfg = CarConfig(v=1.0, R=1.0)
+        s0 = CarState(x=0.0, y=0.0, theta=0.0, t=0.0)
+        with pytest.raises(WorkCapExceeded):
+            reachable_set(cfg, s0, t=1.0, n_controls=10**10)
+        cap = 100_000
+        monkeypatch.setattr(twocars, "_MAX_SAMPLES", cap)
+        fits = reachable_set(cfg, s0, t=1.0, n_controls=cap)
+        assert fits.endpoints.shape == (cap + 31, 2)
+        tracemalloc.start()
+        try:
+            with pytest.raises(WorkCapExceeded):
+                reachable_set(cfg, s0, t=1.0, n_controls=cap + 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < cap
+
 
 class TestCockayneCheck:
     """The two interception inequalities on known configurations."""
@@ -438,6 +479,37 @@ class TestTangentPath:
         rate, duration = segments[0]
         assert rate == 0.0
         assert duration == pytest.approx(5.0 / cfg.v)
+
+
+def weaving_game(seed: int):
+    """A criterion-8 engagement: a faster, tighter-turning pursuer
+    against an evader weaving on a random piecewise-constant law.
+
+    Returns (pursuer, evader, p0, track, bound), bound being ten
+    head-start times.
+    """
+    local = np.random.default_rng(seed)
+    v2 = float(local.uniform(0.5, 1.5))
+    v1 = v2 + float(local.uniform(0.4, 1.0))
+    R1 = float(local.uniform(0.5, 1.0))
+    R2 = R1 + float(local.uniform(0.0, 1.0))
+    pursuer = CarConfig(v=v1, R=R1)
+    evader = CarConfig(v=v2, R=R2)
+    gap0 = float(local.uniform(2.0, 6.0)) * R1
+    bound = 10.0 * gap0 / (v1 - v2)
+    horizon = 1.2 * bound
+    u2 = evader.admissible_rate
+    switches = np.sort(local.uniform(0.0, horizon, 8))
+    rates = local.uniform(-0.8 * u2, 0.8 * u2, 9)
+    law = SteeringLaw.piecewise(switches, rates, evader)
+    e0 = CarState(x=0.0, y=0.0, theta=float(local.uniform(0.0, TWO_PI)),
+                  t=0.0)
+    step = min(0.01, 5e-4 * R1 / (v1 - v2))
+    track = propagate_car(evader, e0, law, t=horizon, step=step)
+    angle = float(local.uniform(0.0, TWO_PI))
+    p0 = CarState(x=gap0 * math.sin(angle), y=gap0 * math.cos(angle),
+                  theta=float(local.uniform(0.0, TWO_PI)), t=0.0)
+    return pursuer, evader, p0, track, bound
 
 
 class TestExplicitPolicyPursuit:
@@ -498,28 +570,8 @@ class TestExplicitPolicyPursuit:
         """Faster pursuer with tighter turning catches weaving evaders
         inside ten head-start times."""
         for seed in range(10):
-            local = np.random.default_rng(seed)
-            v2 = float(local.uniform(0.5, 1.5))
-            v1 = v2 + float(local.uniform(0.4, 1.0))
-            R1 = float(local.uniform(0.5, 1.0))
-            R2 = R1 + float(local.uniform(0.0, 1.0))
-            pursuer = CarConfig(v=v1, R=R1)
-            evader = CarConfig(v=v2, R=R2)
+            pursuer, evader, p0, track, bound = weaving_game(seed)
             assert cockayne_check(pursuer, evader).intercept
-            gap0 = float(local.uniform(2.0, 6.0)) * R1
-            bound = 10.0 * gap0 / (v1 - v2)
-            horizon = 1.2 * bound
-            u2 = evader.admissible_rate
-            switches = np.sort(local.uniform(0.0, horizon, 8))
-            rates = local.uniform(-0.8 * u2, 0.8 * u2, 9)
-            law = SteeringLaw.piecewise(switches, rates, evader)
-            e0 = CarState(x=0.0, y=0.0,
-                          theta=float(local.uniform(0.0, TWO_PI)), t=0.0)
-            step = min(0.01, 5e-4 * R1 / (v1 - v2))
-            track = propagate_car(evader, e0, law, t=horizon, step=step)
-            angle = float(local.uniform(0.0, TWO_PI))
-            p0 = CarState(x=gap0 * math.sin(angle), y=gap0 * math.cos(angle),
-                          theta=float(local.uniform(0.0, TWO_PI)), t=0.0)
             result = explicit_policy_pursuit(pursuer, evader, p0, track)
             assert result.captured, f"seed {seed} escaped"
             assert result.capture_time <= bound
@@ -693,3 +745,174 @@ class TestContainmentEquivalence:
         with pytest.raises(ValueError):
             containment_equivalence(pursuer, evader, horizon=1.0,
                                     headstart=math.pi)
+
+    def test_rejects_negative_samples(self):
+        with pytest.raises(ValueError, match="samples"):
+            containment_equivalence(CarConfig(v=2.0, R=1.0),
+                                    CarConfig(v=1.0, R=1.0), horizon=10.0,
+                                    headstart=4.0, samples=-5)
+
+    def test_samples_capped_before_allocation(self, monkeypatch):
+        pursuer, evader = CarConfig(v=2.0, R=1.0), CarConfig(v=1.0, R=1.0)
+        cap = 100_000
+        monkeypatch.setattr(twocars, "_MAX_SAMPLES", cap)
+        tracemalloc.start()
+        try:
+            with pytest.raises(WorkCapExceeded):
+                containment_equivalence(pursuer, evader, horizon=10.0,
+                                        headstart=4.0, samples=cap + 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < cap
+
+    def test_one_kernel_call_per_grid_time(self, monkeypatch):
+        """Both cars' families at one sampled time fly in one kernel
+        call, and a witness at the first time ends the scan there."""
+        calls = []
+        kernel = twocars._arc_poses
+
+        def counted(*args):
+            calls.append(1)
+            return kernel(*args)
+
+        monkeypatch.setattr(twocars, "_arc_poses", counted)
+        contained = containment_equivalence(
+            CarConfig(v=2.0, R=1.0), CarConfig(v=1.0, R=1.0), horizon=20.0,
+            headstart=math.pi, time_grid=5)
+        assert contained.witness is None and len(calls) == 5
+        calls.clear()
+        slower = containment_equivalence(
+            CarConfig(v=0.8, R=1.0), CarConfig(v=1.2, R=1.0), horizon=20.0,
+            headstart=4.0, time_grid=5)
+        assert slower.witness[2] == 4.0 and len(calls) == 1
+
+
+def assert_same_bits(a: np.ndarray, b: np.ndarray) -> None:
+    assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestAgainstReference:
+    """Verdicts and pursuits equal the oracle's bit for bit, in every
+    field: the oracle flies each car's family in its own kernel call,
+    every approach sample through every route segment, and takes the
+    separation over the whole span."""
+
+    def assert_same_verdict(self, pursuer, evader, headstart, horizon,
+                            **kwargs):
+        got = containment_equivalence(pursuer, evader, horizon, headstart,
+                                      **kwargs)
+        want = ref.containment_equivalence(pursuer, evader, horizon,
+                                           headstart, **kwargs)
+        for f in dataclasses.fields(got):
+            a, b = getattr(got, f.name), getattr(want, f.name)
+            if f.name == "witness" and b is not None:
+                assert_same_bits(a, b)
+            else:
+                assert a == b, f.name
+        return got
+
+    def assert_same_pursuit(self, pursuer, evader, p0, track, **kwargs):
+        got = explicit_policy_pursuit(pursuer, evader, p0, track, **kwargs)
+        want = ref.explicit_policy_pursuit(pursuer, evader, p0, track,
+                                           **kwargs)
+        for f in dataclasses.fields(got):
+            if f.name != "path":
+                assert getattr(got, f.name) == getattr(want, f.name), f.name
+        assert got.path.cfg == want.path.cfg
+        assert_same_bits(got.path.times, want.path.times)
+        assert_same_bits(got.path.states, want.path.states)
+        return got
+
+    @pytest.mark.parametrize("time_grid", [33, 5])
+    def test_random_pairs(self, time_grid):
+        witnesses = 0
+        for seed in range(12):
+            local = np.random.default_rng(3000 + seed)
+            pursuer = CarConfig(v=float(local.uniform(0.5, 3.0)),
+                                R=float(local.uniform(0.5, 3.0)))
+            evader = CarConfig(v=float(local.uniform(0.5, 3.0)),
+                               R=float(local.uniform(0.5, 3.0)))
+            headstart = TWO_PI * pursuer.R / pursuer.v
+            verdict = self.assert_same_verdict(
+                pursuer, evader, headstart,
+                equivalence_horizon(pursuer, evader, headstart),
+                time_grid=time_grid, seed=seed)
+            witnesses += verdict.witness is not None
+        assert 0 < witnesses < 12
+
+    def test_equal_pair(self):
+        cfg = CarConfig(v=1.3, R=0.7)
+        headstart = TWO_PI * cfg.R / cfg.v
+        verdict = self.assert_same_verdict(
+            cfg, cfg, headstart, equivalence_horizon(cfg, cfg, headstart),
+            samples=64, seed=9)
+        assert verdict.witness is not None
+
+    def test_reachable_set_endpoints(self):
+        cfg = CarConfig(v=1.7, R=0.9)
+        s0 = CarState(x=2.0, y=-1.0, theta=0.8, t=0.0)
+        region = reachable_set(cfg, s0, t=3.0, n_controls=401, seed=1)
+        want = s0.position + ref.family_endpoints(
+            cfg, s0.theta, 3.0, 401, np.random.default_rng(1))
+        assert_same_bits(region.endpoints, want)
+
+    def test_weaving_games(self):
+        for seed in range(4):
+            pursuer, evader, p0, track, _ = weaving_game(100 + seed)
+            assert self.assert_same_pursuit(pursuer, evader, p0,
+                                            track).captured
+
+    def test_equal_speed_chase_without_capture(self):
+        """No hit before the pursuer is sure to be close: the separation
+        over the rest of the span is taken too."""
+        pursuer, evader = CarConfig(v=1.0, R=1.0), CarConfig(v=1.0, R=1.0)
+        e0 = CarState(x=0.0, y=3.0, theta=0.0, t=0.0)
+        track = propagate_car(evader, e0, SteeringLaw.constant(0.2, evader),
+                              t=12.0, step=0.01)
+        p0 = CarState(x=1.0, y=0.0, theta=1.0, t=0.0)
+        assert not self.assert_same_pursuit(pursuer, evader, p0,
+                                            track).captured
+
+    def test_capture_after_the_sure_sample(self):
+        """A track whose chords outrun its recorded speed: trailing it by
+        less than half the capture radius is not yet a hit, and the hit
+        comes from the rest of the span."""
+        pursuer, evader = CarConfig(v=2.0, R=1.0), CarConfig(v=1.0, R=1.0)
+        times = np.linspace(0.0, 10.0, 1001)
+        states = np.column_stack([np.zeros_like(times), 5.0 * times,
+                                  np.zeros_like(times)])
+        track = CarPath(cfg=evader, times=times, states=states)
+        p0 = CarState(x=0.0, y=-1.0, theta=0.0, t=0.0)
+        result = self.assert_same_pursuit(pursuer, evader, p0, track,
+                                          capture_radius=0.05)
+        assert result.captured
+        lag = evader.v * (result.capture_time - (
+            2.0 * (result.capture_time - result.acquisition_time)))
+        assert lag < 0.5 * result.capture_radius
+
+    def test_start_on_track_start(self):
+        pursuer, evader = CarConfig(v=2.0, R=1.0), CarConfig(v=1.0, R=1.0)
+        e0 = CarState(x=1.0, y=2.0, theta=0.0, t=0.0)
+        track = propagate_car(evader, e0, SteeringLaw.constant(0.3, evader),
+                              t=5.0, step=0.01)
+        result = self.assert_same_pursuit(pursuer, evader, e0, track)
+        assert result.acquisition_time == 0.0
+
+    def test_one_sample_track(self):
+        pursuer, evader = CarConfig(v=2.0, R=1.0), CarConfig(v=1.0, R=1.0)
+        track = CarPath(cfg=evader, times=[1.0], states=[[0.0, 3.0, 0.0]])
+        p0 = CarState(x=0.0, y=0.0, theta=0.0, t=0.0)
+        assert not self.assert_same_pursuit(pursuer, evader, p0,
+                                            track).captured
+
+    def test_capture_during_approach(self):
+        pursuer, evader = CarConfig(v=2.0, R=1.0), CarConfig(v=1.0, R=1.0)
+        e0 = CarState(x=0.0, y=6.0, theta=math.pi, t=0.0)
+        track = propagate_car(evader, e0, SteeringLaw.constant(0.0, evader),
+                              t=8.0, step=0.01)
+        p0 = CarState(x=0.0, y=0.0, theta=0.0, t=0.0)
+        result = self.assert_same_pursuit(pursuer, evader, p0, track,
+                                          capture_radius=1.5)
+        assert result.captured
+        assert result.capture_time < result.acquisition_time
