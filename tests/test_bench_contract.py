@@ -3,10 +3,10 @@
 ``perfbench/layers.py`` wraps every (module, attribute) pair in its
 ``TRACED`` table and reads some arguments of the wrapped calls by name.
 Deleting or renaming one of them breaks the traced benchmark run, so
-these tests check both. A burn_chains request and a twocars_pursuit
-request must also pass their workload's own output check, so that a
-change to the shock chains, the ephemeris export or the Two Cars game
-that would fail benchmark requests fails here.
+these tests check both. A request of each workload must also pass the
+workload's own output check, so that a change to the scenario loader,
+the verdict report, the shock chains, the ephemeris export or the Two
+Cars game that would fail benchmark requests fails here.
 """
 from __future__ import annotations
 
@@ -82,3 +82,18 @@ def test_twocars_request_passes_its_check(tmp_path):
     workload = _load("workloads").TwocarsPursuit(
         futurecone, str(PERFBENCH.parent), str(tmp_path), 0)
     assert workload.check(0, workload.request(0)) == 1
+
+
+@pytest.mark.parametrize("name", ["Fy1cContain", "LeoMultirevContain"])
+def test_contain_request_passes_its_check(tmp_path, name):
+    """The containment workloads parse a scenario and write a report on
+    every request. The warm-up must see identical report bytes from two
+    runs of one seed (and, for fy1c at seed 0, the pinned 2000x51
+    margin); one request must then pass the report check."""
+    import futurecone
+    import futurecone.cli  # binds the modules the workload calls
+
+    workload = getattr(_load("workloads"), name)(
+        futurecone, str(PERFBENCH.parent), str(tmp_path), 0)
+    assert workload.warmup()
+    assert workload.check(0, workload.request(0)) > 0

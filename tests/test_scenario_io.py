@@ -9,6 +9,7 @@ import pytest
 from futurecone.cone import ConeSampleSet, ConeSpec, ContainmentReport, containment
 from futurecone.constants import EARTH_RADIUS_KM, MU_EARTH
 from futurecone.errors import (
+    ScenarioError,
     ScenarioInvariantError,
     ScenarioParseError,
     ScenarioSchemaError,
@@ -396,6 +397,42 @@ class TestLoadScenario:
             "window_s = 200.0, 400.0") + 1
         assert "vertex epoch" in str(err.value)
 
+    @pytest.mark.parametrize("text, kind, line, fragment", [
+        (MINIMAL_ORBITAL.replace("[target]", "[target"), ScenarioParseError,
+         10, "malformed section header '[target'"),
+        (MINIMAL_ORBITAL.replace("[target]", "[ ]"), ScenarioParseError, 10,
+         "empty section name"),
+        (TWOCARS_FILE.replace("seed = 3", "seed = x"), ScenarioParseError, 15,
+         "seed: expected an integer, got 'x'"),
+        (MINIMAL_ORBITAL.replace("name = minimal\n",
+                                 "name = minimal\ncolor = red\n"),
+         ScenarioSchemaError, 2, "unknown top-level key 'color'"),
+        (MINIMAL_ORBITAL + "\n" + MINIMAL_ORBITAL.split("\n\n")[2],
+         ScenarioSchemaError, 17, "[target] appears twice (first at line 10)"),
+        (TWOCARS_FILE.replace("n_samples = 128", "n_samples = 0"),
+         ScenarioInvariantError, 12,
+         "[sampling]: n_samples must be positive, got 0"),
+        (TWOCARS_FILE.replace("headstart = 6.3", "headstart = 40.0"),
+         ScenarioInvariantError, 8,
+         "[game]: need 0 < headstart < horizon, got headstart=40.0"),
+        (TWOCARS_FILE.replace("speed = 2.0", "speed = -1"),
+         ScenarioInvariantError, 2,
+         "[pursuer]: speed must be positive and finite, got -1.0"),
+        (TWOCARS_FILE.replace("[game]\nhorizon = 40.0\nheadstart = 6.3\n", ""),
+         ScenarioInvariantError, None, "planar scenario is missing [game]"),
+    ], ids=["malformed_header", "empty_header", "non_integer_seed",
+            "unknown_top_key", "section_twice", "zero_samples",
+            "headstart_past_horizon", "negative_speed", "planar_without_game"])
+    def test_error_class_line_and_message(self, tmp_path, text, kind, line,
+                                          fragment):
+        path = tmp_path / "bad.cone"
+        path.write_text(text)
+        with pytest.raises(ScenarioError) as err:
+            load_scenario(path)
+        assert type(err.value) is kind
+        assert err.value.line == line
+        assert fragment in str(err.value)
+
     def test_mixed_kinds_reports_first_planar_section_line(self, tmp_path):
         planar = TWOCARS_FILE.split("\n", 1)[1].split("\n[sampling]")[0]
         bad = MINIMAL_ORBITAL + planar
@@ -449,6 +486,77 @@ class TestSaveScenario:
             return
         with pytest.raises(ValueError, match=f"^{field} "):
             Scenario(name="cars", twocars=game, **{field: value})
+
+    def test_orbital_text_is_canonical(self, tmp_path):
+        scn = orbital_scenario(
+            shocks=(ShockEvent(t=210.0, dv=(0.001, -0.002, 0.0)),
+                    ShockEvent(t=260.0, dv=(0.0, 0.003, 1e-4))),
+            sampling=SamplingSpec(n_samples=7, time_grid=5, seed=9))
+        path = tmp_path / "o.cone"
+        save_scenario(scn, path)
+        v = repr(LEO_V)
+        assert path.read_text() == (
+            "name = demo\n"
+            "mu_km3_s2 = 398600.4418\n"
+            "floor_km = 90.0\n"
+            "\n"
+            "[interceptor]\n"
+            "r_km = 7238.137, 0.0, 0.0\n"
+            f"v_km_s = 0.0, {v}, 0.0\n"
+            "t_s = 0.0\n"
+            "budget_km_s = 0.5\n"
+            "window_s = 100.0, 900.0\n"
+            "\n"
+            "[target]\n"
+            "r_km = 7238.137, 0.0, 0.0\n"
+            f"v_km_s = 0.0, {v}, 0.0\n"
+            "t_s = 0.0\n"
+            "budget_km_s = 0.01\n"
+            "window_s = 200.0, 400.0\n"
+            "\n"
+            "[shock]\n"
+            "t_s = 210.0\n"
+            "dv_km_s = 0.001, -0.002, 0.0\n"
+            "\n"
+            "[shock]\n"
+            "t_s = 260.0\n"
+            "dv_km_s = 0.0, 0.003, 0.0001\n"
+            "\n"
+            "[sampling]\n"
+            "n_samples = 7\n"
+            "time_grid = 5\n"
+            "seed = 9\n")
+
+    def test_twocars_text_is_canonical(self, tmp_path):
+        game = TwoCarsGame(pursuer=CarConfig(v=2.5, R=0.75),
+                           evader=CarConfig(v=1.1, R=1.3),
+                           horizon=37.5, headstart=1.8849555921538759)
+        scn = Scenario(name="cars", twocars=game, floor_km=0.0,
+                       sampling=SamplingSpec(n_samples=64, time_grid=9,
+                                             seed=2))
+        path = tmp_path / "c.cone"
+        save_scenario(scn, path)
+        assert path.read_bytes() == (
+            b"name = cars\n"
+            b"mu_km3_s2 = 398600.4418\n"
+            b"floor_km = 0.0\n"
+            b"\n"
+            b"[pursuer]\n"
+            b"speed = 2.5\n"
+            b"turn_radius = 0.75\n"
+            b"\n"
+            b"[evader]\n"
+            b"speed = 1.1\n"
+            b"turn_radius = 1.3\n"
+            b"\n"
+            b"[game]\n"
+            b"horizon = 37.5\n"
+            b"headstart = 1.8849555921538759\n"
+            b"\n"
+            b"[sampling]\n"
+            b"n_samples = 64\n"
+            b"time_grid = 9\n"
+            b"seed = 2\n")
 
     def test_save_is_deterministic(self, tmp_path):
         scn = orbital_scenario()
@@ -640,15 +748,15 @@ class TestExportPoints:
             samples=16, window_tested=(425.0, 475.0))
         path = tmp_path / "r.report"
         export_points(report, path, format="report")
-        text = path.read_text()
-        assert text.splitlines()[0] == "containment_report"
-        assert "contained = false" in text
-        assert "fraction_contained = 0.75" in text
-        assert "worst_margin = -0.125" in text
-        assert "worst_point_r = 1.0, 2.0, 3.0" in text
-        assert "worst_point_t = 450.0" in text
-        assert "samples = 16" in text
-        assert "window_tested = 425.0, 475.0" in text
+        assert path.read_bytes() == (
+            b"containment_report\n"
+            b"contained = false\n"
+            b"fraction_contained = 0.75\n"
+            b"worst_margin = -0.125\n"
+            b"worst_point_r = 1.0, 2.0, 3.0\n"
+            b"worst_point_t = 450.0\n"
+            b"samples = 16\n"
+            b"window_tested = 425.0, 475.0\n")
 
     def test_report_as_csv_is_worst_row(self, tmp_path):
         report = ContainmentReport(
