@@ -380,33 +380,39 @@ def _energy_and_parameter(r, v, mu: float):
     return rn, alpha, np.einsum("...i,...i->...", h, h) / mu
 
 
-def is_bound(r, v, mu: float = MU_EARTH) -> np.ndarray:
-    """Rows whose state is a bound, non-rectilinear ellipse.
-
-    The vis-viva energy sign plus a nonzero angular momentum, without
-    building an arc.
-    """
-    _, alpha, p = _energy_and_parameter(r, v, mu)
-    return (alpha > 0.0) & (p > 0.0)
-
-
-def _conic(r, v, mu: float):
-    """|r|, 1/a, a, e, p, sigma0 and f0 per state row, as arc_from_state
-    defines them, from one vis-viva pass; atan2 keeps f0 precise near
-    the apsides. Rows that are not bound ellipses get meaningless ones."""
+def _ellipse(r, v, mu: float):
+    """|r|, 1/a, a, e and p per state row, and whether the row is a
+    bound, non-rectilinear ellipse: the one test of arc_from_state."""
     rn, alpha, p = _energy_and_parameter(r, v, mu)
     with np.errstate(divide="ignore"):
         a = 1.0 / alpha
     e = np.sqrt(np.maximum(1.0 - p / a, 0.0))
+    return rn, alpha, a, e, p, (alpha > 0.0) & (p > 0.0) & (e < 1.0)
+
+
+def is_bound(r, v, mu: float = MU_EARTH) -> np.ndarray:
+    """Rows whose state is a bound, non-rectilinear ellipse.
+
+    Exactly the rows arcs_from_states accepts, without building an arc.
+    """
+    return _ellipse(r, v, mu)[-1]
+
+
+def _conic(r, v, mu: float):
+    """|r|, 1/a, a, e, p, sigma0, f0 and the bound test per state row,
+    as arc_from_state defines them, from one vis-viva pass; atan2 keeps
+    f0 precise near the apsides. Rows that are not bound ellipses get
+    meaningless elements."""
+    rn, alpha, a, e, p, bound = _ellipse(r, v, mu)
     sigma0 = np.einsum("...i,...i->...", r, v) / math.sqrt(mu)
     f0 = np.arctan2(sigma0 * np.sqrt(p) / rn, p / rn - 1.0)
-    return rn, alpha, a, e, p, sigma0, np.where(e < _CIRCULAR_E, 0.0, f0)
+    return (rn, alpha, a, e, p, sigma0, np.where(e < _CIRCULAR_E, 0.0, f0),
+            bound)
 
 
 def _arc_fields(r, v, t, mu: float) -> tuple:
     """arcs_from_states without the batch: its fields r0 through tau."""
-    rn, alpha, a, e, p, sigma0, f0 = _conic(r, v, mu)
-    bound = (alpha > 0.0) & (p > 0.0) & (e < 1.0)
+    rn, alpha, a, e, p, sigma0, f0, bound = _conic(r, v, mu)
     if not bound.all():
         i = int(np.argmin(bound))
         raise EccentricityOutOfRange(
@@ -509,5 +515,5 @@ def swept_min_radius(r0, v0, r1n, sweep, mu: float = MU_EARTH) -> np.ndarray:
         sweep: True anomaly swept, rad, >= 0 (2*pi per full revolution).
         mu: Gravitational parameter, km^3/s^2.
     """
-    rn, _, a, e, _, _, f0 = _conic(r0, v0, mu)
+    rn, _, a, e, _, _, f0, _ = _conic(r0, v0, mu)
     return _floor_radius(a, e, f0, sweep, rn, r1n)

@@ -30,7 +30,6 @@ from .kepler import (
     _arc_fields,
     _as_vec3,
     _fly,
-    is_bound,
     states_at,
 )
 
@@ -263,7 +262,6 @@ def _shocked_arc(r, v, t: float, mu: float, floor_radius: float):
     """apply_shock's floor and bound checks on one post-shock state row,
     returning the fields of the arc the shock starts: one vis-viva pass
     (kepler._arc_fields) is the bound check and the next segment's conic.
-    A bound row whose e rounds to 1 gives None, for its segment to refuse.
     """
     rn = float(np.linalg.norm(r))
     if rn < floor_radius:
@@ -273,11 +271,9 @@ def _shocked_arc(r, v, t: float, mu: float, floor_radius: float):
     try:
         return _arc_fields(r, v, t, mu)
     except EccentricityOutOfRange:
-        if is_bound(r, v, mu)[0]:
-            return None
-    raise UnboundResult(
-        f"post-shock state is unbound or rectilinear: |v| = "
-        f"{float(np.linalg.norm(v))!r} km/s at r = {rn!r} km")
+        raise UnboundResult(
+            f"post-shock state is unbound or rectilinear: |v| = "
+            f"{float(np.linalg.norm(v))!r} km/s at r = {rn!r} km") from None
 
 
 def propagate_schedule(origin: StateVector, sched: ImpulsiveSchedule,

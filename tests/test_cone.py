@@ -31,6 +31,7 @@ from futurecone import (
     state_at,
 )
 from futurecone.cone import _required_dv
+from futurecone.errors import EmptyCone
 
 rng = np.random.default_rng(11)
 
@@ -93,6 +94,15 @@ class TestSampleCone:
         for arc in sset.trajectories:
             got = state_at(arc, 300.0)
             assert_allclose(got.r, expected.r, rtol=1e-12)
+
+    @pytest.mark.parametrize("v", [(1.0, 1e-12, 0.0), (1.0, 0.0, 0.0)],
+                             ids=["nearly_radial", "radial"])
+    def test_radial_vertex_is_empty_cone(self, v):
+        """A vertex whose e rounds to 1 has no bound arc to sample."""
+        spec = ConeSpec(vertex=StateVector([7000.0, 0.0, 0.0], v, 0.0),
+                        budget=0.0, window=(0.0, 100.0))
+        with pytest.raises(EmptyCone):
+            sample_cone(spec, 4, seed=0)
 
     def test_burns_within_budget(self):
         spec = leo_spec(budget=0.03)

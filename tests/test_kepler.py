@@ -470,3 +470,21 @@ class TestArrayKernels:
         assert is_bound(r, v).tolist() == [True, False, False, True]
         with pytest.raises(EccentricityOutOfRange):
             arcs_from_states(r, v, 0.0)
+
+    def test_is_bound_matches_arcs_from_states_near_radial(self):
+        """Positive energy and angular momentum are not enough: a state so
+        nearly radial that e rounds to 1 is refused by both."""
+        r = np.array([7000.0, 0.0, 0.0])
+        gen = np.random.default_rng(5)
+        tangential = 10.0 ** gen.uniform(-14.0, -4.0, 400)
+        radial = gen.uniform(-5.0, 5.0, 400)
+        v = np.stack([radial, tangential, np.zeros(400)], axis=1)
+        bound = is_bound(r, v)
+        assert bound.any() and not bound.all()
+        for row, ok in zip(v, bound):
+            if ok:
+                arcs_from_states(r, row[None], 0.0)
+            else:
+                with pytest.raises(EccentricityOutOfRange):
+                    arcs_from_states(r, row[None], 0.0)
+        assert not is_bound(r, np.array([1.0, 1e-12, 0.0]))

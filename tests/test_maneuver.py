@@ -344,10 +344,10 @@ class TestChainErrors:
          SurfaceViolation, "final segment: segment dips"),
         (ESCAPING, ((100.0, [0.0, 0.01, 0.0]),), 600.0,
          EccentricityOutOfRange, "segment before shock 0: state 0 is unbound"),
-        # bound, but so nearly radial that e rounds to 1: the shock passes
-        # and the segment after it cannot fly the arc
+        # positive energy and angular momentum, but so nearly radial that
+        # e rounds to 1: not a bound ellipse, so the shock is refused
         (circular_state(), ((0.0, [0.1, 1e-9 - VC, 0.0]),), 600.0,
-         EccentricityOutOfRange, "final segment: state 0 is unbound"),
+         UnboundResult, "shock 0: post-shock state is unbound"),
     ], ids=["below_floor_at_shock", "escape_kick", "dip_before_shock",
             "dip_in_final_segment", "unbound_origin", "radial_after_shock"])
     def test_labels_match_reference(self, origin, events, t_end, kind, label):
