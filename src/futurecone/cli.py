@@ -27,7 +27,7 @@ from .maneuver import ImpulsiveSchedule, propagate_schedule
 from .scenario_io import (
     SamplingSpec,
     Scenario,
-    _bool,
+    _lines,
     builtin_scenario,
     export_points,
     load_scenario,
@@ -123,9 +123,10 @@ def cmd_contain(scenario: Scenario, args: argparse.Namespace) -> int:
                          n_target_samples=sampling.n_samples,
                          time_grid=sampling.time_grid, seed=sampling.seed)
     export_points(report, args.out, format=args.format)
-    print(f"contain: contained = {_bool(report.contained)} "
-          f"fraction = {float(report.fraction_contained)!r} "
-          f"worst_margin = {float(report.worst_margin)!r}")
+    print("contain:", *_lines([
+        ("contained", report.contained),
+        ("fraction", report.fraction_contained),
+        ("worst_margin", report.worst_margin)]))
     return 0 if report.contained else 3
 
 
@@ -154,9 +155,10 @@ def cmd_twocars(scenario: Scenario, args: argparse.Namespace) -> int:
                                       time_grid=sampling.time_grid,
                                       seed=sampling.seed)
     export_points(verdict, args.out, format=args.format)
-    print(f"twocars: contained = {_bool(verdict.contained)} "
-          f"cockayne = {_bool(verdict.cockayne.intercept)} "
-          f"agree = {_bool(verdict.agree)}")
+    print("twocars:", *_lines([
+        ("contained", verdict.contained),
+        ("cockayne", verdict.cockayne.intercept),
+        ("agree", verdict.agree)]))
     return 0 if verdict.contained else 3
 
 

@@ -5,7 +5,9 @@ orbital engagement (two cones: interceptor and target) or a planar
 pursuit game (two cars). The format is line-based: `key = value` pairs,
 `[section]` headers, `#` comments, with units spelled out in the key
 names so a mis-scaled number is visible at the point it is written.
-Every load error carries the 1-based line it refers to.
+A load error carries the 1-based line it refers to, or None when it is
+about the file as a whole: no name, neither kind, a missing cone or a
+missing planar section.
 
 Bundled scenarios are the files in the package's `data/` directory.
 `fy1c.cone` reconstructs a direct-ascent intercept of a sun-synchronous
@@ -26,6 +28,7 @@ import numpy as np
 from .cone import ConeSampleSet, ConeSpec, ContainmentReport, leaf
 from .constants import DEFAULT_FLOOR_KM, MU_EARTH
 from .errors import (
+    ScenarioError,
     ScenarioInvariantError,
     ScenarioParseError,
     ScenarioSchemaError,
@@ -179,19 +182,24 @@ class Scenario:
 # ---------------------------------------------------------------------------
 # file schema
 
-_TOP_KEYS = frozenset({"name", "mu_km3_s2", "floor_km"})
-_CONE_KEYS = frozenset({"r_km", "v_km_s", "t_s", "budget_km_s", "window_s"})
-_SECTION_KEYS: dict[str, frozenset[str]] = {
-    "interceptor": _CONE_KEYS,
-    "target": _CONE_KEYS,
-    "shock": frozenset({"t_s", "dv_km_s"}),
-    "pursuer": frozenset({"speed", "turn_radius"}),
-    "evader": frozenset({"speed", "turn_radius"}),
-    "game": frozenset({"horizon", "headstart"}),
-    "sampling": frozenset({"n_samples", "time_grid", "seed"}),
+# The scenario format, section by section ("" is the top level): each
+# key in file order, with what its value holds: one str, int or float,
+# or that many comma-separated numbers. A file may leave out the
+# top-level keys other than name and any [sampling] key; [shock] may
+# repeat. Loading and saving both follow this table.
+_CONE = {"r_km": 3, "v_km_s": 3, "t_s": float, "budget_km_s": float,
+         "window_s": 2}
+_CAR = {"speed": float, "turn_radius": float}
+_SCHEMA: dict[str, dict[str, type | int]] = {
+    "": {"name": str, "mu_km3_s2": float, "floor_km": float},
+    "interceptor": _CONE,
+    "target": _CONE,
+    "shock": {"t_s": float, "dv_km_s": 3},
+    "pursuer": _CAR,
+    "evader": _CAR,
+    "game": {"horizon": float, "headstart": float},
+    "sampling": {"n_samples": int, "time_grid": int, "seed": int},
 }
-# sampling keys may be given individually; every other section is all-or-error
-_OPTIONAL_VALUE_SECTIONS = frozenset({"sampling"})
 _ORBITAL_SECTIONS = frozenset({"interceptor", "target", "shock"})
 _PLANAR_SECTIONS = frozenset({"pursuer", "evader", "game"})
 
@@ -202,9 +210,9 @@ def _parse_lines(lines: list[str]) -> tuple[_Pairs, list[tuple[str, int, _Pairs]
     """Split raw lines into top-level pairs and section blocks."""
     top: _Pairs = {}
     sections: list[tuple[str, int, _Pairs]] = []
-    current: _Pairs | None = None
+    store = top  # the pairs of the section being read
     for lineno, raw in enumerate(lines, start=1):
-        text = raw.split("#", 1)[0].strip()
+        text = raw.partition("#")[0].strip()
         if not text:
             continue
         if text.startswith("["):
@@ -214,8 +222,8 @@ def _parse_lines(lines: list[str]) -> tuple[_Pairs, list[tuple[str, int, _Pairs]
             name = text[1:-1].strip()
             if not name:
                 raise ScenarioParseError("empty section name", lineno)
-            current = {}
-            sections.append((name, lineno, current))
+            store = {}
+            sections.append((name, lineno, store))
             continue
         key, sep, value = text.partition("=")
         key = key.strip()
@@ -224,60 +232,52 @@ def _parse_lines(lines: list[str]) -> tuple[_Pairs, list[tuple[str, int, _Pairs]
             raise ScenarioParseError(
                 f"expected 'key = value' or '[section]', got {text!r}",
                 lineno)
-        store = top if current is None else current
         if key in store:
             raise ScenarioSchemaError(f"duplicate key {key!r}", lineno)
         store[key] = (value, lineno)
     return top, sections
 
 
-def _float(pairs: _Pairs, key: str) -> float:
-    value, lineno = pairs[key]
+def _read(kind, key: str, pairs: _Pairs):
+    """The value of key in pairs, read as its schema kind."""
+    text, lineno = pairs[key]
     try:
-        return float(value)
+        if isinstance(kind, type):
+            return kind(text)
+        parts = text.split(",")
+        if len(parts) == kind:
+            return tuple(map(float, parts))
     except ValueError:
-        raise ScenarioParseError(
-            f"{key}: expected a number, got {value!r}", lineno) from None
+        pass
+    raise _refusal(kind, key, text, lineno) from None
 
 
-def _floats(pairs: _Pairs, key: str, n: int) -> tuple[float, ...]:
-    value, lineno = pairs[key]
-    parts = [p.strip() for p in value.split(",")]
-    if len(parts) != n:
-        raise ScenarioSchemaError(
-            f"{key}: expected {n} comma-separated values, got {len(parts)}",
-            lineno)
-    out = []
+def _refusal(kind, key: str, text: str, lineno: int) -> ScenarioError:
+    """The error that says why text does not read as kind."""
+    if isinstance(kind, type):
+        parts, cast = [text], kind
+    else:
+        parts, cast = [p.strip() for p in text.split(",")], float
+        if len(parts) != kind:
+            return ScenarioSchemaError(
+                f"{key}: expected {kind} comma-separated values, got "
+                f"{len(parts)}", lineno)
+    noun = "an integer" if cast is int else "a number"
     for part in parts:
         try:
-            out.append(float(part))
+            cast(part)
         except ValueError:
-            raise ScenarioParseError(
-                f"{key}: expected a number, got {part!r}", lineno) from None
-    return tuple(out)
+            return ScenarioParseError(
+                f"{key}: expected {noun}, got {part!r}", lineno)
 
 
-def _int(pairs: _Pairs, key: str) -> int:
-    value, lineno = pairs[key]
-    try:
-        return int(value)
-    except ValueError:
-        raise ScenarioParseError(
-            f"{key}: expected an integer, got {value!r}", lineno) from None
-
-
-def _check_keys(name: str, lineno: int, pairs: _Pairs) -> None:
-    allowed = _SECTION_KEYS[name]
-    for key, (_, key_line) in pairs.items():
-        if key not in allowed:
-            raise ScenarioSchemaError(
-                f"[{name}] does not take {key!r}", key_line)
-    if name in _OPTIONAL_VALUE_SECTIONS:
-        return
-    missing = sorted(allowed - pairs.keys())
-    if missing:
-        raise ScenarioSchemaError(
-            f"[{name}] is missing {', '.join(missing)}", lineno)
+def _values(section: str, pairs: _Pairs) -> dict:
+    """The section's values present in pairs, read, in schema order."""
+    values = {}
+    for key, kind in _SCHEMA[section].items():
+        if key in pairs:
+            values[key] = _read(kind, key, pairs)
+    return values
 
 
 # ConeSpec and Scenario errors start with the offending field; its key:
@@ -286,31 +286,29 @@ _FIELD_KEYS = {"window": "window_s", "budget": "budget_km_s",
                "mu": "mu_km3_s2", "name": "name"}
 
 
-def _cone_from_section(name: str, lineno: int, pairs: _Pairs, top: _Pairs,
-                       mu: float, floor_km: float) -> ConeSpec:
-    r = _floats(pairs, "r_km", 3)
-    v = _floats(pairs, "v_km_s", 3)
-    t = _float(pairs, "t_s")
-    budget = _float(pairs, "budget_km_s")
-    window = _floats(pairs, "window_s", 2)
-    try:
-        vertex = StateVector(r=r, v=v, t=t)
-        return ConeSpec(vertex=vertex, budget=budget, window=window,
-                        floor=floor_km, mu=mu)
-    except ValueError as exc:
-        key = _FIELD_KEYS.get(str(exc).split()[0].rstrip(":"))
-        where = {**top, **pairs}
-        line = where[key][1] if key in where else lineno
-        raise ScenarioInvariantError(f"[{name}] {exc}", line) from exc
+def _invariant(exc: ValueError, label: str, where: tuple[_Pairs, ...],
+               line: int | None) -> ScenarioInvariantError:
+    """exc, prefixed by label, at the line of the key that its first word
+    names, if one of the pairs in where holds it, else at line."""
+    key = _FIELD_KEYS.get(str(exc).split()[0].rstrip(":"))
+    found = [pairs[key][1] for pairs in where if key in pairs]
+    return ScenarioInvariantError(label + str(exc),
+                                  found[0] if found else line)
 
 
-def _car_from_section(name: str, lineno: int, pairs: _Pairs) -> CarConfig:
-    speed = _float(pairs, "speed")
-    radius = _float(pairs, "turn_radius")
+def _build(make, label: str, where: tuple[_Pairs, ...], line: int | None,
+           *args, **kwargs):
+    """make(*args, **kwargs), refusing as _invariant does."""
     try:
-        return CarConfig(v=speed, R=radius)
+        return make(*args, **kwargs)
     except ValueError as exc:
-        raise ScenarioInvariantError(f"[{name}]: {exc}", lineno) from exc
+        raise _invariant(exc, label, where, line) from exc
+
+
+def _cone(mu: float, floor: float, r, v, t, budget, window) -> ConeSpec:
+    """A cone from its section's values."""
+    return ConeSpec(vertex=StateVector(r=r, v=v, t=t), budget=budget,
+                    window=window, floor=floor, mu=mu)
 
 
 def load_scenario(path) -> Scenario:
@@ -332,102 +330,129 @@ def load_scenario(path) -> Scenario:
             below-floor vertices).
         OSError: unreadable path.
     """
-    with open(path, encoding="utf-8") as handle:
-        lines = handle.read().splitlines()
-    top, sections = _parse_lines(lines)
+    # splitlines sees the same lines as a text-mode read, at less cost
+    with open(path, "rb") as handle:
+        text = handle.read().decode("utf-8")
+    top, sections = _parse_lines(text.splitlines())
 
     for key, (_, lineno) in top.items():
-        if key not in _TOP_KEYS:
+        if key not in _SCHEMA[""]:
             raise ScenarioSchemaError(
                 f"unknown top-level key {key!r}", lineno)
     if "name" not in top:
         raise ScenarioSchemaError("scenario has no name", None)
-    name = top["name"][0]
-    mu = _float(top, "mu_km3_s2") if "mu_km3_s2" in top else MU_EARTH
-    floor_km = _float(top, "floor_km") if "floor_km" in top else DEFAULT_FLOOR_KM
+    head = _values("", top)
+    mu = head.get("mu_km3_s2", MU_EARTH)
+    floor_km = head.get("floor_km", DEFAULT_FLOOR_KM)
 
-    seen: dict[str, int] = {}
     shocks_raw: list[tuple[int, _Pairs]] = []
     blocks: dict[str, tuple[int, _Pairs]] = {}
     for sec_name, lineno, pairs in sections:
-        if sec_name not in _SECTION_KEYS:
+        # section names are never empty, so the top level cannot match
+        if sec_name not in _SCHEMA:
             raise ScenarioSchemaError(f"unknown section [{sec_name}]", lineno)
-        _check_keys(sec_name, lineno, pairs)
+        keys = _SCHEMA[sec_name]
+        for key, (_, key_line) in pairs.items():
+            if key not in keys:
+                raise ScenarioSchemaError(
+                    f"[{sec_name}] does not take {key!r}", key_line)
+        missing = sorted(keys.keys() - pairs.keys())
+        if missing and sec_name != "sampling":
+            raise ScenarioSchemaError(
+                f"[{sec_name}] is missing {', '.join(missing)}", lineno)
         if sec_name == "shock":
             shocks_raw.append((lineno, pairs))
-            continue
-        if sec_name in seen:
+        elif sec_name in blocks:
             raise ScenarioSchemaError(
                 f"[{sec_name}] appears twice (first at line "
-                f"{seen[sec_name]})", lineno)
-        seen[sec_name] = lineno
-        blocks[sec_name] = (lineno, pairs)
+                f"{blocks[sec_name][0]})", lineno)
+        else:
+            blocks[sec_name] = (lineno, pairs)
 
-    present = set(blocks)
-    planar_lines = sorted(blocks[s][0] for s in present & _PLANAR_SECTIONS)
-    try:
-        _check_kind(bool(present & _ORBITAL_SECTIONS or shocks_raw),
-                    bool(planar_lines))
-    except ValueError as exc:
-        raise ScenarioInvariantError(
-            str(exc), planar_lines[0] if planar_lines else None) from exc
+    planar_lines = sorted(blocks[s][0]
+                          for s in blocks.keys() & _PLANAR_SECTIONS)
+    _build(_check_kind, "", (), planar_lines[0] if planar_lines else None,
+           bool(blocks.keys() & _ORBITAL_SECTIONS or shocks_raw),
+           bool(planar_lines))
+
+    def build(make, name: str, lineno: int, pairs: _Pairs, *leading,
+              prefix: str | None = None):
+        """make(*leading, the section's values), refusing at its lines."""
+        return _build(make, prefix or f"[{name}]: ", (pairs, top), lineno,
+                      *leading, *_values(name, pairs).values())
 
     sampling = SamplingSpec()
     if "sampling" in blocks:
         lineno, pairs = blocks["sampling"]
-        values = {key: _int(pairs, key) for key in pairs}
-        try:
-            sampling = SamplingSpec(**values)
-        except ValueError as exc:
-            raise ScenarioInvariantError(f"[sampling]: {exc}", lineno) from exc
+        sampling = _build(SamplingSpec, "[sampling]: ", (), lineno,
+                          **_values("sampling", pairs))
 
     game = None
     if planar_lines:
         # a TwoCarsGame cannot be built without all three sections
-        missing = sorted(_PLANAR_SECTIONS - present)
+        missing = sorted(_PLANAR_SECTIONS - blocks.keys())
         if missing:
             raise ScenarioInvariantError(
                 "planar scenario is missing "
                 + ", ".join(f"[{m}]" for m in missing), None)
-        game_line, game_pairs = blocks["game"]
-        pursuer = _car_from_section("pursuer", *blocks["pursuer"])
-        evader = _car_from_section("evader", *blocks["evader"])
-        try:
-            game = TwoCarsGame(pursuer=pursuer, evader=evader,
-                               horizon=_float(game_pairs, "horizon"),
-                               headstart=_float(game_pairs, "headstart"))
-        except ValueError as exc:
-            raise ScenarioInvariantError(f"[game]: {exc}", game_line) from exc
+        cars = [build(CarConfig, label, *blocks[label])
+                for label in ("pursuer", "evader")]
+        game = build(TwoCarsGame, "game", *blocks["game"], *cars)
 
-    cones = {label: _cone_from_section(label, *blocks[label], top, mu=mu,
-                                       floor_km=floor_km)
+    cones = {label: build(_cone, label, *blocks[label], mu, floor_km,
+                          prefix=f"[{label}] ")
              for label in ("interceptor", "target") if label in blocks}
-    shocks = []
-    for lineno, pairs in shocks_raw:
-        try:
-            shocks.append(ShockEvent(t=_float(pairs, "t_s"),
-                                     dv=_floats(pairs, "dv_km_s", 3)))
-        except ValueError as exc:
-            raise ScenarioInvariantError(f"[shock]: {exc}", lineno) from exc
+    shocks = tuple(build(ShockEvent, "shock", *raw) for raw in shocks_raw)
 
     try:
-        return Scenario(name=name, mu=mu, floor_km=floor_km, twocars=game,
-                        shocks=tuple(shocks), sampling=sampling, **cones)
+        return Scenario(name=head["name"], mu=mu, floor_km=floor_km,
+                        twocars=game, shocks=shocks, sampling=sampling,
+                        **cones)
     except ShockOrderError as exc:
         raise ScenarioInvariantError(str(exc),
                                      shocks_raw[exc.index][0]) from exc
     except ValueError as exc:
-        key = _FIELD_KEYS.get(str(exc).split()[0])
-        raise ScenarioInvariantError(
-            str(exc), top[key][1] if key in top else None) from exc
+        raise _invariant(exc, "", (top,), None) from exc
 
 
-def _vec(values) -> str:
-    return ", ".join(repr(float(x)) for x in values)
+def _format(value) -> str:
+    """The text of one value: true/false, none, integers as they are,
+    repr of each float, vectors comma-joined."""
+    if value is None:
+        return "none"
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer, str)):
+        return str(value)
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    return ", ".join(repr(float(x)) for x in value)
 
 
-def _bool(flag: bool) -> str:
-    return "true" if flag else "false"
+def _lines(fields) -> list[str]:
+    """One `key = value` line per (key, value) pair."""
+    return [f"{key} = {_format(value)}" for key, value in fields]
+
+
+def _sections(scenario: Scenario):
+    """(section, its values in schema order) for each section of the
+    scenario's file, in file order."""
+    yield "", (scenario.name, scenario.mu, scenario.floor_km)
+    if scenario.kind == "orbital":
+        for label in ("interceptor", "target"):
+            spec = getattr(scenario, label)
+            yield label, (spec.vertex.r, spec.vertex.v, spec.vertex.t,
+                          spec.budget, spec.window)
+        for shock in scenario.shocks:
+            yield "shock", (shock.t, shock.dv)
+    else:
+        game = scenario.twocars
+        for label in ("pursuer", "evader"):
+            car = getattr(game, label)
+            yield label, (car.v, car.R)
+        yield "game", (game.horizon, game.headstart)
+    sampling = scenario.sampling
+    yield "sampling", (sampling.n_samples, sampling.time_grid, sampling.seed)
 
 
 def save_scenario(scenario: Scenario, path) -> None:
@@ -438,53 +463,11 @@ def save_scenario(scenario: Scenario, path) -> None:
         scenario: Scenario to serialize.
         path: Destination file.
     """
-    out = [
-        f"name = {scenario.name}",
-        f"mu_km3_s2 = {scenario.mu!r}",
-        f"floor_km = {scenario.floor_km!r}",
-    ]
-    if scenario.kind == "orbital":
-        for label, spec in (("interceptor", scenario.interceptor),
-                            ("target", scenario.target)):
-            out += [
-                "",
-                f"[{label}]",
-                f"r_km = {_vec(spec.vertex.r)}",
-                f"v_km_s = {_vec(spec.vertex.v)}",
-                f"t_s = {spec.vertex.t!r}",
-                f"budget_km_s = {spec.budget!r}",
-                f"window_s = {_vec(spec.window)}",
-            ]
-        for shock in scenario.shocks:
-            out += [
-                "",
-                "[shock]",
-                f"t_s = {shock.t!r}",
-                f"dv_km_s = {_vec(shock.dv)}",
-            ]
-    else:
-        game = scenario.twocars
-        for label, car in (("pursuer", game.pursuer),
-                           ("evader", game.evader)):
-            out += [
-                "",
-                f"[{label}]",
-                f"speed = {car.v!r}",
-                f"turn_radius = {car.R!r}",
-            ]
-        out += [
-            "",
-            "[game]",
-            f"horizon = {game.horizon!r}",
-            f"headstart = {game.headstart!r}",
-        ]
-    out += [
-        "",
-        "[sampling]",
-        f"n_samples = {scenario.sampling.n_samples}",
-        f"time_grid = {scenario.sampling.time_grid}",
-        f"seed = {scenario.sampling.seed}",
-    ]
+    out: list[str] = []
+    for section, values in _sections(scenario):
+        if section:
+            out += ["", f"[{section}]"]
+        out += _lines(zip(_SCHEMA[section], values))
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write("\n".join(out) + "\n")
 
@@ -625,31 +608,28 @@ def _write_rows(path, rows) -> None:
 def _report_lines(verdict) -> list[str]:
     """The verdict's report, one field per line."""
     if isinstance(verdict, ContainmentReport):
-        return [
-            "containment_report",
-            f"contained = {_bool(verdict.contained)}",
-            f"fraction_contained = {verdict.fraction_contained!r}",
-            f"worst_margin = {verdict.worst_margin!r}",
-            f"worst_point_r = {_vec(verdict.worst_point[0])}",
-            f"worst_point_t = {verdict.worst_point[1]!r}",
-            f"samples = {verdict.samples}",
-            f"window_tested = {_vec(verdict.window_tested)}",
-        ]
+        return ["containment_report", *_lines([
+            ("contained", verdict.contained),
+            ("fraction_contained", verdict.fraction_contained),
+            ("worst_margin", verdict.worst_margin),
+            ("worst_point_r", verdict.worst_point[0]),
+            ("worst_point_t", verdict.worst_point[1]),
+            ("samples", verdict.samples),
+            ("window_tested", verdict.window_tested),
+        ])]
     cockayne = verdict.cockayne
-    return [
-        "twocars_report",
-        f"cockayne_speed_ok = {_bool(cockayne.speed_ok)}",
-        f"cockayne_accel_ok = {_bool(cockayne.accel_ok)}",
-        f"cockayne_intercept = {_bool(cockayne.intercept)}",
-        f"equivalence_radius_ok = {_bool(verdict.radius_ok)}",
-        f"equivalence_accel_ok = {_bool(verdict.accel_ok)}",
-        f"equivalence_contained = {_bool(verdict.contained)}",
-        f"agree = {_bool(verdict.agree)}",
-        f"evader_peak_accel = {float(verdict.evader_peak_accel)!r}",
-        f"pursuer_peak_accel = {float(verdict.pursuer_peak_accel)!r}",
-        "witness = " + ("none" if verdict.witness is None
-                        else _vec(verdict.witness)),
-    ]
+    return ["twocars_report", *_lines([
+        ("cockayne_speed_ok", cockayne.speed_ok),
+        ("cockayne_accel_ok", cockayne.accel_ok),
+        ("cockayne_intercept", cockayne.intercept),
+        ("equivalence_radius_ok", verdict.radius_ok),
+        ("equivalence_accel_ok", verdict.accel_ok),
+        ("equivalence_contained", verdict.contained),
+        ("agree", verdict.agree),
+        ("evader_peak_accel", verdict.evader_peak_accel),
+        ("pursuer_peak_accel", verdict.pursuer_peak_accel),
+        ("witness", verdict.witness),
+    ])]
 
 
 def export_points(obj, path, format: str = "csv", *, body_tag: str = "cone",

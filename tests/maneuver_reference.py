@@ -1,7 +1,7 @@
 """Shock chains one object at a time: the test oracle.
 
 The chain loop that builds a StateVector per state: each segment coasts
-with `kepler.coast`, each shock checks the floor and the vis-viva sign
+with `kepler.coast`, each shock checks the floor and `kepler.is_bound`
 on its own, and the trajectory's arcs are derived once more at the end
 from the states the segments started at. `maneuver.propagate_schedule`
 must give the same arcs, bit for bit, and raise the same errors with

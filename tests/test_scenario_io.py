@@ -467,6 +467,18 @@ class TestSaveScenario:
         save_scenario(scn, path)
         assert load_scenario(path) == scn
 
+    def test_round_trip_numpy_scalars(self, tmp_path):
+        """Numbers held as numpy scalars are written as plain numbers."""
+        game = TwoCarsGame(pursuer=CarConfig(v=np.float64(2.5), R=0.75),
+                           evader=CarConfig(v=1.1, R=np.float64(1.3)),
+                           horizon=37.5, headstart=2.0)
+        scn = Scenario(name="cars", twocars=game,
+                       sampling=SamplingSpec(n_samples=np.int64(64)))
+        path = tmp_path / "rt.cone"
+        save_scenario(scn, path)
+        assert "speed = 2.5\n" in path.read_text()
+        assert load_scenario(path) == scn
+
     @pytest.mark.parametrize("field, value", [
         ("mu", math.nan), ("mu", math.inf), ("mu", -math.inf), ("mu", 0.0),
         ("floor_km", math.nan), ("floor_km", math.inf),
