@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from futurecone.cone import ConeSampleSet, ConeSpec, ContainmentReport, containment
 from futurecone.constants import EARTH_RADIUS_KM, MU_EARTH
@@ -444,8 +446,51 @@ class TestLoadScenario:
         assert "mixes" in str(err.value)
 
 
+# vector components stay small enough for their norms not to overflow
+FINITE = st.floats(-1e150, 1e150)
+EPOCHS = st.floats(-1e9, 1e9)
+
+
+@st.composite
+def orbital_scenarios(draw) -> Scenario:
+    """Orbital scenarios whose numbers span every finite magnitude."""
+    mu = draw(st.floats(1e-300, 1e300))
+    floor = draw(st.floats(-6000.0, 1000.0))
+
+    def cone() -> ConeSpec:
+        r = (draw(st.floats(EARTH_RADIUS_KM + 1000.0, 1e150)), draw(FINITE),
+             draw(FINITE))
+        t = draw(EPOCHS)
+        t1 = t + draw(st.floats(0.0, 1e9))
+        t2 = t1 + draw(st.floats(1e-3, 1e9))
+        return ConeSpec(vertex=StateVector(r, [draw(FINITE) for _ in "xyz"],
+                                           t),
+                        budget=draw(st.floats(0.0, 1e300)), window=(t1, t2),
+                        floor=floor, mu=mu)
+
+    epochs = sorted(draw(st.sets(EPOCHS, max_size=3)))
+    shocks = tuple(ShockEvent(t, [draw(FINITE) for _ in "xyz"])
+                   for t in epochs)
+    sampling = SamplingSpec(draw(st.integers(1, 2**63)),
+                            draw(st.integers(2, 2**63)),
+                            draw(st.integers(0, 2**63)))
+    return Scenario(name="drawn", mu=mu, floor_km=floor, interceptor=cone(),
+                    target=cone(), shocks=shocks, sampling=sampling)
+
+
 class TestSaveScenario:
     """Canonical writing and the round-trip guarantee."""
+
+    @given(orbital_scenarios())
+    def test_round_trip_any_finite_numbers(self, tmp_path_factory, scn):
+        """Every finite float and every count comes back as itself, and
+        the saved text is a fixed point of load and save."""
+        folder = tmp_path_factory.mktemp("rt")
+        first, second = folder / "a.cone", folder / "b.cone"
+        save_scenario(scn, first)
+        assert load_scenario(first) == scn
+        save_scenario(load_scenario(first), second)
+        assert first.read_bytes() == second.read_bytes()
 
     def test_round_trip_orbital_with_shocks(self, tmp_path):
         scn = orbital_scenario(
