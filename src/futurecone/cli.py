@@ -139,21 +139,22 @@ def cmd_twocars(scenario: Scenario, args: argparse.Namespace) -> int:
         args: Parsed flags.
 
     Returns:
-        0 when the sampled verdict is contained, 3 when it is not.
+        0 when the containment verdict is contained, 3 when it is not.
 
     Raises:
-        ValueError: Scenario is not a Two Cars game, or the game window
-            starts before a full pursuer turn.
+        ValueError: Scenario is not a Two Cars game, the game window
+            starts before a full pursuer turn, or --samples or --seed
+            was given: the verdict makes no random draws.
     """
     _require_kind(scenario, "twocars", "twocars")
-    sampling = _resolve_sampling(scenario, args)
+    if args.samples is not None or args.seed is not None:
+        raise ValueError("twocars takes no --samples or --seed: its "
+                         "verdict makes no random draws")
     game = scenario.twocars
-    verdict = containment_equivalence(game.pursuer, game.evader,
-                                      horizon=game.horizon,
-                                      headstart=game.headstart,
-                                      samples=sampling.n_samples,
-                                      time_grid=sampling.time_grid,
-                                      seed=sampling.seed)
+    verdict = containment_equivalence(
+        game.pursuer, game.evader, horizon=game.horizon,
+        headstart=game.headstart,
+        time_grid=_resolve_sampling(scenario, args).time_grid)
     export_points(verdict, args.out, format=args.format)
     print("twocars:", *_lines([
         ("contained", verdict.contained),
@@ -171,7 +172,7 @@ _COMMANDS = {
                 "Decide whether the target cone sits inside the "
                 "interceptor cone (exit 0 yes, 3 no).", ("report", "csv")),
     "twocars": (cmd_twocars,
-                "Compare the sampled Two Cars verdict with the "
+                "Compare the Two Cars containment verdict with the "
                 "closed-form one (exit 0 contained, 3 not).", ("report",)),
 }
 

@@ -321,8 +321,9 @@ def load_scenario(path) -> Scenario:
         The validated Scenario.
 
     Raises:
-        ScenarioParseError: a line is not blank, comment, section, or
-            key = value, or a value is not the expected kind of number.
+        ScenarioParseError: a line is not UTF-8 text, not blank,
+            comment, section, or key = value, or a value is not the
+            expected kind of number.
         ScenarioSchemaError: unknown or repeated sections or keys,
             missing required keys, wrong component counts.
         ScenarioInvariantError: well-formed fields that contradict each
@@ -332,7 +333,13 @@ def load_scenario(path) -> Scenario:
     """
     # splitlines sees the same lines as a text-mode read, at less cost
     with open(path, "rb") as handle:
-        text = handle.read().decode("utf-8")
+        data = handle.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as err:
+        # the valid prefix plus one character ends on the bad byte's line
+        line = len((data[:err.start].decode("utf-8") + "x").splitlines())
+        raise ScenarioParseError("not valid UTF-8 text", line) from None
     top, sections = _parse_lines(text.splitlines())
 
     for key, (_, lineno) in top.items():

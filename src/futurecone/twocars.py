@@ -8,8 +8,8 @@ as much lateral acceleration. The same verdict falls out of cone
 containment, and this module carries both sides: kinematics and
 reachable sets for the cones, the interception inequalities, the
 explicit pursuit policy (drive to the evader's starting point, then
-follow its track), and a sampled containment test that is compared
-against the inequalities.
+follow its track), and a containment test on the extremal controls
+that is compared against the inequalities.
 
 Every path is built by one exact arc kernel over constant-rate
 segments: each moves by its chord along the mid-heading, and heading
@@ -720,28 +720,26 @@ def _measured_peak_accel(cfg: CarConfig, angle_step: float = 0.01,
 
 @dataclass(frozen=True, eq=False)
 class EquivalenceVerdict:
-    """Sampled cone-containment verdict next to Cockayne's inequalities.
+    """Cone-containment verdict next to Cockayne's inequalities.
 
     Attributes:
-        contained: Sampled verdict that the evader cone lies properly
-            inside the pursuer cone: the evader's frontier stayed
-            strictly inside the pursuer's at every sampled time and the
-            evader's demonstrated peak acceleration lies within the
+        contained: Verdict that the evader cone lies properly inside the
+            pursuer cone: the evader's frontier stayed strictly inside
+            the pursuer's at every grid time and the evader's peak
+            lateral acceleration lies within the pursuer's.
+        radius_ok: At every grid time, the evader's frontier stayed
+            strictly inside the pursuer's.
+        accel_ok: Evader peak lateral acceleration v^2/R within the
             pursuer's.
-        radius_ok: At every sampled elapsed time, the evader's sampled
-            frontier stayed strictly inside the pursuer's.
-        accel_ok: Evader peak acceleration within the pursuer's, both
-            measured on saturated turns with a common difference step.
         cockayne: The closed-form inequalities for the same pair.
         witness: Evader point at or beyond the pursuer frontier, as
             (x, y, t), or None; x and y are relative to the shared
             starting position.
         evader_peak_accel: Measured evader peak, m/s^2.
         pursuer_peak_accel: Measured pursuer peak, m/s^2.
-        headstart: First sampled elapsed time, s.
-        horizon: Last sampled elapsed time, s.
-        n_samples: Random control draws per car per sampled time.
-        n_times: Sampled times across [headstart, horizon].
+        headstart: First grid time, s.
+        horizon: Last grid time, s.
+        n_times: Grid times across [headstart, horizon].
     """
 
     contained: bool
@@ -753,7 +751,6 @@ class EquivalenceVerdict:
     pursuer_peak_accel: float
     headstart: float
     horizon: float
-    n_samples: int
     n_times: int
 
     def __post_init__(self) -> None:
@@ -762,51 +759,52 @@ class EquivalenceVerdict:
 
     @property
     def agree(self) -> bool:
-        """Whether the sampled verdict matches Cockayne's conjunction."""
+        """Whether the containment verdict matches Cockayne's conjunction."""
         return self.contained == self.cockayne.intercept
 
 
 def containment_equivalence(pursuer: CarConfig, evader: CarConfig,
                             horizon: float, headstart: float,
-                            samples: int = 256, time_grid: int = 33,
-                            seed: int = 0) -> EquivalenceVerdict:
-    """Test evader-cone containment by sampling, next to Cockayne.
+                            time_grid: int = 33) -> EquivalenceVerdict:
+    """Test evader-cone containment on the extremal controls, next to
+    Cockayne.
 
     Both cars start at the same position with free initial heading, the
     simplification under which each reachable set is a disk once a full
     heading cycle has elapsed. Proper cone containment then reduces to
     two capability comparisons at equal elapsed time: the evader's
-    sampled frontier must stay strictly inside the pursuer's at every
-    sampled time, and the peak acceleration the evader demonstrates on
-    a saturated turn must lie within the pursuer's. Both cars see the
-    same control family and the same random draws, and both peaks are
-    measured with a common heading step, so ties resolve exactly the
-    way the closed-form inequalities do: an equal pair fails the strict
-    frontier test and passes the acceleration test. Free heading makes
-    both frontiers rotation invariant, so each car is sampled in its
-    own frame. Both cars' families at one sampled time fly in one
-    kernel call, and the scan stops at the first sampled time with a
-    witness.
+    frontier must stay strictly inside the pursuer's at every grid
+    time, and the evader's peak lateral acceleration must lie within
+    the pursuer's. A frontier is the farthest endpoint of the extremal
+    table: its straight line reaches v*t, and no chord is longer than
+    its arc. Both cars at every grid time fly in one kernel call, each
+    in its own frame (free heading makes frontiers rotation invariant),
+    and the witness is taken at the first grid time where an evader
+    endpoint reaches the pursuer's frontier.
+
+    Rounding can tie what the exact quantities order, so both
+    comparisons are settled in the arithmetic cockayne_check uses.
+    Frontiers tied in floating point are ordered by the speeds, and a
+    tie at equal speeds breaks containment, as the speed inequality is
+    strict. The peaks are compared as v^2/R: the reported peaks,
+    measured on saturated turns with one difference factor, carry
+    their own rounding, a few ulps apart on a tie.
 
     Args:
         pursuer: Car whose cone must contain the evader's.
         evader: Car whose cone is tested for containment.
-        horizon: Last sampled elapsed time, s; must exceed headstart.
-        headstart: First sampled elapsed time, s, at least pi*R1/v1.
-            Skipping the opening heading reversal keeps the
-            free-heading reading of the pursuer's leaf honest.
-        samples: Random control draws per car per sampled time.
-        time_grid: Sampled times across [headstart, horizon].
-        seed: Seed for the control draws; both cars see identical
-            draws at each sampled time.
+        horizon: Last grid time, s; must exceed headstart.
+        headstart: First grid time, s, at least pi*R1/v1. Skipping the
+            opening heading reversal keeps the free-heading reading of
+            the pursuer's leaf honest.
+        time_grid: Grid times across [headstart, horizon].
 
     Returns:
         EquivalenceVerdict with both verdicts and any witness point.
 
     Raises:
         ValueError: horizon not past the headstart, headstart below
-            the come-about time, time_grid below 2, or samples < 0.
-        WorkCapExceeded: samples above _MAX_SAMPLES.
+            the come-about time, or time_grid below 2.
     """
     come_about = math.pi * pursuer.R / pursuer.v
     if headstart < come_about * (1.0 - _GEOM_SLACK):
@@ -818,36 +816,28 @@ def containment_equivalence(pursuer: CarConfig, evader: CarConfig,
             f"horizon {horizon} must exceed the headstart {headstart}")
     if time_grid < 2:
         raise ValueError(f"time_grid must be at least 2, got {time_grid}")
-    _check_draw_count(samples, "samples")
     times = np.linspace(headstart, horizon, time_grid)
     cars = (evader, pursuer)
-    speeds = np.array([car.v for car in cars])[:, None, None]
-    radius_ok = True
+    speeds = np.array([car.v for car in cars])[:, None, None, None]
+    u_max = np.array([car.admissible_rate for car in cars])[:, None, None, None]
+    # (car, grid time, extremal, segment) -> endpoints (car, time, extremal)
+    ends = _arc_poses(speeds, (0.0, 0.0, 0.0), u_max * _EXTREMAL_RATES,
+                      times[:, None, None] * _EXTREMAL_DURATIONS)[..., -1, :2]
+    ranges, reach = np.linalg.norm(ends, axis=-1)
+    far, frontier = np.max(ranges, axis=-1), np.max(reach, axis=-1)
+    over = np.flatnonzero((far > frontier) | (
+        (far == frontier) & (evader.v >= pursuer.v)))
+    radius_ok = not over.size
     witness = None
-    for k, t in enumerate(times):
-        tau = float(t)
-        families = [_control_family(car.admissible_rate, tau, samples,
-                                    np.random.default_rng([seed, k]))
-                    for car in cars]
-        rates, durations = map(np.stack, zip(*families))
-        ends = _arc_poses(speeds, (0.0, 0.0, 0.0), rates,
-                          durations)[:, :, -1, :2]
-        ranges, reach = np.linalg.norm(ends, axis=-1)
-        frontier = float(np.max(reach))
-        # proper inclusion: a frontier tie already breaks containment,
-        # mirroring the strict speed inequality
-        over = np.flatnonzero(ranges >= frontier)
-        if over.size:
-            worst = over[np.argmax(ranges[over])]
-            witness = np.array([ends[0, worst, 0], ends[0, worst, 1], tau])
-            radius_ok = False
-            break
-    evader_peak = _measured_peak_accel(evader)
-    pursuer_peak = _measured_peak_accel(pursuer)
-    accel_ok = evader_peak <= pursuer_peak * (1.0 + 1e-6)
+    if not radius_ok:
+        k = over[0]
+        worst = np.argmax(ranges[k])
+        witness = np.array([ends[0, k, worst, 0], ends[0, k, worst, 1],
+                            float(times[k])])
+    cockayne = cockayne_check(pursuer, evader)
     return EquivalenceVerdict(
-        contained=radius_ok and accel_ok, radius_ok=radius_ok,
-        accel_ok=accel_ok, cockayne=cockayne_check(pursuer, evader),
-        witness=witness, evader_peak_accel=evader_peak,
-        pursuer_peak_accel=pursuer_peak, headstart=headstart,
-        horizon=horizon, n_samples=samples, n_times=time_grid)
+        contained=radius_ok and cockayne.accel_ok, radius_ok=radius_ok,
+        accel_ok=cockayne.accel_ok, cockayne=cockayne, witness=witness,
+        evader_peak_accel=_measured_peak_accel(evader),
+        pursuer_peak_accel=_measured_peak_accel(pursuer),
+        headstart=headstart, horizon=horizon, n_times=time_grid)

@@ -272,6 +272,41 @@ class TestTwoCars:
         assert code == 1
         assert capsys.readouterr().err.startswith("futurecone: error:")
 
+    @pytest.mark.parametrize("flag", ["--samples", "--seed"])
+    def test_draw_flags_are_refused(self, tmp_path, capsys, monkeypatch,
+                                    flag):
+        def refuse(*args, **kwargs):
+            raise AssertionError("containment_equivalence ran")
+
+        monkeypatch.setattr(cli, "containment_equivalence", refuse)
+        path, _ = twocars_file(tmp_path, CarConfig(v=2.0, R=1.0),
+                               CarConfig(v=1.0, R=1.0))
+        out = tmp_path / "v.report"
+        code = main(["twocars", "--scenario", str(path), flag, "5",
+                     "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("futurecone: error:")
+        assert "no random draws" in err and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_grid_flag_sets_the_time_grid(self, tmp_path, monkeypatch):
+        grids = []
+        verdict = cli.containment_equivalence
+
+        def recorded(*args, time_grid, **kwargs):
+            grids.append(time_grid)
+            return verdict(*args, time_grid=time_grid, **kwargs)
+
+        monkeypatch.setattr(cli, "containment_equivalence", recorded)
+        path, _ = twocars_file(tmp_path, CarConfig(v=2.0, R=1.0),
+                               CarConfig(v=1.0, R=1.0))
+        out = tmp_path / "v.report"
+        main(["twocars", "--scenario", str(path), "--out", str(out)])
+        main(["twocars", "--scenario", str(path), "--grid", "4",
+              "--out", str(out)])
+        assert grids == [9, 4]
+
 
 class TestErrorPaths:
     """Diagnostics and exit-code mapping."""

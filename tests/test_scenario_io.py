@@ -422,13 +422,16 @@ class TestLoadScenario:
          "[pursuer]: speed must be positive and finite, got -1.0"),
         (TWOCARS_FILE.replace("[game]\nhorizon = 40.0\nheadstart = 6.3\n", ""),
          ScenarioInvariantError, None, "planar scenario is missing [game]"),
+        (TWOCARS_FILE.encode().replace(b"seed = 3", b"seed = \xff"),
+         ScenarioParseError, 15, "not valid UTF-8 text"),
     ], ids=["malformed_header", "empty_header", "non_integer_seed",
             "unknown_top_key", "section_twice", "zero_samples",
-            "headstart_past_horizon", "negative_speed", "planar_without_game"])
+            "headstart_past_horizon", "negative_speed", "planar_without_game",
+            "not_utf8"])
     def test_error_class_line_and_message(self, tmp_path, text, kind, line,
                                           fragment):
         path = tmp_path / "bad.cone"
-        path.write_text(text)
+        path.write_bytes(text if isinstance(text, bytes) else text.encode())
         with pytest.raises(ScenarioError) as err:
             load_scenario(path)
         assert type(err.value) is kind
@@ -771,7 +774,7 @@ class TestExportPoints:
             cockayne=CockayneVerdict(speed_ok=False, accel_ok=True),
             witness=witness, evader_peak_accel=0.5,
             pursuer_peak_accel=np.float64(0.75), headstart=1.0, horizon=9.0,
-            n_samples=4, n_times=3)
+            n_times=3)
 
     def test_twocars_report_text(self, tmp_path):
         path = tmp_path / "v.report"

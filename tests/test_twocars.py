@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from futurecone import twocars
@@ -652,6 +654,9 @@ class TestExplicitPolicyPursuit:
         assert peak < cap
 
 
+cars = st.builds(CarConfig, v=st.floats(0.1, 10.0), R=st.floats(0.1, 10.0))
+
+
 def equivalence_horizon(pursuer: CarConfig, evader: CarConfig,
                         headstart: float) -> float:
     """Horizon spanning several turn periods beyond the headstart."""
@@ -660,13 +665,14 @@ def equivalence_horizon(pursuer: CarConfig, evader: CarConfig,
 
 
 class TestContainmentEquivalence:
-    """Sampled containment against Cockayne's inequalities."""
+    """Containment on the extremal controls against Cockayne's
+    inequalities."""
 
-    def run_pair(self, pursuer, evader, seed=0):
+    def run_pair(self, pursuer, evader, **kwargs):
         headstart = TWO_PI * pursuer.R / pursuer.v
         horizon = equivalence_horizon(pursuer, evader, headstart)
         return containment_equivalence(pursuer, evader, horizon, headstart,
-                                       seed=seed)
+                                       **kwargs)
 
     def test_cockayne_true_pair_contained(self):
         verdict = self.run_pair(CarConfig(v=2.0, R=1.0),
@@ -714,6 +720,33 @@ class TestContainmentEquivalence:
         assert verdict.cockayne.intercept
         assert verdict.agree
 
+    def test_acceleration_excess_below_a_millionth_detected(self):
+        """An evader pulling 5e-7 more lateral acceleration than the
+        pursuer is not contained, as Cockayne says."""
+        verdict = self.run_pair(CarConfig(v=2.0, R=1.0),
+                                CarConfig(v=1.0, R=0.25 / (1.0 + 5e-7)))
+        assert verdict.radius_ok and not verdict.accel_ok
+        assert not verdict.contained
+        assert not verdict.cockayne.intercept
+        assert verdict.agree
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("exponent", range(1, 16))
+    def test_near_ties_agree(self, exponent, sign):
+        """Speed ratios and lateral-acceleration ratios of 1 +- 10^-k
+        give Cockayne's verdict, for k = 1 through 15."""
+        ratio = 1.0 + sign * 10.0 ** -exponent
+        pursuer = CarConfig(v=1.7, R=0.9)
+        fast = CarConfig(v=pursuer.v * ratio, R=2.0 * pursuer.R)
+        v2 = 0.6 * pursuer.v
+        turner = CarConfig(v=v2, R=v2 ** 2 / (pursuer.v ** 2 / pursuer.R
+                                              * ratio))
+        for evader in (fast, turner):
+            verdict = self.run_pair(pursuer, evader)
+            assert verdict.agree, (evader, verdict.cockayne)
+        assert self.run_pair(pursuer, fast).radius_ok == (sign < 0.0)
+        assert self.run_pair(pursuer, turner).accel_ok == (sign < 0.0)
+
     def test_random_pairs_agree(self):
         for seed in range(30):
             local = np.random.default_rng(1000 + seed)
@@ -721,16 +754,40 @@ class TestContainmentEquivalence:
                                 R=float(local.uniform(0.5, 3.0)))
             evader = CarConfig(v=float(local.uniform(0.5, 3.0)),
                                R=float(local.uniform(0.5, 3.0)))
-            verdict = self.run_pair(pursuer, evader, seed=seed)
+            verdict = self.run_pair(pursuer, evader)
             assert verdict.agree, (
                 f"seed {seed}: contained={verdict.contained} "
                 f"cockayne={verdict.cockayne}")
 
-    def test_deterministic_for_seed(self):
+    @settings(max_examples=300)
+    @given(pursuer=cars, evader=cars,
+           tie=st.sampled_from(["none", "speed", "accel"]),
+           exponent=st.integers(1, 15), sign=st.sampled_from([1, 0, -1]),
+           ulps=st.integers(-3, 3))
+    def test_verdict_is_cockayne(self, pursuer, evader, tie, exponent, sign,
+                                 ulps):
+        """Containment equals Cockayne's conjunction on random pairs and
+        on speed and acceleration near-ties built from them, down to a
+        few ulps, and any witness lies at or beyond the pursuer's
+        straight-line reach."""
+        ratio = 1.0 + sign * 10.0 ** -exponent
+        if tie == "speed":
+            v2 = pursuer.v * ratio
+            evader = CarConfig(v=v2 + ulps * math.ulp(v2), R=evader.R)
+        elif tie == "accel":
+            r2 = evader.v ** 2 / (pursuer.v ** 2 / pursuer.R * ratio)
+            evader = CarConfig(v=evader.v, R=r2 + ulps * math.ulp(r2))
+        verdict = self.run_pair(pursuer, evader, time_grid=9)
+        assert verdict.contained == cockayne_check(pursuer, evader).intercept
+        if verdict.witness is not None:
+            x, y, t = verdict.witness
+            assert np.hypot(x, y) >= pursuer.v * t
+
+    def test_deterministic(self):
         pursuer = CarConfig(v=0.9, R=1.0)
         evader = CarConfig(v=1.4, R=0.7)
-        a = self.run_pair(pursuer, evader, seed=5)
-        b = self.run_pair(pursuer, evader, seed=5)
+        a = self.run_pair(pursuer, evader)
+        b = self.run_pair(pursuer, evader)
         assert a.contained == b.contained
         assert np.array_equal(a.witness, b.witness)
         assert a.evader_peak_accel == b.evader_peak_accel
@@ -746,29 +803,10 @@ class TestContainmentEquivalence:
             containment_equivalence(pursuer, evader, horizon=1.0,
                                     headstart=math.pi)
 
-    def test_rejects_negative_samples(self):
-        with pytest.raises(ValueError, match="samples"):
-            containment_equivalence(CarConfig(v=2.0, R=1.0),
-                                    CarConfig(v=1.0, R=1.0), horizon=10.0,
-                                    headstart=4.0, samples=-5)
-
-    def test_samples_capped_before_allocation(self, monkeypatch):
-        pursuer, evader = CarConfig(v=2.0, R=1.0), CarConfig(v=1.0, R=1.0)
-        cap = 100_000
-        monkeypatch.setattr(twocars, "_MAX_SAMPLES", cap)
-        tracemalloc.start()
-        try:
-            with pytest.raises(WorkCapExceeded):
-                containment_equivalence(pursuer, evader, horizon=10.0,
-                                        headstart=4.0, samples=cap + 1)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < cap
-
-    def test_one_kernel_call_per_grid_time(self, monkeypatch):
-        """Both cars' families at one sampled time fly in one kernel
-        call, and a witness at the first time ends the scan there."""
+    @pytest.mark.parametrize("time_grid", [2, 5, 33, 400])
+    def test_one_kernel_call_whatever_the_grid(self, monkeypatch, time_grid):
+        """Both cars at every grid time fly in one kernel call, and a
+        slower pursuer's witness lies at the first grid time."""
         calls = []
         kernel = twocars._arc_poses
 
@@ -779,12 +817,12 @@ class TestContainmentEquivalence:
         monkeypatch.setattr(twocars, "_arc_poses", counted)
         contained = containment_equivalence(
             CarConfig(v=2.0, R=1.0), CarConfig(v=1.0, R=1.0), horizon=20.0,
-            headstart=math.pi, time_grid=5)
-        assert contained.witness is None and len(calls) == 5
+            headstart=math.pi, time_grid=time_grid)
+        assert contained.witness is None and len(calls) == 1
         calls.clear()
         slower = containment_equivalence(
             CarConfig(v=0.8, R=1.0), CarConfig(v=1.2, R=1.0), horizon=20.0,
-            headstart=4.0, time_grid=5)
+            headstart=4.0, time_grid=time_grid)
         assert slower.witness[2] == 4.0 and len(calls) == 1
 
 
@@ -794,16 +832,20 @@ def assert_same_bits(a: np.ndarray, b: np.ndarray) -> None:
 
 class TestAgainstReference:
     """Verdicts and pursuits equal the oracle's bit for bit, in every
-    field: the oracle flies each car's family in its own kernel call,
-    every approach sample through every route segment, and takes the
-    separation over the whole span."""
+    field: the oracle adds random controls to each car's family and
+    flies it in its own kernel call per grid time, flies every approach
+    sample through every route segment, and takes the separation over
+    the whole span."""
 
     def assert_same_verdict(self, pursuer, evader, headstart, horizon,
-                            **kwargs):
+                            time_grid=33, **draws):
+        """The draw-free verdict against the oracle's, which adds the
+        random controls that draws asks for."""
         got = containment_equivalence(pursuer, evader, horizon, headstart,
-                                      **kwargs)
+                                      time_grid=time_grid)
         want = ref.containment_equivalence(pursuer, evader, horizon,
-                                           headstart, **kwargs)
+                                           headstart, time_grid=time_grid,
+                                           **draws)
         for f in dataclasses.fields(got):
             a, b = getattr(got, f.name), getattr(want, f.name)
             if f.name == "witness" and b is not None:

@@ -3,11 +3,12 @@
 The arc kernel that builds each pose column with ``full``,
 ``concatenate`` and ``stack``; a control family built per car, with its
 extremal table written out in Python lists on every call; the sampled
-containment verdict that flies the two cars' families in two kernel
-calls per grid time; and the explicit pursuit that flies every approach
-sample through every route segment and takes the separation over the
-whole span. `futurecone.twocars` must give the same verdicts and the
-same pursuit results, bit for bit.
+containment verdict that flies the two cars' families, random draws
+included, in two kernel calls per grid time; and the explicit pursuit
+that flies every approach sample through every route segment and
+takes the separation over the whole span. `futurecone.twocars` must
+give the same verdicts, from the extremal table alone, and the same
+pursuit results, bit for bit.
 """
 from __future__ import annotations
 
@@ -102,22 +103,21 @@ def containment_equivalence(pursuer: CarConfig, evader: CarConfig,
                                        np.random.default_rng([seed, k]))
         ranges = np.linalg.norm(evader_pts, axis=1)
         frontier = float(np.max(np.linalg.norm(pursuer_pts, axis=1)))
-        over = np.flatnonzero(ranges >= frontier)
+        over = np.flatnonzero((ranges > frontier) | (
+            (ranges == frontier) & (evader.v >= pursuer.v)))
         if over.size:
             worst = over[np.argmax(ranges[over])]
             witness = np.array([evader_pts[worst, 0],
                                 evader_pts[worst, 1], tau])
             radius_ok = False
             break
-    evader_peak = _measured_peak_accel(evader)
-    pursuer_peak = _measured_peak_accel(pursuer)
-    accel_ok = evader_peak <= pursuer_peak * (1.0 + 1e-6)
+    accel_ok = evader.v ** 2 / evader.R <= pursuer.v ** 2 / pursuer.R
     return EquivalenceVerdict(
         contained=radius_ok and accel_ok, radius_ok=radius_ok,
         accel_ok=accel_ok, cockayne=cockayne_check(pursuer, evader),
-        witness=witness, evader_peak_accel=evader_peak,
-        pursuer_peak_accel=pursuer_peak, headstart=headstart,
-        horizon=horizon, n_samples=samples, n_times=time_grid)
+        witness=witness, evader_peak_accel=_measured_peak_accel(evader),
+        pursuer_peak_accel=_measured_peak_accel(pursuer),
+        headstart=headstart, horizon=horizon, n_times=time_grid)
 
 
 def explicit_policy_pursuit(pursuer: CarConfig, evader: CarConfig,
