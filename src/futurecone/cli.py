@@ -142,14 +142,10 @@ def cmd_twocars(scenario: Scenario, args: argparse.Namespace) -> int:
         0 when the containment verdict is contained, 3 when it is not.
 
     Raises:
-        ValueError: Scenario is not a Two Cars game, the game window
-            starts before a full pursuer turn, or --samples or --seed
-            was given: the verdict makes no random draws.
+        ValueError: Scenario is not a Two Cars game, or the game window
+            starts before a full pursuer turn.
     """
     _require_kind(scenario, "twocars", "twocars")
-    if args.samples is not None or args.seed is not None:
-        raise ValueError("twocars takes no --samples or --seed: its "
-                         "verdict makes no random draws")
     game = scenario.twocars
     verdict = containment_equivalence(
         game.pursuer, game.evader, horizon=game.horizon,
@@ -163,17 +159,20 @@ def cmd_twocars(scenario: Scenario, args: argparse.Namespace) -> int:
     return 0 if verdict.contained else 3
 
 
-# name: (function, description, output formats with the default first)
+# name: (function, description, output formats with the default first,
+#        whether it makes random draws and so takes --samples and --seed)
 _COMMANDS = {
     "propagate": (cmd_propagate,
                   "Fly the target through its shocks and export sampled "
-                  "states.", ("csv",)),
+                  "states.", ("csv",), False),
     "contain": (cmd_contain,
                 "Decide whether the target cone sits inside the "
-                "interceptor cone (exit 0 yes, 3 no).", ("report", "csv")),
+                "interceptor cone (exit 0 yes, 3 no).", ("report", "csv"),
+                True),
     "twocars": (cmd_twocars,
                 "Compare the Two Cars containment verdict with the "
-                "closed-form one (exit 0 contained, 3 not).", ("report",)),
+                "closed-form one (exit 0 contained, 3 not).", ("report",),
+                False),
 }
 
 
@@ -182,7 +181,7 @@ def _build_parser() -> argparse.ArgumentParser:
                      description="Reachability runs from scenario files.")
     subparsers = parser.add_subparsers(dest="command", required=True,
                                        parser_class=_Parser)
-    for name, (_, text, formats) in _COMMANDS.items():
+    for name, (_, text, formats, _) in _COMMANDS.items():
         sub = subparsers.add_parser(name, help=text, description=text)
         source = sub.add_mutually_exclusive_group(required=True)
         source.add_argument("--scenario", metavar="PATH",
@@ -215,11 +214,14 @@ def main(argv: Sequence[str] | None = None) -> int:
         3 not contained.
     """
     args = _build_parser().parse_args(argv)
-    command, _, formats = _COMMANDS[args.command]
+    command, _, formats, draws = _COMMANDS[args.command]
     try:
         if args.format not in formats:
             raise ValueError(f"{args.command} has no {args.format} output; "
                              f"--format takes {' or '.join(formats)}")
+        if not draws and (args.samples is not None or args.seed is not None):
+            raise ValueError(f"{args.command} takes no --samples or --seed: "
+                             f"it makes no random draws")
         return command(_resolve_scenario(args), args)
     except (ScenarioError, OSError, ValueError) as err:
         print(f"futurecone: error: {err}", file=sys.stderr)

@@ -1,18 +1,20 @@
 """Exact two-body propagation for bound orbits.
 
 Closed-form elliptic machinery: Kepler's equation, anomaly conversions,
-time of flight between eccentric anomalies, and the Lagrange-coefficient
-state transition parameterized by true-anomaly change. Anomalies are
-tracked unwrapped (multi-revolution) so time of flight stays monotone;
-angles are reduced only inside trig evaluation.
+time of flight between eccentric anomalies, and the state transition.
+Every arc is flown from its epoch state by one step in the
+eccentric-anomaly change dE, with the Lagrange coefficients written in
+dE (Battin 1987, ch. 4; Vallado, Alg. 8). The step divides by neither e
+nor p, so near-circular and near-rectilinear arcs keep full precision.
+Anomalies are tracked unwrapped (multi-revolution); angles are reduced
+only inside trig evaluation.
 
 Each computation is written once, as an array kernel over many rows:
-the Kepler solve, the conic of a state (arcs_from_states, giving an
-ArcBatch), the Lagrange step (states_at) and the perigee-crossing floor
-test (states_at, swept_min_radius). The containment engine and the
-shock chains of maneuver run on the kernels; the scalar functions
-(solve_kepler, arc_from_state, state_at, min_radius, propagate_time,
-propagate_theta) run them on one row.
+the Kepler solve, the step (states_at, coast) and the perigee-crossing
+floor test (states_at, swept_min_radius). An ArcBatch holds epoch states
+only; classical elements (BallisticArc) come from arc_from_state alone.
+The containment engine and the shock chains of maneuver run on the
+kernels; the scalar functions run them on one row.
 
 Units: km, s, km/s. Bound orbits only (0 <= e < 1); unbound states raise.
 """
@@ -20,7 +22,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -78,12 +80,12 @@ class StateVector:
 
 @dataclass(frozen=True)
 class BallisticArc:
-    """Conic-arc descriptor for a bound Keplerian orbit.
+    """Classical elements of a bound Keplerian orbit, for reading.
 
-    Derived once from a state, then queried repeatedly: the fields are the
-    classical elements entering the Lagrange coefficients and Kepler's
-    equation. f0 and E0 satisfy the half-angle relation and lie in the
-    same quadrant; tau is the pericenter passage time consistent with them.
+    Derived from a state by arc_from_state. The propagation kernels do
+    not read these fields: they fly from r0. f0 and E0 satisfy the
+    half-angle relation and lie in the same quadrant; tau is the
+    pericenter passage time consistent with them.
 
     Attributes:
         a: Semimajor axis, km.
@@ -194,17 +196,20 @@ def arc_from_state(s: StateVector, mu: float = MU_EARTH) -> BallisticArc:
         EccentricityOutOfRange: unbound or rectilinear state
             (a <= 0, e >= 1, or p = 0).
     """
-    return arcs_from_states(s.r[None], s.v[None], s.t, mu)[0]
+    a, e, p, sigma0, f0 = (float(x[0])
+                           for x in _elements(s.r[None], s.v[None], mu)[1:])
+    E0 = float(eccentric_from_true(f0, e))
+    tau = s.t - (E0 - e * math.sin(E0)) / mean_motion(a, mu)
+    return BallisticArc(a=a, e=e, p=p, sigma0=sigma0, f0=f0, E0=E0, tau=tau,
+                        r0=s, mu=mu)
 
 
 def state_at(arc: BallisticArc, t: float) -> StateVector:
     """State on an arc at absolute time t (Kepler inversion).
 
-    The fast path for repeated queries against one orbit: the arc is
-    derived once and each call costs one Kepler solve plus one
-    Lagrange-coefficient step.
+    One Kepler solve and one Lagrange step from the arc's epoch state.
     """
-    r, v, _ = states_at(ArcBatch.from_arcs((arc,)), t)
+    r, v, _ = coast(arc.r0.r[None], arc.r0.v[None], arc.r0.t, t, arc.mu)
     return StateVector(r[0], v[0], t)
 
 
@@ -213,7 +218,7 @@ def min_radius(arc: BallisticArc, t_from: float, t_to: float) -> float:
 
     Radius is monotone between apsides, so the minimum is the perigee
     radius when the interval crosses a perigee passage (E = 2*pi*k) and
-    an endpoint radius a*(1 - e*cos E) otherwise: two Kepler solves.
+    an endpoint radius otherwise: two steps from the arc's epoch state.
     """
     s = state_at(arc, t_from)
     _, _, lowest = coast(s.r[None], s.v[None], t_from, max(t_from, t_to),
@@ -225,10 +230,8 @@ def propagate_theta(s0: StateVector, theta: float,
                     mu: float = MU_EARTH) -> StateVector:
     """Propagate a bound state by a true-anomaly change.
 
-    (r, v) = Phi(theta) * (r0, v0) with the Lagrange coefficients
-    F, G, Ft, Gt; the radius entering F and G is solved from the conic
-    equation at anomaly f0 + theta. The output epoch is advanced by the
-    time of flight for theta (negative theta gives a negative advance).
+    The state is flown for the time of flight of theta, found from the
+    classical elements; negative theta gives a negative advance.
 
     Args:
         s0: Bound initial state.
@@ -264,31 +267,23 @@ def propagate_time(s0: StateVector, dt: float,
 
 @dataclass(frozen=True, eq=False)
 class ArcBatch(Sequence):
-    """Bound arcs as parallel arrays, one row per arc.
+    """Bound arcs as their epoch states r0, v0 and t0, one row per arc.
 
-    The array form of BallisticArc: each element field holds one value
-    per row, and r0, v0, t0 are the rows' epoch states. Indexing gives
-    the BallisticArc of one row and slicing a smaller batch, so a batch
-    reads as a sequence of arcs while the kernels use the arrays.
+    The kernels fly each row from its state; no orbital elements are
+    kept. Indexing gives the BallisticArc of one row (arc_from_state of
+    its state) and slicing a smaller batch.
     """
 
     r0: np.ndarray
     v0: np.ndarray
     t0: np.ndarray
-    a: np.ndarray
-    e: np.ndarray
-    p: np.ndarray
-    sigma0: np.ndarray
-    f0: np.ndarray
-    E0: np.ndarray
-    tau: np.ndarray
     mu: float
 
     def __post_init__(self):
-        for field in fields(self)[:-1]:  # every field but mu
-            arr = np.array(getattr(self, field.name), dtype=float)
+        for name in ("r0", "v0", "t0"):
+            arr = np.array(getattr(self, name), dtype=float)
             arr.setflags(write=False)
-            object.__setattr__(self, field.name, arr)
+            object.__setattr__(self, name, arr)
         object.__setattr__(self, "mu", float(self.mu))
 
     def __len__(self) -> int:
@@ -296,13 +291,9 @@ class ArcBatch(Sequence):
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return ArcBatch(*(getattr(self, field.name)[i]
-                              for field in fields(self)[:-1]), mu=self.mu)
-        return BallisticArc(
-            a=float(self.a[i]), e=float(self.e[i]), p=float(self.p[i]),
-            sigma0=float(self.sigma0[i]), f0=float(self.f0[i]),
-            E0=float(self.E0[i]), tau=float(self.tau[i]),
-            r0=StateVector(self.r0[i], self.v0[i], self.t0[i]), mu=self.mu)
+            return ArcBatch(self.r0[i], self.v0[i], self.t0[i], self.mu)
+        return arc_from_state(StateVector(self.r0[i], self.v0[i], self.t0[i]),
+                              self.mu)
 
     @classmethod
     def from_arcs(cls, arcs) -> ArcBatch:
@@ -311,12 +302,9 @@ class ArcBatch(Sequence):
         mus = {arc.mu for arc in arcs}
         if len(mus) > 1:
             raise ValueError(f"arcs of one batch must share mu, got {mus}")
-        columns = {field.name: [getattr(arc, field.name) for arc in arcs]
-                   for field in fields(BallisticArc)
-                   if field.name not in ("r0", "mu")}
         return cls(r0=np.reshape([arc.r0.r for arc in arcs], (-1, 3)),
                    v0=np.reshape([arc.r0.v for arc in arcs], (-1, 3)),
-                   t0=[arc.r0.t for arc in arcs], **columns,
+                   t0=[arc.r0.t for arc in arcs],
                    mu=mus.pop() if mus else MU_EARTH)
 
 
@@ -372,18 +360,14 @@ def _cross(x, y):
                      x0 * y1 - x1 * y0], axis=-1)
 
 
-def _energy_and_parameter(r, v, mu: float):
-    """|r|, 1/a from vis-viva, and p = |r x v|^2 / mu, per row."""
+def _ellipse(r, v, mu: float):
+    """The one vis-viva pass: |r|, 1/a, a, e and p = |r x v|^2 / mu per
+    state row, and whether the row is a bound, non-rectilinear ellipse
+    (the one test of arc_from_state)."""
     rn = np.linalg.norm(r, axis=-1)
     alpha = 2.0 / rn - np.einsum("...i,...i->...", v, v) / mu
     h = _cross(r, v)
-    return rn, alpha, np.einsum("...i,...i->...", h, h) / mu
-
-
-def _ellipse(r, v, mu: float):
-    """|r|, 1/a, a, e and p per state row, and whether the row is a
-    bound, non-rectilinear ellipse: the one test of arc_from_state."""
-    rn, alpha, p = _energy_and_parameter(r, v, mu)
+    p = np.einsum("...i,...i->...", h, h) / mu
     with np.errstate(divide="ignore"):
         a = 1.0 / alpha
     e = np.sqrt(np.maximum(1.0 - p / a, 0.0))
@@ -398,29 +382,36 @@ def is_bound(r, v, mu: float = MU_EARTH) -> np.ndarray:
     return _ellipse(r, v, mu)[-1]
 
 
-def _conic(r, v, mu: float):
-    """|r|, 1/a, a, e, p, sigma0, f0 and the bound test per state row,
-    as arc_from_state defines them, from one vis-viva pass; atan2 keeps
-    f0 precise near the apsides. Rows that are not bound ellipses get
-    meaningless elements."""
+def _bound_ellipse(r, v, mu: float):
+    """_ellipse of rows that must all be bound, with sigma0 = r . v /
+    sqrt(mu) in place of the test; EccentricityOutOfRange names the
+    first row that is not."""
     rn, alpha, a, e, p, bound = _ellipse(r, v, mu)
-    sigma0 = np.einsum("...i,...i->...", r, v) / math.sqrt(mu)
-    f0 = np.arctan2(sigma0 * np.sqrt(p) / rn, p / rn - 1.0)
-    return (rn, alpha, a, e, p, sigma0, np.where(e < _CIRCULAR_E, 0.0, f0),
-            bound)
-
-
-def _arc_fields(r, v, t, mu: float) -> tuple:
-    """arcs_from_states without the batch: its fields r0 through tau."""
-    rn, alpha, a, e, p, sigma0, f0, bound = _conic(r, v, mu)
     if not bound.all():
         i = int(np.argmin(bound))
         raise EccentricityOutOfRange(
             f"state {i} is unbound or rectilinear: 2/r - v^2/mu = "
             f"{float(alpha[i])!r}, |r x v|^2/mu = {float(p[i])!r}")
-    E0 = eccentric_from_true(f0, e)
-    tau = t - (E0 - e * np.sin(E0)) / np.sqrt(mu / a**3)
-    return r, v, t, a, e, p, sigma0, f0, E0, tau
+    sigma0 = np.einsum("...i,...i->...", r, v) / math.sqrt(mu)
+    return rn, alpha, a, e, p, sigma0
+
+
+def _elements(r, v, mu: float):
+    """|r|, a, e, p, sigma0 and the true anomaly f0 per bound state row,
+    as arc_from_state defines them; atan2 keeps f0 precise near the
+    apsides."""
+    rn, _, a, e, p, sigma0 = _bound_ellipse(r, v, mu)
+    f0 = np.arctan2(sigma0 * np.sqrt(p) / rn, p / rn - 1.0)
+    return rn, a, e, p, sigma0, np.where(e < _CIRCULAR_E, 0.0, f0)
+
+
+def _conic(r, v, mu: float):
+    """What the step reads of each bound state row, from one vis-viva
+    pass: |r|, 1/a, sigma0, E0 and e, by atan2 and hypot of
+    e*sin(E0) = sigma0/sqrt(a) and e*cos(E0) = 1 - |r|/a."""
+    rn, alpha, _, _, _, sigma0 = _bound_ellipse(r, v, mu)
+    e_cos, e_sin = 1.0 - rn * alpha, sigma0 * np.sqrt(alpha)
+    return rn, alpha, sigma0, np.arctan2(e_sin, e_cos), np.hypot(e_sin, e_cos)
 
 
 def arcs_from_states(r, v, t, mu: float = MU_EARTH) -> ArcBatch:
@@ -437,36 +428,38 @@ def arcs_from_states(r, v, t, mu: float = MU_EARTH) -> ArcBatch:
     """
     r, v = np.broadcast_arrays(np.asarray(r, dtype=float),
                                np.asarray(v, dtype=float))
-    r0, v0, t0, *elements = _arc_fields(r, v, t, mu)
-    return ArcBatch(r0, v0, np.full(r.shape[:-1], t0), *elements, mu=mu)
+    _bound_ellipse(r, v, mu)
+    return ArcBatch(r, v, np.full(r.shape[:-1], t), mu)
 
 
-def _floor_radius(a, e, f0, sweep, r0n, r1n):
-    """The perigee-crossing floor test of swept_min_radius."""
-    crossed = _TWO_PI * np.ceil(f0 / _TWO_PI) <= f0 + sweep
+def _floor_radius(a, e, anomaly0, sweep, r0n, r1n):
+    """The perigee-crossing floor test, in the true or the eccentric
+    anomaly: perigee lies at multiples of 2*pi in both."""
+    crossed = _TWO_PI * np.ceil(anomaly0 / _TWO_PI) <= anomaly0 + sweep
     return np.where(crossed, a * (1.0 - e), np.minimum(r0n, r1n))
 
 
-def _fly(r0, v0, t0, a, e, p, sigma0, f0, E0, tau, t, mu: float):
-    """states_at on arcs given by their fields."""
-    t = np.asarray(t, dtype=float)
-    E = _solve_kepler(np.sqrt(mu / a**3) * (t - tau), e)
-    theta = true_from_eccentric(E, e) - f0
-    # the Lagrange coefficients F, G, Ft, Gt of the step by theta
-    r1n = p / (1.0 + e * np.cos(f0 + theta))
-    r0n = np.linalg.norm(r0, axis=-1)
-    versine = 1.0 - np.cos(theta)
-    sin_t = np.sin(theta)
-    sqrt_mu = math.sqrt(mu)
-    sqrt_p = np.sqrt(p)
-    F = 1.0 - (r1n / p) * versine
-    G = r1n * r0n * sin_t / (sqrt_mu * sqrt_p)
-    Ft = sqrt_mu / (r0n * p) * (sigma0 * versine - sqrt_p * sin_t)
-    Gt = 1.0 - (r0n / p) * versine
-    at_epoch = (t == t0)[..., None]
+def _fly(r0, v0, t0, conic, t, mu: float):
+    """coast from epoch states whose _conic is given: E1 solves Kepler's
+    equation at M = E0 - e*sin(E0) + n*dt, and the Lagrange coefficients
+    and r1 = a*(1 - e*cos(E1)) are written in dE = E1 - E0."""
+    rn0, alpha, sigma0, E0, e = conic
+    dt = np.asarray(t, dtype=float) - t0
+    n = np.sqrt(mu * alpha**3)
+    dE = _solve_kepler(E0 - sigma0 * np.sqrt(alpha) + n * dt, e) - E0
+    a = 1.0 / alpha
+    versine = 1.0 - np.cos(dE)
+    sin_d = np.sin(dE)
+    r1n = rn0 + (a - rn0) * versine + sigma0 * np.sqrt(a) * sin_d
+    # the Lagrange coefficients F, G, Ft, Gt of the step by dE
+    F = 1.0 - (a / rn0) * versine
+    G = dt - (dE - sin_d) / n
+    Ft = -np.sqrt(mu * a) * sin_d / (rn0 * r1n)
+    Gt = 1.0 - (a / r1n) * versine
+    at_epoch = (dt == 0.0)[..., None]
     return (np.where(at_epoch, r0, F[:, None] * r0 + G[:, None] * v0),
             np.where(at_epoch, v0, Ft[:, None] * r0 + Gt[:, None] * v0),
-            _floor_radius(a, e, f0, theta, r0n, r1n))
+            _floor_radius(a, e, E0, dE, rn0, r1n))
 
 
 def states_at(arcs: ArcBatch, t, rows=None):
@@ -487,15 +480,17 @@ def states_at(arcs: ArcBatch, t, rows=None):
         shape (len(rows), 3), and the lowest radii, km.
     """
     rows = slice(None) if rows is None else rows
-    return _fly(*(getattr(arcs, field.name)[rows]
-                  for field in fields(arcs)[:-1]), t, arcs.mu)
+    return coast(arcs.r0[rows], arcs.v0[rows], arcs.t0[rows], t, arcs.mu)
 
 
 def coast(r, v, t, t_end, mu: float = MU_EARTH):
-    """States (n, 3) flown on their own arcs from epochs t to t_end: the
-    (r, v, lowest) of states_at(arcs_from_states(r, v, t, mu), t_end)
-    without building the batch, the step of propagate_time."""
-    return _fly(*_arc_fields(r, v, t, mu), t_end, mu)
+    """States (n, 3) flown from epochs t to t_end: the (r, v, lowest) of
+    states_at on the arcs of the states, without building the batch.
+
+    Raises:
+        EccentricityOutOfRange: some row is unbound or rectilinear.
+    """
+    return _fly(r, v, t, _conic(r, v, mu), t_end, mu)
 
 
 def swept_min_radius(r0, v0, r1n, sweep, mu: float = MU_EARTH) -> np.ndarray:
@@ -515,5 +510,5 @@ def swept_min_radius(r0, v0, r1n, sweep, mu: float = MU_EARTH) -> np.ndarray:
         sweep: True anomaly swept, rad, >= 0 (2*pi per full revolution).
         mu: Gravitational parameter, km^3/s^2.
     """
-    rn, _, a, e, _, _, f0, _ = _conic(r0, v0, mu)
+    rn, a, e, _, _, f0 = _elements(r0, v0, mu)
     return _floor_radius(a, e, f0, sweep, rn, r1n)

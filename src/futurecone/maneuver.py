@@ -27,8 +27,8 @@ from .errors import (
 from .kepler import (
     ArcBatch,
     StateVector,
-    _arc_fields,
     _as_vec3,
+    _conic,
     _fly,
     states_at,
 )
@@ -54,7 +54,7 @@ class ShockEvent:
     def __post_init__(self):
         object.__setattr__(self, "t", float(self.t))
         if not math.isfinite(self.t):
-            raise ValueError(f"shock epoch must be finite, got {self.t}")
+            raise ValueError(f"t: shock epoch must be finite, got {self.t}")
         object.__setattr__(self, "dv", _as_vec3(self.dv, "dv"))
 
     def __eq__(self, other) -> bool:
@@ -128,8 +128,8 @@ class ImpulsiveTrajectory:
     post-shock state.
 
     Attributes:
-        arcs: Conic descriptors, one per ballistic segment, in epoch
-            order; a sequence of BallisticArc is stored as an ArcBatch.
+        arcs: Epoch states, one per ballistic segment, in epoch order;
+            a sequence of BallisticArc is stored as an ArcBatch.
         t_end: End of the last segment, s.
         schedule: The generating schedule.
         origin: State at the start of the chain.
@@ -253,15 +253,14 @@ def apply_shock(s: StateVector, dv, mu: float = MU_EARTH,
         SurfaceViolation: the state sits below the altitude floor.
     """
     post = StateVector(r=s.r, v=s.v + np.asarray(dv, dtype=float), t=s.t)
-    _shocked_arc(post.r[None], post.v[None], post.t, mu,
-                 EARTH_RADIUS_KM + floor)
+    _shocked_conic(post.r[None], post.v[None], mu, EARTH_RADIUS_KM + floor)
     return post
 
 
-def _shocked_arc(r, v, t: float, mu: float, floor_radius: float):
+def _shocked_conic(r, v, mu: float, floor_radius: float):
     """apply_shock's floor and bound checks on one post-shock state row,
-    returning the fields of the arc the shock starts: one vis-viva pass
-    (kepler._arc_fields) is the bound check and the next segment's conic.
+    returning the conic of the arc the shock starts: one vis-viva pass
+    (kepler._conic) is the bound check and the next segment's conic.
     """
     rn = float(np.linalg.norm(r))
     if rn < floor_radius:
@@ -269,7 +268,7 @@ def _shocked_arc(r, v, t: float, mu: float, floor_radius: float):
             f"state radius {rn!r} km is below the floor radius "
             f"{floor_radius!r} km")
     try:
-        return _arc_fields(r, v, t, mu)
+        return _conic(r, v, mu)
     except EccentricityOutOfRange:
         raise UnboundResult(
             f"post-shock state is unbound or rectilinear: |v| = "
@@ -284,7 +283,8 @@ def propagate_schedule(origin: StateVector, sched: ImpulsiveSchedule,
     Coasts on Lagrange-coefficient arcs between shock epochs, applies each
     shock in turn, and coasts to t_end. Every ballistic segment is checked
     against the altitude floor at its lowest in-window point. Each
-    segment's conic is derived once and kept as its row of the trajectory.
+    segment's conic is derived once, and its epoch state is kept as its
+    row of the trajectory.
 
     Args:
         origin: State at the start of the window.
@@ -315,36 +315,36 @@ def propagate_schedule(origin: StateVector, sched: ImpulsiveSchedule,
         raise ValueError(f"t_end={t_end} precedes the origin epoch {origin.t}")
 
     floor_radius = EARTH_RADIUS_KM + floor
-    flown: list[tuple] = []  # the arc fields of each segment
+    flown: list[tuple] = []  # the epoch state (r, v, t) of each segment
 
-    def segment(r, v, t: float, arc, until: float, label: str):
+    def segment(r, v, t: float, conic, until: float, label: str):
         try:
-            if arc is None:
-                arc = _arc_fields(r, v, t, mu)
-            r, v, lowest = _fly(*arc, until, mu)
+            if conic is None:
+                conic = _conic(r, v, mu)
+            r_end, v_end, lowest = _fly(r, v, t, conic, until, mu)
             if lowest[0] < floor_radius:
                 raise SurfaceViolation(
                     f"segment dips to radius {float(lowest[0])!r} km, below "
                     f"the floor radius {floor_radius!r} km")
         except FutureConeError as exc:
             raise type(exc)(f"{label}: {exc}") from exc
-        flown.append(arc)
-        return r, v
+        flown.append((r, v, t))
+        return r_end, v_end
 
-    # the chain as one state row; arc is None until a conic is derived
-    r, v, t, arc = origin.r[None], origin.v[None], origin.t, None
+    # the chain as one state row; conic is None until one is derived
+    r, v, t, conic = origin.r[None], origin.v[None], origin.t, None
     for i, shock in enumerate(sched.shocks):
         if shock.t > t:
-            r, v = segment(r, v, t, arc, shock.t, f"segment before shock {i}")
+            r, v = segment(r, v, t, conic, shock.t,
+                           f"segment before shock {i}")
         t, v = shock.t, v + shock.dv
         try:
-            arc = _shocked_arc(r, v, t, mu, floor_radius)
+            conic = _shocked_conic(r, v, mu, floor_radius)
         except FutureConeError as exc:
             raise type(exc)(f"shock {i}: {exc}") from exc
-    segment(r, v, t, arc, t_end, "final segment")
-    r0, v0, t0, *elements = zip(*flown)
-    arcs = ArcBatch(np.concatenate(r0), np.concatenate(v0), t0,
-                    *map(np.concatenate, elements), mu=mu)
+    segment(r, v, t, conic, t_end, "final segment")
+    r0, v0, t0 = zip(*flown)
+    arcs = ArcBatch(np.concatenate(r0), np.concatenate(v0), t0, mu=mu)
     return ImpulsiveTrajectory(arcs=arcs, t_end=t_end, schedule=sched,
                                origin=origin)
 

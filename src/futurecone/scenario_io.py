@@ -99,8 +99,8 @@ class TwoCarsGame:
         object.__setattr__(self, "headstart", float(self.headstart))
         if not 0.0 < self.headstart < self.horizon:
             raise ValueError(
-                f"need 0 < headstart < horizon, got headstart="
-                f"{self.headstart}, horizon={self.horizon}")
+                f"headstart must satisfy 0 < headstart < horizon, got "
+                f"headstart={self.headstart}, horizon={self.horizon}")
 
 
 def _check_kind(orbital: bool, planar: bool) -> None:
@@ -280,17 +280,19 @@ def _values(section: str, pairs: _Pairs) -> dict:
     return values
 
 
-# ConeSpec and Scenario errors start with the offending field; its key:
+# Constructor errors start with the offending field. Its key is the
+# field's own name, or this where the two differ:
 _FIELD_KEYS = {"window": "window_s", "budget": "budget_km_s",
-               "vertex": "r_km", "floor": "floor_km", "floor_km": "floor_km",
-               "mu": "mu_km3_s2", "name": "name"}
+               "vertex": "r_km", "floor": "floor_km", "mu": "mu_km3_s2",
+               "t": "t_s", "dv": "dv_km_s"}
 
 
 def _invariant(exc: ValueError, label: str, where: tuple[_Pairs, ...],
                line: int | None) -> ScenarioInvariantError:
     """exc, prefixed by label, at the line of the key that its first word
     names, if one of the pairs in where holds it, else at line."""
-    key = _FIELD_KEYS.get(str(exc).split()[0].rstrip(":"))
+    field = str(exc).split()[0].rstrip(":")
+    key = _FIELD_KEYS.get(field, field)
     found = [pairs[key][1] for pairs in where if key in pairs]
     return ScenarioInvariantError(label + str(exc),
                                   found[0] if found else line)
@@ -382,16 +384,15 @@ def load_scenario(path) -> Scenario:
            bool(blocks.keys() & _ORBITAL_SECTIONS or shocks_raw),
            bool(planar_lines))
 
-    def build(make, name: str, lineno: int, pairs: _Pairs, *leading,
-              prefix: str | None = None):
+    def build(make, name: str, lineno: int, pairs: _Pairs, *leading):
         """make(*leading, the section's values), refusing at its lines."""
-        return _build(make, prefix or f"[{name}]: ", (pairs, top), lineno,
-                      *leading, *_values(name, pairs).values())
+        return _build(make, f"[{name}] ", (pairs, top), lineno, *leading,
+                      *_values(name, pairs).values())
 
     sampling = SamplingSpec()
     if "sampling" in blocks:
         lineno, pairs = blocks["sampling"]
-        sampling = _build(SamplingSpec, "[sampling]: ", (), lineno,
+        sampling = _build(SamplingSpec, "[sampling] ", (pairs,), lineno,
                           **_values("sampling", pairs))
 
     game = None
@@ -406,8 +407,7 @@ def load_scenario(path) -> Scenario:
                 for label in ("pursuer", "evader")]
         game = build(TwoCarsGame, "game", *blocks["game"], *cars)
 
-    cones = {label: build(_cone, label, *blocks[label], mu, floor_km,
-                          prefix=f"[{label}] ")
+    cones = {label: build(_cone, label, *blocks[label], mu, floor_km)
              for label in ("interceptor", "target") if label in blocks}
     shocks = tuple(build(ShockEvent, "shock", *raw) for raw in shocks_raw)
 

@@ -61,7 +61,7 @@ class CarConfig:
             raise ValueError(f"speed must be positive and finite, got {self.v}")
         if not (math.isfinite(self.R) and self.R > 0.0):
             raise ValueError(
-                f"turn radius must be positive and finite, got {self.R}")
+                f"turn_radius must be positive and finite, got {self.R}")
 
     @property
     def max_turn_rate(self) -> float:

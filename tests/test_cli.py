@@ -110,6 +110,33 @@ class TestFlagGrammar:
         assert err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag", ["--samples", "--seed"])
+    @pytest.mark.parametrize("command, solver", [
+        ("propagate", "propagate_schedule"),
+        ("twocars", "containment_equivalence"),
+    ], ids=["propagate", "twocars"])
+    def test_draw_flags_are_refused(self, tmp_path, capsys, monkeypatch,
+                                    command, solver, flag):
+        """Commands that make no random draws refuse the draw flags
+        before any solve."""
+        def refuse(*args, **kwargs):
+            raise AssertionError(f"{solver} ran")
+
+        monkeypatch.setattr(cli, solver, refuse)
+        if command == "propagate":
+            path, _ = orbital_file(tmp_path)
+        else:
+            path, _ = twocars_file(tmp_path, CarConfig(v=2.0, R=1.0),
+                                   CarConfig(v=1.0, R=1.0))
+        out = tmp_path / "x.out"
+        code = main([command, "--scenario", str(path), flag, "5",
+                     "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("futurecone: error:")
+        assert "no random draws" in err and err.count("\n") == 1
+        assert not out.exists()
+
 
 class TestPropagate:
     """Trajectory export through the shock schedule."""
@@ -271,24 +298,6 @@ class TestTwoCars:
                      "--out", str(tmp_path / "x.csv")])
         assert code == 1
         assert capsys.readouterr().err.startswith("futurecone: error:")
-
-    @pytest.mark.parametrize("flag", ["--samples", "--seed"])
-    def test_draw_flags_are_refused(self, tmp_path, capsys, monkeypatch,
-                                    flag):
-        def refuse(*args, **kwargs):
-            raise AssertionError("containment_equivalence ran")
-
-        monkeypatch.setattr(cli, "containment_equivalence", refuse)
-        path, _ = twocars_file(tmp_path, CarConfig(v=2.0, R=1.0),
-                               CarConfig(v=1.0, R=1.0))
-        out = tmp_path / "v.report"
-        code = main(["twocars", "--scenario", str(path), flag, "5",
-                     "--out", str(out)])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert err.startswith("futurecone: error:")
-        assert "no random draws" in err and err.count("\n") == 1
-        assert not out.exists()
 
     def test_grid_flag_sets_the_time_grid(self, tmp_path, monkeypatch):
         grids = []

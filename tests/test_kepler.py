@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from futurecone import (
@@ -16,6 +18,7 @@ from futurecone import (
     propagate_theta,
     propagate_time,
     solve_kepler,
+    solve_lambert,
     state_at,
     time_of_flight,
     true_from_eccentric,
@@ -60,6 +63,19 @@ def random_bound_state(e_max: float = 0.9) -> StateVector:
     e = rng.uniform(0.0, e_max)
     f = rng.uniform(-math.pi, math.pi)
     return state_from_elements(a, e, f, random_rotation())
+
+
+def dop853(s0: StateVector, dt: float) -> np.ndarray:
+    """Position and velocity, stacked, after dt by DOP853 at rtol 1e-13."""
+    from scipy.integrate import solve_ivp
+
+    def rhs(t, y):
+        r = y[:3]
+        return np.concatenate([y[3:], -MU_EARTH * r / np.linalg.norm(r)**3])
+
+    sol = solve_ivp(rhs, (0.0, dt), np.concatenate([s0.r, s0.v]),
+                    method="DOP853", rtol=1e-13, atol=1e-13)
+    return sol.y[:, -1]
 
 
 class TestSolveKepler:
@@ -293,31 +309,71 @@ class TestPropagation:
             assert_allclose(float(np.linalg.norm(s.r)), expected, rtol=1e-10)
 
     def test_against_numerical_integration(self):
-        """Cross-check arcs against a dense RK integration.
+        """Cross-check arcs against a DOP853 integration.
 
         The second arc starts at an apsis of a near-circular orbit (a
-        small tangential burn on a circular one), where the epoch true
-        anomaly is hardest to recover from the state.
+        small tangential burn on a circular one), where the apsis
+        direction is barely defined.
         """
-        from scipy.integrate import solve_ivp
-
         vc = math.sqrt(MU_EARTH / 6878.0)
         apsis = StateVector([6878.0, 0.0, 0.0], [0.0, vc + 1e-4, 0.0], 0.0)
         cases = ((state_from_elements(8200.0, 0.25, 0.4, random_rotation()),
                   2500.0),
                  (apsis, 3000.0))
 
-        def rhs(t, y):
-            r = y[:3]
-            rn = np.linalg.norm(r)
-            return np.concatenate([y[3:], -MU_EARTH * r / rn**3])
-
         for s0, dt in cases:
-            sol = solve_ivp(rhs, (0.0, dt), np.concatenate([s0.r, s0.v]),
-                            method="DOP853", rtol=1e-12, atol=1e-12)
+            expected = dop853(s0, dt)
             s1 = propagate_time(s0, dt)
-            assert_allclose(s1.r, sol.y[:3, -1], rtol=1e-8)
-            assert_allclose(s1.v, sol.y[3:, -1], rtol=1e-8)
+            assert_allclose(s1.r, expected[:3], rtol=1e-8)
+            assert_allclose(s1.v, expected[3:], rtol=1e-8)
+
+
+class TestStepFromState:
+    """The step in the eccentric-anomaly change, at the ends of the
+    eccentricity range where an element form loses precision."""
+
+    @pytest.mark.parametrize("angle", [1e-7, 1e-6, 1e-5, 1e-4, 1e-3])
+    def test_near_rectilinear_lambert_arcs_land(self, angle):
+        """Lambert arcs at transfer angles near 0 between unequal radii
+        are ellipses with e near 1. Every returned slot, long branches
+        through the centre included, lands on r1."""
+        r0 = np.array([7000.0, 0.0, 0.0])
+        for r1n in (7500.0, 8500.0, 9500.0):
+            r1 = r1n * np.array([math.cos(angle), math.sin(angle), 0.0])
+            for dt in (600.0, 1200.0, 2400.0, 9000.0):
+                for sol in solve_lambert(r0, r1, dt, max_revs=1):
+                    landed = propagate_time(StateVector(r0, sol.v_depart, 0.0),
+                                            dt).r
+                    assert float(np.linalg.norm(landed - r1)) < 1e-8 * r1n
+
+    @pytest.mark.parametrize("burn", [1e-9, 1e-8, 1e-7, 1e-6, 1e-5])
+    def test_near_circular_arc_matches_integration(self, burn):
+        """A tangential burn of burn km/s on a circular orbit, flown for
+        most of a revolution, where e and the apsis are barely defined."""
+        rn = 7000.0
+        s0 = StateVector([rn, 0.0, 0.0],
+                         [0.0, math.sqrt(MU_EARTH / rn) + burn, 0.0], 0.0)
+        miss = propagate_time(s0, 5400.0).r - dop853(s0, 5400.0)[:3]
+        assert float(np.linalg.norm(miss)) < 1e-11 * rn
+
+    @given(st.floats(6800.0, 40000.0), st.floats(0.0, 0.99),
+           st.floats(-math.pi, math.pi), st.floats(-30000.0, 30000.0),
+           st.integers(0, 2**32 - 1))
+    def test_back_and_forth_returns_and_keeps_the_lagrange_identity(
+            self, a, e, f, dt, seed):
+        """Flying dt and then -dt restores the state, and the step's
+        coefficients satisfy F*Gt - Ft*G = 1."""
+        frame, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(3, 3)))
+        s0 = state_from_elements(a, e, f, frame)
+        s1 = propagate_time(s0, dt)
+        s2 = propagate_time(s1, -dt)
+        assert float(np.linalg.norm(s2.r - s0.r)) < 1e-9 * a
+        assert float(np.linalg.norm(s2.v - s0.v)) < 1e-9 * float(
+            np.linalg.norm(s0.v))
+        coeffs, *_ = np.linalg.lstsq(np.column_stack([s0.r, s0.v]),
+                                     np.column_stack([s1.r, s1.v]), rcond=None)
+        (F, Ft), (G, Gt) = coeffs
+        assert abs(F * Gt - Ft * G - 1.0) < 1e-9
 
 
 class TestStateVector:
@@ -426,7 +482,8 @@ class TestArrayKernels:
         again = ArcBatch.from_arcs(list(arcs))
         assert len(again) == 5
         assert np.array_equal(again.r0, arcs.r0)
-        assert np.array_equal(again.tau, arcs.tau)
+        assert np.array_equal(again.v0, arcs.v0)
+        assert np.array_equal(again.t0, arcs.t0)
         assert len(arcs[1:3]) == 2
         assert len(ArcBatch.from_arcs(())) == 0
 

@@ -368,13 +368,13 @@ def test_one_conic_pass_per_segment(monkeypatch):
                                    0.1]), (0.0, 0.25 * period))
     sched = shock_approximation(profile, 256)
     passes = []
-    pass_once = kepler._energy_and_parameter
+    pass_once = kepler._ellipse
 
     def counted(*args):
         passes.append(1)
         return pass_once(*args)
 
-    monkeypatch.setattr(kepler, "_energy_and_parameter", counted)
+    monkeypatch.setattr(kepler, "_ellipse", counted)
     traj = propagate_schedule(circular_state(), sched, 0.25 * period)
     assert len(traj.arcs) == 257
     assert len(passes) <= len(traj.arcs)

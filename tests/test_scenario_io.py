@@ -338,16 +338,16 @@ class TestLoadScenario:
         assert "nonnegative" in str(err.value)
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
-    def test_non_finite_shock_epoch_reports_its_section_line(self, tmp_path,
-                                                             value):
+    def test_non_finite_shock_epoch_reports_its_key_line(self, tmp_path,
+                                                         value):
         bad = (MINIMAL_ORBITAL
                + f"\n[shock]\nt_s = {value}\ndv_km_s = 0.001, 0.0, 0.0\n")
         path = tmp_path / "bad.cone"
         path.write_text(bad)
         with pytest.raises(ScenarioInvariantError) as err:
             load_scenario(path)
-        assert err.value.line == bad.splitlines().index("[shock]") + 1
-        assert "shock epoch must be finite" in str(err.value)
+        assert err.value.line == bad.splitlines().index(f"t_s = {value}") + 1
+        assert "[shock] t: shock epoch must be finite" in str(err.value)
 
     @pytest.mark.parametrize("line, field", [
         ("budget_km_s = nan", "budget"),
@@ -412,21 +412,32 @@ class TestLoadScenario:
         (MINIMAL_ORBITAL + "\n" + MINIMAL_ORBITAL.split("\n\n")[2],
          ScenarioSchemaError, 17, "[target] appears twice (first at line 10)"),
         (TWOCARS_FILE.replace("n_samples = 128", "n_samples = 0"),
-         ScenarioInvariantError, 12,
-         "[sampling]: n_samples must be positive, got 0"),
+         ScenarioInvariantError, 13,
+         "[sampling] n_samples must be positive, got 0"),
+        (TWOCARS_FILE.replace("seed = 3", "seed = -1"),
+         ScenarioInvariantError, 15,
+         "[sampling] seed must be nonnegative, got -1"),
         (TWOCARS_FILE.replace("headstart = 6.3", "headstart = 40.0"),
-         ScenarioInvariantError, 8,
-         "[game]: need 0 < headstart < horizon, got headstart=40.0"),
+         ScenarioInvariantError, 10,
+         "[game] headstart must satisfy 0 < headstart < horizon, got "
+         "headstart=40.0"),
         (TWOCARS_FILE.replace("speed = 2.0", "speed = -1"),
-         ScenarioInvariantError, 2,
-         "[pursuer]: speed must be positive and finite, got -1.0"),
+         ScenarioInvariantError, 3,
+         "[pursuer] speed must be positive and finite, got -1.0"),
+        (TWOCARS_FILE.replace("speed = 1.0\nturn_radius = 1.0",
+                              "speed = 1.0\nturn_radius = 0"),
+         ScenarioInvariantError, 7,
+         "[evader] turn_radius must be positive and finite, got 0.0"),
+        (MINIMAL_ORBITAL + "\n[shock]\nt_s = 250.0\ndv_km_s = nan, 0, 0\n",
+         ScenarioInvariantError, 19, "[shock] dv must be finite"),
         (TWOCARS_FILE.replace("[game]\nhorizon = 40.0\nheadstart = 6.3\n", ""),
          ScenarioInvariantError, None, "planar scenario is missing [game]"),
         (TWOCARS_FILE.encode().replace(b"seed = 3", b"seed = \xff"),
          ScenarioParseError, 15, "not valid UTF-8 text"),
     ], ids=["malformed_header", "empty_header", "non_integer_seed",
             "unknown_top_key", "section_twice", "zero_samples",
-            "headstart_past_horizon", "negative_speed", "planar_without_game",
+            "negative_seed", "headstart_past_horizon", "negative_speed",
+            "zero_turn_radius", "non_finite_dv", "planar_without_game",
             "not_utf8"])
     def test_error_class_line_and_message(self, tmp_path, text, kind, line,
                                           fragment):
