@@ -1,7 +1,9 @@
 """Command-line interface: exit codes, golden files, determinism."""
 from __future__ import annotations
 
+import hashlib
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +18,8 @@ from futurecone.scenario_io import SamplingSpec, Scenario, TwoCarsGame, save_sce
 from futurecone.twocars import CarConfig
 
 TWO_PI = 2.0 * math.pi
+LEO_MULTIREV = (Path(__file__).resolve().parents[1] / "perfbench"
+                / "scenarios" / "leo_multirev.cone")
 LEO_R = EARTH_RADIUS_KM + 860.0
 LEO_V = math.sqrt(MU_EARTH / LEO_R)
 
@@ -424,3 +428,22 @@ class TestDeterminism:
         main(["contain", "--scenario", str(path), "--seed", "2",
               "--format", "csv", "--out", str(b)])
         assert a.read_bytes() != b.read_bytes()
+
+
+class TestGoldenBytes:
+    """Outputs pinned by their sha256: a change that claims identical
+    results must leave every byte of these runs as it is."""
+
+    @pytest.mark.parametrize("flags, digest", [
+        (["contain", "--builtin", "fy1c", "--samples", "40", "--grid", "6",
+          "--seed", "0"],
+         "ff67a8f0830c2244f3544037d1b75ae2abf1554a67ee1d9c65613eb15f013be2"),
+        (["contain", "--scenario", str(LEO_MULTIREV), "--seed", "0"],
+         "6a179573f4981fbe759d2a1a7aa08f3c27dae095fa8db5bea30d741280968ca5"),
+        (["propagate", "--builtin", "fy1c"],
+         "73fa92589928e08132b8939204d177331863b829872ae6a7e50a9b99debf2741"),
+    ], ids=["contain_fy1c", "contain_leo_multirev", "propagate_fy1c"])
+    def test_output_bytes(self, tmp_path, flags, digest):
+        out = tmp_path / "out"
+        assert main(flags + ["--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
