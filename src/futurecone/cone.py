@@ -13,10 +13,11 @@ commitment to meet the target wherever it goes.
 Containment is batched: the target's sampled arcs are held as arrays
 (kepler.ArcBatch), and the draws x grid times are tested in chunks of
 at most _CHUNK_POINTS points. Each chunk takes its leaf positions from
-one vectorized Kepler solve, its connecting arcs from one
-lambert_batch call, and its floor check in closed form
-(kepler.swept_min_radius). membership and leaf are batches of one on
-the same kernels.
+one vectorized Kepler solve on one conic per target arc, its
+connecting arcs from one lambert_batch call, its floor check in closed
+form (kepler.swept_min_radius), and each point's cheapest admissible
+arc from one minimum over the arcs. membership and leaf are batches of
+one on the same kernels.
 """
 from __future__ import annotations
 
@@ -35,6 +36,7 @@ from .errors import (
 from .kepler import (
     ArcBatch,
     StateVector,
+    _row_norm,
     arcs_from_states,
     is_bound,
     states_at,
@@ -238,7 +240,7 @@ def leaf(sample_set: ConeSampleSet, t: float) -> np.ndarray:
         raise ValueError(
             f"t={t} outside [{spec.vertex.t}, {spec.window[1]}]")
     points, _, _ = states_at(sample_set.trajectories, t)
-    keep = np.linalg.norm(points, axis=1) >= EARTH_RADIUS_KM + spec.floor
+    keep = _row_norm(points) >= EARTH_RADIUS_KM + spec.floor
     return points[keep]
 
 
@@ -286,7 +288,9 @@ def _required_dv(spec: ConeSpec, points: np.ndarray, times: np.ndarray,
 
     One lambert_batch over the rows, then the closed-form floor check on
     every connecting arc; arcs dipping below the floor are not
-    admissible. Rows with no admissible arc cost +inf.
+    admissible. Each row's required dv is the least cost over its
+    admissible arcs, one reduction over the arcs; rows with none cost
+    +inf.
 
     Returns:
         (required dv per row, km/s; connecting arcs examined per row).
@@ -303,13 +307,13 @@ def _required_dv(spec: ConeSpec, points: np.ndarray, times: np.ndarray,
             f"membership query at t={float(times[exc.row])}: {exc}",
             row=exc.row) from exc
     lowest = swept_min_radius(spec.vertex.r, sols.v_depart,
-                              np.linalg.norm(points, axis=1)[sols.row],
-                              sols.sweep, spec.mu)
-    admissible = lowest >= EARTH_RADIUS_KM + spec.floor
-    cost = np.full((len(points), sols.revs.size), np.inf)
-    cost[sols.row[admissible], sols.slot[admissible]] = np.linalg.norm(
-        sols.v_depart[admissible] - spec.vertex.v, axis=-1)
-    return cost.min(axis=1), np.bincount(sols.row, minlength=len(points))
+                              _row_norm(points)[sols.row], sols.sweep,
+                              spec.mu)
+    cost = np.where(lowest >= EARTH_RADIUS_KM + spec.floor,
+                    _row_norm(sols.v_depart - spec.vertex.v), np.inf)
+    required = np.full(len(points), np.inf)
+    np.minimum.at(required, sols.row, cost)
+    return required, np.bincount(sols.row, minlength=len(points))
 
 
 def containment(interceptor: ConeSpec, target: ConeSpec,
@@ -363,7 +367,7 @@ def containment(interceptor: ConeSpec, target: ConeSpec,
         flat = np.arange(start, min(start + _CHUNK_POINTS, total))
         t = times[flat // len(arcs)]
         points, _, _ = states_at(arcs, t, flat % len(arcs))
-        above = np.linalg.norm(points, axis=1) >= floor_radius
+        above = _row_norm(points) >= floor_radius
         points, t = points[above], t[above]
         if not t.size:
             continue

@@ -12,11 +12,17 @@ only inside trig evaluation.
 Each computation is written once, as an array kernel over many rows:
 the Kepler solve, the step (states_at, coast) and the perigee-crossing
 floor test (states_at, swept_min_radius). An ArcBatch holds epoch states
-only; classical elements (BallisticArc) come from arc_from_state alone.
-The containment engine and the shock chains of maneuver run on the
-kernels; the scalar functions run them on one row.
+only, C-ordered, so a row's bits do not depend on how its batch was
+built; classical elements (BallisticArc) come from arc_from_state alone.
+states_at derives the conic of each arc of a batch once and gathers it
+for every row that queries the arc. Row norms come from _row_norm,
+np.linalg.norm's bits without its reduction pass. The containment engine
+and the shock chains of maneuver run on the kernels; the scalar
+functions run them on one row.
 
 Units: km, s, km/s. Bound orbits only (0 <= e < 1); unbound states raise.
+A bound state so nearly rectilinear that its e rounds to 1 is flown at
+the largest float below 1.
 """
 from __future__ import annotations
 
@@ -33,6 +39,7 @@ _KEPLER_TOL = 1e-14  # internal target; contract promises < 1e-12
 _KEPLER_MAX_ITER = 50
 _BISECT_STEPS = 64  # halve a bracket of width <= 2 past float resolution
 _CIRCULAR_E = 1e-10
+_E_BELOW_ONE = np.nextafter(1.0, 0.0)  # the largest eccentricity flown
 _TWO_PI = 2.0 * math.pi
 
 
@@ -270,7 +277,7 @@ class ArcBatch(Sequence):
     """Bound arcs as their epoch states r0, v0 and t0, one row per arc.
 
     The kernels fly each row from its state; no orbital elements are
-    kept. Indexing gives the BallisticArc of one row (arc_from_state of
+    kept. The arrays are copied C-ordered and read-only. Indexing gives the BallisticArc of one row (arc_from_state of
     its state) and slicing a smaller batch.
     """
 
@@ -281,7 +288,7 @@ class ArcBatch(Sequence):
 
     def __post_init__(self):
         for name in ("r0", "v0", "t0"):
-            arr = np.array(getattr(self, name), dtype=float)
+            arr = np.array(getattr(self, name), dtype=float, order="C")
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "mu", float(self.mu))
@@ -360,11 +367,18 @@ def _cross(x, y):
                      x0 * y1 - x1 * y0], axis=-1)
 
 
+def _row_norm(x):
+    """np.linalg.norm(x, axis=-1) bit for bit, summed from the three
+    columns in its order without its reduction pass."""
+    x0, x1, x2 = x[..., 0], x[..., 1], x[..., 2]
+    return np.sqrt(x0 * x0 + x1 * x1 + x2 * x2)
+
+
 def _ellipse(r, v, mu: float):
     """The one vis-viva pass: |r|, 1/a, a, e and p = |r x v|^2 / mu per
     state row, and whether the row is a bound, non-rectilinear ellipse
     (the one test of arc_from_state)."""
-    rn = np.linalg.norm(r, axis=-1)
+    rn = _row_norm(r)
     alpha = 2.0 / rn - np.einsum("...i,...i->...", v, v) / mu
     h = _cross(r, v)
     p = np.einsum("...i,...i->...", h, h) / mu
@@ -408,10 +422,13 @@ def _elements(r, v, mu: float):
 def _conic(r, v, mu: float):
     """What the step reads of each bound state row, from one vis-viva
     pass: |r|, 1/a, sigma0, E0 and e, by atan2 and hypot of
-    e*sin(E0) = sigma0/sqrt(a) and e*cos(E0) = 1 - |r|/a."""
+    e*sin(E0) = sigma0/sqrt(a) and e*cos(E0) = 1 - |r|/a. The hypot of
+    a nearly rectilinear ellipse can round to 1 or just above; e is
+    held below 1, where Kepler's equation is solved."""
     rn, alpha, _, _, _, sigma0 = _bound_ellipse(r, v, mu)
     e_cos, e_sin = 1.0 - rn * alpha, sigma0 * np.sqrt(alpha)
-    return rn, alpha, sigma0, np.arctan2(e_sin, e_cos), np.hypot(e_sin, e_cos)
+    return (rn, alpha, sigma0, np.arctan2(e_sin, e_cos),
+            np.minimum(np.hypot(e_sin, e_cos), _E_BELOW_ONE))
 
 
 def arcs_from_states(r, v, t, mu: float = MU_EARTH) -> ArcBatch:
@@ -456,19 +473,23 @@ def _fly(r0, v0, t0, conic, t, mu: float):
     G = dt - (dE - sin_d) / n
     Ft = -np.sqrt(mu * a) * sin_d / (rn0 * r1n)
     Gt = 1.0 - (a / r1n) * versine
-    at_epoch = (dt == 0.0)[..., None]
-    return (np.where(at_epoch, r0, F[:, None] * r0 + G[:, None] * v0),
-            np.where(at_epoch, v0, Ft[:, None] * r0 + Gt[:, None] * v0),
-            _floor_radius(a, e, E0, dE, rn0, r1n))
+    r1 = F[:, None] * r0 + G[:, None] * v0
+    v1 = Ft[:, None] * r0 + Gt[:, None] * v0
+    # a query at the epoch returns the epoch state exactly
+    at_epoch = np.broadcast_to(dt == 0.0, F.shape)
+    r1[at_epoch], v1[at_epoch] = r0[at_epoch], v0[at_epoch]
+    return r1, v1, _floor_radius(a, e, E0, dE, rn0, r1n)
 
 
 def states_at(arcs: ArcBatch, t, rows=None):
     """States on many arcs at once, the array form of state_at.
 
     Row i is arc rows[i] at time t[i]: one vectorized Kepler solve and
-    Lagrange step per row. A query at an arc's own epoch returns its
-    epoch state exactly. Each row also gets the lowest radius its arc
-    reaches from the epoch to t[i], for t[i] at or after the epoch.
+    Lagrange step per row, on the conic derived once per arc of the
+    batch (every row of an ArcBatch is bound). A query at an arc's own
+    epoch returns its epoch state exactly. Each row also gets the lowest
+    radius its arc reaches from the epoch to t[i], for t[i] at or after
+    the epoch.
 
     Args:
         arcs: Arcs to query.
@@ -480,7 +501,9 @@ def states_at(arcs: ArcBatch, t, rows=None):
         shape (len(rows), 3), and the lowest radii, km.
     """
     rows = slice(None) if rows is None else rows
-    return coast(arcs.r0[rows], arcs.v0[rows], arcs.t0[rows], t, arcs.mu)
+    conic = tuple(c[rows] for c in _conic(arcs.r0, arcs.v0, arcs.mu))
+    return _fly(arcs.r0[rows], arcs.v0[rows], arcs.t0[rows], conic, t,
+                arcs.mu)
 
 
 def coast(r, v, t, t_end, mu: float = MU_EARTH):

@@ -177,8 +177,9 @@ def _bracketed(step, x, lo, hi, *args) -> np.ndarray:
         if not going.any():
             break
         if not going.all():
-            idx, nxt, lo, hi = idx[going], nxt[going], lo[going], hi[going]
-            args = tuple(a[going] for a in args)
+            keep = np.flatnonzero(going)
+            idx, nxt, lo, hi = idx[keep], nxt[keep], lo[keep], hi[keep]
+            args = tuple(a[keep] for a in args)
         x = nxt
     return out
 

@@ -32,6 +32,9 @@ from futurecone import (
 )
 from futurecone.cone import _required_dv
 from futurecone.errors import EmptyCone
+from futurecone.kepler import coast, states_at, swept_min_radius
+from futurecone.lambert import lambert_batch
+from futurecone.scenario_io import builtin_scenario
 
 rng = np.random.default_rng(11)
 
@@ -147,6 +150,20 @@ class TestLeaf:
             # modulated by orbital shear within a factor of ~2
             assert radius > 0.5 * budget * elapsed
             assert radius < 2.5 * budget * elapsed
+
+    def test_leaf_and_containment_place_an_arc_alike(self):
+        """leaf queries every arc, containment gathers rows: both fly
+        each arc exactly as its own epoch state flies."""
+        spec = builtin_scenario("fy1c").target
+        arcs = sample_cone(spec, 2000, seed=0).trajectories
+        assert all(a.flags.c_contiguous for a in (arcs.r0, arcs.v0, arcs.t0))
+        rows = np.arange(len(arcs))
+        for t in (spec.window[0], spec.window[1]):
+            every, _, _ = states_at(arcs, t)
+            gathered, _, _ = states_at(arcs, t, rows)
+            own, _, _ = coast(arcs.r0[rows], arcs.v0[rows], arcs.t0[rows], t)
+            assert np.array_equal(every, gathered)
+            assert np.array_equal(every, own)
 
     def test_rejects_time_outside_window(self):
         spec = leo_spec(window=(60.0, 600.0))
@@ -365,6 +382,37 @@ class TestBatchedKernel:
                 assert math.isinf(dv)
             else:
                 assert abs(single.required_dv - dv) <= 1e-12
+
+    @given(vertices, st.floats(0.0, 1.0), st.integers(0, 2), targets)
+    @example(leo_vertex(6480.0, 1.0, 0.9), 1.0, 2,
+             [((0.0, 0.2, 0.0), 1.3, (0.0, 0.0, 0.0)),
+              ((0.0, -0.2, 0.1), 1.8, (40.0, 0.0, -20.0)),
+              ((0.0, 0.0, 0.0), 0.02, (-3000.0, 3000.0, 0.0))])
+    def test_cheapest_arc_matches_the_slot_matrix(self, vertex, height,
+                                                  max_revs, drawn):
+        """The least cost over each row's arcs equals the least of a
+        (points x slots) matrix filled with +inf, bit for bit. Floors
+        up to the vertex altitude reject arcs; in the example the second
+        point's ten arcs all dip below the floor and the third has none."""
+        points, times, period = target_points(vertex, drawn)
+        altitude = float(np.linalg.norm(vertex.r)) - EARTH_RADIUS_KM
+        spec = ConeSpec(vertex=vertex, budget=0.1, floor=height * altitude,
+                        window=(0.0, 2.0 * period))
+        try:
+            sols = lambert_batch(vertex.r, points, times, MU_EARTH, max_revs)
+        except AmbiguousPlane:
+            return
+        lowest = swept_min_radius(vertex.r, sols.v_depart,
+                                  np.linalg.norm(points, axis=1)[sols.row],
+                                  sols.sweep)
+        ok = lowest >= EARTH_RADIUS_KM + spec.floor
+        matrix = np.full((len(points), sols.revs.size), np.inf)
+        matrix[sols.row[ok], sols.slot[ok]] = np.linalg.norm(
+            sols.v_depart[ok] - vertex.v, axis=-1)
+        required, checked = _required_dv(spec, points, times, max_revs)
+        assert np.array_equal(required, matrix.min(axis=1))
+        assert np.array_equal(checked,
+                              np.bincount(sols.row, minlength=len(points)))
 
     def test_floor_rejects_arcs(self):
         """The example above keeps arcs only above the floor."""

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose
 
 from futurecone import (
@@ -27,6 +28,8 @@ from futurecone import kepler
 from futurecone.errors import ConvergenceError
 from futurecone.kepler import (
     ArcBatch,
+    _conic,
+    _row_norm,
     _solve_kepler,
     arcs_from_states,
     is_bound,
@@ -545,3 +548,58 @@ class TestArrayKernels:
                 with pytest.raises(EccentricityOutOfRange):
                     arcs_from_states(r, row[None], 0.0)
         assert not is_bound(r, np.array([1.0, 1e-12, 0.0]))
+
+
+class TestRowNorm:
+    @given(hnp.arrays(float, st.tuples(st.integers(0, 40), st.just(3)),
+                      elements=st.floats(-1e300, 1e300)))
+    def test_equals_linalg_norm_bit_for_bit(self, x):
+        """From subnormals up to squares that overflow to inf in both."""
+        with np.errstate(over="ignore"):
+            expected = np.linalg.norm(x, axis=-1)
+            assert np.array_equal(_row_norm(x), expected)
+            assert np.array_equal(_row_norm(np.asfortranarray(x)), expected)
+
+    def test_one_row(self):
+        x = np.array([3.0, -4.0, 12.0])
+        assert _row_norm(x) == np.linalg.norm(x, axis=-1) == 13.0
+
+
+class TestNearlyRadialStates:
+    """States at 7000 km, radial speed within +-10 km/s, tangential speed
+    1e-14 to 1e-4 km/s: bound ellipses so nearly rectilinear that the
+    hypot of e*sin(E0) and e*cos(E0) rounds to 1 or above on thousands of
+    the rows is_bound accepts."""
+
+    def states(self):
+        radial, tangential = np.meshgrid(np.linspace(-10.0, 10.0, 401),
+                                         np.logspace(-14.0, -4.0, 201))
+        v = np.stack([radial.ravel(), tangential.ravel(),
+                      np.zeros(radial.size)], axis=1)
+        r = np.tile([7000.0, 0.0, 0.0], (len(v), 1))
+        bound = is_bound(r, v)
+        return r[bound], v[bound]
+
+    def test_eccentricity_stays_below_one(self):
+        r, v = self.states()
+        rn, alpha, sigma0, _, e = _conic(r, v, MU_EARTH)
+        unclamped = np.hypot(sigma0 * np.sqrt(alpha), 1.0 - rn * alpha)
+        assert np.count_nonzero(unclamped >= 1.0) > 1000
+        assert np.all(e < 1.0)
+        assert np.array_equal(e[unclamped < 1.0], unclamped[unclamped < 1.0])
+
+    def test_coast_keeps_energy(self):
+        """Energy after 600 s, to 1e-13 of the terms it is the difference
+        of: rows falling inward end near the center, where v^2/2 and
+        mu/r are each hundreds of times the energy."""
+        r, v = self.states()
+        r1, v1, _ = kepler.coast(r, v, 0.0, 600.0)
+
+        def terms(r, v):
+            return (0.5 * np.einsum("ij,ij->i", v, v),
+                    MU_EARTH / np.linalg.norm(r, axis=1))
+
+        kinetic0, potential0 = terms(r, v)
+        kinetic1, potential1 = terms(r1, v1)
+        drift = np.abs((kinetic1 - potential1) - (kinetic0 - potential0))
+        assert np.all(drift <= 1e-13 * (kinetic1 + potential1))
