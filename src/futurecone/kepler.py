@@ -277,8 +277,9 @@ class ArcBatch(Sequence):
     """Bound arcs as their epoch states r0, v0 and t0, one row per arc.
 
     The kernels fly each row from its state; no orbital elements are
-    kept. The arrays are copied C-ordered and read-only. Indexing gives the BallisticArc of one row (arc_from_state of
-    its state) and slicing a smaller batch.
+    kept. The arrays are copied C-ordered and read-only. Indexing gives
+    the BallisticArc of one row (arc_from_state of its state) and
+    slicing a smaller batch.
     """
 
     r0: np.ndarray
@@ -476,8 +477,10 @@ def _fly(r0, v0, t0, conic, t, mu: float):
     r1 = F[:, None] * r0 + G[:, None] * v0
     v1 = Ft[:, None] * r0 + Gt[:, None] * v0
     # a query at the epoch returns the epoch state exactly
-    at_epoch = np.broadcast_to(dt == 0.0, F.shape)
-    r1[at_epoch], v1[at_epoch] = r0[at_epoch], v0[at_epoch]
+    at_epoch = dt == 0.0
+    if at_epoch.any():
+        at_epoch = np.broadcast_to(at_epoch, F.shape)
+        r1[at_epoch], v1[at_epoch] = r0[at_epoch], v0[at_epoch]
     return r1, v1, _floor_radius(a, e, E0, dE, rn0, r1n)
 
 
