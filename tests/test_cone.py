@@ -383,8 +383,20 @@ class TestBatchedKernel:
             else:
                 assert abs(single.required_dv - dv) <= 1e-12
 
-    @given(vertices, st.floats(0.0, 1.0), st.integers(0, 2), targets)
-    @example(leo_vertex(6480.0, 1.0, 0.9), 1.0, 2,
+    def test_floor_rejects_arcs(self):
+        """The example above keeps arcs only above the floor."""
+        vertex = leo_vertex(6480.0, 1.0, 0.9)
+        points, times, period = target_points(
+            vertex, [((0.0, -0.2, 0.1), 1.8, (40.0, 0.0, -20.0))])
+        spec = ConeSpec(vertex=vertex, budget=0.4,
+                        window=(0.0, 2.0 * period))
+        no_floor = replace(spec, floor=-EARTH_RADIUS_KM)
+        floored, _ = _required_dv(spec, points, times, 2)
+        unfloored, _ = _required_dv(no_floor, points, times, 2)
+        assert floored[0] > unfloored[0]
+
+    @given(vertices, st.floats(0.0, 0.99), st.integers(0, 2), targets)
+    @example(leo_vertex(6480.0, 1.0, 0.9), 0.99, 2,
              [((0.0, 0.2, 0.0), 1.3, (0.0, 0.0, 0.0)),
               ((0.0, -0.2, 0.1), 1.8, (40.0, 0.0, -20.0)),
               ((0.0, 0.0, 0.0), 0.02, (-3000.0, 3000.0, 0.0))])
@@ -392,8 +404,9 @@ class TestBatchedKernel:
                                                   max_revs, drawn):
         """The least cost over each row's arcs equals the least of a
         (points x slots) matrix filled with +inf, bit for bit. Floors
-        up to the vertex altitude reject arcs; in the example the second
-        point's ten arcs all dip below the floor and the third has none."""
+        up to 99% of the vertex altitude reject arcs; in the example the
+        second point's ten arcs all dip below the floor and the third
+        has none."""
         points, times, period = target_points(vertex, drawn)
         altitude = float(np.linalg.norm(vertex.r)) - EARTH_RADIUS_KM
         spec = ConeSpec(vertex=vertex, budget=0.1, floor=height * altitude,
@@ -413,18 +426,6 @@ class TestBatchedKernel:
         assert np.array_equal(required, matrix.min(axis=1))
         assert np.array_equal(checked,
                               np.bincount(sols.row, minlength=len(points)))
-
-    def test_floor_rejects_arcs(self):
-        """The example above keeps arcs only above the floor."""
-        vertex = leo_vertex(6480.0, 1.0, 0.9)
-        points, times, period = target_points(
-            vertex, [((0.0, -0.2, 0.1), 1.8, (40.0, 0.0, -20.0))])
-        spec = ConeSpec(vertex=vertex, budget=0.4,
-                        window=(0.0, 2.0 * period))
-        no_floor = replace(spec, floor=-EARTH_RADIUS_KM)
-        floored, _ = _required_dv(spec, points, times, 2)
-        unfloored, _ = _required_dv(no_floor, points, times, 2)
-        assert floored[0] > unfloored[0]
 
     @given(st.builds(leo_vertex, st.floats(6600.0, 7400.0),
                      st.floats(0.99, 1.03), st.floats(0.0, math.pi)),
