@@ -20,8 +20,10 @@ that each step shrinks, a step leaving it is replaced by the midpoint,
 and every element iterates until its own step is negligible, so a row's
 solution does not depend on the other rows of its batch. T(x) is
 Battin's hypergeometric series near the parabola and near zero transfer
-angle, where Lancaster's closed form cancels, and that form elsewhere.
-solve_lambert is the batch of one.
+angle, where Lancaster's closed form cancels, and that form elsewhere;
+each element evaluates only its own form, and the check that a
+multi-revolution time reaches the bottom of T evaluates T alone, without
+its slopes. solve_lambert is the batch of one.
 
 Coincident endpoints (periodic self-transfer) are a separate closed-form
 branch: lambda reaches +-1 there and the transfer plane is undefined,
@@ -121,30 +123,62 @@ def _norm(v) -> np.ndarray:
     return np.sqrt(np.einsum("...i,...i->...", v, v))
 
 
-def _t_of_x(x, lam, one_minus_lam2, revs) -> tuple[np.ndarray, ...]:
-    """Nondimensional time of flight T(x) and its first three x-slopes.
+def _battin(s1, eta, lam) -> np.ndarray:
+    """T without the revolution term, by Battin's series in s1.
+
+    The 17-term Horner loop runs in place: numpy reuses the temporaries
+    of q * s1 + c only on arrays far larger than a batch's.
+    """
+    q = np.full_like(s1, _SERIES[-1])
+    for c in _SERIES[-2::-1]:
+        np.multiply(q, s1, out=q)
+        np.add(q, c, out=q)
+    return 0.5 * eta * (eta * eta * q + 4.0 * lam)
+
+
+def _lancaster(x, u, u2, y, eta, lam) -> np.ndarray:
+    """T without the revolution term, Lancaster's closed form."""
+    psi = np.arctan2(u * eta, x * y + lam * u2)
+    return (psi / u - x + lam * y) / u2
+
+
+def _time(x, lam, one_minus_lam2, revs) -> tuple[np.ndarray, ...]:
+    """Nondimensional time of flight T(x), with the u^2 = 1 - x^2 and y
+    its slopes reuse.
 
     Elementwise over x in (-1, 1). 1 - lambda^2 (= c/s) is passed in
     rather than formed, which keeps it exact near zero transfer angle;
     eta = y - lambda*x likewise uses (y - lambda*x)(y + lambda*x) =
-    1 - lambda^2 on the side where the difference cancels. The slopes
-    are Izzo's eq. (22).
+    1 - lambda^2 on the side where the difference cancels. Each element
+    evaluates one form only: Battin's series where its argument s1 is
+    below _SERIES_S1, Lancaster's closed form elsewhere.
     """
     u2 = (1.0 - x) * (1.0 + x)
     u = np.sqrt(u2)
-    lam_sq = lam * lam
-    y = np.sqrt(one_minus_lam2 + lam_sq * x * x)
+    y = np.sqrt(one_minus_lam2 + lam * lam * x * x)
     lx = lam * x
     eta = np.where(lx > 0.0, one_minus_lam2 / (y + lx), y - lx)
     s1 = 0.5 * (1.0 - lam - x * eta)
-    q = _SERIES[-1]
-    for c in _SERIES[-2::-1]:
-        q = q * s1 + c
-    battin = 0.5 * eta * (eta * eta * q + 4.0 * lam)
-    psi = np.arctan2(u * eta, x * y + lam * u2)
-    lancaster = (psi / u - x + lam * y) / u2
-    T = (np.where(s1 < _SERIES_S1, battin, lancaster)
-         + revs * math.pi / (u2 * u))
+    series = s1 < _SERIES_S1
+    n_series = np.count_nonzero(series)
+    if n_series == x.size:
+        T = _battin(s1, eta, lam)
+    elif n_series == 0:
+        T = _lancaster(x, u, u2, y, eta, lam)
+    else:
+        T = np.empty_like(x)
+        i = np.flatnonzero(series)
+        T[i] = _battin(s1[i], eta[i], lam[i])
+        i = np.flatnonzero(~series)
+        T[i] = _lancaster(x[i], u[i], u2[i], y[i], eta[i], lam[i])
+    T += revs * math.pi / (u2 * u)
+    return T, u2, y
+
+
+def _t_of_x(x, lam, one_minus_lam2, revs) -> tuple[np.ndarray, ...]:
+    """T(x) and its first three x-slopes, Izzo's eq. (22)."""
+    T, u2, y = _time(x, lam, one_minus_lam2, revs)
+    lam_sq = lam * lam
     lam3 = lam_sq * lam
     y_sq = y * y
     y3 = y_sq * y
@@ -233,7 +267,7 @@ def _roots(lam, one_minus_lam2, T, max_revs: int):
         args = (lam[row] * sense[k], one_minus_lam2[row], m)
         bottom = _bracketed(_halley_bottom, np.zeros(row.size),
                             np.full(row.size, -1.0), np.ones(row.size), *args)
-        reach = T[row] >= _t_of_x(bottom, *args)[0]
+        reach = T[row] >= _time(bottom, *args)[0]
         row, k, m, bottom = row[reach], k[reach], m[reach], bottom[reach]
         n = row.size
         tt = T[row]
@@ -244,8 +278,9 @@ def _roots(lam, one_minus_lam2, T, max_revs: int):
                       np.ones(n), np.zeros(n, dtype=bool)))
         parts.append((row, k, slot + 1, m, (left - 1.0) / (left + 1.0),
                       np.full(n, -1.0), bottom, np.ones(n, dtype=bool)))
-    row, k, slot, m, guess, lo, hi, falling = (np.concatenate(c)
-                                               for c in zip(*parts))
+    if len(parts) > 1:
+        parts = [tuple(np.concatenate(c) for c in zip(*parts))]
+    row, k, slot, m, guess, lo, hi, falling = parts[0]
     x = _bracketed(_householder, guess, lo, hi, lam[row] * sense[k],
                    one_minus_lam2[row], m, T[row], falling)
     return row, slot, x, sense[k]
@@ -364,8 +399,10 @@ def lambert_batch(r0, r1, dt, mu: float = MU_EARTH,
                     + (vt / r1n[row])[:, None]
                     * _cross(normal, i1).take(row, axis=0))
         bound = is_bound(r0.take(row, axis=0), v_depart, mu)
-        rows, slots = [row[bound]], [slot[bound]]
-        departs, arrives = [v_depart[bound]], [v_arrive[bound]]
+        if not bound.all():
+            row, slot = row[bound], slot[bound]
+            v_depart, v_arrive = v_depart[bound], v_arrive[bound]
+        rows, slots, departs, arrives = [row], [slot], [v_depart], [v_arrive]
 
         if coincident.any():
             c = np.flatnonzero(coincident)
@@ -376,16 +413,18 @@ def lambert_batch(r0, r1, dt, mu: float = MU_EARTH,
             departs += c_vs
             arrives += c_vs
 
-    row = np.concatenate(rows)
-    slot = np.concatenate(slots)
-    order = np.lexsort((slot, row))
-    row, slot = row[order], slot[order]
+    # _roots lists the zero-rev arcs first, in (row, slot) order as
+    # np.nonzero found them, and the multi-rev arcs (slots from 2) after
+    # them: only those, or appended self-transfer arcs, need the sort
+    if len(rows) > 1 or (slot.size and slot[-1] > 1):
+        order = np.lexsort((np.concatenate(slots), np.concatenate(rows)))
+        row, slot, v_depart, v_arrive = (np.concatenate(a)[order] for a in
+                                         (rows, slots, departs, arrives))
     slot_revs, slot_sense = _slots(max_revs)
     sweep = (np.where(slot_sense[slot] > 0.0, dnu[row], _TWO_PI - dnu[row])
              + _TWO_PI * slot_revs[slot])
     return LambertBatch(
-        row=row, slot=slot, v_depart=np.concatenate(departs)[order],
-        v_arrive=np.concatenate(arrives)[order], sweep=sweep,
+        row=row, slot=slot, v_depart=v_depart, v_arrive=v_arrive, sweep=sweep,
         revs=slot_revs,
         branch=tuple("short" if s > 0.0 else "long" for s in slot_sense))
 

@@ -9,6 +9,10 @@ time of flight, kept inside a shrinking bracket by bisection.
 
 Regular rows only: no coincident-endpoint branch and no check of the
 transfer plane. Slots are laid out as futurecone.lambert numbers them.
+
+Also here: t_of_x, Izzo's time of flight as futurecone.lambert computed
+it before each element evaluated only its own branch, both branches on
+every element and np.where keeping one.
 """
 from __future__ import annotations
 
@@ -18,6 +22,7 @@ import numpy as np
 
 from futurecone.constants import MU_EARTH
 from futurecone.kepler import is_bound
+from futurecone.lambert import _SERIES, _SERIES_S1
 
 _FOUR_PI2 = 4.0 * math.pi**2
 _EDGE_INSET = 1e-9       # relative inset from band edges where tof blows up
@@ -26,6 +31,42 @@ _TANGENT_TOL = 1e-9      # two roots this close on one band are one double root
 _STEP_TOL = 1e-13        # a psi step below this * (1 + |psi|) ends the search
 _NEWTON_MAX = 200        # cap on steps; bisection alone converges well before
 _CURVATURE_STEP = 1e-7   # relative psi step of the tof-slope difference quotient
+
+
+def series_argument(x, lam, one_minus_lam2) -> np.ndarray:
+    """s1 = (1 - lambda - x eta) / 2, the argument of Battin's series."""
+    y = np.sqrt(one_minus_lam2 + lam * lam * x * x)
+    lx = lam * x
+    eta = np.where(lx > 0.0, one_minus_lam2 / (y + lx), y - lx)
+    return 0.5 * (1.0 - lam - x * eta)
+
+
+def t_of_x(x, lam, one_minus_lam2, revs) -> tuple[np.ndarray, ...]:
+    """Izzo's T(x) and its first three x-slopes, both branches of T on
+    every element."""
+    u2 = (1.0 - x) * (1.0 + x)
+    u = np.sqrt(u2)
+    lam_sq = lam * lam
+    y = np.sqrt(one_minus_lam2 + lam_sq * x * x)
+    lx = lam * x
+    eta = np.where(lx > 0.0, one_minus_lam2 / (y + lx), y - lx)
+    s1 = 0.5 * (1.0 - lam - x * eta)
+    q = _SERIES[-1]
+    for c in _SERIES[-2::-1]:
+        q = q * s1 + c
+    battin = 0.5 * eta * (eta * eta * q + 4.0 * lam)
+    psi = np.arctan2(u * eta, x * y + lam * u2)
+    lancaster = (psi / u - x + lam * y) / u2
+    T = (np.where(s1 < _SERIES_S1, battin, lancaster)
+         + revs * math.pi / (u2 * u))
+    lam3 = lam_sq * lam
+    y_sq = y * y
+    y3 = y_sq * y
+    dT = (3.0 * T * x - 2.0 + 2.0 * lam3 * x / y) / u2
+    ddT = (3.0 * T + 5.0 * x * dT + 2.0 * one_minus_lam2 * lam3 / y3) / u2
+    dddT = (7.0 * x * ddT + 8.0 * dT
+            - 6.0 * one_minus_lam2 * lam3 * lam_sq * x / (y3 * y_sq)) / u2
+    return T, dT, ddT, dddT
 
 
 def _stumpff(psi) -> tuple[np.ndarray, ...]:

@@ -380,6 +380,18 @@ class TestErrorPaths:
         assert err.startswith("futurecone: error:")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("flag", ["--samples", "--grid"])
+    def test_sampling_over_the_cap_exits_2(self, tmp_path, capsys, flag):
+        out = tmp_path / "r.txt"
+        code = main(["contain", "--builtin", "fy1c", flag, "1000000000000",
+                     "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("futurecone: error:")
+        assert "capped" in err
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     def test_bad_sampling_override_exits_1(self, tmp_path, capsys):
         path, _ = orbital_file(tmp_path)
         code = main(["contain", "--scenario", str(path), "--samples", "0",

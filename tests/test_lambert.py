@@ -1,8 +1,11 @@
 """Tests for the two-point boundary-value solver."""
+import hashlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from futurecone import (
@@ -12,10 +15,13 @@ from futurecone import (
     arc_from_state,
     mean_motion,
     propagate_time,
+    sample_cone,
     solve_lambert,
 )
-from futurecone.kepler import coast
+from futurecone import lambert
+from futurecone.kepler import coast, states_at
 from futurecone.lambert import lambert_batch
+from futurecone.scenario_io import builtin_scenario
 
 import lambert_reference
 
@@ -341,3 +347,182 @@ class TestEverySlot:
             for branch in ("short", "short", "long", "long")]
         for sol in sols:
             assert certify(sol, r0, r1, dt) < 1e-8
+
+
+def assert_bits_equal(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+# x in (-1, 1), lambda in [-1, 1], complete revolutions 0-2
+t_of_x_elements = st.tuples(
+    st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True),
+    st.floats(-1.0, 1.0), st.integers(0, 2))
+
+
+class TestTimeByBranch:
+    """Each element evaluates only its own branch of T(x), and gets the
+    bits of the two-branch evaluation that kept one by np.where."""
+
+    @staticmethod
+    def check(x, lam, revs):
+        """T and its slopes match the oracle on the whole array, on its
+        series elements alone and on its Lancaster elements alone; T
+        alone matches the full evaluation's T. Returns which of the
+        three arrays straddled s1 = _SERIES_S1, were all series, or all
+        Lancaster."""
+        one_minus_lam2 = (1.0 - lam) * (1.0 + lam)
+        kinds = set()
+        with np.errstate(all="ignore"):
+            series = (lambert_reference.series_argument(x, lam,
+                                                        one_minus_lam2)
+                      < lambert._SERIES_S1)
+            for pick in (slice(None), series, ~series):
+                args = (x[pick], lam[pick], one_minus_lam2[pick],
+                        revs[pick])
+                if not args[0].size:
+                    continue
+                n = np.count_nonzero(series[pick])
+                kinds.add("series" if n == args[0].size
+                          else "lancaster" if n == 0 else "straddle")
+                got = lambert._t_of_x(*args)
+                for g, w in zip(got, lambert_reference.t_of_x(*args)):
+                    assert_bits_equal(g, w)
+                assert_bits_equal(lambert._time(*args)[0], got[0])
+        return kinds
+
+    @given(st.lists(t_of_x_elements, min_size=1, max_size=40))
+    @example([(0.999, 0.5, 0), (-0.5, 0.3, 1), (0.2, -1.0, 2)])
+    @example([(0.0, 1.0, 0), (0.0, -1.0, 1), (0.5, 0.0, 2)])
+    def test_matches_two_branch_oracle(self, elements):
+        x, lam, revs = (np.array(c, dtype=float) for c in zip(*elements))
+        self.check(x, lam, revs)
+
+    def test_grid_takes_every_path(self):
+        x, lam, revs = (a.ravel() for a in np.meshgrid(
+            np.linspace(-0.999, 0.999, 101), np.linspace(-1.0, 1.0, 41),
+            [0.0, 1.0, 2.0]))
+        assert self.check(x, lam, revs) == {"straddle", "series",
+                                            "lancaster"}
+
+
+def batch_digest(batch) -> str:
+    """sha256 over every LambertBatch field: dtype, shape and bytes."""
+    h = hashlib.sha256()
+    for name in ("row", "slot", "v_depart", "v_arrive", "sweep", "revs"):
+        a = np.ascontiguousarray(getattr(batch, name))
+        h.update(f"{name} {a.dtype.str} {a.shape}".encode())
+        h.update(a.tobytes())
+    h.update(repr(batch.branch).encode())
+    return h.hexdigest()
+
+
+def fy1c_rows():
+    """fy1c target points at three times of the target's window (inside
+    the interceptor's), from the interceptor's vertex: zero-revolution
+    rows only."""
+    scn = builtin_scenario("fy1c")
+    vertex = scn.interceptor.vertex
+    arcs = sample_cone(scn.target, 20, seed=0).trajectories
+    n = len(arcs)
+    t = np.repeat(np.linspace(*scn.target.window, 3), n)
+    points, _, _ = states_at(arcs, t, np.tile(np.arange(n), 3))
+    return np.broadcast_to(vertex.r, points.shape), points, t - vertex.t, 1
+
+
+def multirev_rows():
+    """Random bound origins flown 1.1 to 2.5 periods: multi-revolution
+    arcs in every row."""
+    gen = np.random.default_rng(14)
+    r0, r1, dts = [], [], []
+    for _ in range(12):
+        s0 = random_bound_state(e_max=0.3, gen=gen)
+        period = 2.0 * math.pi / mean_motion(arc_from_state(s0).a)
+        dt = float(gen.uniform(1.1, 2.5)) * period
+        r0.append(s0.r)
+        r1.append(propagate_time(s0, dt).r)
+        dts.append(dt)
+    return np.array(r0), np.array(r1), np.array(dts), 2
+
+
+def quarter_rows(n: int):
+    """n zero-revolution rows: a quarter period or less of LEO."""
+    angle = np.linspace(0.3, 1.5, n)
+    r1 = 7200.0 * np.stack([np.cos(angle), np.sin(angle), np.zeros(n)],
+                           axis=1)
+    r0 = np.broadcast_to([7000.0, 0.0, 0.0], r1.shape)
+    return r0, r1, 900.0 * angle
+
+
+def unbound_rows():
+    """Zero-revolution rows and one just above the parabolic time,
+    whose short candidate arc is recovered unbound."""
+    r0, r1, dt = quarter_rows(8)
+    return (np.vstack([r0, [[7000.0, 0.0, 0.0]]]),
+            np.vstack([r1, [[-3329.1746923771375, 7274.379414605454, 0.0]]]),
+            np.append(dt, 1182.2649611685804), 0)
+
+
+def multirev_unbound_rows():
+    """The unbound candidate's row, then the multi-revolution rows."""
+    r0, r1, dt, _ = multirev_rows()
+    u0, u1, udt, _ = unbound_rows()
+    return (np.vstack([u0[-1:], r0]), np.vstack([u1[-1:], r1]),
+            np.append(udt[-1], dt), 2)
+
+
+def self_transfer_rows():
+    """Zero-revolution rows and one periodic self-transfer row."""
+    r0, r1, dt = quarter_rows(8)
+    rn = 7238.137
+    return (np.vstack([r0, [[rn, 0.0, 0.0]]]),
+            np.vstack([r1, one_period_later(rn)]),
+            np.append(dt, 2.0 * math.pi / mean_motion(rn)), 1)
+
+
+class TestSkippedPasses:
+    """lambert_batch compacts by boundedness only when an arc is
+    unbound, and sorts only when multi-revolution or self-transfer arcs
+    were appended. Both ways give each row its batch of one, and every
+    field the bits the code gave before these passes were skipped
+    (digests taken from that code)."""
+
+    @pytest.mark.parametrize("rows, compacted, resorted, digest", [
+        (fy1c_rows, False, False,
+         "2e662812d5b44e785dc1b911ea33d1c34c7ce4eeb9c588c7b7dc923c95969739"),
+        (multirev_rows, False, True,
+         "2cfe666295a09bb49a1769f6c0e20d0e5bed763d9cf221ede27021eaf5ebbb7f"),
+        (unbound_rows, True, False,
+         "af2eaa9f4cdfe18253037a418c2a3fea949142842f2b1b9889868d2c39ab50a2"),
+        (multirev_unbound_rows, True, True,
+         "d940831ea08d08207a096ac76534626ff0a7764706a29d1d9183f32765b10cf5"),
+        (self_transfer_rows, False, True,
+         "66f8803f77c5779b4cceeae72edc798b4d28a5e84176802b61449cf16c61149d"),
+    ], ids=["fy1c", "multirev", "unbound", "multirev_unbound",
+            "self_transfer"])
+    def test_rows_match_batch_of_one_and_old_bits(self, monkeypatch, rows,
+                                                 compacted, resorted, digest):
+        r0, r1, dt, max_revs = rows()
+        is_bound = lambert.is_bound
+        checks = []
+
+        def spy(r, v, mu):
+            checks.append(is_bound(r, v, mu))
+            return checks[-1]
+
+        monkeypatch.setattr(lambert, "is_bound", spy)
+        batch = lambert_batch(r0, r1, dt, MU_EARTH, max_revs)
+        # the first check is of the candidate arcs
+        assert (not checks[0].all()) == compacted
+        assert (batch.slot.max() > 1) == resorted
+        key = batch.row * len(batch.revs) + batch.slot
+        assert np.all(np.diff(key) > 0)
+        assert batch_digest(batch) == digest
+        for i in range(len(dt)):
+            single = lambert_batch(r0[i], r1[i:i + 1], dt[i], MU_EARTH,
+                                   max_revs)
+            mine = batch.row == i
+            assert_bits_equal(single.row, np.zeros_like(batch.row[mine]))
+            for name in ("slot", "v_depart", "v_arrive", "sweep"):
+                assert_bits_equal(getattr(single, name),
+                                  getattr(batch, name)[mine])
