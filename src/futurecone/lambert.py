@@ -417,9 +417,12 @@ def lambert_batch(r0, r1, dt, mu: float = MU_EARTH,
     # np.nonzero found them, and the multi-rev arcs (slots from 2) after
     # them: only those, or appended self-transfer arcs, need the sort
     if len(rows) > 1 or (slot.size and slot[-1] > 1):
-        order = np.lexsort((np.concatenate(slots), np.concatenate(rows)))
-        row, slot, v_depart, v_arrive = (np.concatenate(a)[order] for a in
-                                         (rows, slots, departs, arrives))
+        row = np.concatenate(rows)
+        slot = np.concatenate(slots)
+        order = np.lexsort((slot, row))
+        row, slot = row[order], slot[order]
+        v_depart = np.concatenate(departs)[order]
+        v_arrive = np.concatenate(arrives)[order]
     slot_revs, slot_sense = _slots(max_revs)
     sweep = (np.where(slot_sense[slot] > 0.0, dnu[row], _TWO_PI - dnu[row])
              + _TWO_PI * slot_revs[slot])
