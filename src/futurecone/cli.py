@@ -8,21 +8,24 @@ Three subcommands drive the library from scenario files:
 
 Exit codes are script-friendly: 0 for success (including a contained
 verdict), 1 for unusable input (flags or scenario files), 2 for numeric
-failures inside the run, 3 for a clean not-contained verdict. Verdict
-files are written even when the verdict is negative. Every error path
-prints a single-line ``futurecone: error: ...`` diagnostic to stderr,
-and identical invocations produce byte-identical output files.
+failures inside the run or a count over the work cap, 3 for a clean
+not-contained verdict. Each command takes only the flags it uses, and
+the parser refuses the rest before any work. Verdict files are written
+even when the verdict is negative. Every error path prints a
+single-line ``futurecone: error: ...`` diagnostic to stderr, and
+identical invocations produce byte-identical output files.
 """
 from __future__ import annotations
 
 import argparse
 import sys
 from collections.abc import Sequence
+from dataclasses import replace
 
 import numpy as np
 
 from .cone import containment
-from .errors import FutureConeError, ScenarioError
+from .errors import FutureConeError, ScenarioError, _check_work
 from .maneuver import ImpulsiveSchedule, propagate_schedule
 from .scenario_io import (
     SamplingSpec,
@@ -50,12 +53,12 @@ def _resolve_scenario(args: argparse.Namespace) -> Scenario:
 
 def _resolve_sampling(scenario: Scenario,
                       args: argparse.Namespace) -> SamplingSpec:
-    base = scenario.sampling
-    return SamplingSpec(
-        n_samples=base.n_samples if args.samples is None else args.samples,
-        time_grid=base.time_grid if args.grid is None else args.grid,
-        seed=base.seed if args.seed is None else args.seed,
-    )
+    """The scenario's sampling under the sampling flags the command
+    takes."""
+    flags = {"n_samples": "samples", "time_grid": "grid", "seed": "seed"}
+    return replace(scenario.sampling, **{
+        field: value for field, flag in flags.items()
+        if (value := getattr(args, flag, None)) is not None})
 
 
 def _require_kind(scenario: Scenario, kind: str, command: str) -> None:
@@ -83,10 +86,12 @@ def cmd_propagate(scenario: Scenario, args: argparse.Namespace) -> int:
     Raises:
         ValueError: Scenario is not orbital, or an override is out of
             range.
-        FutureConeError: Propagation left the model's valid range.
+        FutureConeError: The grid is over the work cap, or propagation
+            left the model's valid range.
     """
     _require_kind(scenario, "orbital", "propagate")
     sampling = _resolve_sampling(scenario, args)
+    _check_work(sampling.time_grid, "grid times")
     budget = float(sum(shock.magnitude for shock in scenario.shocks))
     schedule = ImpulsiveSchedule(shocks=scenario.shocks, budget=budget)
     target = scenario.target
@@ -144,6 +149,7 @@ def cmd_twocars(scenario: Scenario, args: argparse.Namespace) -> int:
     Raises:
         ValueError: Scenario is not a Two Cars game, or the game window
             starts before a full pursuer turn.
+        FutureConeError: The grid's poses are over the work cap.
     """
     _require_kind(scenario, "twocars", "twocars")
     game = scenario.twocars
@@ -159,20 +165,17 @@ def cmd_twocars(scenario: Scenario, args: argparse.Namespace) -> int:
     return 0 if verdict.contained else 3
 
 
-# name: (function, description, output formats with the default first,
-#        whether it makes random draws and so takes --samples and --seed)
+# name: (function, description, output formats with the default first)
 _COMMANDS = {
     "propagate": (cmd_propagate,
                   "Fly the target through its shocks and export sampled "
-                  "states.", ("csv",), False),
+                  "states.", ("csv",)),
     "contain": (cmd_contain,
                 "Decide whether the target cone sits inside the "
-                "interceptor cone (exit 0 yes, 3 no).", ("report", "csv"),
-                True),
+                "interceptor cone (exit 0 yes, 3 no).", ("report", "csv")),
     "twocars": (cmd_twocars,
                 "Compare the Two Cars containment verdict with the "
-                "closed-form one (exit 0 contained, 3 not).", ("report",),
-                False),
+                "closed-form one (exit 0 contained, 3 not).", ("report",)),
 }
 
 
@@ -181,22 +184,23 @@ def _build_parser() -> argparse.ArgumentParser:
                      description="Reachability runs from scenario files.")
     subparsers = parser.add_subparsers(dest="command", required=True,
                                        parser_class=_Parser)
-    for name, (_, text, formats, _) in _COMMANDS.items():
+    for name, (_, text, formats) in _COMMANDS.items():
         sub = subparsers.add_parser(name, help=text, description=text)
         source = sub.add_mutually_exclusive_group(required=True)
         source.add_argument("--scenario", metavar="PATH",
                             help="scenario file to run")
         source.add_argument("--builtin", metavar="NAME",
                             help="bundled scenario name (fy1c)")
-        sub.add_argument("--seed", type=int, default=None,
-                         help="override the scenario's sampling seed")
-        sub.add_argument("--samples", type=int, default=None,
-                         help="override the scenario's sample count")
+        if name == "contain":  # the one command that makes random draws
+            sub.add_argument("--seed", type=int, default=None,
+                             help="override the scenario's sampling seed")
+            sub.add_argument("--samples", type=int, default=None,
+                             help="override the scenario's sample count")
         sub.add_argument("--grid", type=int, default=None,
                          help="override the scenario's time grid size")
         sub.add_argument("--out", metavar="PATH", required=True,
                          help="output file to write")
-        sub.add_argument("--format", choices=("csv", "report"),
+        sub.add_argument("--format", choices=formats,
                          default=formats[0],
                          help=f"output format: {' or '.join(formats)} "
                               f"(default: {formats[0]})")
@@ -214,14 +218,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         3 not contained.
     """
     args = _build_parser().parse_args(argv)
-    command, _, formats, draws = _COMMANDS[args.command]
+    command = _COMMANDS[args.command][0]
     try:
-        if args.format not in formats:
-            raise ValueError(f"{args.command} has no {args.format} output; "
-                             f"--format takes {' or '.join(formats)}")
-        if not draws and (args.samples is not None or args.seed is not None):
-            raise ValueError(f"{args.command} takes no --samples or --seed: "
-                             f"it makes no random draws")
         return command(_resolve_scenario(args), args)
     except (ScenarioError, OSError, ValueError) as err:
         print(f"futurecone: error: {err}", file=sys.stderr)

@@ -32,7 +32,7 @@ from .errors import (
     EmptyCone,
     EmptyOverlap,
     NoBoundArc,
-    WorkCapExceeded,
+    _check_work,
 )
 from .kepler import (
     ArcBatch,
@@ -53,8 +53,6 @@ _DV_SLACK = 1e-12
 # Target points per containment chunk: bounds the kernels' working
 # arrays (a few MB) whatever the sample count and grid.
 _CHUNK_POINTS = 16384
-# Cap on the draws and on the grid times of one cone sampling.
-_MAX_SAMPLES = 10**7
 
 
 @dataclass(frozen=True)
@@ -204,16 +202,14 @@ def sample_cone(spec: ConeSpec, n: int, seed: int,
 
     Raises:
         ValueError: n < 1.
-        WorkCapExceeded: n or time_grid above _MAX_SAMPLES, refused
-            before any array of that length exists.
+        WorkCapExceeded: n or time_grid above the package's cap,
+            refused before any array of that length exists.
         EmptyCone: no draw produced a bound trajectory.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if max(n, time_grid) > _MAX_SAMPLES:
-        raise WorkCapExceeded(
-            f"sampling asks for {n} draws on a {time_grid}-time grid; "
-            f"draws and grid times are each capped at {_MAX_SAMPLES}")
+    _check_work(n, "cone draws")
+    _check_work(time_grid, "grid times")
     rng = np.random.default_rng(seed)
     v = spec.vertex.v + _ball_points(rng, n, spec.budget)
     v = v[is_bound(spec.vertex.r, v, spec.mu)]

@@ -1,7 +1,9 @@
 """Exception taxonomy for the futurecone package.
 
 Every failure mode that callers are expected to branch on gets its own class;
-all inherit from FutureConeError so batch drivers can catch the family.
+all inherit from FutureConeError so batch drivers can catch the family. The
+package's one work cap is here too: every caller-set count that sizes an array
+passes _check_work before the array exists.
 """
 from __future__ import annotations
 
@@ -52,7 +54,18 @@ class EmptyOverlap(FutureConeError):
 
 
 class WorkCapExceeded(FutureConeError):
-    """A request needs more samples or steps than the module's cap."""
+    """A request needs more samples or steps than the package's cap."""
+
+
+# Elements one caller-set count may ask for, whatever it counts.
+_WORK_CAP = 10**7
+
+
+def _check_work(count: float, noun: str) -> None:
+    """Refuse count noun above _WORK_CAP, before any array that long."""
+    if count > _WORK_CAP:
+        raise WorkCapExceeded(
+            f"{noun}: {count:.10g} requested, capped at {_WORK_CAP}")
 
 
 class ScenarioError(FutureConeError):

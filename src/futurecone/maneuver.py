@@ -23,6 +23,7 @@ from .errors import (
     SurfaceViolation,
     UnboundResult,
     WorkCapExceeded,
+    _check_work,
 )
 from .kepler import (
     ArcBatch,
@@ -437,7 +438,11 @@ def _thrust_at_nodes(profile: ThrustProfile,
     Returns:
         (mid, half, accel): sub-interval midpoints and half-widths, shape
         (n,), and the acceleration at every node, shape (8, n, 3).
+
+    Raises:
+        WorkCapExceeded: 8n nodes above the package's cap.
     """
+    _check_work(len(_GAUSS_NODES) * n, "thrust nodes")
     edges = np.linspace(*profile.window, n + 1)
     half = (edges[1:] - edges[:-1]) / 2.0
     mid = (edges[:-1] + edges[1:]) / 2.0
@@ -461,6 +466,7 @@ def shock_approximation(profile: ThrustProfile, n: int) -> ImpulsiveSchedule:
 
     Raises:
         ValueError: n < 1.
+        WorkCapExceeded: 8n quadrature nodes above the package's cap.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")

@@ -28,7 +28,6 @@ import numpy as np
 from .cone import ConeSampleSet, ConeSpec, ContainmentReport, leaf
 from .constants import DEFAULT_FLOOR_KM, MU_EARTH
 from .errors import (
-    ScenarioError,
     ScenarioInvariantError,
     ScenarioParseError,
     ScenarioSchemaError,
@@ -239,36 +238,27 @@ def _parse_lines(lines: list[str]) -> tuple[_Pairs, list[tuple[str, int, _Pairs]
 
 
 def _read(kind, key: str, pairs: _Pairs):
-    """The value of key in pairs, read as its schema kind."""
+    """The value of key in pairs, read as its schema kind; a refusal
+    names the part that does not read."""
     text, lineno = pairs[key]
-    try:
-        if isinstance(kind, type):
-            return kind(text)
-        parts = text.split(",")
-        if len(parts) == kind:
-            return tuple(map(float, parts))
-    except ValueError:
-        pass
-    raise _refusal(kind, key, text, lineno) from None
-
-
-def _refusal(kind, key: str, text: str, lineno: int) -> ScenarioError:
-    """The error that says why text does not read as kind."""
-    if isinstance(kind, type):
+    single = isinstance(kind, type)
+    if single:
         parts, cast = [text], kind
     else:
         parts, cast = [p.strip() for p in text.split(",")], float
         if len(parts) != kind:
-            return ScenarioSchemaError(
+            raise ScenarioSchemaError(
                 f"{key}: expected {kind} comma-separated values, got "
                 f"{len(parts)}", lineno)
-    noun = "an integer" if cast is int else "a number"
+    values = []
     for part in parts:
         try:
-            cast(part)
+            values.append(cast(part))
         except ValueError:
-            return ScenarioParseError(
-                f"{key}: expected {noun}, got {part!r}", lineno)
+            noun = "an integer" if cast is int else "a number"
+            raise ScenarioParseError(
+                f"{key}: expected {noun}, got {part!r}", lineno) from None
+    return values[0] if single else tuple(values)
 
 
 def _values(section: str, pairs: _Pairs) -> dict:

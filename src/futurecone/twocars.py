@@ -25,7 +25,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import WorkCapExceeded
+from .errors import _check_work
 
 # Steering is bounded strictly below v/R; the supremum is approached
 # through this relative margin, never attained.
@@ -33,9 +33,6 @@ _RATE_MARGIN = 1e-9
 # Below this turn angle per step the exact arc update degenerates to a
 # straight segment (the v/u lever arm overflows as u -> 0).
 _TINY_TURN = 1e-12
-# Samples one pursuit, or steps one propagation, may allocate. The
-# largest criterion-8 games need about 5e5.
-_MAX_SAMPLES = 10**7
 # Relative headroom granted to empirical comparisons against analytic
 # bounds, absorbing round-off without admitting real violations.
 _GEOM_SLACK = 1e-12
@@ -291,12 +288,8 @@ def _arc_poses(v: float | np.ndarray,
 
 
 def _sample_count(ratio: float, what: str) -> int:
-    """ceil(ratio), at least 1, refused above _MAX_SAMPLES before any
-    array of that length exists."""
-    if ratio > _MAX_SAMPLES:
-        raise WorkCapExceeded(
-            f"{what} needs {ratio:.6g} samples, more than the cap of "
-            f"{_MAX_SAMPLES}")
+    """ceil(ratio), at least 1, once ratio has passed the work cap."""
+    _check_work(ratio, what)
     return max(1, math.ceil(ratio))
 
 
@@ -326,7 +319,7 @@ def propagate_car(cfg: CarConfig, s0: CarState, law: SteeringLaw, t: float,
 
     Raises:
         ValueError: nonpositive t or step, or a law rate over the bound.
-        WorkCapExceeded: more than _MAX_SAMPLES steps.
+        WorkCapExceeded: more steps than the package's cap.
     """
     if not (t > 0.0 and math.isfinite(t)):
         raise ValueError(f"duration must be positive and finite, got {t}")
@@ -336,7 +329,7 @@ def propagate_car(cfg: CarConfig, s0: CarState, law: SteeringLaw, t: float,
         raise ValueError(
             f"law rate cap {law.rate_cap} exceeds the admissible bound "
             f"{cfg.admissible_rate} for v={cfg.v}, R={cfg.R}")
-    n_steps = _sample_count(t / step - _GEOM_SLACK, "propagation")
+    n_steps = _sample_count(t / step - _GEOM_SLACK, "propagation steps")
     times = s0.t + (t * np.arange(n_steps + 1)) / n_steps
     rates = law.rates_at(0.5 * (times[:-1] + times[1:]))
     over = np.flatnonzero(np.abs(rates) > law.rate_cap * (1.0 + _GEOM_SLACK))
@@ -379,17 +372,6 @@ _EXTREMAL_DURATIONS = np.array(
     + [[frac, 1.0 - frac, 0.0] for frac in _FRACTIONS for _ in range(4)])
 _EXTREMAL_RATES.setflags(write=False)
 _EXTREMAL_DURATIONS.setflags(write=False)
-
-
-def _check_draw_count(n: int, name: str) -> None:
-    """Refuse a negative count of random control draws, and one above
-    _MAX_SAMPLES before any array of that length exists."""
-    if n < 0:
-        raise ValueError(f"{name} must be nonnegative, got {n}")
-    if n > _MAX_SAMPLES:
-        raise WorkCapExceeded(
-            f"{name} = {n} random controls, more than the cap of "
-            f"{_MAX_SAMPLES}")
 
 
 def _control_family(u_max: float, tau: float, n_random: int,
@@ -473,13 +455,17 @@ def reachable_set(cfg: CarConfig, s0: CarState, t: float,
 
     Raises:
         ValueError: nonpositive t, resolution, or n_controls < 0.
-        WorkCapExceeded: n_controls above _MAX_SAMPLES.
+        WorkCapExceeded: n_controls or resolution**2 cells above the
+            package's cap.
     """
     if not (t > 0.0 and math.isfinite(t)):
         raise ValueError(f"elapsed time must be positive and finite, got {t}")
     if resolution < 1:
         raise ValueError(f"resolution must be at least 1, got {resolution}")
-    _check_draw_count(n_controls, "n_controls")
+    if n_controls < 0:
+        raise ValueError(f"n_controls must be nonnegative, got {n_controls}")
+    _check_work(n_controls, "random controls")
+    _check_work(float(resolution) ** 2, "occupancy cells")
     rates, durations = _control_family(cfg.admissible_rate, t, n_controls,
                                        np.random.default_rng(seed))
     endpoints = s0.position + _arc_poses(
@@ -619,8 +605,8 @@ def explicit_policy_pursuit(pursuer: CarConfig, evader: CarConfig,
     Raises:
         ValueError: mismatched evader config, empty horizon, or a
             capture radius that is not positive and finite.
-        WorkCapExceeded: the sampling needs more than _MAX_SAMPLES
-            samples.
+        WorkCapExceeded: the sampling needs more samples than the
+            package's cap.
     """
     if evader_path.cfg != evader:
         raise ValueError("evader config does not match the recorded track")
@@ -648,7 +634,7 @@ def explicit_policy_pursuit(pursuer: CarConfig, evader: CarConfig,
     step = capture_radius / (pursuer.v + evader.v)
     if evader_path.times.size > 1:
         step = min(float(np.median(np.diff(evader_path.times))), step)
-    n = _sample_count((track_end - p0.t) / step, "pursuit")
+    n = _sample_count((track_end - p0.t) / step, "pursuit samples")
     times = p0.t + (track_end - p0.t) * np.arange(n + 1) / n
     states = np.empty((n + 1, 3))
     n_approach = int(np.searchsorted(times, t_acq, side="right"))
@@ -805,6 +791,8 @@ def containment_equivalence(pursuer: CarConfig, evader: CarConfig,
     Raises:
         ValueError: horizon not past the headstart, headstart below
             the come-about time, or time_grid below 2.
+        WorkCapExceeded: the poses of both cars over the grid exceed
+            the package's cap.
     """
     come_about = math.pi * pursuer.R / pursuer.v
     if headstart < come_about * (1.0 - _GEOM_SLACK):
@@ -816,6 +804,10 @@ def containment_equivalence(pursuer: CarConfig, evader: CarConfig,
             f"horizon {horizon} must exceed the headstart {headstart}")
     if time_grid < 2:
         raise ValueError(f"time_grid must be at least 2, got {time_grid}")
+    # both cars' start and segment-end poses, every extremal and time
+    n_extremals, n_segments = _EXTREMAL_RATES.shape
+    _check_work(2 * time_grid * n_extremals * (n_segments + 1),
+                "extremal poses")
     times = np.linspace(headstart, horizon, time_grid)
     cars = (evader, pursuer)
     speeds = np.array([car.v for car in cars])[:, None, None, None]

@@ -107,11 +107,8 @@ class TestFlagGrammar:
             path, _ = twocars_file(tmp_path, CarConfig(v=2.0, R=1.0),
                                    CarConfig(v=1.0, R=1.0))
         out = tmp_path / "x.out"
-        assert main([command, "--scenario", str(path), "--format", fmt,
-                     "--out", str(out)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("futurecone: error:")
-        assert err.count("\n") == 1
+        usage_error([command, "--scenario", str(path), "--format", fmt,
+                     "--out", str(out)], capsys)
         assert not out.exists()
 
     @pytest.mark.parametrize("flag", ["--samples", "--seed"])
@@ -121,8 +118,8 @@ class TestFlagGrammar:
     ], ids=["propagate", "twocars"])
     def test_draw_flags_are_refused(self, tmp_path, capsys, monkeypatch,
                                     command, solver, flag):
-        """Commands that make no random draws refuse the draw flags
-        before any solve."""
+        """Commands that make no random draws take no draw flags: the
+        parser refuses them before any solve."""
         def refuse(*args, **kwargs):
             raise AssertionError(f"{solver} ran")
 
@@ -133,12 +130,8 @@ class TestFlagGrammar:
             path, _ = twocars_file(tmp_path, CarConfig(v=2.0, R=1.0),
                                    CarConfig(v=1.0, R=1.0))
         out = tmp_path / "x.out"
-        code = main([command, "--scenario", str(path), flag, "5",
-                     "--out", str(out)])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert err.startswith("futurecone: error:")
-        assert "no random draws" in err and err.count("\n") == 1
+        usage_error([command, "--scenario", str(path), flag, "5",
+                     "--out", str(out)], capsys)
         assert not out.exists()
 
 
@@ -194,10 +187,8 @@ class TestPropagate:
 
     def test_report_format_is_rejected(self, tmp_path, capsys):
         path, _ = orbital_file(tmp_path)
-        code = main(["propagate", "--scenario", str(path), "--format",
-                     "report", "--out", str(tmp_path / "x.report")])
-        assert code == 1
-        assert capsys.readouterr().err.startswith("futurecone: error:")
+        usage_error(["propagate", "--scenario", str(path), "--format",
+                     "report", "--out", str(tmp_path / "x.report")], capsys)
 
 
 class TestContain:
@@ -298,10 +289,8 @@ class TestTwoCars:
     def test_csv_format_is_rejected(self, tmp_path, capsys):
         path, _ = twocars_file(tmp_path, CarConfig(v=2.0, R=1.0),
                                CarConfig(v=1.0, R=1.0))
-        code = main(["twocars", "--scenario", str(path), "--format", "csv",
-                     "--out", str(tmp_path / "x.csv")])
-        assert code == 1
-        assert capsys.readouterr().err.startswith("futurecone: error:")
+        usage_error(["twocars", "--scenario", str(path), "--format", "csv",
+                     "--out", str(tmp_path / "x.csv")], capsys)
 
     def test_grid_flag_sets_the_time_grid(self, tmp_path, monkeypatch):
         grids = []
@@ -384,6 +373,24 @@ class TestErrorPaths:
     def test_sampling_over_the_cap_exits_2(self, tmp_path, capsys, flag):
         out = tmp_path / "r.txt"
         code = main(["contain", "--builtin", "fy1c", flag, "1000000000000",
+                     "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("futurecone: error:")
+        assert "capped" in err
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["propagate", "twocars"])
+    def test_grid_over_the_cap_exits_2(self, tmp_path, capsys, command):
+        if command == "propagate":
+            source = ["--builtin", "fy1c"]
+        else:
+            path, _ = twocars_file(tmp_path, CarConfig(v=2.0, R=1.0),
+                                   CarConfig(v=1.0, R=1.0))
+            source = ["--scenario", str(path)]
+        out = tmp_path / "x.out"
+        code = main([command, *source, "--grid", "1000000000000",
                      "--out", str(out)])
         assert code == 2
         err = capsys.readouterr().err
