@@ -330,7 +330,10 @@ def containment(interceptor: ConeSpec, target: ConeSpec,
     every sampled target position at every grid time over the window
     overlap against the interceptor spec, in array chunks. Contained
     means every tested point was a member: the interceptor can guarantee
-    interception no matter how the target spends its allowance.
+    interception against every vertex burn within the target's allowance.
+    A later burn can reach further: past about a quarter period, a late
+    shock needs about 1/sin(n t) times its size as a vertex burn (n the
+    mean motion, t the time from the vertex; ``reduce_to_single_burn``).
 
     Args:
         interceptor: Cone that must contain the other.
@@ -406,8 +409,10 @@ def reduce_to_single_burn(traj: ImpulsiveTrajectory,
 
     Finds the connecting arc from the trajectory origin to its endpoint
     over the elapsed time whose departure burn is cheapest, and requires
-    it to cost no more than the schedule spent (the multi-shock chain
-    adds no reach).
+    it to cost no more than the schedule spent. The chain adds no reach
+    over vertex burns only up to about a quarter period: past it, a late
+    shock can need about 1/sin(n t_end) times its size at the vertex (n
+    the mean motion), and NoBoundArc is raised.
 
     Args:
         traj: Propagated shock trajectory.

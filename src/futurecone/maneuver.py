@@ -440,8 +440,11 @@ def _thrust_at_nodes(profile: ThrustProfile,
         (n,), and the acceleration at every node, shape (8, n, 3).
 
     Raises:
+        ValueError: n < 1.
         WorkCapExceeded: 8n nodes above the package's cap.
     """
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
     _check_work(len(_GAUSS_NODES) * n, "thrust nodes")
     edges = np.linspace(*profile.window, n + 1)
     half = (edges[1:] - edges[:-1]) / 2.0
@@ -468,8 +471,6 @@ def shock_approximation(profile: ThrustProfile, n: int) -> ImpulsiveSchedule:
         ValueError: n < 1.
         WorkCapExceeded: 8n quadrature nodes above the package's cap.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
     mid, half, accel = _thrust_at_nodes(profile, n)
     # summed node by node in quadrature order, as a per-shock loop would
     dv = np.zeros((n, 3))
@@ -483,6 +484,7 @@ def shock_approximation(profile: ThrustProfile, n: int) -> ImpulsiveSchedule:
 
 
 def profile_impulse(profile: ThrustProfile, n: int = 512) -> float:
-    """Numerical total impulse of a profile: integral of |accel(t)| dt."""
+    """Numerical total impulse of a profile: integral of |accel(t)| dt
+    over n >= 1 equal sub-intervals (ValueError for n < 1)."""
     _, half, accel = _thrust_at_nodes(profile, n)
     return float(_GAUSS_WEIGHTS @ np.linalg.norm(accel, axis=2) @ half)

@@ -36,6 +36,8 @@ _TINY_TURN = 1e-12
 # Relative headroom granted to empirical comparisons against analytic
 # bounds, absorbing round-off without admitting real violations.
 _GEOM_SLACK = 1e-12
+# Samples in a pursuit's first block; each later block doubles the last.
+_FIRST_BLOCK = 1024
 
 TWO_PI = 2.0 * math.pi
 
@@ -562,7 +564,8 @@ class PursuitResult:
         acquisition_time: Epoch at which the pursuer reaches the track
             start and begins following, s (capture may precede it).
         capture_radius: Separation treated as interception, m.
-        path: The pursuer's sampled path over the simulated span.
+        path: The pursuer's sampled path, ending at the capture sample,
+            or over the whole simulated span when not captured.
     """
 
     captured: bool
@@ -586,8 +589,9 @@ def explicit_policy_pursuit(pursuer: CarConfig, evader: CarConfig,
     presumes the track's curvature lies within the pursuer's own
     capability, which holds whenever the pursuer's turn radius is no
     larger than the evader's. Capture is the first sampled epoch at
-    which the separation falls within the capture radius; failure is
-    reported in band with the closest approach.
+    which the separation falls within the capture radius (the span is
+    sampled in blocks of doubling length, and none past the capture);
+    failure is reported in band with the closest approach.
 
     Args:
         pursuer: Chasing car.
@@ -600,7 +604,7 @@ def explicit_policy_pursuit(pursuer: CarConfig, evader: CarConfig,
             defaults to 1e-3 times the pursuer turn radius.
 
     Returns:
-        PursuitResult with the verdict and the pursuer path.
+        PursuitResult with the verdict and the pursuer path up to capture.
 
     Raises:
         ValueError: mismatched evader config, empty horizon, or a
@@ -634,52 +638,51 @@ def explicit_policy_pursuit(pursuer: CarConfig, evader: CarConfig,
     step = capture_radius / (pursuer.v + evader.v)
     if evader_path.times.size > 1:
         step = min(float(np.median(np.diff(evader_path.times))), step)
-    n = _sample_count((track_end - p0.t) / step, "pursuit samples")
-    times = p0.t + (track_end - p0.t) * np.arange(n + 1) / n
-    states = np.empty((n + 1, 3))
-    n_approach = int(np.searchsorted(times, t_acq, side="right"))
-    if segments:
-        # each approach sample flies one arc from the corner where its
-        # segment starts; every segment before it was flown in full
-        elapsed = times[:n_approach] - p0.t
-        seg = np.searchsorted(edges[1:-1], elapsed)
-        states[:n_approach] = _arc_poses(
-            pursuer.v, corners[seg], rates[seg, None],
-            np.clip(elapsed - edges[seg], 0.0, durations[seg])[:, None])[:, -1]
-    else:
-        states[:n_approach] = corners[0]
-    # follow the track: arc length v1*(t - t_acq) into a track recorded
-    # at speed v2 lands at evader epoch u
-    u = track_t0 + (pursuer.v / evader.v) * (times[n_approach:] - t_acq)
-    for col in range(3):
-        states[n_approach:, col] = np.interp(u, evader_path.times,
-                                             evader_path.states[:, col])
-
-    def separation(lo: int, hi: int) -> np.ndarray:
-        # one coordinate at a time: few full-length temporaries at once
-        dx = states[lo:hi, 0] - np.interp(times[lo:hi], evader_path.times,
-                                          evader_path.states[:, 0])
-        dy = states[lo:hi, 1] - np.interp(times[lo:hi], evader_path.times,
-                                          evader_path.states[:, 1])
-        return np.sqrt(dx * dx + dy * dy)
-
-    # A pursuer trailing the evader along its own track by less than
-    # half the capture radius is within it (no chord of the track is
-    # longer than its arc), so the first such sample bounds the first
-    # hit; the rest is taken only if no hit comes before it.
-    trailing = evader.v * (times[n_approach:] - u) < 0.5 * capture_radius
-    sure = (n_approach + int(np.argmax(trailing)) + 1 if trailing.any()
-            else n + 1)
-    gap = separation(0, sure)
-    hits = np.flatnonzero(gap <= capture_radius)
-    if not hits.size:
-        gap = np.concatenate([gap, separation(sure, n + 1)])
+    span = track_end - p0.t
+    n = _sample_count(span / step, "pursuit samples")
+    # sample in blocks, and stop after the first block that holds a hit
+    blocks, hit, lo, size = [], None, 0, _FIRST_BLOCK
+    while hit is None and lo <= n:
+        hi = min(lo + size, n + 1)
+        times = p0.t + span * np.arange(lo, hi) / n
+        states = np.empty((hi - lo, 3))
+        n_approach = int(np.searchsorted(times, t_acq, side="right"))
+        if segments:
+            # each approach sample flies one arc from the corner where its
+            # segment starts; every segment before it was flown in full
+            elapsed = times[:n_approach] - p0.t
+            seg = np.searchsorted(edges[1:-1], elapsed)
+            states[:n_approach] = _arc_poses(
+                pursuer.v, corners[seg], rates[seg, None],
+                np.clip(elapsed - edges[seg], 0.0, durations[seg])[:, None]
+            )[:, -1]
+        else:
+            states[:n_approach] = corners[0]
+        # follow the track: arc length v1*(t - t_acq) into a track recorded
+        # at speed v2 lands at evader epoch u
+        u = track_t0 + (pursuer.v / evader.v) * (times[n_approach:] - t_acq)
+        # the track samples bracketing this block's epochs and u: each
+        # interpolation reads the same two samples as on the whole track
+        at = np.searchsorted(evader_path.times,
+                             [times[0], times[-1], *u[:1], *u[-1:]], "right")
+        reach = slice(max(int(at.min()) - 1, 0), int(at.max()) + 1)
+        knots = evader_path.times[reach]
+        track = np.ascontiguousarray(evader_path.states[reach].T)
+        for col in range(3):
+            states[n_approach:, col] = np.interp(u, knots, track[col])
+        dx = states[:, 0] - np.interp(times, knots, track[0])
+        dy = states[:, 1] - np.interp(times, knots, track[1])
+        gap = np.sqrt(dx * dx + dy * dy)
         hits = np.flatnonzero(gap <= capture_radius)
-    captured = bool(hits.size)
-    closest = int(np.argmin(gap[:hits[0] + 1] if captured else gap))
+        hit = lo + int(hits[0]) if hits.size else None
+        blocks.append((times, states, gap))
+        lo, size = hi, 2 * size
+    end = n + 1 if hit is None else hit + 1
+    times, states, gap = (np.concatenate(part)[:end] for part in zip(*blocks))
+    closest = int(np.argmin(gap))
     return PursuitResult(
-        captured=captured,
-        capture_time=float(times[hits[0]]) if captured else None,
+        captured=hit is not None,
+        capture_time=None if hit is None else float(times[hit]),
         closest_approach=float(gap[closest]),
         closest_time=float(times[closest]), acquisition_time=t_acq,
         capture_radius=capture_radius,

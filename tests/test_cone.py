@@ -501,6 +501,31 @@ class TestReduceToSingleBurn:
             dv0 = reduce_to_single_burn(traj)
             assert float(np.linalg.norm(dv0)) <= sched.total_dv + 1e-6
 
+    @pytest.mark.parametrize("fraction, cheapest", [
+        (0.3, "0.010514617782652736"), (0.4, "0.017012973654808743")])
+    def test_late_shock_outreaches_vertex_burns(self, fraction, cheapest):
+        """The single-burn equivalence fails past a quarter period: one
+        out-of-plane shock a quarter period before the end, on a 700 km
+        circular orbit, reaches an endpoint that the cheapest vertex burn
+        reaches only for about 1/sin(n t_end) times the shock."""
+        r = EARTH_RADIUS_KM + 700.0
+        period = 2.0 * math.pi * math.sqrt(r ** 3 / MU_EARTH)
+        t_end = fraction * period
+        s = StateVector([r, 0.0, 0.0], [0.0, math.sqrt(MU_EARTH / r), 0.0],
+                        0.0)
+        sched = ImpulsiveSchedule(
+            (ShockEvent(t_end - period / 4.0, np.array([0.0, 0.0, 0.01])),),
+            budget=0.01)
+        traj = propagate_schedule(s, sched, t_end)
+        with pytest.raises(NoBoundArc, match=(
+                f"^cheapest single burn {cheapest} km/s exceeds the "
+                r"schedule total 0\.01 km/s at max_revs=1$")):
+            reduce_to_single_burn(traj)
+        # linear theory: a burn at tau moves the out-of-plane position at
+        # t_end by sin(n (t_end - tau)) / n
+        assert float(cheapest) == pytest.approx(
+            0.01 / math.sin(2.0 * math.pi * fraction), rel=1e-5)
+
     def test_no_arc_reported(self):
         """A long-horizon geometry outside the rev cap raises, not lies."""
         s = circular_state()

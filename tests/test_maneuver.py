@@ -460,6 +460,18 @@ class TestShockApproximation:
         profile = ThrustProfile(lambda t: np.zeros(3), (0.0, 100.0))
         assert shock_approximation(profile, 8).shocks == ()
 
+    @pytest.mark.parametrize("reduce", [shock_approximation, profile_impulse])
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_rejects_fewer_than_one_subinterval(self, reduce, n):
+        """Both callers of the quadrature refuse n < 1 by name, before
+        the profile is evaluated."""
+        calls = []
+        profile = ThrustProfile(lambda t: calls.append(t) or np.ones(3),
+                                (0.0, 100.0))
+        with pytest.raises(ValueError, match=f"^n must be >= 1, got {n}$"):
+            reduce(profile, n)
+        assert calls == []
+
     def test_budget_is_spent_dv(self):
         profile = ThrustProfile(
             lambda t: np.array([1e-5 * math.sin(t / 30.0), 1e-5, 0.0]),

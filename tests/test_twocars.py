@@ -773,7 +773,8 @@ class TestAgainstReference:
     field: the oracle adds random controls to each car's family and
     flies it in its own kernel call per grid time, flies every approach
     sample through every route segment, and takes the separation over
-    the whole span."""
+    the whole span, of which the pursuit path is the prefix up to the
+    capture."""
 
     def assert_same_verdict(self, pursuer, evader, headstart, horizon,
                             time_grid=33, **draws):
@@ -799,9 +800,12 @@ class TestAgainstReference:
         for f in dataclasses.fields(got):
             if f.name != "path":
                 assert getattr(got, f.name) == getattr(want, f.name), f.name
+        # the oracle samples the whole span; the path stops at the hit
+        end = (want.path.times.size if want.capture_time is None else
+               int(np.flatnonzero(want.path.times == want.capture_time)[0]) + 1)
         assert got.path.cfg == want.path.cfg
-        assert_same_bits(got.path.times, want.path.times)
-        assert_same_bits(got.path.states, want.path.states)
+        assert_same_bits(got.path.times, want.path.times[:end])
+        assert_same_bits(got.path.states, want.path.states[:end])
         return got
 
     @pytest.mark.parametrize("time_grid", [33, 5])
@@ -844,20 +848,51 @@ class TestAgainstReference:
                                             track).captured
 
     def test_equal_speed_chase_without_capture(self):
-        """No hit before the pursuer is sure to be close: the separation
-        over the rest of the span is taken too."""
+        """No hit in any block: the path covers the whole span."""
         pursuer, evader = CarConfig(v=1.0, R=1.0), CarConfig(v=1.0, R=1.0)
         e0 = CarState(x=0.0, y=3.0, theta=0.0, t=0.0)
         track = propagate_car(evader, e0, SteeringLaw.constant(0.2, evader),
                               t=12.0, step=0.01)
         p0 = CarState(x=1.0, y=0.0, theta=1.0, t=0.0)
-        assert not self.assert_same_pursuit(pursuer, evader, p0,
-                                            track).captured
+        result = self.assert_same_pursuit(pursuer, evader, p0, track)
+        assert not result.captured
+        assert result.path.times[0] == p0.t
+        assert result.path.times[-1] == pytest.approx(12.0, rel=1e-15)
+        # 12 s at capture radius / (v1 + v2) = 5e-4 s: many blocks
+        assert result.path.times.size > 24_000
+
+    @pytest.mark.parametrize("first_block", [1, 5])
+    def test_never_captured_over_small_blocks(self, monkeypatch,
+                                              first_block):
+        """Blocks of 1 or 5 samples, doubling, still cover the span."""
+        monkeypatch.setattr(twocars, "_FIRST_BLOCK", first_block)
+        self.test_equal_speed_chase_without_capture()
+
+    @pytest.mark.parametrize("where", [
+        "last sample of the first block",
+        "first sample of the second block",
+        "inside the third block"])
+    def test_capture_at_a_block_edge(self, monkeypatch, where):
+        """The first block is sized around the oracle's hit: the path
+        still ends at it, whichever block holds it."""
+        pursuer, evader, p0, track, _ = weaving_game(104)
+        want = ref.explicit_policy_pursuit(pursuer, evader, p0, track)
+        hit = int(np.flatnonzero(want.path.times == want.capture_time)[0])
+        # blocks of B, 2B and 4B samples start at 0, B and 3B
+        first_block = {"last sample of the first block": hit + 1,
+                       "first sample of the second block": hit,
+                       "inside the third block": hit // 3}[where]
+        assert where != "inside the third block" \
+            or 3 * first_block <= hit < 7 * first_block
+        monkeypatch.setattr(twocars, "_FIRST_BLOCK", first_block)
+        result = self.assert_same_pursuit(pursuer, evader, p0, track)
+        assert result.captured
+        assert result.path.times.size == hit + 1
 
     def test_capture_after_the_sure_sample(self):
         """A track whose chords outrun its recorded speed: trailing it by
         less than half the capture radius is not yet a hit, and the hit
-        comes from the rest of the span."""
+        comes later."""
         pursuer, evader = CarConfig(v=2.0, R=1.0), CarConfig(v=1.0, R=1.0)
         times = np.linspace(0.0, 10.0, 1001)
         states = np.column_stack([np.zeros_like(times), 5.0 * times,

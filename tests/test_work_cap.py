@@ -83,12 +83,13 @@ SITES = {
                                 t=1.0, step=1.0 / n).times.size - 1,
         CAP, CAP + 1, 10**300),
     # 5 s sampled at capture radius / (v1 + v2) = 5 / n; rounding can
-    # put n itself a hair over
+    # put n itself a hair over. At equal speeds the chase never closes
+    # the 3 m gap, so the path covers every sample of the span.
     "explicit_policy_pursuit-samples": (
         "pursuit samples",
         lambda n: explicit_policy_pursuit(
-            PURSUER, CAR, ORIGIN, TRACK,
-            capture_radius=3.0 * 5.0 / n).path.times.size - 1,
+            CAR, CAR, ORIGIN, TRACK,
+            capture_radius=2.0 * 5.0 / n).path.times.size - 1,
         CAP - 1, CAP + 1, 10**300),
     "reachable_set-controls": (
         "random controls",

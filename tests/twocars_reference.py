@@ -8,7 +8,8 @@ included, in two kernel calls per grid time; and the explicit pursuit
 that flies every approach sample through every route segment and
 takes the separation over the whole span. `futurecone.twocars` must
 give the same verdicts, from the extremal table alone, and the same
-pursuit results, bit for bit.
+pursuit results, bit for bit, except that its pursuit path stops at
+the capture sample.
 """
 from __future__ import annotations
 
