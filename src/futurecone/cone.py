@@ -37,6 +37,7 @@ from .errors import (
 from .kepler import (
     ArcBatch,
     StateVector,
+    _as_vec3,
     _row_norm,
     arcs_from_states,
     is_bound,
@@ -109,8 +110,8 @@ class ConeSampleSet:
 
     Attributes:
         spec: The generating cone.
-        trajectories: Post-burn ballistic arcs, one per retained draw,
-            held as arrays; any sequence of BallisticArc is accepted.
+        trajectories: Post-burn ballistic arcs, one ArcBatch row per
+            retained draw.
         seed: RNG seed used for the draws.
         leaf_times: Default time grid for leaf extraction, s.
     """
@@ -121,9 +122,6 @@ class ConeSampleSet:
     leaf_times: np.ndarray
 
     def __post_init__(self):
-        if not isinstance(self.trajectories, ArcBatch):
-            object.__setattr__(self, "trajectories",
-                               ArcBatch.from_arcs(self.trajectories))
         times = np.asarray(self.leaf_times, dtype=float)
         times.setflags(write=False)
         object.__setattr__(self, "leaf_times", times)
@@ -201,13 +199,15 @@ def sample_cone(spec: ConeSpec, n: int, seed: int,
         time_grid: Size of the default leaf-time grid over the window.
 
     Raises:
-        ValueError: n < 1.
+        ValueError: n < 1 or time_grid < 1.
         WorkCapExceeded: n or time_grid above the package's cap,
             refused before any array of that length exists.
         EmptyCone: no draw produced a bound trajectory.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
+    if time_grid < 1:
+        raise ValueError(f"time_grid must be >= 1, got {time_grid}")
     _check_work(n, "cone draws")
     _check_work(time_grid, "grid times")
     rng = np.random.default_rng(seed)
@@ -269,10 +269,11 @@ def membership(spec: ConeSpec, point, t: float,
         exists (member False).
 
     Raises:
-        ValueError: t outside the window or not after the vertex epoch.
+        ValueError: point not 3 finite components; t outside the window
+            or not after the vertex epoch.
         AmbiguousPlane: degenerate transfer geometry, with context.
     """
-    point = np.asarray(point, dtype=float)
+    point = _as_vec3(point, "point")
     t1, t2 = spec.window
     if not (t1 <= t <= t2) or not t > spec.vertex.t:
         raise ValueError(
@@ -348,6 +349,7 @@ def containment(interceptor: ConeSpec, target: ConeSpec,
 
     Raises:
         EmptyOverlap: the windows do not intersect.
+        ValueError: n_target_samples or time_grid below 1.
         WorkCapExceeded: n_target_samples or time_grid above
             sample_cone's cap.
         EmptyCone: target sampling or floor truncation left nothing to

@@ -303,18 +303,6 @@ class ArcBatch(Sequence):
         return arc_from_state(StateVector(self.r0[i], self.v0[i], self.t0[i]),
                               self.mu)
 
-    @classmethod
-    def from_arcs(cls, arcs) -> ArcBatch:
-        """Batch of existing arcs, which must share one mu."""
-        arcs = tuple(arcs)
-        mus = {arc.mu for arc in arcs}
-        if len(mus) > 1:
-            raise ValueError(f"arcs of one batch must share mu, got {mus}")
-        return cls(r0=np.reshape([arc.r0.r for arc in arcs], (-1, 3)),
-                   v0=np.reshape([arc.r0.v for arc in arcs], (-1, 3)),
-                   t0=[arc.r0.t for arc in arcs],
-                   mu=mus.pop() if mus else MU_EARTH)
-
 
 def _solve_kepler(M: np.ndarray, e: np.ndarray) -> np.ndarray:
     """Kepler's equation E - e*sin(E) = M, row by row.

@@ -326,27 +326,40 @@ def lambert_batch(r0, r1, dt, mu: float = MU_EARTH,
 
     Args:
         r0: Departure positions, km, (n, 3), or one (3,) for all rows.
-        r1: Arrival positions, km, (n, 3).
+        r1: Arrival positions, km, (n, 3), or one (3,) for one row.
         dt: Transfer times, s, (n,) or one for all rows; positive.
         mu: Gravitational parameter, km^3/s^2.
         max_revs: Largest complete-revolution count to search.
 
     Raises:
-        ValueError: zero-length position, nonpositive dt, negative max_revs.
+        ValueError: r0 or r1 of another shape, a position that is zero
+            or not finite, dt not positive and finite, negative max_revs.
         AmbiguousPlane: for the first row whose transfer angle is within
             1e-8 rad of pi or whose endpoints coincide exactly; its row
             attribute gives the row.
     """
-    r1 = np.asarray(r1, dtype=float).reshape(-1, 3)
-    r0 = np.broadcast_to(np.asarray(r0, dtype=float), r1.shape)
+    r1 = np.asarray(r1, dtype=float)
+    if r1.ndim not in (1, 2) or r1.shape[-1] != 3:
+        raise ValueError(f"r1 must have shape (n, 3) or (3,), "
+                         f"got shape {r1.shape}")
+    r1 = r1.reshape(-1, 3)
+    r0 = np.asarray(r0, dtype=float)
+    if r0.shape not in ((3,), r1.shape):
+        raise ValueError(f"r0 must have shape (3,) or {r1.shape}, "
+                         f"got shape {r0.shape}")
+    for name, arr in (("r0", r0), ("r1", r1)):
+        if not np.isfinite(arr).all():
+            raise ValueError(f"{name} must be finite")
+    r0 = np.broadcast_to(r0, r1.shape)
     dt = np.broadcast_to(np.asarray(dt, dtype=float), r1.shape[:1])
     r0n = _norm(r0)
     r1n = _norm(r1)
     if not (np.all(r0n > 0.0) and np.all(r1n > 0.0)):
         raise ValueError("positions must have nonzero magnitude")
-    if not np.all(dt > 0.0):
+    bad_dt = ~(np.isfinite(dt) & (dt > 0.0))
+    if bad_dt.any():
         raise ValueError(
-            f"transfer time must be positive, got {dt[~(dt > 0.0)][0]}")
+            f"transfer time must be positive and finite, got {dt[bad_dt][0]}")
     if max_revs < 0:
         raise ValueError(f"max_revs must be nonnegative, got {max_revs}")
 
@@ -452,7 +465,8 @@ def solve_lambert(r0, r1, dt: float, mu: float = MU_EARTH,
         parabolic time of both senses).
 
     Raises:
-        ValueError: zero-length position, nonpositive dt, negative max_revs.
+        ValueError: a position not of 3 finite components or zero, dt
+            not positive and finite, negative max_revs.
         AmbiguousPlane: transfer angle within 1e-8 rad of pi, or exactly
             coincident endpoints; the transfer plane is undefined and any
             choice would be arbitrary.

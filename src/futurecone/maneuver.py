@@ -38,6 +38,9 @@ _BUDGET_SLACK = 1e-12  # float headroom on the schedule budget check
 # RK4 steps one integrate_thrust resolution may take. Engagement-scale
 # burns settle at 128-256 steps.
 _MAX_STEPS = 2**16
+# integrate_thrust accepts a step count once halving it moves the
+# endpoint by less than this, relative to the position scale.
+_SETTLE_TOL = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,8 +132,8 @@ class ImpulsiveTrajectory:
     post-shock state.
 
     Attributes:
-        arcs: Epoch states, one per ballistic segment, in epoch order;
-            a sequence of BallisticArc is stored as an ArcBatch.
+        arcs: Epoch states, one ArcBatch row per ballistic segment, in
+            epoch order.
         t_end: End of the last segment, s.
         schedule: The generating schedule.
         origin: State at the start of the chain.
@@ -142,8 +145,6 @@ class ImpulsiveTrajectory:
     origin: StateVector
 
     def __post_init__(self):
-        if not isinstance(self.arcs, ArcBatch):
-            object.__setattr__(self, "arcs", ArcBatch.from_arcs(self.arcs))
         object.__setattr__(self, "t_end", float(self.t_end))
         starts = self.arcs.t0
         if not starts.size or np.any(np.diff(starts, append=self.t_end) < 0):
@@ -352,20 +353,18 @@ def propagate_schedule(origin: StateVector, sched: ImpulsiveSchedule,
 
 def integrate_thrust(origin: StateVector, profile: ThrustProfile,
                      mu: float = MU_EARTH,
-                     floor: float = DEFAULT_FLOOR_KM,
-                     rel_tol: float = 1e-8) -> SampledTrajectory:
+                     floor: float = DEFAULT_FLOOR_KM) -> SampledTrajectory:
     """Fixed-step RK4 integration of gravity plus the thrust profile.
 
     Integrates dr/dt = v, dv/dt = -mu r/|r|^3 + accel(t) over the profile
     window. The step count doubles from 64 until halving it moves the
-    endpoint by less than rel_tol relative to the position scale.
+    endpoint by less than _SETTLE_TOL relative to the position scale.
 
     Args:
         origin: State at the window start; epochs must agree.
         profile: Thrust acceleration history.
         mu: Gravitational parameter.
         floor: Altitude floor, km.
-        rel_tol: Endpoint self-convergence target.
 
     Returns:
         SampledTrajectory over the window at the accepted resolution.
@@ -391,7 +390,7 @@ def integrate_thrust(origin: StateVector, profile: ThrustProfile,
     def run(n_steps: int) -> tuple[np.ndarray, np.ndarray]:
         if n_steps > _MAX_STEPS:
             raise WorkCapExceeded(
-                f"endpoint did not settle to {rel_tol} within the cap of "
+                f"endpoint did not settle to {_SETTLE_TOL} within the cap of "
                 f"{_MAX_STEPS} steps")
         h = (t1 - t0) / n_steps
         times = np.empty(n_steps + 1)
@@ -423,7 +422,7 @@ def integrate_thrust(origin: StateVector, profile: ThrustProfile,
         n *= 2
         end = rows[-1, :3]
         times, rows = run(n)
-        if float(np.linalg.norm(rows[-1, :3] - end)) / scale < rel_tol:
+        if float(np.linalg.norm(rows[-1, :3] - end)) / scale < _SETTLE_TOL:
             return SampledTrajectory(times=times, rv=rows)
 
 

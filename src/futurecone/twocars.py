@@ -400,86 +400,40 @@ def _control_family(u_max: float, tau: float, n_random: int,
     return rates, durations
 
 
-@dataclass(frozen=True, eq=False)
-class ReachableSet:
-    """Sampled cross-section of one car's attainable region at a time.
-
-    Attributes:
-        origin: Start pose the region grows from.
-        t: Elapsed time, s.
-        endpoints: Exact sampled endpoints, shape (m, 2).
-        occupancy: Boolean grid over the bounding square of half-width
-            v*t centered on the origin; occupancy[i, j] covers the cell
-            with x-index i and y-index j.
-        cell_size: Grid cell edge length, m.
-    """
-
-    origin: CarState
-    t: float
-    endpoints: np.ndarray
-    occupancy: np.ndarray
-    cell_size: float
-
-    def __post_init__(self) -> None:
-        self.endpoints.setflags(write=False)
-        self.occupancy.setflags(write=False)
-
-    @property
-    def occupied_cells(self) -> np.ndarray:
-        """Centers of occupied grid cells, shape (k, 2)."""
-        idx = np.argwhere(self.occupancy)
-        res = self.occupancy.shape[0]
-        half = 0.5 * res * self.cell_size
-        lower = self.origin.position - half
-        return lower + (idx + 0.5) * self.cell_size
-
-
 def reachable_set(cfg: CarConfig, s0: CarState, t: float,
-                  resolution: int = 128, n_controls: int = 512,
-                  seed: int = 0) -> ReachableSet:
+                  n_controls: int = 512, seed: int = 0) -> np.ndarray:
     """Sample the set of positions attainable exactly at elapsed time t.
 
     Endpoints of a family of admissible steering laws (saturated
     extremals plus random piecewise-constant draws) are composed in
-    closed form and rasterized onto an occupancy grid spanning the
-    disk bound: no admissible car leaves the disk of radius v*t.
+    closed form. No admissible car leaves the disk of radius v*t.
 
     Args:
         cfg: Car speed and turn radius.
         s0: Start pose.
         t: Elapsed time, s, > 0.
-        resolution: Grid cells per axis across the bounding square.
         n_controls: Random control draws on top of the extremal family.
         seed: Seed for the random draws.
 
     Returns:
-        ReachableSet with exact endpoints and the occupancy grid.
+        Read-only endpoints, shape (31 + n_controls, 2): the 31
+        extremals first, then the random draws.
 
     Raises:
-        ValueError: nonpositive t, resolution, or n_controls < 0.
-        WorkCapExceeded: n_controls or resolution**2 cells above the
-            package's cap.
+        ValueError: nonpositive t, or n_controls < 0.
+        WorkCapExceeded: n_controls above the package's cap.
     """
     if not (t > 0.0 and math.isfinite(t)):
         raise ValueError(f"elapsed time must be positive and finite, got {t}")
-    if resolution < 1:
-        raise ValueError(f"resolution must be at least 1, got {resolution}")
     if n_controls < 0:
         raise ValueError(f"n_controls must be nonnegative, got {n_controls}")
     _check_work(n_controls, "random controls")
-    _check_work(float(resolution) ** 2, "occupancy cells")
     rates, durations = _control_family(cfg.admissible_rate, t, n_controls,
                                        np.random.default_rng(seed))
     endpoints = s0.position + _arc_poses(
         cfg.v, (0.0, 0.0, s0.theta), rates, durations)[:, -1, :2]
-    half = cfg.v * t
-    cell = 2.0 * half / resolution
-    idx = np.floor((endpoints - (s0.position - half)) / cell).astype(int)
-    idx = np.clip(idx, 0, resolution - 1)
-    occupancy = np.zeros((resolution, resolution), dtype=bool)
-    occupancy[idx[:, 0], idx[:, 1]] = True
-    return ReachableSet(origin=s0, t=t, endpoints=endpoints,
-                        occupancy=occupancy, cell_size=cell)
+    endpoints.setflags(write=False)
+    return endpoints
 
 
 class CockayneVerdict(NamedTuple):

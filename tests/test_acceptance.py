@@ -254,8 +254,8 @@ def test_criterion_7_two_cars_equivalence():
                       y=float(rng.uniform(-2.0, 2.0)),
                       theta=float(rng.uniform(0.0, TWO_PI)), t=0.0)
         t = float(rng.uniform(1.0, 4.0)) * cfg.R / cfg.v
-        region = reachable_set(cfg, s0, t=t, n_controls=400, seed=trial)
-        ranges = np.linalg.norm(region.endpoints - s0.position, axis=1)
+        endpoints = reachable_set(cfg, s0, t=t, n_controls=400, seed=trial)
+        ranges = np.linalg.norm(endpoints - s0.position, axis=1)
         assert ranges.max() <= cfg.v * t * (1.0 + 1e-12)
 
     for trial in range(5):

@@ -121,6 +121,13 @@ class TestSampleCone:
         assert sset.leaf_times[-1] == 500.0
         assert len(sset.leaf_times) == 21
 
+    def test_rejects_empty_time_grid(self):
+        spec = leo_spec()
+        with pytest.raises(ValueError, match="^time_grid must be >= 1"):
+            sample_cone(spec, 10, seed=0, time_grid=0)
+        with pytest.raises(ValueError, match="^time_grid must be >= 1"):
+            containment(spec, spec, n_target_samples=10, time_grid=0)
+
 
 class TestLeaf:
     def test_vertex_leaf_is_singleton(self):
@@ -226,6 +233,13 @@ class TestMembership:
             membership(spec, [7000.0, 0.0, 0.0], 30.0)
         with pytest.raises(ValueError):
             membership(spec, [7000.0, 0.0, 0.0], 700.0)
+
+    def test_rejects_point_that_is_not_a_position(self):
+        spec = leo_spec()
+        with pytest.raises(ValueError, match="^point must have 3 components"):
+            membership(spec, [7000.0, 0.0, 0.0, 0.0, 7.5, 0.0], 300.0)
+        with pytest.raises(ValueError, match="^point must be finite"):
+            membership(spec, [7000.0, math.nan, 0.0], 300.0)
 
 
 class TestContainment:

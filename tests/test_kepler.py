@@ -480,15 +480,14 @@ class TestArrayKernels:
             assert np.array_equal(v1[0], v[i])
             assert lowest1[0] == lowest[i]
 
-    def test_from_arcs_round_trips(self):
+    def test_slices_are_batches(self):
         _, arcs = self.batch(5)
-        again = ArcBatch.from_arcs(list(arcs))
-        assert len(again) == 5
-        assert np.array_equal(again.r0, arcs.r0)
-        assert np.array_equal(again.v0, arcs.v0)
-        assert np.array_equal(again.t0, arcs.t0)
-        assert len(arcs[1:3]) == 2
-        assert len(ArcBatch.from_arcs(())) == 0
+        part = arcs[1:3]
+        assert isinstance(part, ArcBatch)
+        assert len(part) == 2
+        assert np.array_equal(part.r0, arcs.r0[1:3])
+        assert np.array_equal(part.v0, arcs.v0[1:3])
+        assert np.array_equal(part.t0, arcs.t0[1:3])
 
     def test_swept_min_radius_matches_min_radius(self):
         states, arcs = self.batch()

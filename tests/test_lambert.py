@@ -225,6 +225,30 @@ class TestEdges:
         with pytest.raises(ValueError):
             solve_lambert(r0, r1, 100.0, max_revs=-1)
 
+    def test_rejects_positions_of_another_shape(self):
+        """A scalar r0 is not broadcast to a position, nor six numbers
+        read as two arrivals."""
+        with pytest.raises(ValueError, match=r"^r0 must have shape"):
+            solve_lambert(7000.0, [0.0, 7000.0, 0.0], 1500.0)
+        with pytest.raises(ValueError, match=r"^r0 must have shape"):
+            lambert_batch(np.ones((2, 3)), np.ones((3, 3)), 1500.0)
+        with pytest.raises(ValueError, match=r"^r1 must have shape"):
+            lambert_batch([7000.0, 0.0, 0.0],
+                          [0.0, 7000.0, 0.0, 0.0, 7100.0, 0.0], 1500.0)
+
+    @pytest.mark.parametrize("name", ["r0", "r1"])
+    def test_rejects_positions_that_are_not_finite(self, name):
+        ends = {"r0": [7000.0, 0.0, 0.0], "r1": [0.0, 7000.0, 0.0]}
+        ends[name] = [math.nan, 7000.0, 0.0]
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            solve_lambert(ends["r0"], ends["r1"], 1500.0)
+
+    @pytest.mark.parametrize("dt", [math.inf, math.nan])
+    def test_rejects_transfer_time_that_is_not_finite(self, dt):
+        with pytest.raises(ValueError,
+                           match="^transfer time must be positive and finite"):
+            solve_lambert([7000.0, 0.0, 0.0], [0.0, 7000.0, 0.0], dt)
+
     def test_near_parabolic_arcs_exist(self):
         """Just above the parabolic time (Lambert's theorem) every short
         zero-rev arc exists, however close to parabolic; those not too

@@ -254,8 +254,8 @@ class TestPropagateSchedule:
             ImpulsiveTrajectory(arcs=traj.arcs, t_end=50.0, schedule=sched,
                                 origin=traj.origin)
         with pytest.raises(ValueError, match="ascend"):
-            ImpulsiveTrajectory(arcs=(), t_end=500.0, schedule=sched,
-                                origin=traj.origin)
+            ImpulsiveTrajectory(arcs=traj.arcs[:0], t_end=500.0,
+                                schedule=sched, origin=traj.origin)
 
 
 def random_chain(gen: np.random.Generator):

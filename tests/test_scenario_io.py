@@ -16,7 +16,7 @@ from futurecone.errors import (
     ScenarioParseError,
     ScenarioSchemaError,
 )
-from futurecone.kepler import StateVector, arc_from_state
+from futurecone.kepler import StateVector, arcs_from_states
 from futurecone.maneuver import ImpulsiveSchedule, ShockEvent, propagate_schedule
 from futurecone.scenario_io import (
     FY1CParameters,
@@ -709,15 +709,16 @@ class TestExportPoints:
     def sample_set(self, times) -> ConeSampleSet:
         spec = ConeSpec(vertex=leo_vertex(), budget=0.0,
                         window=(100.0, 900.0))
-        arc = arc_from_state(spec.vertex)
-        return ConeSampleSet(spec=spec, trajectories=(arc,), seed=0,
+        arcs = arcs_from_states(spec.vertex.r, spec.vertex.v[None],
+                                spec.vertex.t)
+        return ConeSampleSet(spec=spec, trajectories=arcs, seed=0,
                              leaf_times=np.asarray(times, dtype=float))
 
     def test_empty_cloud_writes_header_only(self, tmp_path):
-        spec = ConeSpec(vertex=leo_vertex(), budget=0.0,
-                        window=(100.0, 900.0))
-        empty = ConeSampleSet(spec=spec, trajectories=(), seed=0,
-                              leaf_times=np.array([100.0]))
+        cloud = self.sample_set([100.0])
+        empty = ConeSampleSet(spec=cloud.spec,
+                              trajectories=cloud.trajectories[:0], seed=0,
+                              leaf_times=cloud.leaf_times)
         path = tmp_path / "empty.csv"
         export_points(empty, path)
         assert path.read_text() == "t,x,y,z,body_tag,margin\n"

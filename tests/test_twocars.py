@@ -321,29 +321,29 @@ class TestPathInvariants:
 
 
 class TestReachableSet:
-    """Disk bound, straight-ahead inclusion, and grid bookkeeping."""
+    """Disk bound, straight-ahead inclusion, and the endpoint array."""
 
     def test_disk_bound(self):
         cfg = CarConfig(v=1.7, R=0.9)
         s0 = CarState(x=2.0, y=-1.0, theta=0.8, t=0.0)
-        region = reachable_set(cfg, s0, t=3.0, n_controls=400, seed=1)
-        ranges = np.linalg.norm(region.endpoints - s0.position, axis=1)
+        endpoints = reachable_set(cfg, s0, t=3.0, n_controls=400, seed=1)
+        ranges = np.linalg.norm(endpoints - s0.position, axis=1)
         assert ranges.max() <= cfg.v * 3.0 * (1.0 + 1e-12)
 
     def test_contains_straight_ahead_point(self):
         cfg = CarConfig(v=1.2, R=1.0)
         s0 = CarState(x=0.5, y=0.5, theta=2.1, t=0.0)
-        region = reachable_set(cfg, s0, t=2.5, seed=2)
+        endpoints = reachable_set(cfg, s0, t=2.5, seed=2)
         ahead = s0.position + cfg.v * 2.5 * np.array(
             [math.sin(s0.theta), math.cos(s0.theta)])
-        gaps = np.linalg.norm(region.endpoints - ahead, axis=1)
+        gaps = np.linalg.norm(endpoints - ahead, axis=1)
         assert gaps.min() < 1e-12
 
     def test_collapses_as_t_vanishes(self):
         cfg = CarConfig(v=1.0, R=1.0)
         s0 = CarState(x=1.0, y=2.0, theta=0.0, t=0.0)
-        region = reachable_set(cfg, s0, t=1e-9, n_controls=100, seed=3)
-        ranges = np.linalg.norm(region.endpoints - s0.position, axis=1)
+        endpoints = reachable_set(cfg, s0, t=1e-9, n_controls=100, seed=3)
+        ranges = np.linalg.norm(endpoints - s0.position, axis=1)
         # translating offsets to absolute coordinates costs an ulp of s0
         slack = 16 * np.finfo(float).eps * np.linalg.norm(s0.position)
         assert ranges.max() <= 1e-9 * (1.0 + 1e-12) + slack
@@ -353,38 +353,30 @@ class TestReachableSet:
         cfg = CarConfig(v=1.4, R=0.8)
         s0 = CarState(x=0.0, y=0.0, theta=0.0, t=0.0)
         t = math.pi * cfg.R / cfg.v
-        region = reachable_set(cfg, s0, t=t, n_controls=0, seed=0)
-        ranges = np.linalg.norm(region.endpoints - s0.position, axis=1)
+        endpoints = reachable_set(cfg, s0, t=t, n_controls=0, seed=0)
+        ranges = np.linalg.norm(endpoints - s0.position, axis=1)
         assert np.abs(ranges - 2.0 * cfg.R).min() < 1e-6 * cfg.R
-
-    def test_grid_metadata(self):
-        cfg = CarConfig(v=1.0, R=1.0)
-        s0 = CarState(x=0.0, y=0.0, theta=0.0, t=0.0)
-        region = reachable_set(cfg, s0, t=2.0, resolution=64, seed=4)
-        assert region.cell_size == pytest.approx(2.0 * 2.0 / 64)
-        assert region.occupancy.shape == (64, 64)
-        cells = region.occupied_cells
-        assert cells.shape[1] == 2
-        # straight-ahead endpoint's cell is occupied
-        ahead = s0.position + np.array([0.0, 2.0])
-        assert np.linalg.norm(cells - ahead, axis=1).min() \
-            <= region.cell_size * math.sqrt(2.0)
 
     def test_deterministic_for_seed(self):
         cfg = CarConfig(v=1.0, R=0.5)
         s0 = CarState(x=0.0, y=0.0, theta=0.0, t=0.0)
         a = reachable_set(cfg, s0, t=2.0, seed=7)
         b = reachable_set(cfg, s0, t=2.0, seed=7)
-        assert np.array_equal(a.endpoints, b.endpoints)
-        assert np.array_equal(a.occupancy, b.occupancy)
+        assert np.array_equal(a, b)
+
+    def test_returns_read_only_endpoints(self):
+        """Extremals first, then the random draws, one row each."""
+        cfg = CarConfig(v=1.0, R=0.5)
+        s0 = CarState(x=0.0, y=0.0, theta=0.0, t=0.0)
+        endpoints = reachable_set(cfg, s0, t=2.0, n_controls=9, seed=7)
+        assert endpoints.shape == (31 + 9, 2)
+        assert not endpoints.flags.writeable
 
     def test_rejects_bad_arguments(self):
         cfg = CarConfig(v=1.0, R=1.0)
         s0 = CarState(x=0.0, y=0.0, theta=0.0, t=0.0)
         with pytest.raises(ValueError):
             reachable_set(cfg, s0, t=0.0)
-        with pytest.raises(ValueError):
-            reachable_set(cfg, s0, t=1.0, resolution=0)
         with pytest.raises(ValueError):
             reachable_set(cfg, s0, t=1.0, n_controls=-1)
 
@@ -836,10 +828,10 @@ class TestAgainstReference:
     def test_reachable_set_endpoints(self):
         cfg = CarConfig(v=1.7, R=0.9)
         s0 = CarState(x=2.0, y=-1.0, theta=0.8, t=0.0)
-        region = reachable_set(cfg, s0, t=3.0, n_controls=401, seed=1)
+        endpoints = reachable_set(cfg, s0, t=3.0, n_controls=401, seed=1)
         want = s0.position + ref.family_endpoints(
             cfg, s0.theta, 3.0, 401, np.random.default_rng(1))
-        assert_same_bits(region.endpoints, want)
+        assert_same_bits(endpoints, want)
 
     def test_weaving_games(self):
         for seed in range(4):

@@ -93,14 +93,8 @@ SITES = {
         CAP - 1, CAP + 1, 10**300),
     "reachable_set-controls": (
         "random controls",
-        lambda n: len(reachable_set(CAR, ORIGIN, t=1.0,
-                                    n_controls=n).endpoints) - 31,
+        lambda n: len(reachable_set(CAR, ORIGIN, t=1.0, n_controls=n)) - 31,
         CAP, CAP + 1, 10**12),
-    "reachable_set-cells": (
-        "occupancy cells",
-        lambda res: reachable_set(CAR, ORIGIN, t=1.0,
-                                  resolution=res).occupancy.size,
-        math.isqrt(CAP), math.isqrt(CAP) + 1, 10**6),
     # both cars, 31 extremals, a start pose and 3 segment ends each
     "containment_equivalence-poses": (
         "extremal poses",
