@@ -66,7 +66,8 @@ class ConeSpec:
     Attributes:
         vertex: State at the cone vertex (epoch t0).
         budget: Total delta-v allowance, km/s.
-        window: (t1, t2) reachability window, s, with t0 <= t1 < t2.
+        window: (t1, t2) reachability window, s, finite, with
+            t0 <= t1 < t2.
         floor: Altitude floor, km above the spherical surface.
         mu: Gravitational parameter, km^3/s^2.
     """
@@ -91,6 +92,8 @@ class ConeSpec:
         if not 0.0 < self.mu < math.inf:
             raise ValueError(f"mu must be finite and positive, got {self.mu}")
         t1, t2 = self.window
+        if not (math.isfinite(t1) and math.isfinite(t2)):
+            raise ValueError(f"window must be finite, got ({t1}, {t2})")
         if not t1 < t2:
             raise ValueError(f"window: t2 must exceed t1, got ({t1}, {t2})")
         if not self.vertex.t <= t1:
@@ -113,18 +116,13 @@ class ConeSampleSet:
         trajectories: Post-burn ballistic arcs, one ArcBatch row per
             retained draw.
         seed: RNG seed used for the draws.
-        leaf_times: Default time grid for leaf extraction, s.
+
+    Leaves are taken at the times a caller asks for (``leaf``).
     """
 
     spec: ConeSpec
     trajectories: ArcBatch
     seed: int
-    leaf_times: np.ndarray
-
-    def __post_init__(self):
-        times = np.asarray(self.leaf_times, dtype=float)
-        times.setflags(write=False)
-        object.__setattr__(self, "leaf_times", times)
 
 
 @dataclass(frozen=True)
@@ -184,8 +182,7 @@ def _ball_points(rng: np.random.Generator, n: int, radius: float) -> np.ndarray:
     return directions * radii
 
 
-def sample_cone(spec: ConeSpec, n: int, seed: int,
-                time_grid: int = 51) -> ConeSampleSet:
+def sample_cone(spec: ConeSpec, n: int, seed: int) -> ConeSampleSet:
     """Monte Carlo cone rendering: n single burns at the vertex.
 
     Burn vectors are drawn uniformly in the closed ball of radius budget
@@ -196,20 +193,16 @@ def sample_cone(spec: ConeSpec, n: int, seed: int,
         spec: Cone to sample.
         n: Number of draws, >= 1.
         seed: RNG seed; fixed seed gives identical sets.
-        time_grid: Size of the default leaf-time grid over the window.
 
     Raises:
-        ValueError: n < 1 or time_grid < 1.
-        WorkCapExceeded: n or time_grid above the package's cap,
-            refused before any array of that length exists.
+        ValueError: n < 1.
+        WorkCapExceeded: n above the package's cap, refused before any
+            array of that length exists.
         EmptyCone: no draw produced a bound trajectory.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if time_grid < 1:
-        raise ValueError(f"time_grid must be >= 1, got {time_grid}")
     _check_work(n, "cone draws")
-    _check_work(time_grid, "grid times")
     rng = np.random.default_rng(seed)
     v = spec.vertex.v + _ball_points(rng, n, spec.budget)
     v = v[is_bound(spec.vertex.r, v, spec.mu)]
@@ -218,9 +211,7 @@ def sample_cone(spec: ConeSpec, n: int, seed: int,
             f"no bound trajectory among {n} draws at budget "
             f"{spec.budget!r} km/s")
     arcs = arcs_from_states(spec.vertex.r, v, spec.vertex.t, spec.mu)
-    leaf_times = np.linspace(spec.window[0], spec.window[1], time_grid)
-    return ConeSampleSet(spec=spec, trajectories=arcs, seed=int(seed),
-                         leaf_times=leaf_times)
+    return ConeSampleSet(spec=spec, trajectories=arcs, seed=int(seed))
 
 
 def leaf(sample_set: ConeSampleSet, t: float) -> np.ndarray:
@@ -349,9 +340,9 @@ def containment(interceptor: ConeSpec, target: ConeSpec,
 
     Raises:
         EmptyOverlap: the windows do not intersect.
-        ValueError: n_target_samples or time_grid below 1.
-        WorkCapExceeded: n_target_samples or time_grid above
-            sample_cone's cap.
+        ValueError: time_grid below 1, then n_target_samples below 1.
+        WorkCapExceeded: time_grid, then n_target_samples, above the
+            package's cap; both are refused before sampling.
         EmptyCone: target sampling or floor truncation left nothing to
             test.
     """
@@ -361,9 +352,10 @@ def containment(interceptor: ConeSpec, target: ConeSpec,
         raise EmptyOverlap(
             f"interceptor window {interceptor.window} and target window "
             f"{target.window} do not overlap")
-    sample_set = sample_cone(target, n_target_samples, seed,
-                             time_grid=time_grid)
-    arcs = sample_set.trajectories
+    if time_grid < 1:
+        raise ValueError(f"time_grid must be >= 1, got {time_grid}")
+    _check_work(time_grid, "grid times")
+    arcs = sample_cone(target, n_target_samples, seed).trajectories
     grid = np.linspace(lo, hi, time_grid)
     # membership is undefined at or before the vertex epoch
     times = grid[grid > interceptor.vertex.t]

@@ -176,9 +176,9 @@ class ThrustProfile:
     """Finite-thrust acceleration history.
 
     Attributes:
-        accel: Maps time (s) to an acceleration vector (km/s^2);
-            integrable over the window.
-        window: (t_start, t_end) thrusting interval, s.
+        accel: Maps time (s) to an acceleration vector (km/s^2, 3
+            components); integrable over the window.
+        window: (t_start, t_end) thrusting interval, s, finite.
     """
 
     accel: Callable[[float], np.ndarray]
@@ -187,8 +187,9 @@ class ThrustProfile:
     def __post_init__(self):
         a, b = self.window
         object.__setattr__(self, "window", (float(a), float(b)))
-        if not self.window[0] < self.window[1]:
-            raise ValueError(f"window must be ordered, got {self.window}")
+        if not -math.inf < self.window[0] < self.window[1] < math.inf:
+            raise ValueError(
+                f"window must be finite and ordered, got {self.window}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -226,12 +227,11 @@ def rocket_delta_v(isp: float, m_i: float, m_f: float) -> float:
         m_f: Final (dry-side) mass, kg.
 
     Raises:
-        ValueError: nonpositive isp or masses, or m_f > m_i.
+        ValueError: isp or a mass not positive and finite, or m_f > m_i.
     """
-    if isp <= 0.0:
-        raise ValueError(f"isp must be positive, got {isp}")
-    if m_f <= 0.0 or m_i <= 0.0:
-        raise ValueError(f"masses must be positive, got m_i={m_i}, m_f={m_f}")
+    for name, value in (("isp", isp), ("m_i", m_i), ("m_f", m_f)):
+        if not 0.0 < value < math.inf:
+            raise ValueError(f"{name} must be positive and finite, got {value}")
     if m_f > m_i:
         raise ValueError(f"final mass {m_f} exceeds initial mass {m_i}")
     return isp * G0_KM_S2 * math.log(m_i / m_f)
@@ -291,7 +291,8 @@ def propagate_schedule(origin: StateVector, sched: ImpulsiveSchedule,
     Args:
         origin: State at the start of the window.
         sched: Valid shock schedule; all epochs in [origin.t, t_end].
-        t_end: End of the trajectory window, beyond the last shock.
+        t_end: End of the trajectory window, finite, beyond the last
+            shock.
         mu: Gravitational parameter.
         floor: Altitude floor, km.
 
@@ -299,11 +300,13 @@ def propagate_schedule(origin: StateVector, sched: ImpulsiveSchedule,
         The trajectory chain, queryable at any t in [origin.t, t_end].
 
     Raises:
-        ValueError: shock epochs outside the window, or t_end not beyond
-            the last shock.
+        ValueError: t_end not finite, shock epochs outside the window,
+            or t_end not beyond the last shock.
         UnboundResult, SurfaceViolation, EccentricityOutOfRange: from the
             offending segment or shock, with its index attached.
     """
+    if not math.isfinite(t_end):
+        raise ValueError(f"t_end must be finite, got {t_end}")
     if sched.shocks:
         if sched.shocks[0].t < origin.t:
             raise ValueError(
@@ -351,6 +354,12 @@ def propagate_schedule(origin: StateVector, sched: ImpulsiveSchedule,
                                origin=origin)
 
 
+def _accel_shape_error(shape: tuple) -> ValueError:
+    """The refusal of a thrust acceleration that is not 3 components."""
+    return ValueError(
+        f"accel must return 3 components, got an array of shape {shape}")
+
+
 def integrate_thrust(origin: StateVector, profile: ThrustProfile,
                      mu: float = MU_EARTH,
                      floor: float = DEFAULT_FLOOR_KM) -> SampledTrajectory:
@@ -370,7 +379,8 @@ def integrate_thrust(origin: StateVector, profile: ThrustProfile,
         SampledTrajectory over the window at the accepted resolution.
 
     Raises:
-        ValueError: origin epoch differs from the window start.
+        ValueError: origin epoch differs from the window start, or accel
+            returned other than 3 components.
         SurfaceViolation, UnboundResult: first violation time attached.
         WorkCapExceeded: the endpoint has not settled at _MAX_STEPS
             steps.
@@ -384,8 +394,10 @@ def integrate_thrust(origin: StateVector, profile: ThrustProfile,
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
         r = y[:3]
         rn = float(np.linalg.norm(r))
-        acc = -mu / rn**3 * r + np.asarray(profile.accel(t), dtype=float)
-        return np.concatenate([y[3:], acc])
+        thrust = np.asarray(profile.accel(t), dtype=float)
+        if thrust.shape != (3,):
+            raise _accel_shape_error(thrust.shape)
+        return np.concatenate([y[3:], -mu / rn**3 * r + thrust])
 
     def run(n_steps: int) -> tuple[np.ndarray, np.ndarray]:
         if n_steps > _MAX_STEPS:
@@ -439,7 +451,7 @@ def _thrust_at_nodes(profile: ThrustProfile,
         (n,), and the acceleration at every node, shape (8, n, 3).
 
     Raises:
-        ValueError: n < 1.
+        ValueError: n < 1, or accel returned other than 3 components.
         WorkCapExceeded: 8n nodes above the package's cap.
     """
     if n < 1:
@@ -450,6 +462,8 @@ def _thrust_at_nodes(profile: ThrustProfile,
     mid = (edges[:-1] + edges[1:]) / 2.0
     accel = np.array([[profile.accel(t) for t in (mid + half * node).tolist()]
                       for node in _GAUSS_NODES], dtype=float)
+    if accel.shape[2:] != (3,):
+        raise _accel_shape_error(accel.shape[2:])
     return mid, half, accel
 
 

@@ -84,7 +84,7 @@ class TwoCarsGame:
     Attributes:
         pursuer: Car whose cone must contain the evader's.
         evader: Car being chased.
-        horizon: Last elapsed time examined, s.
+        horizon: Last elapsed time examined, s, finite.
         headstart: First elapsed time examined, s.
     """
 
@@ -96,6 +96,8 @@ class TwoCarsGame:
     def __post_init__(self):
         object.__setattr__(self, "horizon", float(self.horizon))
         object.__setattr__(self, "headstart", float(self.headstart))
+        if not np.isfinite(self.horizon):
+            raise ValueError(f"horizon must be finite, got {self.horizon}")
         if not 0.0 < self.headstart < self.horizon:
             raise ValueError(
                 f"headstart must satisfy 0 < headstart < horizon, got "
@@ -646,12 +648,13 @@ def export_points(obj, path, format: str = "csv", *, body_tag: str = "cone",
         path: Destination file.
         format: "csv" or "report".
         body_tag: Label written in the body_tag column.
-        times: Sample epochs, s; required for a trajectory, ignored
-            otherwise.
+        times: Sample epochs, s; required for a point cloud (its leaf
+            at each epoch) or a trajectory, ignored for a verdict.
 
     Raises:
-        ValueError: unsupported object/format combination, or a
-            trajectory without times.
+        ValueError: unsupported object/format combination, a point
+            cloud or trajectory without times, or a time outside its
+            span.
         OSError: unwritable path.
     """
     if format not in ("csv", "report"):
@@ -671,17 +674,14 @@ def export_points(obj, path, format: str = "csv", *, body_tag: str = "cone",
                             repr(float(r[1])), repr(float(r[2])),
                             "worst", repr(obj.worst_margin))])
         return
+    if not isinstance(obj, (ConeSampleSet, ImpulsiveTrajectory)):
+        raise ValueError(f"cannot export {type(obj).__name__}")
+    if times is None:
+        raise ValueError(f"{type(obj).__name__} export needs sample times")
+    times = np.asarray(times, dtype=float).tolist()
     if isinstance(obj, ConeSampleSet):
-        _write_rows(path, [(repr(t), *map(repr, p), body_tag, "")
-                           for t in obj.leaf_times.tolist()
-                           for p in leaf(obj, t).tolist()])
-        return
-    if isinstance(obj, ImpulsiveTrajectory):
-        if times is None:
-            raise ValueError("trajectory export needs sample times")
-        times = np.asarray(times, dtype=float)
-        positions = obj.states(times)[0].tolist()
-        _write_rows(path, [(repr(t), *map(repr, r), body_tag, "")
-                           for t, r in zip(times.tolist(), positions)])
-        return
-    raise ValueError(f"cannot export {type(obj).__name__}")
+        rows = [(t, p) for t in times for p in leaf(obj, t).tolist()]
+    else:
+        rows = zip(times, obj.states(times)[0].tolist())
+    _write_rows(path, [(repr(t), *map(repr, p), body_tag, "")
+                       for t, p in rows])

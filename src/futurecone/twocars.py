@@ -149,14 +149,15 @@ class SteeringLaw:
         """Piecewise-constant law: rates[i] applies before switches[i].
 
         Args:
-            switches: Strictly increasing switch epochs, s (may be
-                empty).
+            switches: Finite, strictly increasing switch epochs, s (may
+                be empty).
             rates: One more rate than switches; rates[-1] applies for
                 all time past the last switch.
             cfg: Car whose admissible bound validates every rate.
 
         Raises:
-            ValueError: rate out of bounds or switches not increasing.
+            ValueError: rate out of bounds, or switches not finite and
+                increasing.
         """
         switches = np.asarray(switches, dtype=float)
         rates = np.asarray(rates, dtype=float)
@@ -164,8 +165,10 @@ class SteeringLaw:
             raise ValueError(
                 f"need len(switches) + 1 rates, got {switches.size} switches "
                 f"and {rates.size} rates")
-        if switches.size and not np.all(np.diff(switches) > 0.0):
-            raise ValueError("switch epochs must be strictly increasing")
+        if not (np.all(np.diff(switches) > 0.0)
+                and np.all(np.isfinite(switches))):
+            raise ValueError(
+                "switch epochs must be finite and strictly increasing")
         bad = np.flatnonzero(~(np.abs(rates) <= cfg.admissible_rate))
         if bad.size:
             raise ValueError(
@@ -359,79 +362,47 @@ def path_accelerations(path: CarPath) -> np.ndarray:
     return (vel[2:] - vel[:-2]) / dt[:, None]
 
 
-# Unit rates and duration fractions, each (31, 3), of the deterministic
-# extremals: straight, both constant saturated turns, and saturated
-# bang-bang pairs switching at a fan of fractions (these trace the
-# attainable boundary). Each entry is 0, +-1, frac or 1 - frac, so a
-# scaled entry is the one rounding of u_max * rate or tau * fraction.
+# Unit rates and duration fractions, each (31, 2), of the extremals:
+# straight, both constant saturated turns, and saturated bang-bang
+# pairs switching at a fan of fractions (these trace the attainable
+# boundary). Each entry is 0, +-1, frac or 1 - frac, so a scaled entry
+# is the one rounding of u_max * rate or tau * fraction.
 _FRACTIONS = np.linspace(0.125, 0.875, 7)
 _EXTREMAL_RATES = np.array(
-    [[0.0, 0.0, 0.0], [1.0, 1.0, 1.0], [-1.0, -1.0, -1.0]]
-    + [[first, second, 0.0] for _ in _FRACTIONS for first in (1.0, -1.0)
+    [[0.0, 0.0], [1.0, 1.0], [-1.0, -1.0]]
+    + [[first, second] for _ in _FRACTIONS for first in (1.0, -1.0)
        for second in (-first, 0.0)])
 _EXTREMAL_DURATIONS = np.array(
-    [[1.0, 0.0, 0.0]] * 3
-    + [[frac, 1.0 - frac, 0.0] for frac in _FRACTIONS for _ in range(4)])
+    [[1.0, 0.0]] * 3
+    + [[frac, 1.0 - frac] for frac in _FRACTIONS for _ in range(4)])
 _EXTREMAL_RATES.setflags(write=False)
 _EXTREMAL_DURATIONS.setflags(write=False)
 
 
-def _control_family(u_max: float, tau: float, n_random: int,
-                    rng: np.random.Generator
-                    ) -> tuple[np.ndarray, np.ndarray]:
-    """Rates and durations, each (31 + n_random, 3), of three-segment
-    controls spanning the admissible set over tau.
+def reachable_set(cfg: CarConfig, s0: CarState, t: float) -> np.ndarray:
+    """Endpoints of the extremal controls at elapsed time t.
 
-    The extremals come first. Random draws are three-segment laws, half
-    with saturated rates and half with rates uniform in the admissible
-    interval.
-    """
-    rates = u_max * _EXTREMAL_RATES
-    durations = tau * _EXTREMAL_DURATIONS
-    if n_random > 0:
-        cuts = np.sort(rng.uniform(0.0, 1.0, (n_random, 2)), axis=1)
-        random_dur = tau * np.column_stack(
-            [cuts[:, 0], cuts[:, 1] - cuts[:, 0], 1.0 - cuts[:, 1]])
-        random_rates = rng.uniform(-u_max, u_max, (n_random, 3))
-        half = n_random // 2
-        random_rates[:half] = u_max * rng.choice([-1.0, 1.0], (half, 3))
-        rates = np.vstack([rates, random_rates])
-        durations = np.vstack([durations, random_dur])
-    return rates, durations
-
-
-def reachable_set(cfg: CarConfig, s0: CarState, t: float,
-                  n_controls: int = 512, seed: int = 0) -> np.ndarray:
-    """Sample the set of positions attainable exactly at elapsed time t.
-
-    Endpoints of a family of admissible steering laws (saturated
-    extremals plus random piecewise-constant draws) are composed in
-    closed form. No admissible car leaves the disk of radius v*t.
+    The straight line, both saturated turns and the saturated bang-bang
+    pairs of the extremal table, composed in closed form. These trace
+    the boundary of the set attainable exactly at t, and none leaves
+    the disk of radius v*t.
 
     Args:
         cfg: Car speed and turn radius.
         s0: Start pose.
-        t: Elapsed time, s, > 0.
-        n_controls: Random control draws on top of the extremal family.
-        seed: Seed for the random draws.
+        t: Elapsed time, s, > 0 and finite.
 
     Returns:
-        Read-only endpoints, shape (31 + n_controls, 2): the 31
-        extremals first, then the random draws.
+        Read-only endpoints, shape (31, 2), one per extremal control.
 
     Raises:
-        ValueError: nonpositive t, or n_controls < 0.
-        WorkCapExceeded: n_controls above the package's cap.
+        ValueError: t not positive and finite.
     """
     if not (t > 0.0 and math.isfinite(t)):
         raise ValueError(f"elapsed time must be positive and finite, got {t}")
-    if n_controls < 0:
-        raise ValueError(f"n_controls must be nonnegative, got {n_controls}")
-    _check_work(n_controls, "random controls")
-    rates, durations = _control_family(cfg.admissible_rate, t, n_controls,
-                                       np.random.default_rng(seed))
     endpoints = s0.position + _arc_poses(
-        cfg.v, (0.0, 0.0, s0.theta), rates, durations)[:, -1, :2]
+        cfg.v, (0.0, 0.0, s0.theta), cfg.admissible_rate * _EXTREMAL_RATES,
+        t * _EXTREMAL_DURATIONS)[:, -1, :2]
     endpoints.setflags(write=False)
     return endpoints
 
@@ -736,7 +707,7 @@ def containment_equivalence(pursuer: CarConfig, evader: CarConfig,
     Args:
         pursuer: Car whose cone must contain the evader's.
         evader: Car whose cone is tested for containment.
-        horizon: Last grid time, s; must exceed headstart.
+        horizon: Last grid time, s; finite and past the headstart.
         headstart: First grid time, s, at least pi*R1/v1. Skipping the
             opening heading reversal keeps the free-heading reading of
             the pursuer's leaf honest.
@@ -746,19 +717,20 @@ def containment_equivalence(pursuer: CarConfig, evader: CarConfig,
         EquivalenceVerdict with both verdicts and any witness point.
 
     Raises:
-        ValueError: horizon not past the headstart, headstart below
-            the come-about time, or time_grid below 2.
+        ValueError: headstart not at least the come-about time, horizon
+            not finite or not past the headstart, or time_grid below 2.
         WorkCapExceeded: the poses of both cars over the grid exceed
             the package's cap.
     """
     come_about = math.pi * pursuer.R / pursuer.v
-    if headstart < come_about * (1.0 - _GEOM_SLACK):
+    if not headstart >= come_about * (1.0 - _GEOM_SLACK):
         raise ValueError(
             f"headstart {headstart} is below the come-about time "
             f"{come_about}")
-    if not horizon > headstart:
-        raise ValueError(
-            f"horizon {horizon} must exceed the headstart {headstart}")
+    # an infinite horizon grids to nan times, where no frontier test fails
+    if not (horizon > headstart and math.isfinite(horizon)):
+        raise ValueError(f"horizon {horizon} must be finite and exceed the "
+                         f"headstart {headstart}")
     if time_grid < 2:
         raise ValueError(f"time_grid must be at least 2, got {time_grid}")
     # both cars' start and segment-end poses, every extremal and time

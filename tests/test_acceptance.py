@@ -53,7 +53,10 @@ from futurecone.twocars import (
     path_accelerations,
     propagate_car,
     reachable_set,
+    _arc_poses,
 )
+
+import twocars_reference
 
 TWO_PI = 2.0 * math.pi
 R860 = EARTH_RADIUS_KM + 860.0
@@ -254,8 +257,13 @@ def test_criterion_7_two_cars_equivalence():
                       y=float(rng.uniform(-2.0, 2.0)),
                       theta=float(rng.uniform(0.0, TWO_PI)), t=0.0)
         t = float(rng.uniform(1.0, 4.0)) * cfg.R / cfg.v
-        endpoints = reachable_set(cfg, s0, t=t, n_controls=400, seed=trial)
-        ranges = np.linalg.norm(endpoints - s0.position, axis=1)
+        # the extremals, then 400 random laws flown by the same kernel
+        rates, durations = twocars_reference.random_controls(
+            cfg.admissible_rate, t, 400, np.random.default_rng(trial))
+        ends = _arc_poses(cfg.v, (0.0, 0.0, s0.theta), rates,
+                          durations)[:, -1, :2]
+        ranges = np.linalg.norm(np.vstack(
+            [reachable_set(cfg, s0, t=t) - s0.position, ends]), axis=1)
         assert ranges.max() <= cfg.v * t * (1.0 + 1e-12)
 
     for trial in range(5):

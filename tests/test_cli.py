@@ -353,6 +353,22 @@ class TestErrorPaths:
         assert "budget" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_infinite_horizon_exits_1_without_verdict(self, tmp_path,
+                                                      capsys):
+        """An infinite horizon once gave a contained verdict that
+        disagreed with Cockayne, from a grid of nan times."""
+        car = CarConfig(v=1.0, R=1.0)
+        path, _ = twocars_file(tmp_path, car, car)
+        text = path.read_text()
+        start = text.index("horizon = ")
+        end = text.index("\n", start)
+        path.write_text(text[:start] + "horizon = inf" + text[end:])
+        out = tmp_path / "x.report"
+        code = main(["twocars", "--scenario", str(path), "--out", str(out)])
+        assert code == 1
+        assert "[game] horizon must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_kind_mismatch_exits_1(self, tmp_path, capsys):
         path, _ = twocars_file(tmp_path, CarConfig(v=2.0, R=1.0),
                                CarConfig(v=1.0, R=1.0))

@@ -71,6 +71,16 @@ class TestRocketDeltaV:
         with pytest.raises(ValueError):
             rocket_delta_v(0.0, 1000.0, 900.0)
 
+    @pytest.mark.parametrize("args, field", [
+        ((math.nan, 10.0, 5.0), "isp"), ((math.inf, 10.0, 5.0), "isp"),
+        ((300.0, math.inf, 5.0), "m_i"), ((300.0, math.nan, 5.0), "m_i"),
+        ((300.0, 10.0, math.nan), "m_f"),
+    ])
+    def test_rejects_numbers_that_are_not_finite(self, args, field):
+        with pytest.raises(ValueError,
+                           match=f"^{field} must be positive and finite"):
+            rocket_delta_v(*args)
+
 
 class TestApplyShock:
     def test_zero_dv_identity(self):
@@ -235,6 +245,13 @@ class TestPropagateSchedule:
         sched = ImpulsiveSchedule(events, budget=0.05)
         with pytest.raises(ValueError):
             propagate_schedule(circular_state(), sched, 50.0)
+
+    @pytest.mark.parametrize("t_end", [math.inf, math.nan])
+    def test_rejects_t_end_that_is_not_finite(self, t_end):
+        for shocks in ((), (ShockEvent(100.0, [0.01, 0.0, 0.0]),)):
+            sched = ImpulsiveSchedule(shocks, budget=0.05)
+            with pytest.raises(ValueError, match="^t_end must be finite"):
+                propagate_schedule(circular_state(), sched, t_end)
 
     def test_state_at_outside_window(self):
         sched = ImpulsiveSchedule((), budget=0.0)
@@ -421,6 +438,23 @@ class TestIntegrateThrust:
         with pytest.raises(UnboundResult, match="at t="):
             integrate_thrust(s, profile)
 
+    @pytest.mark.parametrize("window", [(0.0, math.inf), (-math.inf, 0.0),
+                                        (0.0, math.nan)])
+    def test_profile_window_must_be_finite(self, window):
+        """An infinite window doubled its step count up to the cap."""
+        with pytest.raises(ValueError, match="^window must be finite"):
+            ThrustProfile(lambda t: np.zeros(3), window)
+
+    @pytest.mark.parametrize("accel", [lambda t: 1e-6,
+                                       lambda t: np.full(2, 1e-6),
+                                       lambda t: np.full((3, 1), 1e-6)],
+                             ids=["scalar", "two", "column"])
+    def test_rejects_acceleration_that_is_not_3_components(self, accel):
+        """A scalar was flown as the same push on every axis."""
+        profile = ThrustProfile(accel, (0.0, 600.0))
+        with pytest.raises(ValueError, match="^accel must return 3 components"):
+            integrate_thrust(circular_state(), profile)
+
     def test_epoch_mismatch_rejected(self):
         profile = ThrustProfile(lambda t: np.zeros(3), (10.0, 20.0))
         with pytest.raises(ValueError):
@@ -471,6 +505,16 @@ class TestShockApproximation:
         with pytest.raises(ValueError, match=f"^n must be >= 1, got {n}$"):
             reduce(profile, n)
         assert calls == []
+
+    @pytest.mark.parametrize("reduce", [shock_approximation, profile_impulse])
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_rejects_acceleration_that_is_not_3_components(self, reduce, n):
+        """A scalar gave shocks of its integral on every axis (n = 3), a
+        broadcast error (n = 4) or an AxisError (profile_impulse)."""
+        profile = ThrustProfile(lambda t: 1e-6, (0.0, 100.0))
+        with pytest.raises(ValueError, match=r"^accel must return 3 "
+                           r"components, got an array of shape \(\)$"):
+            reduce(profile, n)
 
     def test_budget_is_spent_dv(self):
         profile = ThrustProfile(

@@ -146,6 +146,11 @@ class TestScenarioInvariants:
             TwoCarsGame(pursuer=CarConfig(v=2.0, R=1.0),
                         evader=CarConfig(v=1.0, R=1.0),
                         horizon=5.0, headstart=5.0)
+        for horizon in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="^horizon must be finite"):
+                TwoCarsGame(pursuer=CarConfig(v=1.0, R=1.0),
+                            evader=CarConfig(v=1.0, R=1.0),
+                            horizon=horizon, headstart=4.0)
 
     def test_equality_is_field_for_field(self):
         assert orbital_scenario() == orbital_scenario()
@@ -434,11 +439,17 @@ class TestLoadScenario:
          ScenarioInvariantError, None, "planar scenario is missing [game]"),
         (TWOCARS_FILE.encode().replace(b"seed = 3", b"seed = \xff"),
          ScenarioParseError, 15, "not valid UTF-8 text"),
+        (MINIMAL_ORBITAL.replace("window_s = 100.0, 900.0",
+                                 "window_s = 68.0, inf"),
+         ScenarioInvariantError, 8,
+         "[interceptor] window must be finite, got (68.0, inf)"),
+        (TWOCARS_FILE.replace("horizon = 40.0", "horizon = inf"),
+         ScenarioInvariantError, 9, "[game] horizon must be finite, got inf"),
     ], ids=["malformed_header", "empty_header", "non_integer_seed",
             "unknown_top_key", "section_twice", "zero_samples",
             "negative_seed", "headstart_past_horizon", "negative_speed",
             "zero_turn_radius", "non_finite_dv", "planar_without_game",
-            "not_utf8"])
+            "not_utf8", "infinite_window", "infinite_horizon"])
     def test_error_class_line_and_message(self, tmp_path, text, kind, line,
                                           fragment):
         path = tmp_path / "bad.cone"
@@ -706,27 +717,25 @@ class TestFY1C:
 class TestExportPoints:
     """CSV and report writers."""
 
-    def sample_set(self, times) -> ConeSampleSet:
+    def sample_set(self) -> ConeSampleSet:
         spec = ConeSpec(vertex=leo_vertex(), budget=0.0,
                         window=(100.0, 900.0))
         arcs = arcs_from_states(spec.vertex.r, spec.vertex.v[None],
                                 spec.vertex.t)
-        return ConeSampleSet(spec=spec, trajectories=arcs, seed=0,
-                             leaf_times=np.asarray(times, dtype=float))
+        return ConeSampleSet(spec=spec, trajectories=arcs, seed=0)
 
     def test_empty_cloud_writes_header_only(self, tmp_path):
-        cloud = self.sample_set([100.0])
+        cloud = self.sample_set()
         empty = ConeSampleSet(spec=cloud.spec,
-                              trajectories=cloud.trajectories[:0], seed=0,
-                              leaf_times=cloud.leaf_times)
+                              trajectories=cloud.trajectories[:0], seed=0)
         path = tmp_path / "empty.csv"
-        export_points(empty, path)
+        export_points(empty, path, times=[100.0])
         assert path.read_text() == "t,x,y,z,body_tag,margin\n"
 
     def test_singleton_vertex_leaf_is_one_row(self, tmp_path):
-        cloud = self.sample_set([0.0])
         path = tmp_path / "one.csv"
-        export_points(cloud, path, body_tag="target")
+        export_points(self.sample_set(), path, body_tag="target",
+                      times=[0.0])
         lines = path.read_text().splitlines()
         assert len(lines) == 2
         t, x, y, z, tag, margin = lines[1].split(",")
@@ -736,9 +745,8 @@ class TestExportPoints:
         assert margin == ""
 
     def test_rows_ordered_by_time_then_sample(self, tmp_path):
-        cloud = self.sample_set([300.0, 100.0, 200.0])
         path = tmp_path / "cloud.csv"
-        export_points(cloud, path)
+        export_points(self.sample_set(), path, times=[300.0, 100.0, 200.0])
         times = [float(line.split(",")[0])
                  for line in path.read_text().splitlines()[1:]]
         assert times == [300.0, 100.0, 200.0]
@@ -777,8 +785,17 @@ class TestExportPoints:
         traj = propagate_schedule(origin, ImpulsiveSchedule(shocks=(),
                                                             budget=0.0),
                                   t_end=1000.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="needs sample times"):
             export_points(traj, tmp_path / "x.csv")
+
+    def test_cloud_export_needs_times(self, tmp_path):
+        """A cloud has no default grid: its leaves are taken at the
+        times given, as a trajectory's states are."""
+        path = tmp_path / "x.csv"
+        with pytest.raises(ValueError,
+                           match="^ConeSampleSet export needs sample times$"):
+            export_points(self.sample_set(), path)
+        assert not path.exists()
 
     def twocars_verdict(self, witness) -> EquivalenceVerdict:
         return EquivalenceVerdict(
@@ -842,14 +859,14 @@ class TestExportPoints:
         assert lines[1] == "450.0,1.0,2.0,3.0,worst,0.5"
 
     def test_export_is_deterministic(self, tmp_path):
-        cloud = self.sample_set([100.0, 500.0])
+        cloud = self.sample_set()
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        export_points(cloud, a)
-        export_points(cloud, b)
+        export_points(cloud, a, times=[100.0, 500.0])
+        export_points(cloud, b, times=[100.0, 500.0])
         assert a.read_bytes() == b.read_bytes()
 
     def test_rejects_bad_combinations(self, tmp_path):
-        cloud = self.sample_set([100.0])
+        cloud = self.sample_set()
         with pytest.raises(ValueError):
             export_points(cloud, tmp_path / "x.report", format="report")
         with pytest.raises(ValueError):

@@ -153,6 +153,13 @@ class TestSteeringLaw:
             SteeringLaw.piecewise([1.0], [0.1, 0.1, 0.1], cfg)
         with pytest.raises(ValueError):
             SteeringLaw.piecewise([1.0], [0.1, 2.0], cfg)
+        # a nan switch left the first rate on for all time
+        for switches in ([math.nan], [math.inf], [1.0, math.inf],
+                         [math.nan, 1.0]):
+            with pytest.raises(ValueError,
+                               match="^switch epochs must be finite"):
+                SteeringLaw.piecewise(switches,
+                                      [0.1] * len(switches) + [-0.2], cfg)
 
 
 class TestPropagateCar:
@@ -321,19 +328,19 @@ class TestPathInvariants:
 
 
 class TestReachableSet:
-    """Disk bound, straight-ahead inclusion, and the endpoint array."""
+    """Disk bound, straight-ahead inclusion, and the extremal endpoints."""
 
     def test_disk_bound(self):
         cfg = CarConfig(v=1.7, R=0.9)
         s0 = CarState(x=2.0, y=-1.0, theta=0.8, t=0.0)
-        endpoints = reachable_set(cfg, s0, t=3.0, n_controls=400, seed=1)
+        endpoints = reachable_set(cfg, s0, t=3.0)
         ranges = np.linalg.norm(endpoints - s0.position, axis=1)
         assert ranges.max() <= cfg.v * 3.0 * (1.0 + 1e-12)
 
     def test_contains_straight_ahead_point(self):
         cfg = CarConfig(v=1.2, R=1.0)
         s0 = CarState(x=0.5, y=0.5, theta=2.1, t=0.0)
-        endpoints = reachable_set(cfg, s0, t=2.5, seed=2)
+        endpoints = reachable_set(cfg, s0, t=2.5)
         ahead = s0.position + cfg.v * 2.5 * np.array(
             [math.sin(s0.theta), math.cos(s0.theta)])
         gaps = np.linalg.norm(endpoints - ahead, axis=1)
@@ -342,7 +349,7 @@ class TestReachableSet:
     def test_collapses_as_t_vanishes(self):
         cfg = CarConfig(v=1.0, R=1.0)
         s0 = CarState(x=1.0, y=2.0, theta=0.0, t=0.0)
-        endpoints = reachable_set(cfg, s0, t=1e-9, n_controls=100, seed=3)
+        endpoints = reachable_set(cfg, s0, t=1e-9)
         ranges = np.linalg.norm(endpoints - s0.position, axis=1)
         # translating offsets to absolute coordinates costs an ulp of s0
         slack = 16 * np.finfo(float).eps * np.linalg.norm(s0.position)
@@ -353,32 +360,31 @@ class TestReachableSet:
         cfg = CarConfig(v=1.4, R=0.8)
         s0 = CarState(x=0.0, y=0.0, theta=0.0, t=0.0)
         t = math.pi * cfg.R / cfg.v
-        endpoints = reachable_set(cfg, s0, t=t, n_controls=0, seed=0)
+        endpoints = reachable_set(cfg, s0, t=t)
         ranges = np.linalg.norm(endpoints - s0.position, axis=1)
         assert np.abs(ranges - 2.0 * cfg.R).min() < 1e-6 * cfg.R
 
-    def test_deterministic_for_seed(self):
+    def test_deterministic(self):
         cfg = CarConfig(v=1.0, R=0.5)
         s0 = CarState(x=0.0, y=0.0, theta=0.0, t=0.0)
-        a = reachable_set(cfg, s0, t=2.0, seed=7)
-        b = reachable_set(cfg, s0, t=2.0, seed=7)
-        assert np.array_equal(a, b)
+        a = reachable_set(cfg, s0, t=2.0)
+        b = reachable_set(cfg, s0, t=2.0)
+        assert a.tobytes() == b.tobytes()
 
     def test_returns_read_only_endpoints(self):
-        """Extremals first, then the random draws, one row each."""
+        """One row per extremal control."""
         cfg = CarConfig(v=1.0, R=0.5)
         s0 = CarState(x=0.0, y=0.0, theta=0.0, t=0.0)
-        endpoints = reachable_set(cfg, s0, t=2.0, n_controls=9, seed=7)
-        assert endpoints.shape == (31 + 9, 2)
+        endpoints = reachable_set(cfg, s0, t=2.0)
+        assert endpoints.shape == (31, 2)
         assert not endpoints.flags.writeable
 
     def test_rejects_bad_arguments(self):
         cfg = CarConfig(v=1.0, R=1.0)
         s0 = CarState(x=0.0, y=0.0, theta=0.0, t=0.0)
-        with pytest.raises(ValueError):
-            reachable_set(cfg, s0, t=0.0)
-        with pytest.raises(ValueError):
-            reachable_set(cfg, s0, t=1.0, n_controls=-1)
+        for t in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="^elapsed time must be"):
+                reachable_set(cfg, s0, t=t)
 
 
 class TestCockayneCheck:
@@ -732,6 +738,15 @@ class TestContainmentEquivalence:
         with pytest.raises(ValueError):
             containment_equivalence(pursuer, evader, horizon=1.0,
                                     headstart=math.pi)
+        # an infinite horizon grids to nan times, where every frontier
+        # comparison is false and radius_ok read true
+        for horizon in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="^horizon .* must be finite"):
+                containment_equivalence(pursuer, pursuer, horizon=horizon,
+                                        headstart=4.0)
+        with pytest.raises(ValueError, match="^headstart nan is below"):
+            containment_equivalence(pursuer, evader, horizon=10.0,
+                                    headstart=math.nan)
 
     @pytest.mark.parametrize("time_grid", [2, 5, 33, 400])
     def test_one_kernel_call_whatever_the_grid(self, monkeypatch, time_grid):
@@ -825,13 +840,17 @@ class TestAgainstReference:
             samples=64, seed=9)
         assert verdict.witness is not None
 
-    def test_reachable_set_endpoints(self):
-        cfg = CarConfig(v=1.7, R=0.9)
-        s0 = CarState(x=2.0, y=-1.0, theta=0.8, t=0.0)
-        endpoints = reachable_set(cfg, s0, t=3.0, n_controls=401, seed=1)
+    @settings(max_examples=300)
+    @given(cfg=st.builds(CarConfig, v=st.floats(0.1, 10.0),
+                         R=st.floats(1e-3, 1e3)), s0=st.builds(
+        CarState, x=st.floats(-1e3, 1e3), y=st.floats(-1e3, 1e3),
+        theta=st.floats(-10.0, 10.0), t=st.just(0.0)),
+        t=st.floats(1e-9, 1e3))
+    def test_reachable_set_endpoints(self, cfg, s0, t):
+        """The oracle's family without random draws, bit for bit."""
         want = s0.position + ref.family_endpoints(
-            cfg, s0.theta, 3.0, 401, np.random.default_rng(1))
-        assert_same_bits(endpoints, want)
+            cfg, s0.theta, t, 0, np.random.default_rng(0))
+        assert_same_bits(reachable_set(cfg, s0, t), want)
 
     def test_weaving_games(self):
         for seed in range(4):

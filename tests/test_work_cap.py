@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from futurecone import errors
+from futurecone import errors, twocars
 from futurecone.cone import ConeSpec, containment, sample_cone
 from futurecone.constants import MU_EARTH
 from futurecone.errors import WorkCapExceeded
@@ -24,7 +24,6 @@ from futurecone.twocars import (
     containment_equivalence,
     explicit_policy_pursuit,
     propagate_car,
-    reachable_set,
 )
 
 RN = 7238.137
@@ -37,6 +36,10 @@ ORIGIN = CarState(x=0.0, y=0.0, theta=0.0, t=0.0)
 # 5 s of straight track 3 m ahead, recorded every 0.01 s
 TRACK = propagate_car(CAR, CarState(x=0.0, y=3.0, theta=0.0, t=0.0),
                       SteeringLaw.constant(0.0, CAR), t=5.0, step=0.01)
+# extremal poses per grid time: both cars, every extremal, its start
+# pose and each segment's end
+N_EXTREMALS, N_SEGMENTS = twocars._EXTREMAL_RATES.shape
+POSES = 2 * N_EXTREMALS * (N_SEGMENTS + 1)
 
 
 def thrust_nodes(reduce):
@@ -63,10 +66,6 @@ SITES = {
         "cone draws",
         lambda n: len(sample_cone(SPEC, n, seed=0).trajectories),
         CAP, CAP + 1, 10**12),
-    "sample_cone-grid": (
-        "grid times",
-        lambda g: len(sample_cone(SPEC, 1, seed=0, time_grid=g).leaf_times),
-        CAP, CAP + 1, 10**12),
     "containment-draws": (
         "cone draws",
         lambda n: containment(SPEC, SPEC, n_target_samples=n,
@@ -91,16 +90,11 @@ SITES = {
             CAR, CAR, ORIGIN, TRACK,
             capture_radius=2.0 * 5.0 / n).path.times.size - 1,
         CAP - 1, CAP + 1, 10**300),
-    "reachable_set-controls": (
-        "random controls",
-        lambda n: len(reachable_set(CAR, ORIGIN, t=1.0, n_controls=n)) - 31,
-        CAP, CAP + 1, 10**12),
-    # both cars, 31 extremals, a start pose and 3 segment ends each
     "containment_equivalence-poses": (
         "extremal poses",
-        lambda g: 2 * 31 * 4 * containment_equivalence(
+        lambda g: POSES * containment_equivalence(
             PURSUER, CAR, horizon=10.0, headstart=2.0, time_grid=g).n_times,
-        CAP // 248, CAP // 248 + 1, 10**12),
+        CAP // POSES, CAP // POSES + 1, 10**12),
     "shock_approximation-nodes": (
         "thrust nodes", thrust_nodes(shock_approximation),
         CAP // 8, CAP // 8 + 1, 10**12),
@@ -120,9 +114,9 @@ def test_capped_before_allocation(monkeypatch, site):
     with pytest.raises(WorkCapExceeded, match=refusal(10**7)):
         run(far)
     monkeypatch.setattr(errors, "_WORK_CAP", CAP)
-    # no site's parameter steps by more than 248 elements (one grid
+    # no site's parameter steps by more than POSES elements (one grid
     # time of extremal poses), so its last value within the cap is close
-    assert CAP - 248 < run(fits) <= CAP
+    assert CAP - POSES < run(fits) <= CAP
     tracemalloc.start()
     try:
         with pytest.raises(WorkCapExceeded, match=refusal(CAP)):

@@ -2,9 +2,10 @@
 
 The arc kernel that builds each pose column with ``full``,
 ``concatenate`` and ``stack``; a control family built per car, with its
-extremal table written out in Python lists on every call; the sampled
-containment verdict that flies the two cars' families, random draws
-included, in two kernel calls per grid time; and the explicit pursuit
+extremal table written out in Python lists on every call; the random
+three-segment laws that test the disk bound (``random_controls``); the
+sampled containment verdict that flies the two cars' families, random
+draws included, in two kernel calls per grid time; and the explicit pursuit
 that flies every approach sample through every route segment and
 takes the separation over the whole span. `futurecone.twocars` must
 give the same verdicts, from the extremal table alone, and the same
@@ -52,6 +53,21 @@ def arc_poses(v: float, start: tuple[float, float, float],
     return np.stack([x, y, theta], axis=-1)
 
 
+def random_controls(u_max: float, tau: float, n_random: int,
+                    rng: np.random.Generator
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """Rates and durations, each (n_random, 3), of random three-segment
+    laws over tau: half with saturated rates, half with rates uniform
+    in the admissible interval."""
+    cuts = np.sort(rng.uniform(0.0, 1.0, (n_random, 2)), axis=1)
+    durations = tau * np.column_stack(
+        [cuts[:, 0], cuts[:, 1] - cuts[:, 0], 1.0 - cuts[:, 1]])
+    rates = rng.uniform(-u_max, u_max, (n_random, 3))
+    half = n_random // 2
+    rates[:half] = u_max * rng.choice([-1.0, 1.0], (half, 3))
+    return rates, durations
+
+
 def family_endpoints(cfg: CarConfig, theta0: float, tau: float,
                      n_random: int, rng: np.random.Generator) -> np.ndarray:
     """Endpoint offsets (m, 2) of the extremal and random control laws."""
@@ -67,12 +83,7 @@ def family_endpoints(cfg: CarConfig, theta0: float, tau: float,
     rates = np.array(rates)
     durations = np.array(durations)
     if n_random > 0:
-        cuts = np.sort(rng.uniform(0.0, 1.0, (n_random, 2)), axis=1)
-        random_dur = tau * np.column_stack(
-            [cuts[:, 0], cuts[:, 1] - cuts[:, 0], 1.0 - cuts[:, 1]])
-        random_rates = rng.uniform(-u_max, u_max, (n_random, 3))
-        half = n_random // 2
-        random_rates[:half] = u_max * rng.choice([-1.0, 1.0], (half, 3))
+        random_rates, random_dur = random_controls(u_max, tau, n_random, rng)
         rates = np.vstack([rates, random_rates])
         durations = np.vstack([durations, random_dur])
     return arc_poses(cfg.v, (0.0, 0.0, theta0), rates, durations)[:, -1, :2]
