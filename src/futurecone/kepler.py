@@ -16,9 +16,18 @@ only, C-ordered, so a row's bits do not depend on how its batch was
 built; classical elements (BallisticArc) come from arc_from_state alone.
 states_at derives the conic of each arc of a batch once and gathers it
 for every row that queries the arc. Row norms come from _row_norm,
-np.linalg.norm's bits without its reduction pass. The containment engine
-and the shock chains of maneuver run on the kernels; the scalar
-functions run them on one row.
+np.linalg.norm(x, axis=-1)'s bits without its reduction pass. The
+containment engine and the shock chains of maneuver run on the kernels;
+the scalar functions run them on one row.
+
+The bound test is a function of its own (_require_bound, on the fields
+of the one vis-viva pass _ellipse), and so is the floor test: _conic
+runs the bound test and derives the conic from the same pass
+(_conic_of), and _fly is the Lagrange step (_step) plus the floor test.
+A caller that defers its checks flies on _vis_viva, _conic_of and _step
+alone, where a row that is not a bound ellipse turns to nan instead of
+raising; the shock chains of maneuver fly so and test all their states
+in one batch afterwards.
 
 Units: km, s, km/s. Bound orbits only (0 <= e < 1); unbound states raise.
 A bound state so nearly rectilinear that its e rounds to 1 is flown at
@@ -324,15 +333,15 @@ def _solve_kepler(M: np.ndarray, e: np.ndarray) -> np.ndarray:
     for _ in range(_KEPLER_MAX_ITER):
         resid = E - e * np.sin(E) - Mr
         newton &= np.abs(resid) >= _KEPLER_TOL
-        if not newton.any():
+        if not np.count_nonzero(newton):
             break
         np.subtract(E, resid / (1.0 - e * np.cos(E)), out=E, where=newton)
         left = newton & ((E < low) | (E > high))
-        if left.any():
+        if np.count_nonzero(left):
             stray |= left
             newton &= ~left
     stray |= newton
-    if stray.any():
+    if np.count_nonzero(stray):
         m, x = Mr[stray], e[stray]
         lo, hi = m - x, m + x
         for _ in range(_BISECT_STEPS):
@@ -340,7 +349,7 @@ def _solve_kepler(M: np.ndarray, e: np.ndarray) -> np.ndarray:
             below = mid - x * np.sin(mid) < m
             lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
         failed = np.abs(mid - x * np.sin(mid) - m) >= _KEPLER_TOL
-        if failed.any():
+        if np.count_nonzero(failed):
             i = np.flatnonzero(stray)[np.argmax(failed)]
             raise ConvergenceError(f"Kepler solve did not converge for "
                                    f"M={float(M[i])!r}, e={float(e[i])!r}")
@@ -363,12 +372,18 @@ def _row_norm(x):
     return np.sqrt(x0 * x0 + x1 * x1 + x2 * x2)
 
 
-def _ellipse(r, v, mu: float):
-    """The one vis-viva pass: |r|, 1/a, a, e and p = |r x v|^2 / mu per
-    state row, and whether the row is a bound, non-rectilinear ellipse
-    (the one test of arc_from_state)."""
+def _vis_viva(r, v, mu: float):
+    """|r| and 1/a = 2/|r| - |v|^2/mu per state row: the vis-viva pass
+    every conic starts from."""
     rn = _row_norm(r)
-    alpha = 2.0 / rn - np.einsum("...i,...i->...", v, v) / mu
+    return rn, 2.0 / rn - np.einsum("...i,...i->...", v, v) / mu
+
+
+def _ellipse(r, v, mu: float):
+    """The vis-viva pass with the angular momentum: |r|, 1/a, a, e and
+    p = |r x v|^2 / mu per state row, and whether the row is a bound,
+    non-rectilinear ellipse (the one test of arc_from_state)."""
+    rn, alpha = _vis_viva(r, v, mu)
     h = _cross(r, v)
     p = np.einsum("...i,...i->...", h, h) / mu
     with np.errstate(divide="ignore"):
@@ -385,39 +400,52 @@ def is_bound(r, v, mu: float = MU_EARTH) -> np.ndarray:
     return _ellipse(r, v, mu)[-1]
 
 
-def _bound_ellipse(r, v, mu: float):
-    """_ellipse of rows that must all be bound, with sigma0 = r . v /
-    sqrt(mu) in place of the test; EccentricityOutOfRange names the
-    first row that is not."""
-    rn, alpha, a, e, p, bound = _ellipse(r, v, mu)
-    if not bound.all():
+def _require_bound(ellipse) -> None:
+    """The bound test on the fields of _ellipse: EccentricityOutOfRange
+    names the first row that is not a bound ellipse."""
+    _, alpha, _, _, p, bound = ellipse
+    if np.count_nonzero(bound) < bound.size:
         i = int(np.argmin(bound))
         raise EccentricityOutOfRange(
             f"state {i} is unbound or rectilinear: 2/r - v^2/mu = "
             f"{float(alpha[i])!r}, |r x v|^2/mu = {float(p[i])!r}")
-    sigma0 = np.einsum("...i,...i->...", r, v) / math.sqrt(mu)
-    return rn, alpha, a, e, p, sigma0
+
+
+def _bound_ellipse(r, v, mu: float):
+    """_ellipse of rows that must all be bound (_require_bound)."""
+    ellipse = _ellipse(r, v, mu)
+    _require_bound(ellipse)
+    return ellipse
 
 
 def _elements(r, v, mu: float):
     """|r|, a, e, p, sigma0 and the true anomaly f0 per bound state row,
     as arc_from_state defines them; atan2 keeps f0 precise near the
     apsides."""
-    rn, _, a, e, p, sigma0 = _bound_ellipse(r, v, mu)
+    rn, _, a, e, p, _ = _bound_ellipse(r, v, mu)
+    sigma0 = np.einsum("...i,...i->...", r, v) / math.sqrt(mu)
     f0 = np.arctan2(sigma0 * np.sqrt(p) / rn, p / rn - 1.0)
     return rn, a, e, p, sigma0, np.where(e < _CIRCULAR_E, 0.0, f0)
 
 
-def _conic(r, v, mu: float):
-    """What the step reads of each bound state row, from one vis-viva
-    pass: |r|, 1/a, sigma0, E0 and e, by atan2 and hypot of
-    e*sin(E0) = sigma0/sqrt(a) and e*cos(E0) = 1 - |r|/a. The hypot of
-    a nearly rectilinear ellipse can round to 1 or just above; e is
-    held below 1, where Kepler's equation is solved."""
-    rn, alpha, _, _, _, sigma0 = _bound_ellipse(r, v, mu)
+def _conic_of(r, v, vis_viva, mu: float):
+    """What the step reads of each state row, given its _vis_viva: |r|,
+    1/a, sigma0 = r . v / sqrt(mu), E0 and e, by atan2 and hypot of
+    e*sin(E0) = sigma0/sqrt(a) and e*cos(E0) = 1 - |r|/a. No bound test:
+    a row that is not a bound ellipse gives nan or meaningless fields.
+    The hypot of a nearly rectilinear ellipse can round to 1 or just
+    above; e is held below 1, where Kepler's equation is solved."""
+    rn, alpha = vis_viva
+    sigma0 = np.einsum("...i,...i->...", r, v) / math.sqrt(mu)
     e_cos, e_sin = 1.0 - rn * alpha, sigma0 * np.sqrt(alpha)
     return (rn, alpha, sigma0, np.arctan2(e_sin, e_cos),
             np.minimum(np.hypot(e_sin, e_cos), _E_BELOW_ONE))
+
+
+def _conic(r, v, mu: float):
+    """_conic_of state rows that must all be bound: the bound test
+    (_bound_ellipse) shares its vis-viva pass with the conic."""
+    return _conic_of(r, v, _bound_ellipse(r, v, mu)[:2], mu)
 
 
 def arcs_from_states(r, v, t, mu: float = MU_EARTH) -> ArcBatch:
@@ -445,10 +473,12 @@ def _floor_radius(a, e, anomaly0, sweep, r0n, r1n):
     return np.where(crossed, a * (1.0 - e), np.minimum(r0n, r1n))
 
 
-def _fly(r0, v0, t0, conic, t, mu: float):
-    """coast from epoch states whose _conic is given: E1 solves Kepler's
-    equation at M = E0 - e*sin(E0) + n*dt, and the Lagrange coefficients
-    and r1 = a*(1 - e*cos(E1)) are written in dE = E1 - E0."""
+def _step(r0, v0, t0, conic, t, mu: float):
+    """The Lagrange step from epoch states whose _conic_of is given: E1
+    solves Kepler's equation at M = E0 - e*sin(E0) + n*dt, and the
+    Lagrange coefficients and r1 = a*(1 - e*cos(E1)) are written in
+    dE = E1 - E0. Returns r1, v1 and the a, dE and |r1| the floor test
+    reads."""
     rn0, alpha, sigma0, E0, e = conic
     dt = np.asarray(t, dtype=float) - t0
     n = np.sqrt(mu * alpha**3)
@@ -466,9 +496,17 @@ def _fly(r0, v0, t0, conic, t, mu: float):
     v1 = Ft[:, None] * r0 + Gt[:, None] * v0
     # a query at the epoch returns the epoch state exactly
     at_epoch = dt == 0.0
-    if at_epoch.any():
+    if np.count_nonzero(at_epoch):
         at_epoch = np.broadcast_to(at_epoch, F.shape)
         r1[at_epoch], v1[at_epoch] = r0[at_epoch], v0[at_epoch]
+    return r1, v1, a, dE, r1n
+
+
+def _fly(r0, v0, t0, conic, t, mu: float):
+    """coast from epoch states whose _conic_of is given: the _step, and
+    the lowest radius from each epoch to t (_floor_radius)."""
+    r1, v1, a, dE, r1n = _step(r0, v0, t0, conic, t, mu)
+    rn0, _, _, E0, e = conic
     return r1, v1, _floor_radius(a, e, E0, dE, rn0, r1n)
 
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .constants import DEFAULT_FLOOR_KM, EARTH_RADIUS_KM, G0_KM_S2, MU_EARTH
 from .errors import (
-    EccentricityOutOfRange,
+    ConvergenceError,
     FutureConeError,
     SurfaceViolation,
     UnboundResult,
@@ -29,8 +29,13 @@ from .kepler import (
     ArcBatch,
     StateVector,
     _as_vec3,
-    _conic,
+    _conic_of,
+    _ellipse,
     _fly,
+    _require_bound,
+    _step,
+    _vis_viva,
+    is_bound,
     states_at,
 )
 
@@ -146,6 +151,8 @@ class ImpulsiveTrajectory:
 
     def __post_init__(self):
         object.__setattr__(self, "t_end", float(self.t_end))
+        if not math.isfinite(self.t_end):
+            raise ValueError(f"t_end must be finite, got {self.t_end}")
         starts = self.arcs.t0
         if not starts.size or np.any(np.diff(starts, append=self.t_end) < 0):
             raise ValueError(f"need arcs whose epochs ascend to t_end="
@@ -255,26 +262,29 @@ def apply_shock(s: StateVector, dv, mu: float = MU_EARTH,
         SurfaceViolation: the state sits below the altitude floor.
     """
     post = StateVector(r=s.r, v=s.v + np.asarray(dv, dtype=float), t=s.t)
-    _shocked_conic(post.r[None], post.v[None], mu, EARTH_RADIUS_KM + floor)
+    _refuse_shock(float(_radius(post.r)), bool(is_bound(post.r, post.v, mu)),
+                  post.v, EARTH_RADIUS_KM + floor)
     return post
 
 
-def _shocked_conic(r, v, mu: float, floor_radius: float):
-    """apply_shock's floor and bound checks on one post-shock state row,
-    returning the conic of the arc the shock starts: one vis-viva pass
-    (kepler._conic) is the bound check and the next segment's conic.
-    """
-    rn = float(np.linalg.norm(r))
+def _radius(r):
+    """|r| per row as np.linalg.norm gives it for one vector: the square
+    root of r . r by the BLAS dot product (matmul of a row by a column),
+    from which kepler._row_norm can differ in the last bit."""
+    return np.sqrt(np.matmul(r[..., None, :], r[..., None])[..., 0, 0])
+
+
+def _refuse_shock(rn: float, bound: bool, v, floor_radius: float) -> None:
+    """apply_shock's floor and bound checks on one post-shock state, given
+    its _radius and its bound test (kepler._ellipse)."""
     if rn < floor_radius:
         raise SurfaceViolation(
             f"state radius {rn!r} km is below the floor radius "
             f"{floor_radius!r} km")
-    try:
-        return _conic(r, v, mu)
-    except EccentricityOutOfRange:
+    if not bound:
         raise UnboundResult(
             f"post-shock state is unbound or rectilinear: |v| = "
-            f"{float(np.linalg.norm(v))!r} km/s at r = {rn!r} km") from None
+            f"{float(np.linalg.norm(v))!r} km/s at r = {rn!r} km")
 
 
 def propagate_schedule(origin: StateVector, sched: ImpulsiveSchedule,
@@ -283,10 +293,15 @@ def propagate_schedule(origin: StateVector, sched: ImpulsiveSchedule,
     """Piecewise-ballistic propagation of a shock schedule.
 
     Coasts on Lagrange-coefficient arcs between shock epochs, applies each
-    shock in turn, and coasts to t_end. Every ballistic segment is checked
-    against the altitude floor at its lowest in-window point. Each
-    segment's conic is derived once, and its epoch state is kept as its
-    row of the trajectory.
+    shock in turn, and coasts to t_end. The recurrence only flies: each
+    segment derives its conic once, steps to its end and takes the next
+    shock's dv, and its epoch state is kept as its row of the trajectory.
+    The checks run once after it, over all epoch states in one batch: the
+    origin's bound test, each shock's floor and bound checks (apply_shock's)
+    and each segment's lowest in-window radius against the altitude floor.
+    The first failing check in chain order raises; a state past it is
+    never read. A segment whose flight raises inside the recurrence is
+    reported after the checks before it.
 
     Args:
         origin: State at the start of the window.
@@ -302,8 +317,9 @@ def propagate_schedule(origin: StateVector, sched: ImpulsiveSchedule,
     Raises:
         ValueError: t_end not finite, shock epochs outside the window,
             or t_end not beyond the last shock.
-        UnboundResult, SurfaceViolation, EccentricityOutOfRange: from the
-            offending segment or shock, with its index attached.
+        UnboundResult, SurfaceViolation, EccentricityOutOfRange,
+        ConvergenceError: from the offending segment or shock, with its
+            index attached.
     """
     if not math.isfinite(t_end):
         raise ValueError(f"t_end must be finite, got {t_end}")
@@ -319,39 +335,77 @@ def propagate_schedule(origin: StateVector, sched: ImpulsiveSchedule,
     elif t_end < origin.t:
         raise ValueError(f"t_end={t_end} precedes the origin epoch {origin.t}")
 
-    floor_radius = EARTH_RADIUS_KM + floor
-    flown: list[tuple] = []  # the epoch state (r, v, t) of each segment
+    # per segment: its epoch state, its end and the shock that starts it
+    # (-1 for the origin), listed before it is flown
+    segments: list[tuple] = []
+    stalled = None  # the ConvergenceError of the segment last listed
 
-    def segment(r, v, t: float, conic, until: float, label: str):
-        try:
-            if conic is None:
-                conic = _conic(r, v, mu)
-            r_end, v_end, lowest = _fly(r, v, t, conic, until, mu)
-            if lowest[0] < floor_radius:
-                raise SurfaceViolation(
-                    f"segment dips to radius {float(lowest[0])!r} km, below "
-                    f"the floor radius {floor_radius!r} km")
-        except FutureConeError as exc:
-            raise type(exc)(f"{label}: {exc}") from exc
-        flown.append((r, v, t))
-        return r_end, v_end
+    def fly(r, v, t: float, until: float, shock: int):
+        segments.append((r, v, t, until, shock))
+        return _step(r, v, t, _conic_of(r, v, _vis_viva(r, v, mu), mu),
+                     until, mu)
 
-    # the chain as one state row; conic is None until one is derived
-    r, v, t, conic = origin.r[None], origin.v[None], origin.t, None
-    for i, shock in enumerate(sched.shocks):
-        if shock.t > t:
-            r, v = segment(r, v, t, conic, shock.t,
-                           f"segment before shock {i}")
-        t, v = shock.t, v + shock.dv
+    # states past a failed check turn to nan or junk, read by no one
+    with np.errstate(all="ignore"):
+        r, v, t, shock = origin.r[None], origin.v[None], origin.t, -1
         try:
-            conic = _shocked_conic(r, v, mu, floor_radius)
+            for i, event in enumerate(sched.shocks):
+                if event.t > t:
+                    r, v = fly(r, v, t, event.t, shock)[:2]
+                t, v, shock = event.t, v + event.dv, i
+            fly(r, v, t, t_end, shock)
+        except ConvergenceError as exc:
+            stalled = exc
+        r0, v0, t0, ends, shocks = zip(*segments)
+        r0, v0 = np.concatenate(r0), np.concatenate(v0)
+        _check_chain(r0, v0, np.array(t0), np.array(ends), np.array(shocks),
+                     stalled, len(sched.shocks), mu, EARTH_RADIUS_KM + floor)
+    return ImpulsiveTrajectory(arcs=ArcBatch(r0, v0, t0, mu=mu), t_end=t_end,
+                               schedule=sched, origin=origin)
+
+
+def _check_chain(r0, v0, t0, ends, shocks, stalled, n_shocks: int,
+                 mu: float, floor_radius: float) -> None:
+    """propagate_schedule's checks on all segments at once, given their
+    epoch states, ends and starting shocks (-1 for the origin). Raises
+    for the first failing check in chain order, labelled with its shock
+    or segment. With a stalled flight, the last segment is the one that
+    raised, and it has no lowest radius."""
+    ellipse = _ellipse(r0, v0, mu)
+    rn, alpha, _, _, _, bound = ellipse
+    flown = len(t0) - (stalled is not None)
+    _, _, lowest = _fly(r0[:flown], v0[:flown], t0[:flown],
+                        _conic_of(r0[:flown], v0[:flown],
+                                  (rn[:flown], alpha[:flown]), mu),
+                        ends[:flown], mu)
+    radius = _radius(r0)
+    failed = ~bound | ((shocks >= 0) & (radius < floor_radius))
+    failed[:flown] |= lowest < floor_radius
+    if np.count_nonzero(failed):
+        k = int(np.argmax(failed))
+    elif stalled is not None:
+        k = flown
+    else:
+        return
+    shock = int(shocks[k])
+    if shock >= 0:
+        try:
+            _refuse_shock(float(radius[k]), bool(bound[k]), v0[k],
+                          floor_radius)
         except FutureConeError as exc:
-            raise type(exc)(f"shock {i}: {exc}") from exc
-    segment(r, v, t, conic, t_end, "final segment")
-    r0, v0, t0 = zip(*flown)
-    arcs = ArcBatch(np.concatenate(r0), np.concatenate(v0), t0, mu=mu)
-    return ImpulsiveTrajectory(arcs=arcs, t_end=t_end, schedule=sched,
-                               origin=origin)
+            raise type(exc)(f"shock {shock}: {exc}") from exc
+    label = (f"segment before shock {shock + 1}" if shock + 1 < n_shocks
+             else "final segment")
+    try:
+        if shock < 0:
+            _require_bound(tuple(field[k:k + 1] for field in ellipse))
+        if k == flown:
+            raise stalled
+        raise SurfaceViolation(
+            f"segment dips to radius {float(lowest[k])!r} km, below "
+            f"the floor radius {floor_radius!r} km")
+    except FutureConeError as exc:
+        raise type(exc)(f"{label}: {exc}") from exc
 
 
 def _accel_shape_error(shape: tuple) -> ValueError:
@@ -451,7 +505,8 @@ def _thrust_at_nodes(profile: ThrustProfile,
         (n,), and the acceleration at every node, shape (8, n, 3).
 
     Raises:
-        ValueError: n < 1, or accel returned other than 3 components.
+        ValueError: n < 1, or accel returned other than 3 components at
+            some node (the first such value's shape is named).
         WorkCapExceeded: 8n nodes above the package's cap.
     """
     if n < 1:
@@ -460,10 +515,19 @@ def _thrust_at_nodes(profile: ThrustProfile,
     edges = np.linspace(*profile.window, n + 1)
     half = (edges[1:] - edges[:-1]) / 2.0
     mid = (edges[:-1] + edges[1:]) / 2.0
-    accel = np.array([[profile.accel(t) for t in (mid + half * node).tolist()]
-                      for node in _GAUSS_NODES], dtype=float)
-    if accel.shape[2:] != (3,):
-        raise _accel_shape_error(accel.shape[2:])
+    values = [[profile.accel(t) for t in (mid + half * node).tolist()]
+              for node in _GAUSS_NODES]
+    try:
+        accel = np.array(values, dtype=float)
+        shape = accel.shape[2:]
+    except ValueError:
+        # values of more than one shape: name the first not 3 components
+        shape = next((np.shape(value) for row in values for value in row
+                      if np.shape(value) != (3,)), None)
+        if shape is None:
+            raise
+    if shape != (3,):
+        raise _accel_shape_error(shape)
     return mid, half, accel
 
 

@@ -1,8 +1,11 @@
 """Tests for impulsive schedules, the rocket equation, and finite thrust."""
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from futurecone import (
@@ -27,6 +30,7 @@ from futurecone import (
 )
 from futurecone import kepler, maneuver
 from futurecone.errors import (
+    ConvergenceError,
     EccentricityOutOfRange,
     FutureConeError,
     WorkCapExceeded,
@@ -274,6 +278,16 @@ class TestPropagateSchedule:
             ImpulsiveTrajectory(arcs=traj.arcs[:0], t_end=500.0,
                                 schedule=sched, origin=traj.origin)
 
+    @pytest.mark.parametrize("t_end", [math.nan, math.inf, -math.inf])
+    def test_trajectory_rejects_t_end_that_is_not_finite(self, t_end):
+        """A nan t_end passed the ascending check, and every later query
+        failed as outside the window [0.0, nan]."""
+        sched = ImpulsiveSchedule((), budget=0.0)
+        traj = propagate_schedule(circular_state(), sched, 100.0)
+        with pytest.raises(ValueError, match="^t_end must be finite, got "):
+            ImpulsiveTrajectory(arcs=traj.arcs, t_end=t_end, schedule=sched,
+                                origin=traj.origin)
+
 
 def random_chain(gen: np.random.Generator):
     """Origin, schedule and end of a random chain from a near-circular
@@ -338,6 +352,37 @@ class TestChainAgainstReference:
         assert_same_chain(propagate_schedule(s, sched, 2500.0),
                           ref.propagate_schedule(s, sched, 2500.0))
 
+    @given(radius=st.floats(6450.0, 7400.0), speed=st.floats(0.95, 1.45),
+           n_shocks=st.integers(0, 40), at_origin=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_random_schedules_match_reference(self, radius, speed, n_shocks,
+                                              at_origin, seed):
+        """0-40 shocks in a random frame, the first possibly at the
+        origin epoch. One kick in seven is of 0.5, 3 or 12 km/s, the
+        rest of 10 m/s, so chains dip below the floor or unbind the
+        orbit at any shock: the same arcs to the bit, or the same error
+        with the same message, as the chain loop of the reference."""
+        gen = np.random.default_rng(seed)
+        spin = random_rotation(gen)
+        origin = StateVector(
+            spin @ [radius, 0.0, 0.0],
+            spin @ [0.0, speed * math.sqrt(MU_EARTH / radius), 0.0], 0.0)
+        times = np.unique(gen.uniform(1.0, 3999.0, n_shocks))
+        if at_origin and n_shocks:
+            times[0] = 0.0
+        sizes = np.where(gen.random(n_shocks) < 1.0 / 7.0,
+                         gen.choice([0.5, 3.0, 12.0], n_shocks), 0.01)
+        dvs = sizes[:, None] * gen.normal(size=(n_shocks, 3))
+        sched = ImpulsiveSchedule(tuple(map(ShockEvent, times, dvs)),
+                                  budget=1e3)
+        try:
+            want = ref.propagate_schedule(origin, sched, 4000.0)
+        except FutureConeError as exc:
+            got = chain_error(propagate_schedule, origin, sched, 4000.0)
+            assert (type(got), str(got)) == (type(exc), str(exc))
+        else:
+            assert_same_chain(propagate_schedule(origin, sched, 4000.0), want)
+
 
 LOW = StateVector([6400.0, 0.0, 0.0], [0.0, math.sqrt(MU_EARTH / 6400.0), 0.0],
                   0.0)
@@ -374,6 +419,51 @@ class TestChainErrors:
         want = chain_error(ref.propagate_schedule, origin, sched, t_end)
         assert type(got) is kind and str(got).startswith(label)
         assert (type(got), str(got)) == (type(want), str(want))
+
+    @pytest.mark.parametrize("kick, kind, label", [
+        (0.01, ConvergenceError, "segment before shock 1: stalled"),
+        (20.0, UnboundResult, "shock 0: post-shock state is unbound"),
+    ], ids=["stall_reported", "earlier_unbinding_shock_first"])
+    def test_stalled_flight_after_earlier_checks(self, monkeypatch, kick,
+                                                  kind, label):
+        """A Kepler solve that fails on the second segment's flight is
+        reported, as by the reference, only when no shock or segment
+        before it fails."""
+        solve = kepler._solve_kepler
+
+        def stall_second_flight(M, e):
+            flights.append(len(M) == 1)
+            if flights.count(True) == 2:
+                raise ConvergenceError("stalled")
+            return solve(M, e)
+
+        monkeypatch.setattr(kepler, "_solve_kepler", stall_second_flight)
+        sched = ImpulsiveSchedule(
+            tuple(ShockEvent(t, [0.0, 0.0, dv]) for t, dv in
+                  ((100.0, kick), (500.0, 0.01), (700.0, 0.01))), budget=25.0)
+        errors = []
+        for propagate in (propagate_schedule, ref.propagate_schedule):
+            flights = []
+            errors.append(chain_error(propagate, circular_state(), sched,
+                                      900.0))
+        got, want = errors
+        assert type(got) is kind and str(got).startswith(label)
+        assert (type(got), str(got)) == (type(want), str(want))
+
+
+def test_unbound_shock_then_more_shocks_warns_nothing():
+    """Flying on past an unbinding shock turns the later states to nan
+    quietly; the shock that unbound the orbit is the one named."""
+    events = ((100.0, [0.0, 0.01, 0.0]), (500.0, [0.0, 0.0, 20.0]),
+              (700.0, [0.0, 0.01, 0.0]), (800.0, [0.01, 0.0, 0.0]))
+    sched = ImpulsiveSchedule(tuple(ShockEvent(t, dv) for t, dv in events),
+                              budget=25.0)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(UnboundResult,
+                           match="^shock 1: post-shock state is unbound"):
+            propagate_schedule(circular_state(), sched, 900.0)
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 def test_one_conic_pass_per_segment(monkeypatch):
@@ -515,6 +605,16 @@ class TestShockApproximation:
         with pytest.raises(ValueError, match=r"^accel must return 3 "
                            r"components, got an array of shape \(\)$"):
             reduce(profile, n)
+
+    @pytest.mark.parametrize("reduce", [shock_approximation, profile_impulse])
+    def test_rejects_acceleration_whose_shape_changes(self, reduce):
+        """3 components before t = 50 s and a scalar after gave numpy's
+        inhomogeneous-shape error, which did not name accel."""
+        profile = ThrustProfile(lambda t: np.ones(3) if t < 50.0 else 1e-6,
+                                (0.0, 100.0))
+        with pytest.raises(ValueError, match=r"^accel must return 3 "
+                           r"components, got an array of shape \(\)$"):
+            reduce(profile, 4)
 
     def test_budget_is_spent_dv(self):
         profile = ThrustProfile(
