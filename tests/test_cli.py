@@ -14,7 +14,13 @@ from futurecone.cone import ConeSpec
 from futurecone.constants import EARTH_RADIUS_KM, MU_EARTH
 from futurecone.kepler import StateVector, arc_from_state, state_at
 from futurecone.maneuver import ImpulsiveSchedule, ShockEvent, propagate_schedule
-from futurecone.scenario_io import SamplingSpec, Scenario, TwoCarsGame, save_scenario
+from futurecone.scenario_io import (
+    SamplingSpec,
+    Scenario,
+    TwoCarsGame,
+    load_scenario,
+    save_scenario,
+)
 from futurecone.twocars import CarConfig
 
 TWO_PI = 2.0 * math.pi
@@ -22,6 +28,43 @@ LEO_MULTIREV = (Path(__file__).resolve().parents[1] / "perfbench"
                 / "scenarios" / "leo_multirev.cone")
 LEO_R = EARTH_RADIUS_KM + 860.0
 LEO_V = math.sqrt(MU_EARTH / LEO_R)
+
+# A target that burns five times inside its window, written as a person
+# would write it (not in canonical form).
+FIVE_SHOCKS = """\
+name = chain5
+[interceptor]
+r_km = 7238.137, 0, 0
+v_km_s = 0, 7.42, 0.01
+t_s = 0
+budget_km_s = 0.5
+window_s = 100, 900
+[target]
+r_km = 7238.137, 0, 0
+v_km_s = 0, 7.4208, 0
+t_s = 0
+budget_km_s = 0.02
+window_s = 200, 1500
+[shock]
+t_s = 210.5
+dv_km_s = 1e-3, -2e-3, 0
+[shock]
+t_s = 400
+dv_km_s = 0, 0.0031, 1.7e-4
+[shock]
+t_s = 612.25
+dv_km_s = -0.004, 0.001, -0.0025
+[shock]
+t_s = 800
+dv_km_s = 0.0123, 0, 0
+[shock]
+t_s = 1333.3333
+dv_km_s = -1e-5, 2e-5, -3e-5
+[sampling]
+n_samples = 40
+time_grid = 61
+seed = 0
+"""
 
 
 def leo_vertex(t: float = 0.0) -> StateVector:
@@ -482,3 +525,17 @@ class TestGoldenBytes:
         out = tmp_path / "out"
         assert main(flags + ["--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    def test_shock_chain_bytes(self, tmp_path):
+        """A five-shock chain through propagate (csv), and the canonical
+        text of its scenario."""
+        source, saved, out = (tmp_path / name
+                              for name in ("in.cone", "saved.cone", "out"))
+        source.write_text(FIVE_SHOCKS)
+        save_scenario(load_scenario(source), saved)
+        assert hashlib.sha256(saved.read_bytes()).hexdigest() == (
+            "88b153fdbfd72d55c4552289e3678adaf7f9aa9ccbc051331c919c8a7f22df72")
+        assert main(["propagate", "--scenario", str(source), "--format",
+                     "csv", "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "720cbd024ec6869da84703dda783659665ed8a1a16d91db0931b04975ac4f8f7")
