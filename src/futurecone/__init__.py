@@ -26,7 +26,6 @@ from .cone import (
 from .lambert import solve_lambert
 from .maneuver import (
     ImpulsiveSchedule,
-    ShockEvent,
     ThrustProfile,
     apply_shock,
     integrate_thrust,
@@ -60,7 +59,6 @@ __all__ = [
     "ImpulsiveSchedule",
     "MU_EARTH",
     "NoBoundArc",
-    "ShockEvent",
     "StateVector",
     "SurfaceViolation",
     "ThrustProfile",

@@ -26,7 +26,7 @@ import numpy as np
 
 from .cone import containment
 from .errors import FutureConeError, ScenarioError, _check_work
-from .maneuver import ImpulsiveSchedule, propagate_schedule
+from .maneuver import propagate_schedule
 from .scenario_io import (
     SamplingSpec,
     Scenario,
@@ -70,11 +70,9 @@ def _require_kind(scenario: Scenario, kind: str, command: str) -> None:
 def cmd_propagate(scenario: Scenario, args: argparse.Namespace) -> int:
     """Fly the target body through its shock schedule and export it.
 
-    The scenario's [shock] sections become an impulsive schedule whose
-    budget is exactly their summed magnitude, so an unflyable shock
-    surfaces as a propagation error rather than being rejected up
-    front. Samples are taken on a uniform grid from the target vertex
-    to the end of its window.
+    The scenario's [shock] sections are its schedule; an unflyable
+    shock surfaces as a propagation error. Samples are taken on a
+    uniform grid from the target vertex to the end of its window.
 
     Args:
         scenario: Orbital scenario; its target cone is propagated.
@@ -92,10 +90,8 @@ def cmd_propagate(scenario: Scenario, args: argparse.Namespace) -> int:
     _require_kind(scenario, "orbital", "propagate")
     sampling = _resolve_sampling(scenario, args)
     _check_work(sampling.time_grid, "grid times")
-    budget = float(sum(shock.magnitude for shock in scenario.shocks))
-    schedule = ImpulsiveSchedule(shocks=scenario.shocks, budget=budget)
     target = scenario.target
-    trajectory = propagate_schedule(target.vertex, schedule,
+    trajectory = propagate_schedule(target.vertex, scenario.shocks,
                                     t_end=target.window[1],
                                     mu=scenario.mu, floor=scenario.floor_km)
     times = np.linspace(target.vertex.t, target.window[1],

@@ -1,11 +1,12 @@
 """Propulsive trajectory models over the ballistic core.
 
 Impulsive shock schedules (piecewise-ballistic chains with instantaneous
-velocity jumps), the rocket equation for converting propellant mass to a
-delta-v allowance, and a continuous-thrust integrator with its
-step-function shock approximation. The approximation converging onto the
-integrated trajectory as the step count grows is what licenses treating
-finite thrust inside the impulsive framework.
+velocity jumps, held as an array of epochs and an array of dv rows), the
+rocket equation for converting propellant mass to a delta-v allowance,
+and a continuous-thrust integrator with its step-function shock
+approximation. The approximation converging onto the integrated
+trajectory as the step count grows is what licenses treating finite
+thrust inside the impulsive framework.
 """
 from __future__ import annotations
 
@@ -28,7 +29,6 @@ from .errors import (
 from .kepler import (
     ArcBatch,
     StateVector,
-    _as_vec3,
     _conic_of,
     _ellipse,
     _fly,
@@ -39,7 +39,6 @@ from .kepler import (
     states_at,
 )
 
-_BUDGET_SLACK = 1e-12  # float headroom on the schedule budget check
 # RK4 steps one integrate_thrust resolution may take. Engagement-scale
 # burns settle at 128-256 steps.
 _MAX_STEPS = 2**16
@@ -48,83 +47,81 @@ _MAX_STEPS = 2**16
 _SETTLE_TOL = 1e-8
 
 
-@dataclass(frozen=True, eq=False)
-class ShockEvent:
-    """One instantaneous velocity change.
+class ShockError(ValueError):
+    """A shock that a schedule refuses.
 
     Attributes:
-        t: Impulse epoch, s.
-        dv: Velocity increment, km/s (3 components).
+        index: Row of the offending shock in its schedule.
     """
 
-    t: float
-    dv: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "t", float(self.t))
-        if not math.isfinite(self.t):
-            raise ValueError(f"t: shock epoch must be finite, got {self.t}")
-        object.__setattr__(self, "dv", _as_vec3(self.dv, "dv"))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ShockEvent):
-            return NotImplemented
-        return self.t == other.t and np.array_equal(self.dv, other.dv)
-
-    @cached_property
-    def magnitude(self) -> float:
-        return float(np.linalg.norm(self.dv))
-
-
-class ShockOrderError(ValueError):
-    """A shock epoch that does not strictly follow its predecessor's.
-
-    Attributes:
-        index: Position of the offending shock in its sequence.
-    """
-
-    def __init__(self, index: int, t: float, previous: float):
+    def __init__(self, index: int, message: str):
         self.index = index
-        super().__init__(f"shock epochs must strictly increase; shock {index} "
-                         f"at t = {t!r} follows t = {previous!r}")
+        super().__init__(message)
 
 
-def check_shock_order(shocks) -> None:
-    """Raise ShockOrderError at the first shock whose epoch does not
-    strictly follow its predecessor's."""
-    for i in range(1, len(shocks)):
-        if shocks[i].t <= shocks[i - 1].t:
-            raise ShockOrderError(i, shocks[i].t, shocks[i - 1].t)
+class ShockOrderError(ShockError):
+    """A shock epoch that does not strictly follow its predecessor's."""
 
 
 @dataclass(frozen=True, eq=False)
 class ImpulsiveSchedule:
-    """Ordered shocks under a total delta-v allowance.
+    """Instantaneous velocity changes (shocks) in epoch order, as two
+    read-only arrays; the default is the empty schedule. Equality is by
+    value.
 
     Attributes:
-        shocks: Shock events with strictly increasing epochs.
-        budget: Total allowance, km/s; the sum of shock magnitudes may
-            not exceed it.
+        times: Shock epochs, s, shape (n,), finite and strictly
+            increasing.
+        shocks: Velocity increments, km/s, shape (n, 3), finite; row i
+            is applied at times[i].
+
+    Raises:
+        ValueError: arrays of other shapes.
+        ShockError: the first shock that is not finite (its epoch checked
+            before its dv), else the first out of order (ShockOrderError).
     """
 
-    shocks: tuple[ShockEvent, ...]
-    budget: float
+    times: np.ndarray = ()
+    shocks: np.ndarray = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "shocks", tuple(self.shocks))
-        object.__setattr__(self, "budget", float(self.budget))
-        if not 0.0 <= self.budget < math.inf:
+        times = np.array(self.times, dtype=float)
+        dv = np.array(self.shocks, dtype=float)
+        if not dv.size:
+            dv = dv.reshape(0, 3)
+        if times.ndim != 1 or dv.shape != (times.size, 3):
             raise ValueError(
-                f"budget must be finite and nonnegative, got {self.budget}")
-        check_shock_order(self.shocks)
-        if self.total_dv > self.budget + _BUDGET_SLACK:
-            raise ValueError(
-                f"schedule spends {self.total_dv!r} km/s, over the "
-                f"{self.budget!r} km/s budget")
+                f"need one 3-component dv row per epoch, got times of shape "
+                f"{times.shape} and shocks of shape {dv.shape}")
+        bad_t = ~np.isfinite(times)
+        bad = bad_t | ~np.isfinite(dv).all(axis=1)
+        if np.count_nonzero(bad):
+            i = int(np.argmax(bad))
+            if bad_t[i]:
+                raise ShockError(
+                    i, f"t: shock epoch must be finite, got {float(times[i])}")
+            raise ShockError(i, f"dv must be finite, got {dv[i]}")
+        late = np.flatnonzero(times[1:] <= times[:-1])
+        if late.size:
+            i = int(late[0]) + 1
+            raise ShockOrderError(
+                i, f"shock epochs must strictly increase; shock {i} at t = "
+                   f"{float(times[i])!r} follows t = {float(times[i - 1])!r}")
+        times.setflags(write=False)
+        dv.setflags(write=False)
+        object.__setattr__(self, "times", times)
+        object.__setattr__(self, "shocks", dv)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ImpulsiveSchedule):
+            return NotImplemented
+        return bool(np.array_equal(self.times, other.times)
+                    and np.array_equal(self.shocks, other.shocks))
 
     @cached_property
     def total_dv(self) -> float:
-        return float(sum(s.magnitude for s in self.shocks))
+        """Summed shock magnitudes, km/s, added in shock order."""
+        return float(sum(_radius(self.shocks).tolist()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -323,15 +320,16 @@ def propagate_schedule(origin: StateVector, sched: ImpulsiveSchedule,
     """
     if not math.isfinite(t_end):
         raise ValueError(f"t_end must be finite, got {t_end}")
-    if sched.shocks:
-        if sched.shocks[0].t < origin.t:
+    times = sched.times.tolist()
+    if times:
+        if times[0] < origin.t:
             raise ValueError(
-                f"first shock at t={sched.shocks[0].t} precedes the origin "
+                f"first shock at t={times[0]} precedes the origin "
                 f"epoch {origin.t}")
-        if t_end <= sched.shocks[-1].t:
+        if t_end <= times[-1]:
             raise ValueError(
                 f"t_end={t_end} must lie beyond the last shock at "
-                f"t={sched.shocks[-1].t}")
+                f"t={times[-1]}")
     elif t_end < origin.t:
         raise ValueError(f"t_end={t_end} precedes the origin epoch {origin.t}")
 
@@ -349,17 +347,17 @@ def propagate_schedule(origin: StateVector, sched: ImpulsiveSchedule,
     with np.errstate(all="ignore"):
         r, v, t, shock = origin.r[None], origin.v[None], origin.t, -1
         try:
-            for i, event in enumerate(sched.shocks):
-                if event.t > t:
-                    r, v = fly(r, v, t, event.t, shock)[:2]
-                t, v, shock = event.t, v + event.dv, i
+            for i, (t_shock, dv) in enumerate(zip(times, sched.shocks)):
+                if t_shock > t:
+                    r, v = fly(r, v, t, t_shock, shock)[:2]
+                t, v, shock = t_shock, v + dv, i
             fly(r, v, t, t_end, shock)
         except ConvergenceError as exc:
             stalled = exc
         r0, v0, t0, ends, shocks = zip(*segments)
         r0, v0 = np.concatenate(r0), np.concatenate(v0)
         _check_chain(r0, v0, np.array(t0), np.array(ends), np.array(shocks),
-                     stalled, len(sched.shocks), mu, EARTH_RADIUS_KM + floor)
+                     stalled, len(times), mu, EARTH_RADIUS_KM + floor)
     return ImpulsiveTrajectory(arcs=ArcBatch(r0, v0, t0, mu=mu), t_end=t_end,
                                schedule=sched, origin=origin)
 
@@ -408,10 +406,16 @@ def _check_chain(r0, v0, t0, ends, shocks, stalled, n_shocks: int,
         raise type(exc)(f"{label}: {exc}") from exc
 
 
-def _accel_shape_error(shape: tuple) -> ValueError:
-    """The refusal of a thrust acceleration that is not 3 components."""
-    return ValueError(
-        f"accel must return 3 components, got an array of shape {shape}")
+def _as_accel(value) -> np.ndarray:
+    """value as a thrust acceleration; a ValueError that names accel
+    unless it is 3 finite components."""
+    thrust = np.asarray(value, dtype=float)
+    if thrust.shape != (3,):
+        raise ValueError(f"accel must return 3 components, got an array of "
+                         f"shape {thrust.shape}")
+    if not all(map(math.isfinite, thrust.tolist())):
+        raise ValueError(f"accel must return finite components, got {thrust}")
+    return thrust
 
 
 def integrate_thrust(origin: StateVector, profile: ThrustProfile,
@@ -434,7 +438,7 @@ def integrate_thrust(origin: StateVector, profile: ThrustProfile,
 
     Raises:
         ValueError: origin epoch differs from the window start, or accel
-            returned other than 3 components.
+            returned other than 3 finite components.
         SurfaceViolation, UnboundResult: first violation time attached.
         WorkCapExceeded: the endpoint has not settled at _MAX_STEPS
             steps.
@@ -448,10 +452,8 @@ def integrate_thrust(origin: StateVector, profile: ThrustProfile,
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
         r = y[:3]
         rn = float(np.linalg.norm(r))
-        thrust = np.asarray(profile.accel(t), dtype=float)
-        if thrust.shape != (3,):
-            raise _accel_shape_error(thrust.shape)
-        return np.concatenate([y[3:], -mu / rn**3 * r + thrust])
+        return np.concatenate([y[3:], -mu / rn**3 * r
+                               + _as_accel(profile.accel(t))])
 
     def run(n_steps: int) -> tuple[np.ndarray, np.ndarray]:
         if n_steps > _MAX_STEPS:
@@ -505,8 +507,8 @@ def _thrust_at_nodes(profile: ThrustProfile,
         (n,), and the acceleration at every node, shape (8, n, 3).
 
     Raises:
-        ValueError: n < 1, or accel returned other than 3 components at
-            some node (the first such value's shape is named).
+        ValueError: n < 1, or accel returned other than 3 finite
+            components at some node (the first such value is named).
         WorkCapExceeded: 8n nodes above the package's cap.
     """
     if n < 1:
@@ -519,15 +521,13 @@ def _thrust_at_nodes(profile: ThrustProfile,
               for node in _GAUSS_NODES]
     try:
         accel = np.array(values, dtype=float)
-        shape = accel.shape[2:]
     except ValueError:
-        # values of more than one shape: name the first not 3 components
-        shape = next((np.shape(value) for row in values for value in row
-                      if np.shape(value) != (3,)), None)
-        if shape is None:
-            raise
-    if shape != (3,):
-        raise _accel_shape_error(shape)
+        accel = None  # values of more than one shape
+    if accel is None or accel.shape[2:] != (3,) or not np.isfinite(accel).all():
+        # refuse the first value that is not 3 finite components
+        for row in values:
+            for value in row:
+                _as_accel(value)
     return mid, half, accel
 
 
@@ -538,14 +538,16 @@ def shock_approximation(profile: ThrustProfile, n: int) -> ImpulsiveSchedule:
     contributes a shock at its midpoint carrying the integrated
     acceleration over that sub-interval (Gauss-Legendre quadrature).
     Zero-impulse sub-intervals are dropped, so a zero profile reduces to
-    an empty schedule. The schedule budget is the delta-v actually spent.
+    an empty schedule.
 
     Args:
         profile: Thrust acceleration history.
         n: Number of sub-intervals, >= 1.
 
     Raises:
-        ValueError: n < 1.
+        ValueError: n < 1, or accel returned other than 3 finite
+            components at some node.
+        ShockError: a sub-interval's integrated dv is not finite.
         WorkCapExceeded: 8n quadrature nodes above the package's cap.
     """
     mid, half, accel = _thrust_at_nodes(profile, n)
@@ -554,10 +556,9 @@ def shock_approximation(profile: ThrustProfile, n: int) -> ImpulsiveSchedule:
     for weight, at_node in zip(_GAUSS_WEIGHTS, accel):
         dv += weight * at_node
     dv *= half[:, None]
-    shocks = [shock for shock in map(ShockEvent, mid, dv)
-              if shock.magnitude > 0.0]
-    total = float(sum(s.magnitude for s in shocks))
-    return ImpulsiveSchedule(shocks=tuple(shocks), budget=total)
+    # nan != 0, so a row that is not finite is kept for the schedule to refuse
+    keep = _radius(dv) != 0.0
+    return ImpulsiveSchedule(mid[keep], dv[keep])
 
 
 def profile_impulse(profile: ThrustProfile, n: int = 512) -> float:

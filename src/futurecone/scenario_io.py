@@ -20,7 +20,7 @@ site 28.13 N 102.02 E, azimuth 345.73 deg, vertex at 104 km altitude
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib import resources
 
 import numpy as np
@@ -34,10 +34,10 @@ from .errors import (
 )
 from .kepler import StateVector
 from .maneuver import (
+    ImpulsiveSchedule,
     ImpulsiveTrajectory,
-    ShockEvent,
+    ShockError,
     ShockOrderError,
-    check_shock_order,
     rocket_delta_v,
 )
 from .twocars import CarConfig, EquivalenceVerdict
@@ -130,7 +130,8 @@ class Scenario:
         interceptor: Interceptor cone, orbital scenarios only.
         target: Target cone, orbital scenarios only.
         twocars: Planar matchup, planar scenarios only.
-        shocks: Optional maneuver schedule for the propagate command.
+        shocks: Target maneuver schedule for the propagate command;
+            empty by default.
         sampling: Monte Carlo defaults for this scenario.
     """
 
@@ -140,13 +141,12 @@ class Scenario:
     interceptor: ConeSpec | None = None
     target: ConeSpec | None = None
     twocars: TwoCarsGame | None = None
-    shocks: tuple[ShockEvent, ...] = ()
+    shocks: ImpulsiveSchedule = field(default_factory=ImpulsiveSchedule)
     sampling: SamplingSpec = SamplingSpec()
 
     def __post_init__(self):
         object.__setattr__(self, "mu", float(self.mu))
         object.__setattr__(self, "floor_km", float(self.floor_km))
-        object.__setattr__(self, "shocks", tuple(self.shocks))
         if (not self.name or "#" in self.name or "\n" in self.name
                 or self.name != self.name.strip()):
             raise ValueError(f"name must be a bare single-line token, "
@@ -156,8 +156,8 @@ class Scenario:
         if not np.isfinite(self.floor_km):
             raise ValueError(f"floor_km must be finite, got {self.floor_km}")
         cones = (("interceptor", self.interceptor), ("target", self.target))
-        orbital = bool(self.shocks) or any(spec is not None
-                                           for _, spec in cones)
+        orbital = bool(self.shocks.times.size) or any(
+            spec is not None for _, spec in cones)
         _check_kind(orbital, self.twocars is not None)
         if orbital:
             missing = [label for label, spec in cones if spec is None]
@@ -170,7 +170,6 @@ class Scenario:
                         f"{label} cone carries mu={spec.mu}, "
                         f"floor={spec.floor}; scenario says mu={self.mu}, "
                         f"floor={self.floor_km}")
-        check_shock_order(self.shocks)
 
     @property
     def kind(self) -> str:
@@ -401,15 +400,20 @@ def load_scenario(path) -> Scenario:
 
     cones = {label: build(_cone, label, *blocks[label], mu, floor_km)
              for label in ("interceptor", "target") if label in blocks}
-    shocks = tuple(build(ShockEvent, "shock", *raw) for raw in shocks_raw)
+    shocks = [_values("shock", pairs) for _, pairs in shocks_raw]
+    try:
+        schedule = ImpulsiveSchedule([shock["t_s"] for shock in shocks],
+                                     [shock["dv_km_s"] for shock in shocks])
+    except ShockError as exc:
+        # an order refusal names no key: it stays at the section line
+        lineno, pairs = shocks_raw[exc.index]
+        label = "" if isinstance(exc, ShockOrderError) else "[shock] "
+        raise _invariant(exc, label, (pairs,), lineno) from exc
 
     try:
         return Scenario(name=head["name"], mu=mu, floor_km=floor_km,
-                        twocars=game, shocks=shocks, sampling=sampling,
+                        twocars=game, shocks=schedule, sampling=sampling,
                         **cones)
-    except ShockOrderError as exc:
-        raise ScenarioInvariantError(str(exc),
-                                     shocks_raw[exc.index][0]) from exc
     except ValueError as exc:
         raise _invariant(exc, "", (top,), None) from exc
 
@@ -442,8 +446,8 @@ def _sections(scenario: Scenario):
             spec = getattr(scenario, label)
             yield label, (spec.vertex.r, spec.vertex.v, spec.vertex.t,
                           spec.budget, spec.window)
-        for shock in scenario.shocks:
-            yield "shock", (shock.t, shock.dv)
+        for t, dv in zip(scenario.shocks.times, scenario.shocks.shocks):
+            yield "shock", (t, dv)
     else:
         game = scenario.twocars
         for label in ("pursuer", "evader"):

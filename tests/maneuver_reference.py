@@ -39,15 +39,16 @@ def propagate_schedule(origin: StateVector, sched: ImpulsiveSchedule,
                        t_end: float, mu: float = MU_EARTH,
                        floor: float = DEFAULT_FLOOR_KM) -> ImpulsiveTrajectory:
     """Piecewise-ballistic propagation of a shock schedule."""
-    if sched.shocks:
-        if sched.shocks[0].t < origin.t:
+    times = sched.times.tolist()
+    if times:
+        if times[0] < origin.t:
             raise ValueError(
-                f"first shock at t={sched.shocks[0].t} precedes the origin "
+                f"first shock at t={times[0]} precedes the origin "
                 f"epoch {origin.t}")
-        if t_end <= sched.shocks[-1].t:
+        if t_end <= times[-1]:
             raise ValueError(
                 f"t_end={t_end} must lie beyond the last shock at "
-                f"t={sched.shocks[-1].t}")
+                f"t={times[-1]}")
     elif t_end < origin.t:
         raise ValueError(f"t_end={t_end} precedes the origin epoch {origin.t}")
 
@@ -68,11 +69,11 @@ def propagate_schedule(origin: StateVector, sched: ImpulsiveSchedule,
         starts.append(state)
         return StateVector(r[0], v[0], until)
 
-    for i, shock in enumerate(sched.shocks):
-        if shock.t > current.t:
-            current = segment(current, shock.t, f"segment before shock {i}")
+    for i, (t, dv) in enumerate(zip(times, sched.shocks)):
+        if t > current.t:
+            current = segment(current, t, f"segment before shock {i}")
         try:
-            current = apply_shock(current, shock.dv, mu, floor)
+            current = apply_shock(current, dv, mu, floor)
         except FutureConeError as exc:
             raise type(exc)(f"shock {i}: {exc}") from exc
     segment(current, t_end, "final segment")

@@ -29,7 +29,6 @@ from futurecone.kepler import (
 from futurecone.lambert import solve_lambert
 from futurecone.maneuver import (
     ImpulsiveSchedule,
-    ShockEvent,
     ThrustProfile,
     integrate_thrust,
     propagate_schedule,
@@ -155,13 +154,14 @@ def test_criterion_3_multi_shock_reduction():
         total = float(np.sum(np.linalg.norm(dvs, axis=1)))
         if total > 0.2:
             dvs *= 0.2 * float(rng.uniform(0.3, 1.0)) / total
-        sched = ImpulsiveSchedule(
-            tuple(ShockEvent(float(t), d) for t, d in zip(times, dvs)),
-            budget=0.2)
+        sched = ImpulsiveSchedule(times, dvs)
         traj = propagate_schedule(s, sched, t_end)
         try:
             dv0 = reduce_to_single_burn(traj)
-        except NoBoundArc:
+        except NoBoundArc as exc:
+            # an arc dearer than the chain would be a counterexample to
+            # the single-burn equivalence, not an unsolved geometry
+            assert str(exc).startswith("no bound arc"), str(exc)
             unsolved += 1
             continue
         assert float(np.linalg.norm(dv0)) <= sched.total_dv + 1e-6

@@ -3,7 +3,8 @@
 ``perfbench/layers.py`` wraps every (module, attribute) pair in its
 ``TRACED`` table and reads some arguments of the wrapped calls by name.
 Deleting or renaming one of them breaks the traced benchmark run, so
-these tests check both. A request of each workload must also pass the
+these tests check both, and run one request of each workload traced to
+check what the hooks read from the objects they are given. A request of each workload must also pass the
 workload's own output check, so that a change to the scenario loader,
 the verdict report, the shock chains, the ephemeris export or the Two
 Cars game that would fail benchmark requests fails here.
@@ -26,6 +27,13 @@ HOOK_ARGUMENTS = {
     ("maneuver", "propagate_schedule"): ("sched",),
     ("scenario_io", "export_points"): ("path",),
 }
+
+# Counters that one traced request 0 of a workload reports.
+TRACED_COUNTS = {
+    "BurnChains": {"maneuver.shocks": 256},
+}
+WORKLOADS = ["Fy1cContain", "LeoMultirevContain", "BurnChains",
+             "TwocarsPursuit"]
 
 
 def _load(name: str):
@@ -97,3 +105,33 @@ def test_contain_request_passes_its_check(tmp_path, name):
         futurecone, str(PERFBENCH.parent), str(tmp_path), 0)
     assert workload.warmup()
     assert workload.check(0, workload.request(0)) > 0
+
+
+@pytest.mark.parametrize("name", WORKLOADS)
+def test_traced_request_reports_every_metric(tmp_path, name):
+    """Request 0 traced as ``run.py --trace 1`` traces it: the hooks of
+    layers.install read their arguments and results without error, and
+    layers.metrics reports every metric, with the counts pinned above."""
+    import futurecone
+    import futurecone.cli  # binds the modules the workloads call
+    import futurecone.twocars
+
+    layers, tracing = _load("layers"), _load("tracing")
+    workload = getattr(_load("workloads"), name)(
+        futurecone, str(PERFBENCH.parent), str(tmp_path), 0)
+    tracer = tracing.Tracer([futurecone] + [
+        getattr(futurecone, module) for module in _load("run").MODULES])
+    layers.install(tracer, workload)
+    root = tracer.wrap(workload.request, layers.ROOT_SPAN)
+    tracer.request_id = 0
+    tracer.enabled = True
+    try:
+        root(0)
+    finally:
+        tracer.enabled = False
+        tracer.uninstall()
+    metrics = layers.metrics(tracer, workload, 0.0)
+    assert list(metrics) == list(layers.metric_units())
+    assert metrics[f"{layers.ROOT_SPAN}.calls"]["value"] == 1
+    for counter, value in TRACED_COUNTS.get(name, {}).items():
+        assert metrics[counter]["value"] == value, counter

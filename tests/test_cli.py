@@ -13,7 +13,7 @@ from futurecone.cli import main
 from futurecone.cone import ConeSpec
 from futurecone.constants import EARTH_RADIUS_KM, MU_EARTH
 from futurecone.kepler import StateVector, arc_from_state, state_at
-from futurecone.maneuver import ImpulsiveSchedule, ShockEvent, propagate_schedule
+from futurecone.maneuver import ImpulsiveSchedule, propagate_schedule
 from futurecone.scenario_io import (
     SamplingSpec,
     Scenario,
@@ -72,14 +72,14 @@ def leo_vertex(t: float = 0.0) -> StateVector:
 
 
 def orbital_file(tmp_path, *, interceptor_budget=0.5, target_budget=0.01,
-                 shocks=(), name="demo"):
+                 shocks=ImpulsiveSchedule(), name="demo"):
     scn = Scenario(
         name=name,
         interceptor=ConeSpec(vertex=leo_vertex(), budget=interceptor_budget,
                              window=(100.0, 900.0)),
         target=ConeSpec(vertex=leo_vertex(), budget=target_budget,
                         window=(200.0, 400.0)),
-        shocks=tuple(shocks),
+        shocks=shocks,
         sampling=SamplingSpec(n_samples=40, time_grid=3, seed=0))
     path = tmp_path / f"{name}.cone"
     save_scenario(scn, path)
@@ -198,18 +198,15 @@ class TestPropagate:
                                        state_at(arc, float(t)).r, rtol=1e-12)
 
     def test_five_shock_schedule_matches_library(self, tmp_path):
-        shocks = tuple(ShockEvent(t=220.0 + 20.0 * k,
-                                  dv=(0.001 * (k + 1), -0.0005 * k, 0.0002))
-                       for k in range(5))
+        shocks = ImpulsiveSchedule(
+            [220.0 + 20.0 * k for k in range(5)],
+            [(0.001 * (k + 1), -0.0005 * k, 0.0002) for k in range(5)])
         path, scn = orbital_file(tmp_path, shocks=shocks, name="burns")
         out = tmp_path / "eph.csv"
         code = main(["propagate", "--scenario", str(path), "--grid", "11",
                      "--out", str(out)])
         assert code == 0
-        budget = float(sum(np.linalg.norm(s.dv) for s in shocks))
-        traj = propagate_schedule(
-            scn.target.vertex, ImpulsiveSchedule(shocks=shocks, budget=budget),
-            t_end=400.0)
+        traj = propagate_schedule(scn.target.vertex, shocks, t_end=400.0)
         for line, t in zip(out.read_text().splitlines()[1:],
                            np.linspace(0.0, 400.0, 11)):
             cells = line.split(",")
@@ -218,7 +215,7 @@ class TestPropagate:
 
     def test_unbound_shock_exits_2(self, tmp_path, capsys):
         path, _ = orbital_file(
-            tmp_path, shocks=(ShockEvent(t=250.0, dv=(0.0, 8.0, 0.0)),),
+            tmp_path, shocks=ImpulsiveSchedule([250.0], [(0.0, 8.0, 0.0)]),
             name="unbound")
         code = main(["propagate", "--scenario", str(path),
                      "--out", str(tmp_path / "x.csv")])
@@ -482,7 +479,7 @@ class TestDeterminism:
         assert out_a == out_b
 
     def test_propagate_reruns_are_byte_identical(self, tmp_path):
-        shocks = (ShockEvent(t=250.0, dv=(0.002, 0.001, 0.0)),)
+        shocks = ImpulsiveSchedule([250.0], [(0.002, 0.001, 0.0)])
         path, _ = orbital_file(tmp_path, shocks=shocks, name="det2")
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         main(["propagate", "--scenario", str(path), "--out", str(a)])

@@ -18,7 +18,6 @@ from futurecone import (
     MU_EARTH,
     ImpulsiveSchedule,
     NoBoundArc,
-    ShockEvent,
     StateVector,
     containment,
     leaf,
@@ -482,7 +481,7 @@ class TestReduceToSingleBurn:
     def test_single_shock_at_origin_recovered(self):
         s = circular_state()
         dv = np.array([0.01, -0.015, 0.004])
-        sched = ImpulsiveSchedule((ShockEvent(0.0, dv),), budget=0.05)
+        sched = ImpulsiveSchedule([0.0], [dv])
         traj = propagate_schedule(s, sched, 900.0)
         dv0 = reduce_to_single_burn(traj)
         assert_allclose(dv0, dv, rtol=0, atol=1e-9)
@@ -491,8 +490,7 @@ class TestReduceToSingleBurn:
         """A burn undone shortly after merges to nearly nothing."""
         s = circular_state()
         dv = np.array([0.0, 0.02, 0.0])
-        sched = ImpulsiveSchedule(
-            (ShockEvent(100.0, dv), ShockEvent(160.0, -dv)), budget=0.05)
+        sched = ImpulsiveSchedule([100.0, 160.0], [dv, -dv])
         traj = propagate_schedule(s, sched, 600.0)
         dv0 = reduce_to_single_burn(traj)
         assert float(np.linalg.norm(dv0)) < sched.total_dv
@@ -504,9 +502,7 @@ class TestReduceToSingleBurn:
             s = circular_state()
             times = np.sort(rng.uniform(10.0, 0.8 * t_end, 4))
             dvs = rng.normal(0.0, 0.006, (4, 3))
-            sched = ImpulsiveSchedule(
-                tuple(ShockEvent(float(t), d) for t, d in zip(times, dvs)),
-                budget=0.2)
+            sched = ImpulsiveSchedule(times, dvs)
             traj = propagate_schedule(s, sched, t_end)
             dv0 = reduce_to_single_burn(traj)
             assert float(np.linalg.norm(dv0)) <= sched.total_dv + 1e-6
@@ -523,9 +519,7 @@ class TestReduceToSingleBurn:
         t_end = fraction * period
         s = StateVector([r, 0.0, 0.0], [0.0, math.sqrt(MU_EARTH / r), 0.0],
                         0.0)
-        sched = ImpulsiveSchedule(
-            (ShockEvent(t_end - period / 4.0, np.array([0.0, 0.0, 0.01])),),
-            budget=0.01)
+        sched = ImpulsiveSchedule([t_end - period / 4.0], [[0.0, 0.0, 0.01]])
         traj = propagate_schedule(s, sched, t_end)
         with pytest.raises(NoBoundArc, match=(
                 f"^cheapest single burn {cheapest} km/s exceeds the "
@@ -540,7 +534,7 @@ class TestReduceToSingleBurn:
         """A long-horizon geometry outside the rev cap raises, not lies."""
         s = circular_state()
         dv = np.array([0.0, 0.05, 0.0])
-        sched = ImpulsiveSchedule((ShockEvent(3000.0, dv),), budget=0.1)
+        sched = ImpulsiveSchedule([3000.0], [dv])
         period = 2.0 * math.pi / mean_motion(RN)
         traj = propagate_schedule(s, sched, 0.9 * period)
         try:

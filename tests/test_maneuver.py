@@ -11,7 +11,6 @@ from numpy.testing import assert_allclose
 from futurecone import (
     MU_EARTH,
     ImpulsiveSchedule,
-    ShockEvent,
     StateVector,
     SurfaceViolation,
     ThrustProfile,
@@ -129,38 +128,113 @@ class TestApplyShock:
             apply_shock(low, np.zeros(3))
 
 
+def norm_sum(sched: ImpulsiveSchedule) -> float:
+    """np.linalg.norm of each shock, added in shock order."""
+    return float(sum(float(np.linalg.norm(dv)) for dv in sched.shocks))
+
+
 class TestScheduleValidation:
     def test_rejects_unordered_times(self):
-        events = (ShockEvent(10.0, [0.01, 0, 0]), ShockEvent(5.0, [0.01, 0, 0]))
         with pytest.raises(ValueError):
-            ImpulsiveSchedule(events, budget=1.0)
-
-    def test_rejects_overspend(self):
-        events = (ShockEvent(10.0, [0.2, 0.0, 0.0]),)
-        with pytest.raises(ValueError):
-            ImpulsiveSchedule(events, budget=0.1)
+            ImpulsiveSchedule([10.0, 5.0], [[0.01, 0, 0], [0.01, 0, 0]])
 
     def test_total_dv(self):
-        events = (ShockEvent(10.0, [0.03, 0.0, 0.0]),
-                  ShockEvent(20.0, [0.0, 0.04, 0.0]))
-        sched = ImpulsiveSchedule(events, budget=0.08)
+        sched = ImpulsiveSchedule([10.0, 20.0],
+                                  [[0.03, 0.0, 0.0], [0.0, 0.04, 0.0]])
         assert_allclose(sched.total_dv, 0.07, rtol=1e-15)
 
     @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_shock_epoch(self, t):
         with pytest.raises(ValueError, match="shock epoch must be finite"):
-            ShockEvent(t, [0.01, 0.0, 0.0])
+            ImpulsiveSchedule([t], [[0.01, 0.0, 0.0]])
 
-    @pytest.mark.parametrize("budget", [math.nan, math.inf, -0.1])
-    def test_rejects_budget_not_finite_and_nonnegative(self, budget):
-        with pytest.raises(ValueError, match="^budget"):
-            ImpulsiveSchedule((), budget=budget)
+    @pytest.mark.parametrize("times, shocks", [
+        ([1.0], [0.01, 0.0, 0.0]),
+        ([1.0, 2.0], [[0.01, 0.0, 0.0]]),
+        ([1.0], [[0.01, 0.0]]),
+        ([[1.0]], [[0.01, 0.0, 0.0]]),
+        ([], [[0.01, 0.0, 0.0]]),
+    ], ids=["flat_row", "row_missing", "two_components", "times_2d",
+            "no_epochs"])
+    def test_rejects_shapes(self, times, shocks):
+        with pytest.raises(ValueError, match="^need one 3-component dv row "
+                           "per epoch"):
+            ImpulsiveSchedule(times, shocks)
+
+    def test_default_is_empty(self):
+        sched = ImpulsiveSchedule()
+        assert sched.times.shape == (0,) and sched.shocks.shape == (0, 3)
+        assert sched == ImpulsiveSchedule([], [])
+        assert sched.total_dv == 0.0
+
+    def test_arrays_are_read_only_copies(self):
+        times, dvs = np.array([1.0, 2.0]), np.ones((2, 3))
+        sched = ImpulsiveSchedule(times, dvs)
+        times[0], dvs[0, 0] = 5.0, 5.0
+        assert sched.times[0] == 1.0 and sched.shocks[0, 0] == 1.0
+        with pytest.raises(ValueError):
+            sched.shocks[0, 0] = 2.0
+
+    def test_equality_is_by_value(self):
+        a = ImpulsiveSchedule([1.0, 2.0], [[0.0, 0.01, 0.0], [0.0, 0.0, 0.02]])
+        assert a == ImpulsiveSchedule((1.0, 2.0), a.shocks.tolist())
+        assert a != ImpulsiveSchedule([1.0, 2.0],
+                                      [[0.0, 0.01, 0.0], [0.0, 0.0, 0.03]])
+        assert a != ImpulsiveSchedule([1.0, 3.0], a.shocks)
+        assert a != ImpulsiveSchedule([1.0], a.shocks[:1])
+
+    @given(st.lists(st.tuples(st.floats(-1e9, 1e9),
+                              st.lists(st.floats(-1e3, 1e3), min_size=3,
+                                       max_size=3)),
+                    max_size=40, unique_by=lambda shock: shock[0]))
+    def test_total_dv_is_the_shock_order_norm_sum(self, drawn):
+        """Bit for bit the sum of np.linalg.norm per shock, in order."""
+        drawn.sort()
+        sched = ImpulsiveSchedule([t for t, _ in drawn],
+                                  [dv for _, dv in drawn])
+        assert sched.total_dv == norm_sum(sched)
+
+    @given(times=st.lists(st.floats(-1e9, 1e9), min_size=1, max_size=30,
+                          unique=True),
+           dvs=st.data(), flaw=st.sampled_from(
+               [None, "swap", math.nan, math.inf, -math.inf]),
+           at=st.integers(0, 10**6), epoch=st.booleans())
+    def test_accepts_ordered_finite_rows_refuses_a_flaw_by_index(
+            self, times, dvs, flaw, at, epoch):
+        """Finite, strictly increasing epochs with finite rows are kept
+        as given; a swapped pair, or a nan or inf epoch or component, is
+        refused with the index of the shock it makes invalid."""
+        times.sort()
+        rows = dvs.draw(st.lists(st.lists(st.floats(-1.0, 1.0), min_size=3,
+                                          max_size=3),
+                                 min_size=len(times), max_size=len(times)))
+        if flaw is None:
+            sched = ImpulsiveSchedule(times, rows)
+            assert sched.times.tolist() == times
+            assert sched.shocks.tolist() == rows
+            return
+        if flaw == "swap":
+            if len(times) < 2:
+                return
+            i = 1 + at % (len(times) - 1)
+            times[i - 1], times[i] = times[i], times[i - 1]
+            error = maneuver.ShockOrderError
+        else:
+            i = at % len(times)
+            if epoch:
+                times[i] = flaw
+            else:
+                rows[i][at % 3] = flaw
+            error = maneuver.ShockError
+        with pytest.raises(error) as info:
+            ImpulsiveSchedule(times, rows)
+        assert info.value.index == i
 
 
 class TestPropagateSchedule:
     def test_empty_schedule_is_ballistic(self):
         s = circular_state()
-        sched = ImpulsiveSchedule((), budget=0.0)
+        sched = ImpulsiveSchedule()
         traj = propagate_schedule(s, sched, 3000.0)
         assert len(traj.arcs) == 1
         expected = propagate_time(s, 3000.0)
@@ -172,7 +246,7 @@ class TestPropagateSchedule:
         """One shock at t0 composes apply_shock with plain propagation."""
         s = circular_state()
         dv = np.array([0.01, 0.02, 0.0])
-        sched = ImpulsiveSchedule((ShockEvent(0.0, dv),), budget=0.05)
+        sched = ImpulsiveSchedule([0.0], [dv])
         traj = propagate_schedule(s, sched, 2000.0)
         expected = propagate_time(apply_shock(s, dv), 2000.0)
         got = traj.state_at(2000.0)
@@ -181,24 +255,22 @@ class TestPropagateSchedule:
 
     def test_continuity_and_velocity_jumps(self):
         s = circular_state()
-        events = tuple(ShockEvent(t, rng.normal(0.0, 0.01, 3))
-                       for t in (500.0, 1500.0, 2600.0))
-        sched = ImpulsiveSchedule(events, budget=0.2)
+        sched = ImpulsiveSchedule([500.0, 1500.0, 2600.0],
+                                  rng.normal(0.0, 0.01, (3, 3)))
         traj = propagate_schedule(s, sched, 3000.0)
         assert len(traj.arcs) == 4
-        for i, shock in enumerate(sched.shocks):
-            pre = state_at(traj.arcs[i], shock.t)
+        for i, (t, dv) in enumerate(zip(sched.times, sched.shocks)):
+            pre = state_at(traj.arcs[i], t)
             post = traj.arcs[i + 1].r0
             assert np.array_equal(post.r, pre.r)
-            assert np.array_equal(post.v, pre.v + shock.dv)
+            assert np.array_equal(post.v, pre.v + dv)
 
     def test_frozen_thin_pulse_oracle(self):
         """Endpoint against full numerical integration with 1e-3 s pulses."""
         gen = np.random.default_rng(42)
         times = np.sort(gen.uniform(200.0, 5000.0, 5))
         dvs = gen.normal(0.0, 0.02, (5, 3))
-        events = tuple(ShockEvent(float(t), dv) for t, dv in zip(times, dvs))
-        sched = ImpulsiveSchedule(events, budget=0.2)
+        sched = ImpulsiveSchedule(times, dvs)
         traj = propagate_schedule(circular_state(), sched, 5500.0)
         end = traj.state_at(5500.0)
         oracle_r = np.array([5635.395575033997, -4707.729768629039,
@@ -220,9 +292,7 @@ class TestPropagateSchedule:
             s = circular_state()
             times = np.sort(rng.uniform(10.0, 0.8 * t_end, 3))
             dvs = rng.normal(0.0, 0.008, (3, 3))
-            events = tuple(ShockEvent(float(t), dv)
-                           for t, dv in zip(times, dvs))
-            sched = ImpulsiveSchedule(events, budget=0.2)
+            sched = ImpulsiveSchedule(times, dvs)
             traj = propagate_schedule(s, sched, t_end)
             end = traj.state_at(t_end)
             sols = solve_lambert(s.r, end.r, t_end - s.t, max_revs=1)
@@ -239,33 +309,30 @@ class TestPropagateSchedule:
     def test_floor_violation_reports_segment(self):
         s = circular_state()
         # retrograde burn deep enough to drop perigee below the floor
-        events = (ShockEvent(100.0, [0.0, -0.9, 0.0]),)
-        sched = ImpulsiveSchedule(events, budget=1.0)
+        sched = ImpulsiveSchedule([100.0], [[0.0, -0.9, 0.0]])
         with pytest.raises(SurfaceViolation):
             propagate_schedule(s, sched, 6000.0)
 
     def test_rejects_t_end_before_last_shock(self):
-        events = (ShockEvent(100.0, [0.01, 0.0, 0.0]),)
-        sched = ImpulsiveSchedule(events, budget=0.05)
+        sched = ImpulsiveSchedule([100.0], [[0.01, 0.0, 0.0]])
         with pytest.raises(ValueError):
             propagate_schedule(circular_state(), sched, 50.0)
 
     @pytest.mark.parametrize("t_end", [math.inf, math.nan])
     def test_rejects_t_end_that_is_not_finite(self, t_end):
-        for shocks in ((), (ShockEvent(100.0, [0.01, 0.0, 0.0]),)):
-            sched = ImpulsiveSchedule(shocks, budget=0.05)
+        for sched in (ImpulsiveSchedule(),
+                      ImpulsiveSchedule([100.0], [[0.01, 0.0, 0.0]])):
             with pytest.raises(ValueError, match="^t_end must be finite"):
                 propagate_schedule(circular_state(), sched, t_end)
 
     def test_state_at_outside_window(self):
-        sched = ImpulsiveSchedule((), budget=0.0)
+        sched = ImpulsiveSchedule()
         traj = propagate_schedule(circular_state(), sched, 100.0)
         with pytest.raises(ValueError):
             traj.state_at(101.0)
 
     def test_arc_epochs_must_ascend_to_t_end(self):
-        sched = ImpulsiveSchedule((ShockEvent(100.0, [0.0, 0.01, 0.0]),),
-                                  budget=0.01)
+        sched = ImpulsiveSchedule([100.0], [[0.0, 0.01, 0.0]])
         traj = propagate_schedule(circular_state(), sched, 500.0)
         assert [arc.r0.t for arc in traj.arcs] == [0.0, 100.0]
         with pytest.raises(ValueError, match="ascend"):
@@ -282,7 +349,7 @@ class TestPropagateSchedule:
     def test_trajectory_rejects_t_end_that_is_not_finite(self, t_end):
         """A nan t_end passed the ascending check, and every later query
         failed as outside the window [0.0, nan]."""
-        sched = ImpulsiveSchedule((), budget=0.0)
+        sched = ImpulsiveSchedule()
         traj = propagate_schedule(circular_state(), sched, 100.0)
         with pytest.raises(ValueError, match="^t_end must be finite, got "):
             ImpulsiveTrajectory(arcs=traj.arcs, t_end=t_end, schedule=sched,
@@ -302,8 +369,7 @@ def random_chain(gen: np.random.Generator):
     if gen.random() < 0.5:
         times = np.sort(gen.uniform(origin.t, t_end, int(gen.integers(1, 9))))
         dvs = gen.normal(0.0, 0.02, (len(times), 3))
-        events = tuple(map(ShockEvent, times.tolist(), dvs))
-        return origin, ImpulsiveSchedule(events, budget=1.0), t_end
+        return origin, ImpulsiveSchedule(times, dvs), t_end
     axis = spin @ gen.normal(size=3)
     profile = ThrustProfile(
         lambda t: 3e-6 * math.sin((t - origin.t) / 300.0) * axis,
@@ -327,6 +393,11 @@ def assert_same_chain(got: ImpulsiveTrajectory, want: ImpulsiveTrajectory):
         assert a.tobytes() == b.tobytes()
 
 
+def schedule_of(events) -> ImpulsiveSchedule:
+    """The schedule of (t, dv) pairs."""
+    return ImpulsiveSchedule([t for t, _ in events], [dv for _, dv in events])
+
+
 def chain_error(propagate, origin, sched, t_end):
     with pytest.raises(FutureConeError) as info:
         propagate(origin, sched, t_end)
@@ -347,8 +418,7 @@ class TestChainAgainstReference:
                              ids=["empty", "shock_at_origin", "single_shock"])
     def test_short_schedules_bit_identical(self, times):
         s = circular_state()
-        events = tuple(ShockEvent(t, [0.01, -0.02, 0.005]) for t in times)
-        sched = ImpulsiveSchedule(events, budget=0.05)
+        sched = ImpulsiveSchedule(times, [[0.01, -0.02, 0.005]] * len(times))
         assert_same_chain(propagate_schedule(s, sched, 2500.0),
                           ref.propagate_schedule(s, sched, 2500.0))
 
@@ -373,8 +443,7 @@ class TestChainAgainstReference:
         sizes = np.where(gen.random(n_shocks) < 1.0 / 7.0,
                          gen.choice([0.5, 3.0, 12.0], n_shocks), 0.01)
         dvs = sizes[:, None] * gen.normal(size=(n_shocks, 3))
-        sched = ImpulsiveSchedule(tuple(map(ShockEvent, times, dvs)),
-                                  budget=1e3)
+        sched = ImpulsiveSchedule(times, dvs)
         try:
             want = ref.propagate_schedule(origin, sched, 4000.0)
         except FutureConeError as exc:
@@ -413,8 +482,7 @@ class TestChainErrors:
     ], ids=["below_floor_at_shock", "escape_kick", "dip_before_shock",
             "dip_in_final_segment", "unbound_origin", "radial_after_shock"])
     def test_labels_match_reference(self, origin, events, t_end, kind, label):
-        sched = ImpulsiveSchedule(tuple(ShockEvent(t, dv) for t, dv in events),
-                                  budget=25.0)
+        sched = schedule_of(events)
         got = chain_error(propagate_schedule, origin, sched, t_end)
         want = chain_error(ref.propagate_schedule, origin, sched, t_end)
         assert type(got) is kind and str(got).startswith(label)
@@ -438,9 +506,8 @@ class TestChainErrors:
             return solve(M, e)
 
         monkeypatch.setattr(kepler, "_solve_kepler", stall_second_flight)
-        sched = ImpulsiveSchedule(
-            tuple(ShockEvent(t, [0.0, 0.0, dv]) for t, dv in
-                  ((100.0, kick), (500.0, 0.01), (700.0, 0.01))), budget=25.0)
+        sched = ImpulsiveSchedule([100.0, 500.0, 700.0],
+                                  [[0.0, 0.0, dv] for dv in (kick, 0.01, 0.01)])
         errors = []
         for propagate in (propagate_schedule, ref.propagate_schedule):
             flights = []
@@ -456,8 +523,7 @@ def test_unbound_shock_then_more_shocks_warns_nothing():
     quietly; the shock that unbound the orbit is the one named."""
     events = ((100.0, [0.0, 0.01, 0.0]), (500.0, [0.0, 0.0, 20.0]),
               (700.0, [0.0, 0.01, 0.0]), (800.0, [0.01, 0.0, 0.0]))
-    sched = ImpulsiveSchedule(tuple(ShockEvent(t, dv) for t, dv in events),
-                              budget=25.0)
+    sched = schedule_of(events)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         with pytest.raises(UnboundResult,
@@ -545,6 +611,22 @@ class TestIntegrateThrust:
         with pytest.raises(ValueError, match="^accel must return 3 components"):
             integrate_thrust(circular_state(), profile)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_acceleration_that_is_not_finite(self, bad):
+        """nan after t = 50 s doubled the step count to the cap and raised
+        WorkCapExceeded "did not settle" after seconds of work."""
+        calls = []
+
+        def push(t):
+            calls.append(t)
+            return np.array([1e-6, 0.0, bad if t > 50.0 else 0.0])
+
+        profile = ThrustProfile(push, (0.0, 600.0))
+        with pytest.raises(ValueError, match="^accel must return finite "
+                           "components, got "):
+            integrate_thrust(circular_state(), profile)
+        assert max(calls) - 50.0 <= 600.0 / 64
+
     def test_epoch_mismatch_rejected(self):
         profile = ThrustProfile(lambda t: np.zeros(3), (10.0, 20.0))
         with pytest.raises(ValueError):
@@ -576,13 +658,12 @@ class TestShockApproximation:
         a_vec = np.array([1e-5, 0.0, 0.0])
         profile = ThrustProfile(lambda t: a_vec, (0.0, 100.0))
         sched = shock_approximation(profile, 1)
-        assert len(sched.shocks) == 1
-        assert sched.shocks[0].t == 50.0
-        assert_allclose(sched.shocks[0].dv, a_vec * 100.0, rtol=1e-13)
+        assert sched.times.tolist() == [50.0]
+        assert_allclose(sched.shocks, [a_vec * 100.0], rtol=1e-13)
 
     def test_zero_profile_empty_schedule(self):
         profile = ThrustProfile(lambda t: np.zeros(3), (0.0, 100.0))
-        assert shock_approximation(profile, 8).shocks == ()
+        assert shock_approximation(profile, 8) == ImpulsiveSchedule()
 
     @pytest.mark.parametrize("reduce", [shock_approximation, profile_impulse])
     @pytest.mark.parametrize("n", [0, -1])
@@ -616,12 +697,32 @@ class TestShockApproximation:
                            r"components, got an array of shape \(\)$"):
             reduce(profile, 4)
 
-    def test_budget_is_spent_dv(self):
+    @pytest.mark.parametrize("reduce", [shock_approximation, profile_impulse])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_acceleration_that_is_not_finite(self, reduce, bad):
+        """A profile that turned nan after t = 50 s gave a nan impulse
+        (inf for an inf profile)."""
+        profile = ThrustProfile(
+            lambda t: np.array([1e-6, 0.0, bad if t > 50.0 else 0.0]),
+            (0.0, 100.0))
+        with pytest.raises(ValueError, match=r"^accel must return finite "
+                           r"components, got \["):
+            reduce(profile, 8)
+
+    def test_dv_that_overflows_is_refused_not_dropped(self):
+        """A finite acceleration whose integral overflows gives a row
+        that is not finite; its norm is not above 0, yet it is refused."""
+        profile = ThrustProfile(lambda t: np.array([1e308, -1e308, 0.0]),
+                                (0.0, 100.0))
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(maneuver.ShockError, match="^dv must be finite"):
+            shock_approximation(profile, 2)
+
+    def test_total_dv_within_profile_impulse(self):
         profile = ThrustProfile(
             lambda t: np.array([1e-5 * math.sin(t / 30.0), 1e-5, 0.0]),
             (0.0, 300.0))
         sched = shock_approximation(profile, 16)
-        assert_allclose(sched.budget, sched.total_dv, rtol=0, atol=0)
         assert sched.total_dv <= profile_impulse(profile) + 1e-12
 
     def test_gap_shrinks_with_refinement(self):
@@ -647,25 +748,15 @@ class TestShockApproximation:
             lambda t: np.array([1e-5 if t < 50.0 else 1e-300, 0.0, 0.0]),
             (0.0, 100.0))
         sched = shock_approximation(profile, 4)
-        assert [shock.t for shock in sched.shocks] == [12.5, 37.5]
+        assert sched.times.tolist() == [12.5, 37.5]
         tiny = ThrustProfile(lambda t: np.full(3, 1e-300), (0.0, 100.0))
-        assert shock_approximation(tiny, 4).shocks == ()
+        assert shock_approximation(tiny, 4) == ImpulsiveSchedule()
 
-    def test_each_magnitude_computed_once(self, monkeypatch):
-        """The zero-impulse filter, the budget and total_dv share one
-        norm per sub-interval."""
-        norms = []
-        norm = np.linalg.norm
-
-        def counted(*args, **kwargs):
-            norms.append(1)
-            return norm(*args, **kwargs)
-
+    def test_total_dv_is_the_shock_order_norm_sum(self):
+        """Bit for bit the sum of np.linalg.norm per shock, in order."""
         profile = ThrustProfile(
             lambda t: np.array([1e-5 * math.sin(t / 30.0), 1e-5, 0.0]),
             (0.0, 300.0))
-        monkeypatch.setattr(np.linalg, "norm", counted)
         sched = shock_approximation(profile, 256)
-        total = sched.total_dv
-        assert sched.total_dv == total == sched.budget
-        assert len(norms) == len(sched.shocks) == 256
+        assert len(sched.shocks) == 256
+        assert sched.total_dv == norm_sum(sched)

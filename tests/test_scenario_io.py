@@ -17,7 +17,7 @@ from futurecone.errors import (
     ScenarioSchemaError,
 )
 from futurecone.kepler import StateVector, arcs_from_states
-from futurecone.maneuver import ImpulsiveSchedule, ShockEvent, propagate_schedule
+from futurecone.maneuver import ImpulsiveSchedule, propagate_schedule
 from futurecone.scenario_io import (
     FY1CParameters,
     SamplingSpec,
@@ -135,7 +135,7 @@ class TestScenarioInvariants:
                            horizon=40.0, headstart=6.3)
         with pytest.raises(ValueError):
             Scenario(name="cars", twocars=game,
-                     shocks=(ShockEvent(t=1.0, dv=(0.0, 0.0, 0.0)),))
+                     shocks=ImpulsiveSchedule([1.0], [[0.0, 0.0, 0.0]]))
 
     def test_rejects_mismatched_mu(self):
         with pytest.raises(ValueError):
@@ -161,8 +161,8 @@ class TestScenarioInvariants:
 
     def test_equality_compares_arrays_by_value(self):
         def shocks(dz):
-            return (ShockEvent(t=250.0, dv=[0.0, 0.01, 0.0]),
-                    ShockEvent(t=300.0, dv=[0.0, 0.0, dz]))
+            return ImpulsiveSchedule([250.0, 300.0],
+                                     [[0.0, 0.01, 0.0], [0.0, 0.0, dz]])
 
         assert orbital_scenario(shocks=shocks(0.02)) \
             == orbital_scenario(shocks=shocks(0.02))
@@ -305,8 +305,8 @@ class TestLoadScenario:
                         "\n[shock]\nt_s = 250.0\ndv_km_s = 0.001, 0.0, 0.0\n"
                         "\n[shock]\nt_s = 300.0\ndv_km_s = 0.0, 0.002, 0.0\n")
         scn = load_scenario(path)
-        assert [s.t for s in scn.shocks] == [250.0, 300.0]
-        assert np.array_equal(scn.shocks[1].dv, [0.0, 0.002, 0.0])
+        assert scn.shocks.times.tolist() == [250.0, 300.0]
+        assert np.array_equal(scn.shocks.shocks[1], [0.0, 0.002, 0.0])
 
     def test_unordered_shocks_is_invariant_error(self, tmp_path):
         path = tmp_path / "bad.cone"
@@ -494,13 +494,17 @@ def orbital_scenarios(draw) -> Scenario:
                         floor=floor, mu=mu)
 
     epochs = sorted(draw(st.sets(EPOCHS, max_size=3)))
-    shocks = tuple(ShockEvent(t, [draw(FINITE) for _ in "xyz"])
-                   for t in epochs)
+    shocks = ImpulsiveSchedule(epochs, [[draw(FINITE) for _ in "xyz"]
+                                        for _ in epochs])
     sampling = SamplingSpec(draw(st.integers(1, 2**63)),
                             draw(st.integers(2, 2**63)),
                             draw(st.integers(0, 2**63)))
     return Scenario(name="drawn", mu=mu, floor_km=floor, interceptor=cone(),
                     target=cone(), shocks=shocks, sampling=sampling)
+
+
+TWO_SHOCKS = ImpulsiveSchedule([210.0, 260.0], [(0.001, -0.002, 0.0),
+                                               (0.0, 0.003, 1e-4)])
 
 
 class TestSaveScenario:
@@ -519,8 +523,7 @@ class TestSaveScenario:
 
     def test_round_trip_orbital_with_shocks(self, tmp_path):
         scn = orbital_scenario(
-            shocks=(ShockEvent(t=210.0, dv=(0.001, -0.002, 0.0)),
-                    ShockEvent(t=260.0, dv=(0.0, 0.003, 1e-4))),
+            shocks=TWO_SHOCKS,
             sampling=SamplingSpec(n_samples=7, time_grid=5, seed=9))
         path = tmp_path / "rt.cone"
         save_scenario(scn, path)
@@ -571,8 +574,7 @@ class TestSaveScenario:
 
     def test_orbital_text_is_canonical(self, tmp_path):
         scn = orbital_scenario(
-            shocks=(ShockEvent(t=210.0, dv=(0.001, -0.002, 0.0)),
-                    ShockEvent(t=260.0, dv=(0.0, 0.003, 1e-4))),
+            shocks=TWO_SHOCKS,
             sampling=SamplingSpec(n_samples=7, time_grid=5, seed=9))
         path = tmp_path / "o.cone"
         save_scenario(scn, path)
@@ -753,8 +755,7 @@ class TestExportPoints:
 
     def test_trajectory_export_matches_schedule(self, tmp_path):
         origin = leo_vertex()
-        sched = ImpulsiveSchedule(
-            shocks=(ShockEvent(t=500.0, dv=(0.0, 0.01, 0.0)),), budget=0.02)
+        sched = ImpulsiveSchedule([500.0], [(0.0, 0.01, 0.0)])
         traj = propagate_schedule(origin, sched, t_end=2000.0)
         grid = np.linspace(0.0, 2000.0, 9)
         path = tmp_path / "traj.csv"
@@ -773,8 +774,8 @@ class TestExportPoints:
     @pytest.mark.parametrize("t", [-1.0, 2000.5, math.nan])
     def test_trajectory_export_outside_window_writes_nothing(self, tmp_path,
                                                              t):
-        traj = propagate_schedule(leo_vertex(), ImpulsiveSchedule(
-            shocks=(), budget=0.0), t_end=2000.0)
+        traj = propagate_schedule(leo_vertex(), ImpulsiveSchedule(),
+                                  t_end=2000.0)
         path = tmp_path / "traj.csv"
         with pytest.raises(ValueError, match="outside trajectory window"):
             export_points(traj, path, times=[0.0, t, 1000.0])
@@ -782,9 +783,7 @@ class TestExportPoints:
 
     def test_trajectory_export_needs_times(self, tmp_path):
         origin = leo_vertex()
-        traj = propagate_schedule(origin, ImpulsiveSchedule(shocks=(),
-                                                            budget=0.0),
-                                  t_end=1000.0)
+        traj = propagate_schedule(origin, ImpulsiveSchedule(), t_end=1000.0)
         with pytest.raises(ValueError, match="needs sample times"):
             export_points(traj, tmp_path / "x.csv")
 
