@@ -27,26 +27,13 @@ from .lambert import solve_lambert
 from .maneuver import (
     ImpulsiveSchedule,
     ThrustProfile,
-    apply_shock,
     integrate_thrust,
     profile_impulse,
     propagate_schedule,
     rocket_delta_v,
     shock_approximation,
 )
-from .kepler import (
-    StateVector,
-    arc_from_state,
-    eccentric_from_true,
-    mean_motion,
-    min_radius,
-    propagate_theta,
-    propagate_time,
-    solve_kepler,
-    state_at,
-    time_of_flight,
-    true_from_eccentric,
-)
+from .kepler import StateVector, propagate_time
 
 __version__ = "0.1.0"
 
@@ -63,26 +50,16 @@ __all__ = [
     "SurfaceViolation",
     "ThrustProfile",
     "UnboundResult",
-    "apply_shock",
-    "arc_from_state",
     "containment",
-    "eccentric_from_true",
     "integrate_thrust",
     "leaf",
-    "mean_motion",
     "membership",
-    "min_radius",
     "profile_impulse",
     "propagate_schedule",
-    "propagate_theta",
     "propagate_time",
     "reduce_to_single_burn",
     "rocket_delta_v",
     "sample_cone",
     "shock_approximation",
-    "solve_kepler",
     "solve_lambert",
-    "state_at",
-    "time_of_flight",
-    "true_from_eccentric",
 ]

@@ -101,10 +101,11 @@ class ConeSpec:
                 f"window must start at or after the vertex epoch "
                 f"{self.vertex.t}, got ({t1}, {t2})")
         floor_radius = EARTH_RADIUS_KM + self.floor
-        if float(np.linalg.norm(self.vertex.r)) < floor_radius:
+        radius = float(_row_norm(self.vertex.r))
+        if radius < floor_radius:
             raise ValueError(
-                f"vertex radius {float(np.linalg.norm(self.vertex.r))!r} km "
-                f"is below the floor radius {floor_radius!r} km")
+                f"vertex radius {radius!r} km is below the floor radius "
+                f"{floor_radius!r} km")
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,24 +1,22 @@
 """Exact two-body propagation for bound orbits.
 
-Closed-form elliptic machinery: Kepler's equation, anomaly conversions,
-time of flight between eccentric anomalies, and the state transition.
-Every arc is flown from its epoch state by one step in the
-eccentric-anomaly change dE, with the Lagrange coefficients written in
-dE (Battin 1987, ch. 4; Vallado, Alg. 8). The step divides by neither e
-nor p, so near-circular and near-rectilinear arcs keep full precision.
-Anomalies are tracked unwrapped (multi-revolution); angles are reduced
-only inside trig evaluation.
+Every arc is its epoch state, flown by one step in the eccentric-anomaly
+change dE, with the Lagrange coefficients written in dE (Battin 1987,
+ch. 4; Vallado, Alg. 8). The step divides by neither e nor p, so
+near-circular and near-rectilinear arcs keep full precision. Anomalies
+are tracked unwrapped (multi-revolution); angles are reduced only inside
+trig evaluation.
 
 Each computation is written once, as an array kernel over many rows:
 the Kepler solve, the step (states_at, coast) and the perigee-crossing
 floor test (states_at, swept_min_radius). An ArcBatch holds epoch states
 only, C-ordered, so a row's bits do not depend on how its batch was
-built; classical elements (BallisticArc) come from arc_from_state alone.
-states_at derives the conic of each arc of a batch once and gathers it
-for every row that queries the arc. Row norms come from _row_norm,
-np.linalg.norm(x, axis=-1)'s bits without its reduction pass. The
-containment engine and the shock chains of maneuver run on the kernels;
-the scalar functions run them on one row.
+built. states_at derives the conic of each arc of a batch once and
+gathers it for every row that queries the arc. Row norms come from
+_row_norm, np.linalg.norm(x, axis=-1)'s bits without its reduction pass;
+it is the package's one measure of a radius. The containment engine and
+the shock chains of maneuver run on the kernels; the scalar functions
+are batches of one.
 
 The bound test is a function of its own (_require_bound, on the fields
 of the one vis-viva pass _ellipse), and so is the floor test: _conic
@@ -36,7 +34,6 @@ the largest float below 1.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,143 +91,26 @@ class StateVector:
                 and self.t == other.t)
 
 
-@dataclass(frozen=True)
-class BallisticArc:
-    """Classical elements of a bound Keplerian orbit, for reading.
-
-    Derived from a state by arc_from_state. The propagation kernels do
-    not read these fields: they fly from r0. f0 and E0 satisfy the
-    half-angle relation and lie in the same quadrant; tau is the
-    pericenter passage time consistent with them.
-
-    Attributes:
-        a: Semimajor axis, km.
-        e: Eccentricity.
-        p: Parameter a*(1 - e^2), km.
-        sigma0: r0 . v0 / sqrt(mu) at the arc epoch.
-        f0: True anomaly at the arc epoch, rad.
-        E0: Eccentric anomaly at the arc epoch, rad.
-        tau: Time of pericenter passage, s.
-        r0: State at the arc epoch.
-        mu: Gravitational parameter, km^3/s^2.
-    """
-
-    a: float
-    e: float
-    p: float
-    sigma0: float
-    f0: float
-    E0: float
-    tau: float
-    r0: StateVector
-    mu: float
-
-
 # -- scalar API: one-row views of the array kernels ---------------------------
 
-def solve_kepler(M: float, e: float) -> float:
-    """Solve Kepler's equation E - e*sin(E) = M for the eccentric anomaly.
-
-    Newton iteration from E = M + e*sin(M), falling back to bisection on
-    [M - e, M + e] if Newton stalls. M may be any finite value; it is
-    reduced mod 2*pi internally and the returned E lies in the same 2*pi
-    branch as M.
-
-    Args:
-        M: Mean anomaly, rad.
-        e: Eccentricity, 0 <= e < 1.
-
-    Returns:
-        Eccentric anomaly E, rad, with |E - e*sin(E) - M| < 1e-12.
+def arc_from_state(s: StateVector, mu: float = MU_EARTH) -> ArcBatch:
+    """The arc of one state: arcs_from_states on a batch of one row.
 
     Raises:
-        ValueError: e outside [0, 1) or M not finite.
-        ConvergenceError: iteration cap hit (pathological e near 1).
+        EccentricityOutOfRange: unbound or rectilinear state.
     """
-    if not 0.0 <= e < 1.0:
-        raise ValueError(f"eccentricity must be in [0, 1), got {e}")
-    if not math.isfinite(M):
-        raise ValueError(f"mean anomaly must be finite, got {M}")
-    return float(_solve_kepler(np.array([M], dtype=float),
-                               np.array([e], dtype=float))[0])
+    return arcs_from_states(s.r[None], s.v[None], s.t, mu)
 
 
-def true_from_eccentric(E: float, e: float) -> float:
-    """True anomaly from eccentric anomaly, branch-preserving.
-
-    Implements tan(f/2) = sqrt((1+e)/(1-e)) * tan(E/2) in the form
-    f = E + 2*atan2(beta*sin E, 1 - beta*cos E), which keeps f/2 in the
-    quadrant of E/2 and carries unwrapped multi-revolution anomalies
-    through unchanged. Elementwise on arrays.
-    """
-    if not np.logical_and(0.0 <= e, e < 1.0).all():
-        raise ValueError(f"eccentricity must be in [0, 1), got {e}")
-    beta = e / (1.0 + np.sqrt(1.0 - e * e))
-    return E + 2.0 * np.arctan2(beta * np.sin(E), 1.0 - beta * np.cos(E))
-
-
-def eccentric_from_true(f: float, e: float) -> float:
-    """Eccentric anomaly from true anomaly; inverse of true_from_eccentric."""
-    if not np.logical_and(0.0 <= e, e < 1.0).all():
-        raise ValueError(f"eccentricity must be in [0, 1), got {e}")
-    beta = e / (1.0 + np.sqrt(1.0 - e * e))
-    return f - 2.0 * np.arctan2(beta * np.sin(f), 1.0 + beta * np.cos(f))
-
-
-def mean_motion(a: float, mu: float = MU_EARTH) -> float:
-    """Mean motion n = sqrt(mu / a^3), rad/s.
-
-    Raises:
-        ValueError: semimajor axis or mu not positive and finite.
-    """
-    if not 0.0 < a < math.inf:
-        raise ValueError(f"semimajor axis must be finite and > 0, got {a}")
-    if not 0.0 < mu < math.inf:
-        raise ValueError(f"mu must be finite and > 0, got {mu}")
-    return math.sqrt(mu / a**3)
-
-
-def time_of_flight(arc: BallisticArc, E1: float, E2: float) -> float:
-    """Time between two unwrapped eccentric anomalies on an arc.
-
-    dt = sqrt(a^3/mu) * ((E2 - E1) - e*(sin E2 - sin E1)); additive over
-    subdivision because the anomalies are unwrapped.
-    """
-    scale = math.sqrt(arc.a**3 / arc.mu)
-    return scale * ((E2 - E1) - arc.e * (math.sin(E2) - math.sin(E1)))
-
-
-def arc_from_state(s: StateVector, mu: float = MU_EARTH) -> BallisticArc:
-    """Classical-element arc descriptor from a Cartesian state.
-
-    a from the vis-viva equation, p from the angular momentum, e from
-    p = a*(1 - e^2), sigma0 = r . v / sqrt(mu), anomalies consistent with
-    the state. Near-circular orbits (e < 1e-10) take the convention
-    f0 := 0 at the epoch, since the apsis direction is undefined.
-
-    Raises:
-        EccentricityOutOfRange: unbound or rectilinear state
-            (a <= 0, e >= 1, or p = 0).
-    """
-    a, e, p, sigma0, f0 = (float(x[0])
-                           for x in _elements(s.r[None], s.v[None], mu)[1:])
-    E0 = float(eccentric_from_true(f0, e))
-    tau = s.t - (E0 - e * math.sin(E0)) / mean_motion(a, mu)
-    return BallisticArc(a=a, e=e, p=p, sigma0=sigma0, f0=f0, E0=E0, tau=tau,
-                        r0=s, mu=mu)
-
-
-def state_at(arc: BallisticArc, t: float) -> StateVector:
-    """State on an arc at absolute time t (Kepler inversion).
-
-    One Kepler solve and one Lagrange step from the arc's epoch state.
-    """
-    r, v, _ = coast(arc.r0.r[None], arc.r0.v[None], arc.r0.t, t, arc.mu)
+def state_at(arc: ArcBatch, t: float) -> StateVector:
+    """State on the arc of a one-row batch at absolute time t: row 0 of
+    states_at."""
+    r, v, _ = states_at(arc, t)
     return StateVector(r[0], v[0], t)
 
 
-def min_radius(arc: BallisticArc, t_from: float, t_to: float) -> float:
-    """Minimum radius on an arc over [t_from, t_to].
+def min_radius(arc: ArcBatch, t_from: float, t_to: float) -> float:
+    """Minimum radius on the arc of a one-row batch over [t_from, t_to].
 
     Radius is monotone between apsides, so the minimum is the perigee
     radius when the interval crosses a perigee passage (E = 2*pi*k) and
@@ -242,34 +122,9 @@ def min_radius(arc: BallisticArc, t_from: float, t_to: float) -> float:
     return float(lowest[0])
 
 
-def propagate_theta(s0: StateVector, theta: float,
-                    mu: float = MU_EARTH) -> StateVector:
-    """Propagate a bound state by a true-anomaly change.
-
-    The state is flown for the time of flight of theta, found from the
-    classical elements; negative theta gives a negative advance.
-
-    Args:
-        s0: Bound initial state.
-        theta: True-anomaly change f - f0, rad, any finite value.
-        mu: Gravitational parameter, km^3/s^2.
-
-    Returns:
-        The propagated state.
-
-    Raises:
-        EccentricityOutOfRange: s0 is not a bound ellipse.
-    """
-    arc = arc_from_state(s0, mu)
-    E1 = eccentric_from_true(arc.f0 + theta, arc.e)
-    return propagate_time(s0, time_of_flight(arc, arc.E0, E1), mu)
-
-
 def propagate_time(s0: StateVector, dt: float,
                    mu: float = MU_EARTH) -> StateVector:
     """Propagate a bound state by a time interval (Kepler inversion).
-
-    Equivalent to propagate_theta at the theta whose time of flight is dt.
 
     Raises:
         EccentricityOutOfRange: s0 is not a bound ellipse.
@@ -282,13 +137,12 @@ def propagate_time(s0: StateVector, dt: float,
 # -- array kernels -----------------------------------------------------------
 
 @dataclass(frozen=True, eq=False)
-class ArcBatch(Sequence):
+class ArcBatch:
     """Bound arcs as their epoch states r0, v0 and t0, one row per arc.
 
     The kernels fly each row from its state; no orbital elements are
-    kept. The arrays are copied C-ordered and read-only. Indexing gives
-    the BallisticArc of one row (arc_from_state of its state) and
-    slicing a smaller batch.
+    kept. The arrays are copied C-ordered and read-only. len() counts
+    the arcs, and a slice gives a smaller batch.
     """
 
     r0: np.ndarray
@@ -306,11 +160,10 @@ class ArcBatch(Sequence):
     def __len__(self) -> int:
         return len(self.t0)
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return ArcBatch(self.r0[i], self.v0[i], self.t0[i], self.mu)
-        return arc_from_state(StateVector(self.r0[i], self.v0[i], self.t0[i]),
-                              self.mu)
+    def __getitem__(self, rows: slice) -> ArcBatch:
+        if not isinstance(rows, slice):
+            raise TypeError(f"an ArcBatch is sliced, not indexed by {rows!r}")
+        return ArcBatch(self.r0[rows], self.v0[rows], self.t0[rows], self.mu)
 
 
 def _solve_kepler(M: np.ndarray, e: np.ndarray) -> np.ndarray:
@@ -382,7 +235,7 @@ def _vis_viva(r, v, mu: float):
 def _ellipse(r, v, mu: float):
     """The vis-viva pass with the angular momentum: |r|, 1/a, a, e and
     p = |r x v|^2 / mu per state row, and whether the row is a bound,
-    non-rectilinear ellipse (the one test of arc_from_state)."""
+    non-rectilinear ellipse (the one test of arcs_from_states)."""
     rn, alpha = _vis_viva(r, v, mu)
     h = _cross(r, v)
     p = np.einsum("...i,...i->...", h, h) / mu
@@ -419,9 +272,9 @@ def _bound_ellipse(r, v, mu: float):
 
 
 def _elements(r, v, mu: float):
-    """|r|, a, e, p, sigma0 and the true anomaly f0 per bound state row,
-    as arc_from_state defines them; atan2 keeps f0 precise near the
-    apsides."""
+    """|r|, a, e, p, sigma0 and the true anomaly f0 per bound state row;
+    atan2 keeps f0 precise near the apsides, and a near-circular row
+    (e < _CIRCULAR_E) takes f0 := 0, since its apsis is undefined."""
     rn, _, a, e, p, _ = _bound_ellipse(r, v, mu)
     sigma0 = np.einsum("...i,...i->...", r, v) / math.sqrt(mu)
     f0 = np.arctan2(sigma0 * np.sqrt(p) / rn, p / rn - 1.0)
@@ -449,7 +302,7 @@ def _conic(r, v, mu: float):
 
 
 def arcs_from_states(r, v, t, mu: float = MU_EARTH) -> ArcBatch:
-    """Array form of arc_from_state: one arc per row of r and v.
+    """Bound arcs from states: one arc per row of r and v.
 
     Args:
         r: Positions, km, shape (n, 3) or one (3,) shared by all rows.
@@ -511,7 +364,7 @@ def _fly(r0, v0, t0, conic, t, mu: float):
 
 
 def states_at(arcs: ArcBatch, t, rows=None):
-    """States on many arcs at once, the array form of state_at.
+    """States on many arcs at once.
 
     Row i is arc rows[i] at time t[i]: one vectorized Kepler solve and
     Lagrange step per row, on the conic derived once per arc of the

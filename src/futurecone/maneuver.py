@@ -33,9 +33,9 @@ from .kepler import (
     _ellipse,
     _fly,
     _require_bound,
+    _row_norm,
     _step,
     _vis_viva,
-    is_bound,
     states_at,
 )
 
@@ -121,7 +121,7 @@ class ImpulsiveSchedule:
     @cached_property
     def total_dv(self) -> float:
         """Summed shock magnitudes, km/s, added in shock order."""
-        return float(sum(_radius(self.shocks).tolist()))
+        return float(sum(_row_norm(self.shocks).tolist()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -241,39 +241,9 @@ def rocket_delta_v(isp: float, m_i: float, m_f: float) -> float:
     return isp * G0_KM_S2 * math.log(m_i / m_f)
 
 
-def apply_shock(s: StateVector, dv, mu: float = MU_EARTH,
-                floor: float = DEFAULT_FLOOR_KM) -> StateVector:
-    """Instantaneous velocity change: position and epoch unchanged.
-
-    Args:
-        s: Pre-shock state.
-        dv: Velocity increment, km/s (3 components).
-        mu: Gravitational parameter.
-        floor: Altitude floor, km above the spherical surface.
-
-    Returns:
-        Post-shock state on a bound arc.
-
-    Raises:
-        UnboundResult: post-shock orbit is not a bound ellipse.
-        SurfaceViolation: the state sits below the altitude floor.
-    """
-    post = StateVector(r=s.r, v=s.v + np.asarray(dv, dtype=float), t=s.t)
-    _refuse_shock(float(_radius(post.r)), bool(is_bound(post.r, post.v, mu)),
-                  post.v, EARTH_RADIUS_KM + floor)
-    return post
-
-
-def _radius(r):
-    """|r| per row as np.linalg.norm gives it for one vector: the square
-    root of r . r by the BLAS dot product (matmul of a row by a column),
-    from which kepler._row_norm can differ in the last bit."""
-    return np.sqrt(np.matmul(r[..., None, :], r[..., None])[..., 0, 0])
-
-
 def _refuse_shock(rn: float, bound: bool, v, floor_radius: float) -> None:
-    """apply_shock's floor and bound checks on one post-shock state, given
-    its _radius and its bound test (kepler._ellipse)."""
+    """A shock's floor and bound checks on its post-shock state, given
+    its radius (kepler._row_norm) and its bound test (kepler._ellipse)."""
     if rn < floor_radius:
         raise SurfaceViolation(
             f"state radius {rn!r} km is below the floor radius "
@@ -294,8 +264,10 @@ def propagate_schedule(origin: StateVector, sched: ImpulsiveSchedule,
     segment derives its conic once, steps to its end and takes the next
     shock's dv, and its epoch state is kept as its row of the trajectory.
     The checks run once after it, over all epoch states in one batch: the
-    origin's bound test, each shock's floor and bound checks (apply_shock's)
-    and each segment's lowest in-window radius against the altitude floor.
+    origin's bound test, each shock's floor and bound checks on its
+    post-shock state (the radius is kepler._row_norm, as in the segment
+    checks) and each segment's lowest in-window radius against the
+    altitude floor.
     The first failing check in chain order raises; a state past it is
     never read. A segment whose flight raises inside the recurrence is
     reported after the checks before it.
@@ -376,8 +348,7 @@ def _check_chain(r0, v0, t0, ends, shocks, stalled, n_shocks: int,
                         _conic_of(r0[:flown], v0[:flown],
                                   (rn[:flown], alpha[:flown]), mu),
                         ends[:flown], mu)
-    radius = _radius(r0)
-    failed = ~bound | ((shocks >= 0) & (radius < floor_radius))
+    failed = ~bound | ((shocks >= 0) & (rn < floor_radius))
     failed[:flown] |= lowest < floor_radius
     if np.count_nonzero(failed):
         k = int(np.argmax(failed))
@@ -388,7 +359,7 @@ def _check_chain(r0, v0, t0, ends, shocks, stalled, n_shocks: int,
     shock = int(shocks[k])
     if shock >= 0:
         try:
-            _refuse_shock(float(radius[k]), bool(bound[k]), v0[k],
+            _refuse_shock(float(rn[k]), bool(bound[k]), v0[k],
                           floor_radius)
         except FutureConeError as exc:
             raise type(exc)(f"shock {shock}: {exc}") from exc
@@ -551,13 +522,16 @@ def shock_approximation(profile: ThrustProfile, n: int) -> ImpulsiveSchedule:
         WorkCapExceeded: 8n quadrature nodes above the package's cap.
     """
     mid, half, accel = _thrust_at_nodes(profile, n)
-    # summed node by node in quadrature order, as a per-shock loop would
-    dv = np.zeros((n, 3))
-    for weight, at_node in zip(_GAUSS_WEIGHTS, accel):
-        dv += weight * at_node
-    dv *= half[:, None]
-    # nan != 0, so a row that is not finite is kept for the schedule to refuse
-    keep = _radius(dv) != 0.0
+    # an integral that overflows is refused by the schedule, not warned of
+    with np.errstate(over="ignore", invalid="ignore"):
+        # summed node by node in quadrature order, as a per-shock loop would
+        dv = np.zeros((n, 3))
+        for weight, at_node in zip(_GAUSS_WEIGHTS, accel):
+            dv += weight * at_node
+        dv *= half[:, None]
+        # nan != 0, so a row that is not finite is kept for the schedule
+        # to refuse
+        keep = _row_norm(dv) != 0.0
     return ImpulsiveSchedule(mid[keep], dv[keep])
 
 

@@ -1,28 +1,79 @@
 """Scalar Kepler machinery in plain floating point: the test oracle.
 
-One state or arc at a time, with the `math` module and no arrays. The
-array kernels of futurecone.kepler must agree with these functions row
-by row; the package's own scalar functions are one-row views of those
-kernels, so they are checked against this module too.
+One state or arc at a time, with the `math` module and no arrays, in
+classical elements, which the package does not keep. The array kernels
+of futurecone.kepler must agree with these functions row by row; the
+package's own scalar functions are one-row views of those kernels, so
+they are checked against this module too. Of the package it takes only
+StateVector, the constants and the errors.
 """
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from futurecone.constants import MU_EARTH
 from futurecone.errors import ConvergenceError, EccentricityOutOfRange
-from futurecone.kepler import (
-    BallisticArc,
-    StateVector,
-    mean_motion,
-    time_of_flight,
-)
+from futurecone.kepler import StateVector
 
 _KEPLER_TOL = 1e-14  # internal target; contract promises < 1e-12
 _KEPLER_MAX_ITER = 50
 _CIRCULAR_E = 1e-10
+
+
+@dataclass(frozen=True)
+class Elements:
+    """Classical elements of a bound Keplerian orbit.
+
+    f0 and E0 satisfy the half-angle relation and lie in the same
+    quadrant; tau is the pericenter passage time consistent with them.
+
+    Attributes:
+        a: Semimajor axis, km.
+        e: Eccentricity.
+        p: Parameter a*(1 - e^2), km.
+        sigma0: r0 . v0 / sqrt(mu) at the arc epoch.
+        f0: True anomaly at the arc epoch, rad.
+        E0: Eccentric anomaly at the arc epoch, rad.
+        tau: Time of pericenter passage, s.
+        r0: State at the arc epoch.
+        mu: Gravitational parameter, km^3/s^2.
+    """
+
+    a: float
+    e: float
+    p: float
+    sigma0: float
+    f0: float
+    E0: float
+    tau: float
+    r0: StateVector
+    mu: float
+
+
+def mean_motion(a: float, mu: float = MU_EARTH) -> float:
+    """Mean motion n = sqrt(mu / a^3), rad/s.
+
+    Raises:
+        ValueError: semimajor axis or mu not positive and finite.
+    """
+    if not 0.0 < a < math.inf:
+        raise ValueError(f"semimajor axis must be finite and > 0, got {a}")
+    if not 0.0 < mu < math.inf:
+        raise ValueError(f"mu must be finite and > 0, got {mu}")
+    return math.sqrt(mu / a**3)
+
+
+def time_of_flight(arc: Elements, E1: float, E2: float) -> float:
+    """Time between two unwrapped eccentric anomalies on an arc.
+
+    dt = sqrt(a^3/mu) * ((E2 - E1) - e*(sin E2 - sin E1)); additive over
+    subdivision because the anomalies are unwrapped.
+    """
+    scale = math.sqrt(arc.a**3 / arc.mu)
+    return scale * ((E2 - E1) - arc.e * (math.sin(E2) - math.sin(E1)))
 
 
 def solve_kepler(M: float, e: float) -> float:
@@ -77,7 +128,7 @@ def eccentric_from_true(f: float, e: float) -> float:
     return f - 2.0 * math.atan2(beta * math.sin(f), 1.0 + beta * math.cos(f))
 
 
-def arc_from_state(s: StateVector, mu: float = MU_EARTH) -> BallisticArc:
+def arc_from_state(s: StateVector, mu: float = MU_EARTH) -> Elements:
     """Classical-element arc descriptor from a Cartesian state.
 
     Raises:
@@ -109,11 +160,11 @@ def arc_from_state(s: StateVector, mu: float = MU_EARTH) -> BallisticArc:
     E0 = eccentric_from_true(f0, e)
     n = mean_motion(a, mu)
     tau = s.t - (E0 - e * math.sin(E0)) / n
-    return BallisticArc(a=a, e=e, p=p, sigma0=sigma0, f0=f0, E0=E0,
+    return Elements(a=a, e=e, p=p, sigma0=sigma0, f0=f0, E0=E0,
                         tau=tau, r0=s, mu=mu)
 
 
-def _lagrange_step(arc: BallisticArc, theta: float, t1: float) -> StateVector:
+def _lagrange_step(arc: Elements, theta: float, t1: float) -> StateVector:
     """Advance arc.r0 by true-anomaly change theta; epoch stamped t1."""
     f1 = arc.f0 + theta
     r1n = arc.p / (1.0 + arc.e * math.cos(f1))
@@ -131,7 +182,7 @@ def _lagrange_step(arc: BallisticArc, theta: float, t1: float) -> StateVector:
                        t=t1)
 
 
-def state_at(arc: BallisticArc, t: float) -> StateVector:
+def state_at(arc: Elements, t: float) -> StateVector:
     """State on an arc at absolute time t (Kepler inversion)."""
     if t == arc.r0.t:
         return arc.r0
@@ -142,7 +193,7 @@ def state_at(arc: BallisticArc, t: float) -> StateVector:
     return _lagrange_step(arc, f - arc.f0, t)
 
 
-def min_radius(arc: BallisticArc, t_from: float, t_to: float) -> float:
+def min_radius(arc: Elements, t_from: float, t_to: float) -> float:
     """Minimum radius on an arc over [t_from, t_to].
 
     Radius is monotone between apsides, so the minimum is the perigee

@@ -13,7 +13,13 @@ import numpy as np
 
 from futurecone.constants import DEFAULT_FLOOR_KM, EARTH_RADIUS_KM, MU_EARTH
 from futurecone.errors import FutureConeError, SurfaceViolation, UnboundResult
-from futurecone.kepler import StateVector, arcs_from_states, coast, is_bound
+from futurecone.kepler import (
+    StateVector,
+    _row_norm,
+    arcs_from_states,
+    coast,
+    is_bound,
+)
 from futurecone.maneuver import ImpulsiveSchedule, ImpulsiveTrajectory
 
 
@@ -23,7 +29,7 @@ def apply_shock(s: StateVector, dv, mu: float = MU_EARTH,
     dv = np.asarray(dv, dtype=float)
     post = StateVector(r=s.r, v=s.v + dv, t=s.t)
     floor_radius = EARTH_RADIUS_KM + floor
-    rn = float(np.linalg.norm(post.r))
+    rn = float(_row_norm(post.r))
     if rn < floor_radius:
         raise SurfaceViolation(
             f"state radius {rn!r} km is below the floor radius "

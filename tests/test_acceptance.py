@@ -19,13 +19,7 @@ from futurecone.cli import main
 from futurecone.cone import containment, reduce_to_single_burn
 from futurecone.constants import EARTH_RADIUS_KM, MU_EARTH
 from futurecone.errors import AmbiguousPlane, NoBoundArc
-from futurecone.kepler import (
-    StateVector,
-    arc_from_state,
-    mean_motion,
-    propagate_theta,
-    propagate_time,
-)
+from futurecone.kepler import StateVector, propagate_time
 from futurecone.lambert import solve_lambert
 from futurecone.maneuver import (
     ImpulsiveSchedule,
@@ -56,6 +50,7 @@ from futurecone.twocars import (
 )
 
 import twocars_reference
+from kepler_reference import arc_from_state, mean_motion
 
 TWO_PI = 2.0 * math.pi
 R860 = EARTH_RADIUS_KM + 860.0
@@ -101,8 +96,8 @@ def test_criterion_1_kepler_engine():
         assert drift / float(np.linalg.norm(h0)) < 1e-9
 
     basis = np.column_stack([s0.r, s0.v])
-    for theta in np.linspace(0.0, TWO_PI, 64, endpoint=False):
-        s = propagate_theta(s0, float(theta))
+    for frac in np.linspace(0.0, 1.0, 64, endpoint=False):
+        s = propagate_time(s0, float(frac) * period)
         coeffs, *_ = np.linalg.lstsq(basis, np.column_stack([s.r, s.v]),
                                      rcond=None)
         F, G = coeffs[0, 0], coeffs[0, 1]

@@ -60,6 +60,20 @@ def test_traced_pair_resolves(module, attr):
     assert callable(_resolve(module, attr))
 
 
+def test_traced_pairs_are_distinct_and_bound_once():
+    """The tracer wraps every module binding that is the traced object,
+    so an alias of one kernel under two traced names, or a second name
+    for it in its own module, would count one call under both spans."""
+    objects = {pair: _resolve(*pair) for pair in _traced()}
+    assert len({id(fn) for fn in objects.values()}) == len(objects)
+    for (module, attr), fn in objects.items():
+        if "." in attr:
+            continue  # a method, wrapped on its class
+        owner = importlib.import_module(f"futurecone.{module}")
+        names = [name for name, value in vars(owner).items() if value is fn]
+        assert names == [attr], f"futurecone.{module} binds {attr} as {names}"
+
+
 @pytest.mark.parametrize("module, attr", sorted(HOOK_ARGUMENTS))
 def test_hook_arguments_are_parameters(module, attr):
     assert (module, attr) in _traced()

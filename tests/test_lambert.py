@@ -12,18 +12,17 @@ from futurecone import (
     AmbiguousPlane,
     MU_EARTH,
     StateVector,
-    arc_from_state,
-    mean_motion,
     propagate_time,
     sample_cone,
     solve_lambert,
 )
 from futurecone import lambert
-from futurecone.kepler import coast, states_at
+from futurecone.kepler import _ellipse, coast, is_bound, states_at
 from futurecone.lambert import lambert_batch
 from futurecone.scenario_io import builtin_scenario
 
 import lambert_reference
+from kepler_reference import arc_from_state, mean_motion
 
 rng = np.random.default_rng(1)
 
@@ -284,8 +283,7 @@ class TestEdges:
             except AmbiguousPlane:
                 continue
             for sol in sols:
-                arc2 = arc_from_state(StateVector(s0.r, sol.v_depart, 0.0))
-                assert arc2.e < 1.0
+                assert is_bound(s0.r, sol.v_depart)
 
 
 class TestBatch:
@@ -461,7 +459,10 @@ def multirev_rows():
     r0, r1, dts = [], [], []
     for _ in range(12):
         s0 = random_bound_state(e_max=0.3, gen=gen)
-        period = 2.0 * math.pi / mean_motion(arc_from_state(s0).a)
+        # a from the package's vis-viva pass: the digests below were
+        # taken on its bits, which the oracle's a can miss by an ulp
+        a = _ellipse(s0.r[None], s0.v[None], MU_EARTH)[2][0]
+        period = 2.0 * math.pi / mean_motion(float(a))
         dt = float(gen.uniform(1.1, 2.5)) * period
         r0.append(s0.r)
         r1.append(propagate_time(s0, dt).r)

@@ -15,17 +15,13 @@ from futurecone import (
     SurfaceViolation,
     ThrustProfile,
     UnboundResult,
-    apply_shock,
-    arc_from_state,
     integrate_thrust,
-    mean_motion,
     profile_impulse,
     propagate_schedule,
     propagate_time,
     rocket_delta_v,
     shock_approximation,
     solve_lambert,
-    state_at,
 )
 from futurecone import kepler, maneuver
 from futurecone.errors import (
@@ -34,10 +30,12 @@ from futurecone.errors import (
     FutureConeError,
     WorkCapExceeded,
 )
-from futurecone.kepler import ArcBatch
+from futurecone.constants import DEFAULT_FLOOR_KM, EARTH_RADIUS_KM
+from futurecone.kepler import ArcBatch, _row_norm, states_at
 from futurecone.maneuver import ImpulsiveTrajectory
 
 import maneuver_reference as ref
+from kepler_reference import arc_from_state, mean_motion
 
 rng = np.random.default_rng(7)
 
@@ -85,7 +83,18 @@ class TestRocketDeltaV:
             rocket_delta_v(*args)
 
 
+def apply_shock(s: StateVector, dv,
+                floor: float = DEFAULT_FLOOR_KM) -> StateVector:
+    """The post-shock state of one shock at the epoch of s: the first
+    arc of a chain from s whose one shock is at its origin."""
+    traj = propagate_schedule(s, ImpulsiveSchedule([s.t], [dv]), s.t + 1.0,
+                              floor=floor)
+    return StateVector(traj.arcs.r0[0], traj.arcs.v0[0], traj.arcs.t0[0])
+
+
 class TestApplyShock:
+    """A shock applied by a chain at its origin's epoch."""
+
     def test_zero_dv_identity(self):
         s = circular_state()
         post = apply_shock(s, np.zeros(3))
@@ -118,19 +127,42 @@ class TestApplyShock:
     def test_unbound_rejected(self):
         s = circular_state()
         esc = math.sqrt(2.0 * MU_EARTH / RN)
-        with pytest.raises(UnboundResult):
+        with pytest.raises(UnboundResult, match="^shock 0: post-shock state "
+                           "is unbound"):
             apply_shock(s, [0.0, esc - VC + 0.01, 0.0])
 
     def test_below_floor_rejected(self):
         low = StateVector([6400.0, 0.0, 0.0],
                           [0.0, math.sqrt(MU_EARTH / 6400.0), 0.0], 0.0)
-        with pytest.raises(SurfaceViolation):
+        with pytest.raises(SurfaceViolation, match="^shock 0: state radius"):
             apply_shock(low, np.zeros(3))
+
+    def test_radius_below_the_floor_by_an_ulp_is_refused_as_the_shock(self):
+        """A post-shock radius is measured once, by kepler._row_norm. A
+        position whose np.linalg.norm is the floor radius and whose
+        _row_norm is one ulp below it passed the shock's floor test and
+        failed its own segment's, which then named the segment."""
+        gen = np.random.default_rng(3)
+        for u in gen.normal(size=(1000, 3)):
+            r = 7000.0 * u / np.linalg.norm(u)
+            if float(_row_norm(r)) < float(np.linalg.norm(r)):
+                break
+        else:
+            raise AssertionError("no position whose two norms differ")
+        floor = float(np.linalg.norm(r)) - EARTH_RADIUS_KM
+        assert EARTH_RADIUS_KM + floor == float(np.linalg.norm(r))
+        # at perigee, so the segment's lowest radius is its start's
+        v = np.cross(r, gen.normal(size=3))
+        v *= 1.001 * math.sqrt(MU_EARTH / 7000.0) / np.linalg.norm(v)
+        with pytest.raises(SurfaceViolation, match=(
+                f"^shock 0: state radius {float(_row_norm(r))!r} km is below "
+                f"the floor radius {EARTH_RADIUS_KM + floor!r} km$")):
+            apply_shock(StateVector(r, v, 0.0), np.zeros(3), floor)
 
 
 def norm_sum(sched: ImpulsiveSchedule) -> float:
-    """np.linalg.norm of each shock, added in shock order."""
-    return float(sum(float(np.linalg.norm(dv)) for dv in sched.shocks))
+    """kepler._row_norm of each shock, added in shock order."""
+    return float(sum(float(_row_norm(dv)) for dv in sched.shocks))
 
 
 class TestScheduleValidation:
@@ -188,7 +220,7 @@ class TestScheduleValidation:
                                        max_size=3)),
                     max_size=40, unique_by=lambda shock: shock[0]))
     def test_total_dv_is_the_shock_order_norm_sum(self, drawn):
-        """Bit for bit the sum of np.linalg.norm per shock, in order."""
+        """Bit for bit the sum of kepler._row_norm per shock, in order."""
         drawn.sort()
         sched = ImpulsiveSchedule([t for t, _ in drawn],
                                   [dv for _, dv in drawn])
@@ -243,12 +275,13 @@ class TestPropagateSchedule:
         assert_allclose(got.v, expected.v, rtol=1e-12)
 
     def test_shock_at_origin_epoch(self):
-        """One shock at t0 composes apply_shock with plain propagation."""
+        """One shock at t0 composes the velocity jump with plain
+        propagation."""
         s = circular_state()
         dv = np.array([0.01, 0.02, 0.0])
         sched = ImpulsiveSchedule([0.0], [dv])
         traj = propagate_schedule(s, sched, 2000.0)
-        expected = propagate_time(apply_shock(s, dv), 2000.0)
+        expected = propagate_time(StateVector(s.r, s.v + dv, s.t), 2000.0)
         got = traj.state_at(2000.0)
         assert_allclose(got.r, expected.r, rtol=1e-12)
         assert_allclose(got.v, expected.v, rtol=1e-12)
@@ -260,10 +293,9 @@ class TestPropagateSchedule:
         traj = propagate_schedule(s, sched, 3000.0)
         assert len(traj.arcs) == 4
         for i, (t, dv) in enumerate(zip(sched.times, sched.shocks)):
-            pre = state_at(traj.arcs[i], t)
-            post = traj.arcs[i + 1].r0
-            assert np.array_equal(post.r, pre.r)
-            assert np.array_equal(post.v, pre.v + dv)
+            r, v, _ = states_at(traj.arcs, t, [i])
+            assert np.array_equal(traj.arcs.r0[i + 1], r[0])
+            assert np.array_equal(traj.arcs.v0[i + 1], v[0] + dv)
 
     def test_frozen_thin_pulse_oracle(self):
         """Endpoint against full numerical integration with 1e-3 s pulses."""
@@ -334,7 +366,7 @@ class TestPropagateSchedule:
     def test_arc_epochs_must_ascend_to_t_end(self):
         sched = ImpulsiveSchedule([100.0], [[0.0, 0.01, 0.0]])
         traj = propagate_schedule(circular_state(), sched, 500.0)
-        assert [arc.r0.t for arc in traj.arcs] == [0.0, 100.0]
+        assert traj.arcs.t0.tolist() == [0.0, 100.0]
         with pytest.raises(ValueError, match="ascend"):
             ImpulsiveTrajectory(arcs=traj.arcs[::-1], t_end=500.0,
                                 schedule=sched, origin=traj.origin)
@@ -714,8 +746,7 @@ class TestShockApproximation:
         that is not finite; its norm is not above 0, yet it is refused."""
         profile = ThrustProfile(lambda t: np.array([1e308, -1e308, 0.0]),
                                 (0.0, 100.0))
-        with np.errstate(over="ignore", invalid="ignore"), \
-                pytest.raises(maneuver.ShockError, match="^dv must be finite"):
+        with pytest.raises(maneuver.ShockError, match="^dv must be finite"):
             shock_approximation(profile, 2)
 
     def test_total_dv_within_profile_impulse(self):
@@ -753,7 +784,7 @@ class TestShockApproximation:
         assert shock_approximation(tiny, 4) == ImpulsiveSchedule()
 
     def test_total_dv_is_the_shock_order_norm_sum(self):
-        """Bit for bit the sum of np.linalg.norm per shock, in order."""
+        """Bit for bit the sum of kepler._row_norm per shock, in order."""
         profile = ThrustProfile(
             lambda t: np.array([1e-5 * math.sin(t / 30.0), 1e-5, 0.0]),
             (0.0, 300.0))

@@ -769,7 +769,7 @@ class TestExportPoints:
         # the row at the shock epoch reads the post-shock arc
         assert grid[2] == 500.0
         assert ([float(c) for c in lines[2].split(",")[1:4]]
-                == traj.arcs[1].r0.r.tolist())
+                == traj.arcs.r0[1].tolist())
 
     @pytest.mark.parametrize("t", [-1.0, 2000.5, math.nan])
     def test_trajectory_export_outside_window_writes_nothing(self, tmp_path,
