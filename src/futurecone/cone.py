@@ -15,7 +15,8 @@ Containment is batched: the target's sampled arcs are held as arrays
 at most _CHUNK_POINTS points. Each chunk takes its leaf positions from
 one vectorized Kepler solve on one conic per target arc, its
 connecting arcs from one lambert_batch call, its floor check in closed
-form (kepler.swept_min_radius), and each point's cheapest admissible
+form from the eccentric anomaly at each arc's two ends
+(kepler.arc_min_radius), and each point's cheapest admissible
 arc from one minimum over the arcs. membership and leaf are batches of
 one on the same kernels.
 """
@@ -39,10 +40,10 @@ from .kepler import (
     StateVector,
     _as_vec3,
     _row_norm,
+    arc_min_radius,
     arcs_from_states,
     is_bound,
     states_at,
-    swept_min_radius,
 )
 from .lambert import lambert_batch, solve_lambert
 from .maneuver import ImpulsiveTrajectory
@@ -304,9 +305,9 @@ def _required_dv(spec: ConeSpec, points: np.ndarray, times: np.ndarray,
         raise AmbiguousPlane(
             f"membership query at t={float(times[exc.row])}: {exc}",
             row=exc.row) from exc
-    lowest = swept_min_radius(spec.vertex.r, sols.v_depart,
-                              _row_norm(points)[sols.row], sols.sweep,
-                              spec.mu)
+    lowest = arc_min_radius(spec.vertex.r, sols.v_depart,
+                            points.take(sols.row, axis=0), sols.v_arrive,
+                            sols.revs[sols.slot], spec.mu)
     cost = np.where(lowest >= EARTH_RADIUS_KM + spec.floor,
                     _row_norm(sols.v_depart - spec.vertex.v), np.inf)
     required = np.full(len(points), np.inf)

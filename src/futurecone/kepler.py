@@ -9,14 +9,15 @@ trig evaluation.
 
 Each computation is written once, as an array kernel over many rows:
 the Kepler solve, the step (states_at, coast) and the perigee-crossing
-floor test (states_at, swept_min_radius). An ArcBatch holds epoch states
-only, C-ordered, so a row's bits do not depend on how its batch was
-built. states_at derives the conic of each arc of a batch once and
-gathers it for every row that queries the arc. Row norms come from
-_row_norm, np.linalg.norm(x, axis=-1)'s bits without its reduction pass;
-it is the package's one measure of a radius. The containment engine and
-the shock chains of maneuver run on the kernels; the scalar functions
-are batches of one.
+floor test in dE (states_at; arc_min_radius, from an arc's two end
+states without a Kepler solve). An ArcBatch holds epoch states only,
+C-ordered, so a row's bits do not depend on how its batch was built.
+states_at derives the conic of each arc of a batch once and gathers it
+for every row that queries the arc. Row norms come from _row_norm,
+np.linalg.norm(x, axis=-1)'s bits without its reduction pass; it is the
+package's one measure of a radius. The containment engine and the shock
+chains of maneuver run on the kernels; the scalar functions are batches
+of one.
 
 The bound test is a function of its own (_require_bound, on the fields
 of the one vis-viva pass _ellipse), and so is the floor test: _conic
@@ -44,7 +45,6 @@ from .errors import ConvergenceError, EccentricityOutOfRange
 _KEPLER_TOL = 1e-14  # internal target; contract promises < 1e-12
 _KEPLER_MAX_ITER = 50
 _BISECT_STEPS = 64  # halve a bracket of width <= 2 past float resolution
-_CIRCULAR_E = 1e-10
 _E_BELOW_ONE = np.nextafter(1.0, 0.0)  # the largest eccentricity flown
 _TWO_PI = 2.0 * math.pi
 
@@ -271,16 +271,6 @@ def _bound_ellipse(r, v, mu: float):
     return ellipse
 
 
-def _elements(r, v, mu: float):
-    """|r|, a, e, p, sigma0 and the true anomaly f0 per bound state row;
-    atan2 keeps f0 precise near the apsides, and a near-circular row
-    (e < _CIRCULAR_E) takes f0 := 0, since its apsis is undefined."""
-    rn, _, a, e, p, _ = _bound_ellipse(r, v, mu)
-    sigma0 = np.einsum("...i,...i->...", r, v) / math.sqrt(mu)
-    f0 = np.arctan2(sigma0 * np.sqrt(p) / rn, p / rn - 1.0)
-    return rn, a, e, p, sigma0, np.where(e < _CIRCULAR_E, 0.0, f0)
-
-
 def _conic_of(r, v, vis_viva, mu: float):
     """What the step reads of each state row, given its _vis_viva: |r|,
     1/a, sigma0 = r . v / sqrt(mu), E0 and e, by atan2 and hypot of
@@ -319,10 +309,11 @@ def arcs_from_states(r, v, t, mu: float = MU_EARTH) -> ArcBatch:
     return ArcBatch(r, v, np.full(r.shape[:-1], t), mu)
 
 
-def _floor_radius(a, e, anomaly0, sweep, r0n, r1n):
-    """The perigee-crossing floor test, in the true or the eccentric
-    anomaly: perigee lies at multiples of 2*pi in both."""
-    crossed = _TWO_PI * np.ceil(anomaly0 / _TWO_PI) <= anomaly0 + sweep
+def _floor_radius(a, e, E0, dE, r0n, r1n):
+    """The perigee-crossing floor test: an arc sweeping [E0, E0 + dE]
+    reaches perigee a*(1 - e) iff that holds a multiple of 2*pi, and
+    otherwise its lowest radius is the lower of r0n and r1n."""
+    crossed = _TWO_PI * np.ceil(E0 / _TWO_PI) <= E0 + dE
     return np.where(crossed, a * (1.0 - e), np.minimum(r0n, r1n))
 
 
@@ -398,22 +389,19 @@ def coast(r, v, t, t_end, mu: float = MU_EARTH):
     return _fly(r, v, t, _conic(r, v, mu), t_end, mu)
 
 
-def swept_min_radius(r0, v0, r1n, sweep, mu: float = MU_EARTH) -> np.ndarray:
-    """Lowest radius on departure arcs, in closed form (the floor check).
+def arc_min_radius(r0, v0, r1, v1, revs, mu: float = MU_EARTH) -> np.ndarray:
+    """Lowest radius on bound arcs from (r0, v0) to (r1, v1), km, each
+    with revs complete revolutions (the floor check of Lambert arcs).
 
-    Each row leaves r0 with velocity v0 and sweeps a true-anomaly
-    interval [f0, f0 + sweep] before arriving at radius r1n. The radius
-    falls to perigee and rises after it, so the arc passes perigee iff
-    the interval holds a multiple of 2*pi, and its lowest radius is then
-    a*(1 - e); otherwise it is the lower of |r0| and r1n. No Kepler
-    solve; states_at applies the same test to the arcs it flies.
-
-    Args:
-        r0: Departure positions, km, (..., 3).
-        v0: Departure velocities, km/s, (..., 3); rows must be bound.
-        r1n: Arrival radii, km.
-        sweep: True anomaly swept, rad, >= 0 (2*pi per full revolution).
-        mu: Gravitational parameter, km^3/s^2.
+    E1 is the anomaly of the arrival state on the departure conic, so
+    the arc sweeps dE = (E1 - E0 mod 2*pi) + 2*pi*revs: the floor test
+    _fly applies, with no Kepler solve. Positions in km, velocities in
+    km/s, (..., 3); mu in km^3/s^2.
     """
-    rn, a, e, _, _, f0 = _elements(r0, v0, mu)
-    return _floor_radius(a, e, f0, sweep, rn, r1n)
+    r0n, alpha, _, E0, e = _conic_of(r0, v0, _vis_viva(r0, v0, mu), mu)
+    r1n = _row_norm(r1)
+    sigma1 = np.einsum("...i,...i->...", r1, v1) / math.sqrt(mu)
+    E1 = np.arctan2(sigma1 * np.sqrt(alpha), 1.0 - r1n * alpha)
+    dE = E1 - E0  # in [-2*pi, 2*pi]: one wrap, 8x faster than np.mod
+    dE = np.where(dE < 0.0, dE + _TWO_PI, dE) + _TWO_PI * revs
+    return _floor_radius(1.0 / alpha, e, E0, dE, r0n, r1n)

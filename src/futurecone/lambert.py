@@ -104,7 +104,6 @@ class LambertBatch:
         slot: Slot of each arc, (k,).
         v_depart: Velocity at r0, km/s, (k, 3).
         v_arrive: Velocity at r1, km/s, (k, 3).
-        sweep: True anomaly each arc sweeps, rad, (k,).
         revs: Complete revolutions per slot, (slots,).
         branch: Transfer sense per slot, "short" or "long".
     """
@@ -113,7 +112,6 @@ class LambertBatch:
     slot: np.ndarray
     v_depart: np.ndarray
     v_arrive: np.ndarray
-    sweep: np.ndarray
     revs: np.ndarray
     branch: tuple[str, ...]
 
@@ -437,10 +435,8 @@ def lambert_batch(r0, r1, dt, mu: float = MU_EARTH,
         v_depart = np.concatenate(departs)[order]
         v_arrive = np.concatenate(arrives)[order]
     slot_revs, slot_sense = _slots(max_revs)
-    sweep = (np.where(slot_sense[slot] > 0.0, dnu[row], _TWO_PI - dnu[row])
-             + _TWO_PI * slot_revs[slot])
     return LambertBatch(
-        row=row, slot=slot, v_depart=v_depart, v_arrive=v_arrive, sweep=sweep,
+        row=row, slot=slot, v_depart=v_depart, v_arrive=v_arrive,
         revs=slot_revs,
         branch=tuple("short" if s > 0.0 else "long" for s in slot_sense))
 

@@ -147,7 +147,8 @@ class Scenario:
     def __post_init__(self):
         object.__setattr__(self, "mu", float(self.mu))
         object.__setattr__(self, "floor_km", float(self.floor_km))
-        if (not self.name or "#" in self.name or "\n" in self.name
+        if (not self.name or "#" in self.name
+                or self.name.splitlines() != [self.name]
                 or self.name != self.name.strip()):
             raise ValueError(f"name must be a bare single-line token, "
                              f"got {self.name!r}")
@@ -275,7 +276,8 @@ def _values(section: str, pairs: _Pairs) -> dict:
 # field's own name, or this where the two differ:
 _FIELD_KEYS = {"window": "window_s", "budget": "budget_km_s",
                "vertex": "r_km", "floor": "floor_km", "mu": "mu_km3_s2",
-               "t": "t_s", "dv": "dv_km_s"}
+               "t": "t_s", "dv": "dv_km_s", "r": "r_km", "v": "v_km_s",
+               "epoch": "t_s", "position": "r_km"}
 
 
 def _invariant(exc: ValueError, label: str, where: tuple[_Pairs, ...],

@@ -29,7 +29,7 @@ from futurecone import (
 )
 from futurecone.cone import _required_dv
 from futurecone.errors import EmptyCone
-from futurecone.kepler import coast, states_at, swept_min_radius
+from futurecone.kepler import arc_min_radius, coast, states_at
 from futurecone.lambert import lambert_batch
 from futurecone.scenario_io import builtin_scenario
 
@@ -421,9 +421,8 @@ class TestBatchedKernel:
             sols = lambert_batch(vertex.r, points, times, MU_EARTH, max_revs)
         except AmbiguousPlane:
             return
-        lowest = swept_min_radius(vertex.r, sols.v_depart,
-                                  np.linalg.norm(points, axis=1)[sols.row],
-                                  sols.sweep)
+        lowest = arc_min_radius(vertex.r, sols.v_depart, points[sols.row],
+                                sols.v_arrive, sols.revs[sols.slot])
         ok = lowest >= EARTH_RADIUS_KM + spec.floor
         matrix = np.full((len(points), sols.revs.size), np.inf)
         matrix[sols.row[ok], sols.slot[ok]] = np.linalg.norm(

@@ -24,14 +24,15 @@ from futurecone.kepler import (
     _row_norm,
     _solve_kepler,
     arc_from_state,
+    arc_min_radius,
     arcs_from_states,
     coast,
     is_bound,
     min_radius,
     state_at,
     states_at,
-    swept_min_radius,
 )
+from futurecone.lambert import lambert_batch
 
 import kepler_reference as ref
 from kepler_reference import (
@@ -550,20 +551,33 @@ class TestArrayKernels:
         with pytest.raises(TypeError, match="sliced, not indexed"):
             arcs[1]
 
-    def test_swept_min_radius_matches_min_radius(self):
-        states, arcs = self.batch()
-        for i, s in enumerate(states):
-            arc = ref.arc_from_state(s)
-            n = mean_motion(arc.a)
-            for t in rng.uniform(1.0, 3.0 * 2.0 * math.pi / n, 5):
-                E = ref.solve_kepler(n * (float(t) - arc.tau), arc.e)
-                sweep = ref.true_from_eccentric(E, arc.e) - arc.f0
-                r1n = float(np.linalg.norm(ref.state_at(arc, float(t)).r))
-                expected = ref.min_radius(arc, 0.0, float(t))
-                got = swept_min_radius(s.r, s.v, r1n, sweep)
-                assert_allclose(got, expected, rtol=1e-9)
-                _, _, lowest = states_at(arcs, float(t), [i])
-                assert_allclose(lowest[0], expected, rtol=1e-9)
+    def test_arc_min_radius_matches_coast(self):
+        """On random Lambert arcs up to two revolutions, with a periodic
+        self-transfer row, the floor check from the two end states is
+        the lowest radius coast reaches flying each arc over its dt, and
+        takes the same decision at every floor radius."""
+        gen = np.random.default_rng(22)
+        n = 3000
+        r0 = gen.normal(size=(n, 3))
+        r0 *= (gen.uniform(6400.0, 12000.0, n) / _row_norm(r0))[:, None]
+        r1 = gen.normal(size=(n, 3))
+        r1 *= (gen.uniform(6400.0, 12000.0, n) / _row_norm(r1))[:, None]
+        dt = gen.uniform(50.0, 20000.0, n)
+        rn = 7238.137
+        r0[0], r1[0] = [rn, 0.0, 0.0], rn * np.array(
+            [math.cos(1e-9), math.sin(1e-9), 0.0])
+        dt[0] = 2.0 * math.pi / mean_motion(rn)
+        sols = lambert_batch(r0, r1, dt, MU_EARTH, max_revs=2)
+        revs = sols.revs[sols.slot]
+        assert revs.max() == 2
+        assert sols.slot[sols.row == 0].tolist() == [2, 4, 6, 8]
+        got = arc_min_radius(r0[sols.row], sols.v_depart, r1[sols.row],
+                             sols.v_arrive, revs)
+        _, _, lowest = coast(r0[sols.row], sols.v_depart, 0.0, dt[sols.row])
+        assert_allclose(got, lowest, rtol=1e-12, atol=0.0)
+        for floor in (6400.0, 6600.0, 7000.0, 8000.0):
+            assert 0 < np.count_nonzero(lowest >= floor) < len(lowest)
+            assert np.array_equal(got >= floor, lowest >= floor)
 
     def test_kepler_solve_near_parabolic(self):
         """Rows whose Newton iterate strays finish on the bisection."""

@@ -152,6 +152,16 @@ class TestScenarioInvariants:
                             evader=CarConfig(v=1.0, R=1.0),
                             horizon=horizon, headstart=4.0)
 
+    @pytest.mark.parametrize("name", [
+        "a#b", "a\nb", "a\rb", "a\x0bb", "a\x85b", "a\u2028b", " a"])
+    def test_rejects_names_a_file_cannot_hold(self, name):
+        """A name that save_scenario could not write as one bare token
+        is refused: every line separator str.splitlines splits on, a
+        comment mark, and padding."""
+        with pytest.raises(ValueError,
+                           match="^name must be a bare single-line token"):
+            orbital_scenario(name=name)
+
     def test_equality_is_field_for_field(self):
         assert orbital_scenario() == orbital_scenario()
         assert orbital_scenario() != orbital_scenario(name="other")
@@ -362,11 +372,23 @@ class TestLoadScenario:
         ("mu_km3_s2 = nan", "mu"),
         ("mu_km3_s2 = inf", "mu"),
         ("mu_km3_s2 = -398600.4418", "mu"),
+        ("r_km = nan, 0.0, 0.0", "r"),
+        ("r_km = 0.0, 0.0, 0.0", "position"),
+        ("v_km_s = inf, 1.0, 1.0", "v"),
+        ("t_s = inf", "epoch"),
     ])
     def test_bad_cone_number_reports_its_key_line(self, tmp_path, line,
                                                   field):
-        if line.startswith("budget"):
+        """A refused number is reported at its own key line, also when
+        the interceptor's vertex state refuses it."""
+        key = line.split(" = ")[0]
+        vertex = key in ("r_km", "v_km_s", "t_s")
+        if key == "budget_km_s":
             bad = MINIMAL_ORBITAL.replace("budget_km_s = 0.01", line)
+        elif vertex:
+            old = next(text for text in MINIMAL_ORBITAL.splitlines()
+                       if text.startswith(key))
+            bad = MINIMAL_ORBITAL.replace(old, line, 1)
         else:
             bad = MINIMAL_ORBITAL.replace("name = minimal\n",
                                           f"name = minimal\n{line}\n")
@@ -376,6 +398,8 @@ class TestLoadScenario:
             load_scenario(path)
         assert err.value.line == bad.splitlines().index(line) + 1
         assert str(err.value).split("] ", 1)[1].startswith(field)
+        if vertex:
+            assert f": [interceptor] {field} " in str(err.value)
 
     @pytest.mark.parametrize("line", [
         "mu_km3_s2 = nan", "mu_km3_s2 = inf", "mu_km3_s2 = -inf",
