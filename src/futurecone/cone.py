@@ -11,14 +11,14 @@ reach lies inside the interceptor's cone, the interceptor can stand on a
 commitment to meet the target wherever it goes.
 
 Containment is batched: the target's sampled arcs are held as arrays
-(kepler.ArcBatch), and the draws x grid times are tested in chunks of
-at most _CHUNK_POINTS points. Each chunk takes its leaf positions from
-one vectorized Kepler solve on one conic per target arc, its
-connecting arcs from one lambert_batch call, its floor check in closed
-form from the eccentric anomaly at each arc's two ends
-(kepler.arc_min_radius), and each point's cheapest admissible
-arc from one minimum over the arcs. membership and leaf are batches of
-one on the same kernels.
+(kepler.ArcBatch), and the draws x grid times are tested in chunks of at
+most _CHUNK_POINTS points. Each chunk takes its leaf positions from one
+vectorized Kepler solve on one conic per target arc, its connecting arcs
+from one lambert_batch call, its floor check in closed form from the
+eccentric anomaly at each arc's two ends (kepler.arc_min_radius), and
+each point's cheapest admissible arc from one minimum over the arcs.
+membership and leaf are batches of one on the same kernels;
+reduce_to_single_burn is one lambert_batch row, its burns priced alike.
 """
 from __future__ import annotations
 
@@ -45,7 +45,7 @@ from .kepler import (
     is_bound,
     states_at,
 )
-from .lambert import lambert_batch, solve_lambert
+from .lambert import lambert_batch
 from .maneuver import ImpulsiveTrajectory
 
 # Absolute slack on delta-v comparisons, km/s. Lambert velocity recovery
@@ -403,12 +403,12 @@ def reduce_to_single_burn(traj: ImpulsiveTrajectory,
                           max_revs: int = 1) -> np.ndarray:
     """Equivalent single burn at the origin for a multi-shock trajectory.
 
-    Finds the connecting arc from the trajectory origin to its endpoint
-    over the elapsed time whose departure burn is cheapest, and requires
-    it to cost no more than the schedule spent. The chain adds no reach
-    over vertex burns only up to about a quarter period: past it, a late
-    shock can need about 1/sin(n t_end) times its size at the vertex (n
-    the mean motion), and NoBoundArc is raised.
+    Takes the cheapest departure burn over the arcs from the origin to
+    the endpoint (one lambert_batch row, priced as membership prices a
+    burn) and requires it to cost no more than the schedule spent. The
+    chain adds no reach over vertex burns only up to about a quarter
+    period: past it, a late shock can need about 1/sin(n t_end) times
+    its size at the vertex (n the mean motion), and NoBoundArc is raised.
 
     Args:
         traj: Propagated shock trajectory.
@@ -422,25 +422,18 @@ def reduce_to_single_burn(traj: ImpulsiveTrajectory,
             schedule total (reported, never silently dropped).
     """
     origin = traj.origin
-    mu = traj.arcs.mu
-    end = traj.state_at(traj.t_end)
     dt = traj.t_end - origin.t
-    sols = solve_lambert(origin.r, end.r, dt, mu, max_revs)
-    total = traj.schedule.total_dv
-    best: np.ndarray | None = None
-    best_mag = math.inf
-    for sol in sols:
-        dv0 = sol.v_depart - origin.v
-        mag = float(np.linalg.norm(dv0))
-        if mag < best_mag:
-            best = dv0
-            best_mag = mag
-    if best is None:
+    dv = lambert_batch(origin.r, traj.state_at(traj.t_end).r, dt,
+                       traj.arcs.mu, max_revs).v_depart - origin.v
+    if not len(dv):
         raise NoBoundArc(
             f"no bound arc from origin to endpoint over {dt!r} s at "
             f"max_revs={max_revs}")
-    if best_mag > total + 1e-6:
+    cost = _row_norm(dv)
+    i = int(np.argmin(cost))
+    total = traj.schedule.total_dv
+    if cost[i] > total + 1e-6:
         raise NoBoundArc(
-            f"cheapest single burn {best_mag!r} km/s exceeds the schedule "
-            f"total {total!r} km/s at max_revs={max_revs}")
-    return best
+            f"cheapest single burn {float(cost[i])!r} km/s exceeds the "
+            f"schedule total {total!r} km/s at max_revs={max_revs}")
+    return dv[i]

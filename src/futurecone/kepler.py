@@ -13,11 +13,11 @@ floor test in dE (states_at; arc_min_radius, from an arc's two end
 states without a Kepler solve). An ArcBatch holds epoch states only,
 C-ordered, so a row's bits do not depend on how its batch was built.
 states_at derives the conic of each arc of a batch once and gathers it
-for every row that queries the arc. Row norms come from _row_norm,
-np.linalg.norm(x, axis=-1)'s bits without its reduction pass; it is the
-package's one measure of a radius. The containment engine and the shock
-chains of maneuver run on the kernels; the scalar functions are batches
-of one.
+for every row that queries the arc; the scalar functions are batches of
+one. Row norms come from _row_norm, np.linalg.norm(x, axis=-1)'s bits
+without its reduction pass: every floor test, bound test and burn cost
+reads it, while Lambert's internal geometry and maneuver's RK4
+reference keep their own sums, which the pinned digests cover.
 
 The bound test is a function of its own (_require_bound, on the fields
 of the one vis-viva pass _ellipse), and so is the floor test: _conic

@@ -330,8 +330,8 @@ def lambert_batch(r0, r1, dt, mu: float = MU_EARTH,
         max_revs: Largest complete-revolution count to search.
 
     Raises:
-        ValueError: r0 or r1 of another shape, a position that is zero
-            or not finite, dt not positive and finite, negative max_revs.
+        ValueError: r0, r1 or dt of another shape, a position zero or
+            not finite, dt not positive and finite, negative max_revs.
         AmbiguousPlane: for the first row whose transfer angle is within
             1e-8 rad of pi or whose endpoints coincide exactly; its row
             attribute gives the row.
@@ -349,7 +349,10 @@ def lambert_batch(r0, r1, dt, mu: float = MU_EARTH,
         if not np.isfinite(arr).all():
             raise ValueError(f"{name} must be finite")
     r0 = np.broadcast_to(r0, r1.shape)
-    dt = np.broadcast_to(np.asarray(dt, dtype=float), r1.shape[:1])
+    dt = np.asarray(dt, dtype=float)
+    if dt.shape not in ((), (1,), r1.shape[:1]):
+        raise ValueError(f"dt must be one time or one per row, got {dt.shape}")
+    dt = np.broadcast_to(dt, r1.shape[:1])
     r0n = _norm(r0)
     r1n = _norm(r1)
     if not (np.all(r0n > 0.0) and np.all(r1n > 0.0)):
@@ -467,9 +470,9 @@ def solve_lambert(r0, r1, dt: float, mu: float = MU_EARTH,
             coincident endpoints; the transfer plane is undefined and any
             choice would be arbitrary.
     """
-    r1 = np.asarray(r1, dtype=float)
-    if r1.shape != (3,):
-        raise ValueError(f"r1 must have 3 components, got shape {r1.shape}")
+    for name, shape in (("r0", np.shape(r0)), ("r1", np.shape(r1))):
+        if shape != (3,):
+            raise ValueError(f"{name} must have shape (3,), got shape {shape}")
     batch = lambert_batch(r0, r1, dt, mu, max_revs)
     return [LambertSolution(v_depart=batch.v_depart[i],
                             v_arrive=batch.v_arrive[i],

@@ -27,10 +27,18 @@ from futurecone import (
     reduce_to_single_burn,
     sample_cone,
 )
+from futurecone import lambert
 from futurecone.cone import _required_dv
 from futurecone.errors import EmptyCone
-from futurecone.kepler import arc_min_radius, coast, states_at
+from futurecone.kepler import (
+    _row_norm,
+    arc_min_radius,
+    arcs_from_states,
+    coast,
+    states_at,
+)
 from futurecone.lambert import lambert_batch
+from futurecone.maneuver import ImpulsiveTrajectory
 from futurecone.scenario_io import builtin_scenario
 
 from kepler_reference import mean_motion
@@ -112,6 +120,11 @@ class TestSampleCone:
         for v in sset.trajectories.v0:
             dv = v - spec.vertex.v
             assert float(np.linalg.norm(dv)) <= 0.03 + 1e-15
+
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_rejects_fewer_than_one_draw(self, n):
+        with pytest.raises(ValueError, match=f"^n must be >= 1, got {n}$"):
+            sample_cone(leo_spec(), n, seed=0)
 
     def test_rejects_empty_time_grid(self):
         """containment refuses its grid before it samples the target."""
@@ -260,6 +273,16 @@ class TestContainment:
         b = ConeSpec(vertex=vertex, budget=0.05, window=(200.0, 300.0))
         with pytest.raises(EmptyOverlap):
             containment(a, b, n_target_samples=10, time_grid=5, seed=0)
+
+    def test_grid_at_the_interceptor_vertex_leaves_nothing_to_test(self):
+        """The overlap opens at the interceptor's vertex epoch, where
+        membership is undefined, and a one-point grid stands there."""
+        interceptor = ConeSpec(vertex=circular_state(100.0), budget=0.05,
+                               window=(100.0, 400.0))
+        target = leo_spec(window=(60.0, 400.0))
+        with pytest.raises(EmptyCone, match="^no testable target points"):
+            containment(interceptor, target, n_target_samples=10,
+                        time_grid=1)
 
     def test_deterministic_reports(self):
         spec = leo_spec(budget=0.02, window=(60.0, 400.0))
@@ -525,6 +548,76 @@ class TestReduceToSingleBurn:
         # t_end by sin(n (t_end - tau)) / n
         assert float(cheapest) == pytest.approx(
             0.01 / math.sin(2.0 * math.pi * fraction), rel=1e-5)
+
+    def test_no_bound_arc_across_the_orbit_in_one_second(self):
+        """An endpoint nearly opposite the origin, 1 s away: no bound
+        arc connects them, and the refusal says so."""
+        origin = circular_state()
+        arcs = arcs_from_states([-RN, 0.0, 0.0], [[0.0, -VC, 0.0]], 0.0,
+                                MU_EARTH)
+        traj = ImpulsiveTrajectory(arcs=arcs, t_end=1.0,
+                                   schedule=ImpulsiveSchedule(),
+                                   origin=origin)
+        with pytest.raises(NoBoundArc, match=(
+                r"^no bound arc from origin to endpoint over 1\.0 s at "
+                r"max_revs=1$")):
+            reduce_to_single_burn(traj)
+
+    def test_certificate_is_membership_of_the_endpoint(self):
+        """The burn the certificate names, refused or returned, costs
+        exactly membership's required dv for the chain's endpoint, on
+        late single-shock chains. A floor radius of 0 admits every arc.
+        The first chain's refusal named a burn 1 ulp off membership's
+        when the certificate priced its arcs with a norm of its own."""
+        chains = [(6726.2804409472865, 1749.351676178549,
+                   376.84822561775127, [-0.0066519467348661356,
+                                        0.0035151007009301973,
+                                        0.009034701816518087])]
+        gen = np.random.default_rng(23)
+        for _ in range(40):
+            r = EARTH_RADIUS_KM + gen.uniform(300.0, 2000.0)
+            period = 2.0 * math.pi * math.sqrt(r ** 3 / MU_EARTH)
+            t_end = gen.uniform(0.3, 0.45) * period
+            chains.append((r, t_end, t_end - period / 4.0,
+                           gen.normal(0.0, 0.01, 3)))
+        refused = 0
+        for r, t_end, t_shock, dv in chains:
+            origin = StateVector([r, 0.0, 0.0],
+                                 [0.0, math.sqrt(MU_EARTH / r), 0.0], 0.0)
+            traj = propagate_schedule(
+                origin, ImpulsiveSchedule([t_shock], [dv]), t_end)
+            spec = ConeSpec(vertex=origin, budget=0.0,
+                            window=(t_end / 2.0, t_end),
+                            floor=-EARTH_RADIUS_KM)
+            required = membership(spec, traj.state_at(t_end).r,
+                                  t_end).required_dv
+            try:
+                named = float(_row_norm(reduce_to_single_burn(traj)))
+            except NoBoundArc as exc:
+                refused += 1
+                named = float(re.match(r"cheapest single burn (\S+) km/s",
+                                       str(exc)).group(1))
+            assert named == required, (r, t_end, t_shock, dv)
+        assert 0 < refused < len(chains)
+
+    def test_package_paths_build_no_lambert_solution(self, monkeypatch):
+        """Containment and the certificate read Lambert arcs as arrays:
+        neither builds a per-solution object."""
+        def refuse(self):
+            raise AssertionError("LambertSolution built")
+        monkeypatch.setattr(lambert.LambertSolution, "__post_init__", refuse)
+        scn = builtin_scenario("fy1c")
+        report = containment(scn.interceptor, scn.target,
+                             n_target_samples=20, time_grid=5)
+        assert report.samples > 0
+        sched = ImpulsiveSchedule([100.0, 400.0], [[0.0, 0.01, 0.0],
+                                                   [0.005, 0.0, 0.002]])
+        traj = propagate_schedule(circular_state(), sched, 900.0)
+        dv0 = reduce_to_single_burn(traj)
+        assert float(_row_norm(dv0)) <= sched.total_dv + 1e-6
+        with pytest.raises(AssertionError, match="^LambertSolution built$"):
+            lambert.solve_lambert([7000.0, 0.0, 0.0], [0.0, 7000.0, 0.0],
+                                  1500.0)
 
     def test_no_arc_reported(self):
         """A long-horizon geometry outside the rev cap raises, not lies."""

@@ -444,6 +444,8 @@ class TestStateVector:
         c = StateVector([7000.0, 0.0, 1e-12], [0.0, 7.5, 0.0], 0.0)
         assert a == b
         assert a != c
+        assert a.__eq__((a.r, a.v, a.t)) is NotImplemented
+        assert a != (a.r, a.v, a.t)
 
 
 class TestScalarViews:

@@ -1,6 +1,7 @@
 """Tests for the two-point boundary-value solver."""
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -229,11 +230,29 @@ class TestEdges:
         read as two arrivals."""
         with pytest.raises(ValueError, match=r"^r0 must have shape"):
             solve_lambert(7000.0, [0.0, 7000.0, 0.0], 1500.0)
+        # one departure row was read as a batch of one and solved
+        with pytest.raises(ValueError, match=r"^r0 must have shape"):
+            solve_lambert([[7000.0, 0.0, 0.0]], [0.0, 7100.0, 0.0], 1500.0)
+        with pytest.raises(ValueError, match=r"^r1 must have shape"):
+            solve_lambert([7000.0, 0.0, 0.0], [[0.0, 7100.0, 0.0]], 1500.0)
         with pytest.raises(ValueError, match=r"^r0 must have shape"):
             lambert_batch(np.ones((2, 3)), np.ones((3, 3)), 1500.0)
         with pytest.raises(ValueError, match=r"^r1 must have shape"):
             lambert_batch([7000.0, 0.0, 0.0],
                           [0.0, 7000.0, 0.0, 0.0, 7100.0, 0.0], 1500.0)
+
+    @pytest.mark.parametrize("solve, r1, dt", [
+        (solve_lambert, [0.0, 7100.0, 0.0], [1500.0, 1600.0]),
+        (lambert_batch, [[0.0, 7100.0, 0.0]] * 3, [1500.0, 1600.0]),
+        (lambert_batch, [[0.0, 7100.0, 0.0]] * 3, [[1500.0]] * 3),
+    ], ids=["solve_lambert", "batch_length", "batch_column"])
+    def test_rejects_transfer_times_of_another_shape(self, solve, r1, dt):
+        """A dt that is neither one time nor one per row was refused by
+        numpy's broadcast, which named no argument."""
+        shape = np.shape(dt)
+        with pytest.raises(ValueError, match=re.escape(
+                f"dt must be one time or one per row, got {shape}")):
+            solve([7000.0, 0.0, 0.0], r1, dt)
 
     @pytest.mark.parametrize("name", ["r0", "r1"])
     def test_rejects_positions_that_are_not_finite(self, name):

@@ -214,6 +214,8 @@ class TestScheduleValidation:
                                       [[0.0, 0.01, 0.0], [0.0, 0.0, 0.03]])
         assert a != ImpulsiveSchedule([1.0, 3.0], a.shocks)
         assert a != ImpulsiveSchedule([1.0], a.shocks[:1])
+        assert a.__eq__((a.times, a.shocks)) is NotImplemented
+        assert a != (a.times, a.shocks)
 
     @given(st.lists(st.tuples(st.floats(-1e9, 1e9),
                               st.lists(st.floats(-1e3, 1e3), min_size=3,
@@ -349,6 +351,20 @@ class TestPropagateSchedule:
         sched = ImpulsiveSchedule([100.0], [[0.01, 0.0, 0.0]])
         with pytest.raises(ValueError):
             propagate_schedule(circular_state(), sched, 50.0)
+
+    @pytest.mark.parametrize("times, t_end, message", [
+        ([100.0], 100.0, "^t_end=100.0 must lie beyond the last shock at "
+                         "t=100.0$"),
+        ([-10.0], 50.0, "^first shock at t=-10.0 precedes the origin "
+                        "epoch 0.0$"),
+        ([], -1.0, "^t_end=-1.0 precedes the origin epoch 0.0$"),
+    ], ids=["t_end_at_last_shock", "shock_before_origin",
+            "t_end_before_origin"])
+    def test_rejects_shock_or_end_outside_the_window(self, times, t_end,
+                                                     message):
+        sched = ImpulsiveSchedule(times, [[0.01, 0.0, 0.0]] * len(times))
+        with pytest.raises(ValueError, match=message):
+            propagate_schedule(circular_state(), sched, t_end)
 
     @pytest.mark.parametrize("t_end", [math.inf, math.nan])
     def test_rejects_t_end_that_is_not_finite(self, t_end):

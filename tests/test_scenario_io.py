@@ -712,8 +712,10 @@ class TestFY1C:
         np.testing.assert_allclose(v, math.sqrt(MU_EARTH / r), rtol=1e-9)
 
     def test_parameter_invariants_guard_budgets(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^remaining target stock"):
             FY1CParameters(target_mass_current_kg=958.0)
+        with pytest.raises(ValueError, match="^full target stock"):
+            FY1CParameters(target_mass_full_kg=1000.0)
 
     def test_builtin_lookup(self):
         assert builtin_scenario("fy1c") == builtin_scenario("fy1c")

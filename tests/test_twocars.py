@@ -124,6 +124,16 @@ class TestCarPath:
             with pytest.raises(ValueError, match="finite"):
                 CarPath(cfg=cfg, times=[0.0, 1.0, 2.0], states=states)
 
+    @pytest.mark.parametrize("times, states, message", [
+        ([0.0, 1.0], np.zeros((3, 3)), r"^need times \(n,\) and states"),
+        ([0.0, 1.0], np.zeros((2, 2)), r"^need times \(n,\) and states"),
+        ([[0.0, 1.0]], np.zeros((2, 3)), r"^need times \(n,\) and states"),
+        ([], np.zeros((0, 3)), "^a path needs at least one sample$"),
+    ], ids=["rows", "columns", "times_2d", "empty"])
+    def test_rejects_shapes_and_empty_paths(self, times, states, message):
+        with pytest.raises(ValueError, match=message):
+            CarPath(cfg=CarConfig(v=1.0, R=1.0), times=times, states=states)
+
 
 class TestSteeringLaw:
     """Construction-time admissibility and piecewise lookup."""
@@ -135,6 +145,12 @@ class TestSteeringLaw:
         assert law.rate_cap == 0.4
         with pytest.raises(ValueError):
             SteeringLaw.constant(cfg.max_turn_rate, cfg)
+
+    @pytest.mark.parametrize("cap", [-0.1, math.inf, math.nan])
+    def test_rejects_rate_cap_that_is_not_finite_and_nonnegative(self, cap):
+        with pytest.raises(ValueError,
+                           match="^rate cap must be finite and nonnegative"):
+            SteeringLaw(thetadot=lambda t: 0.0, rate_cap=cap)
 
     def test_piecewise_lookup(self):
         cfg = CarConfig(v=1.0, R=1.0)
@@ -314,6 +330,13 @@ class TestPathInvariants:
                                  step=2e-3 * R / v)
             peaks = np.linalg.norm(path_accelerations(path), axis=1)
             assert peaks.max() <= (v ** 2 / R) * (1.0 + 1e-6)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_accelerations_need_three_samples(self, n):
+        path = CarPath(cfg=CarConfig(v=1.0, R=1.0), times=np.arange(n),
+                       states=np.zeros((n, 3)))
+        with pytest.raises(ValueError, match="^need at least three samples"):
+            path_accelerations(path)
 
     def test_constant_turn_orthogonality_is_exact(self):
         cfg = CarConfig(v=2.0, R=1.0)
@@ -747,6 +770,14 @@ class TestContainmentEquivalence:
         with pytest.raises(ValueError, match="^headstart nan is below"):
             containment_equivalence(pursuer, evader, horizon=10.0,
                                     headstart=math.nan)
+
+    @pytest.mark.parametrize("time_grid", [1, 0])
+    def test_rejects_fewer_than_two_grid_times(self, time_grid):
+        with pytest.raises(ValueError, match=(
+                f"^time_grid must be at least 2, got {time_grid}$")):
+            containment_equivalence(CarConfig(v=1.0, R=1.0),
+                                    CarConfig(v=0.5, R=1.0), horizon=20.0,
+                                    headstart=math.pi, time_grid=time_grid)
 
     @pytest.mark.parametrize("time_grid", [2, 5, 33, 400])
     def test_one_kernel_call_whatever_the_grid(self, monkeypatch, time_grid):
