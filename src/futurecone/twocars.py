@@ -13,14 +13,15 @@ that is compared against the inequalities.
 
 Every path is built by one exact arc kernel over constant-rate
 segments: each moves by its chord along the mid-heading, and heading
-and position accumulate by cumulative sums. Steering laws report their
-rates for many epochs at once (``SteeringLaw.rates_at``), so a
-propagation is one rate lookup and one kernel call.
+and position accumulate by cumulative sums. A steering law is one
+vectorized rate function (``SteeringLaw.rates_at``), so a propagation
+is one rate call, one check of every rate against the car's bound and
+one kernel call; a pursuit route is three rate/duration rows.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -111,29 +112,28 @@ class CarState:
         return self.theta % TWO_PI
 
 
+def _check_rates(rates: np.ndarray, cfg: CarConfig) -> None:
+    """Refuse the first nan rate or rate over cfg's admissible bound."""
+    bad = np.flatnonzero(
+        ~(np.abs(rates) <= cfg.admissible_rate * (1.0 + _GEOM_SLACK)))
+    if bad.size:
+        raise ValueError(
+            f"turn rate {rates[bad[0]]} exceeds the admissible bound "
+            f"{cfg.admissible_rate} (strictly below v/R = "
+            f"{cfg.max_turn_rate})")
+
+
 @dataclass(frozen=True, eq=False)
 class SteeringLaw:
-    """Turn-rate control thetadot(t) with its admissibility cap.
+    """Turn-rate control thetadot(t), evaluated for many epochs at once.
 
     Attributes:
-        thetadot: Piecewise-continuous turn rate, rad/s, as a function
-            of absolute time.
-        rate_cap: Largest magnitude the law may return, rad/s. Laws
-            built by the constructors validate their rates against the
-            car's admissible bound at construction; a raw callable has
-            every rate it returns checked during propagation.
+        rates_at: Turn rates, rad/s, at an array of absolute epochs, s:
+            one rate per epoch. A propagation checks every rate it
+            samples against its car's admissible bound.
     """
 
-    thetadot: Callable[[float], float]
-    rate_cap: float
-    # (switches, rates) of a constructor-built law; None for a raw callable
-    _table: tuple[np.ndarray, np.ndarray] | None = field(
-        default=None, init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.rate_cap) and self.rate_cap >= 0.0):
-            raise ValueError(
-                f"rate cap must be finite and nonnegative, got {self.rate_cap}")
+    rates_at: Callable[[np.ndarray], np.ndarray]
 
     @classmethod
     def constant(cls, rate: float, cfg: CarConfig) -> "SteeringLaw":
@@ -149,48 +149,30 @@ class SteeringLaw:
         """Piecewise-constant law: rates[i] applies before switches[i].
 
         Args:
-            switches: Finite, strictly increasing switch epochs, s (may
-                be empty).
-            rates: One more rate than switches; rates[-1] applies for
-                all time past the last switch.
+            switches: Finite, strictly increasing switch epochs, s, shape
+                (k,) (k may be 0).
+            rates: Shape (k + 1,); rates[-1] applies for all time past
+                the last switch.
             cfg: Car whose admissible bound validates every rate.
 
         Raises:
-            ValueError: rate out of bounds, or switches not finite and
-                increasing.
+            ValueError: misshapen switches or rates, rate out of bounds,
+                or switches not finite and increasing.
         """
-        switches = np.asarray(switches, dtype=float)
-        rates = np.asarray(rates, dtype=float)
-        if rates.shape != (switches.size + 1,):
+        # copies: a caller's later writes cannot reach a validated law
+        switches = np.array(switches, dtype=float)
+        rates = np.array(rates, dtype=float)
+        if switches.ndim != 1 or rates.shape != (switches.size + 1,):
             raise ValueError(
-                f"need len(switches) + 1 rates, got {switches.size} switches "
-                f"and {rates.size} rates")
+                f"need switches (k,) and rates (k + 1,), got switches "
+                f"{switches.shape} and rates {rates.shape}")
         if not (np.all(np.diff(switches) > 0.0)
                 and np.all(np.isfinite(switches))):
             raise ValueError(
                 "switch epochs must be finite and strictly increasing")
-        bad = np.flatnonzero(~(np.abs(rates) <= cfg.admissible_rate))
-        if bad.size:
-            raise ValueError(
-                f"turn rate {rates[bad[0]]} exceeds the admissible bound "
-                f"{cfg.admissible_rate} (strictly below v/R = "
-                f"{cfg.max_turn_rate})")
-
-        law = cls(thetadot=lambda t: float(law.rates_at(t)),
-                  rate_cap=float(np.max(np.abs(rates))))
-        object.__setattr__(law, "_table", (switches, rates))
-        return law
-
-    def rates_at(self, times: np.ndarray) -> np.ndarray:
-        """Turn rates at each epoch, rad/s, shape of times.
-
-        Constructor-built laws answer with one table lookup, which is
-        also their thetadot; a raw callable is evaluated per epoch.
-        """
-        if self._table is None:
-            return np.fromiter(map(self.thetadot, times.tolist()), float)
-        switches, rates = self._table
-        return rates[np.searchsorted(switches, times, side="right")]
+        _check_rates(rates, cfg)
+        return cls(lambda times: rates[np.searchsorted(switches, times,
+                                                       side="right")])
 
 
 @dataclass(frozen=True, eq=False)
@@ -304,17 +286,17 @@ def propagate_car(cfg: CarConfig, s0: CarState, law: SteeringLaw, t: float,
 
     Fixed-step integration of x' = v sin(theta), y' = v cos(theta),
     theta' = law(t). Each step holds the rate at the step midpoint
-    (all midpoints in one ``law.rates_at`` call, a table lookup for
-    constructor-built laws) and applies the exact constant-rate arc,
-    all steps in one kernel call. Speed is exactly v at every sample,
-    and piecewise-constant laws whose switches fall on step boundaries
-    propagate without integration error.
+    (all midpoints in one ``law.rates_at`` call, every rate checked
+    against the car's admissible bound) and applies the exact
+    constant-rate arc, all steps in one kernel call. Speed is exactly v
+    at every sample, and piecewise-constant laws whose switches fall on
+    step boundaries propagate without integration error.
 
     Args:
         cfg: Car speed and turn radius.
         s0: Start pose and epoch.
-        law: Admissible steering law; its cap must not exceed the
-            car's admissible bound.
+        law: Steering law; every rate it returns for the step
+            midpoints must lie within the car's admissible bound.
         t: Duration, s, > 0.
         step: Largest step, s, > 0; t is split into ceil(t/step)
             equal steps, the last landing exactly on s0.t + t.
@@ -323,24 +305,21 @@ def propagate_car(cfg: CarConfig, s0: CarState, law: SteeringLaw, t: float,
         CarPath sampled at every step boundary, including s0.
 
     Raises:
-        ValueError: nonpositive t or step, or a law rate over the bound.
+        ValueError: nonpositive t or step, a law rate over the bound,
+            or not one law rate per step.
         WorkCapExceeded: more steps than the package's cap.
     """
     if not (t > 0.0 and math.isfinite(t)):
         raise ValueError(f"duration must be positive and finite, got {t}")
     if not (step > 0.0 and math.isfinite(step)):
         raise ValueError(f"step must be positive and finite, got {step}")
-    if law.rate_cap > cfg.admissible_rate * (1.0 + _GEOM_SLACK):
-        raise ValueError(
-            f"law rate cap {law.rate_cap} exceeds the admissible bound "
-            f"{cfg.admissible_rate} for v={cfg.v}, R={cfg.R}")
     n_steps = _sample_count(t / step - _GEOM_SLACK, "propagation steps")
     times = s0.t + (t * np.arange(n_steps + 1)) / n_steps
-    rates = law.rates_at(0.5 * (times[:-1] + times[1:]))
-    over = np.flatnonzero(np.abs(rates) > law.rate_cap * (1.0 + _GEOM_SLACK))
-    if over.size:
-        raise ValueError(f"law returned rate {float(rates[over[0]])} above "
-                         f"its declared cap {law.rate_cap}")
+    rates = np.asarray(law.rates_at(0.5 * (times[:-1] + times[1:])), float)
+    if rates.shape != (n_steps,):
+        raise ValueError(f"law returned rates of shape {rates.shape} for "
+                         f"{n_steps} epochs")
+    _check_rates(rates, cfg)
     states = _arc_poses(cfg.v, (s0.x, s0.y, s0.theta), rates, np.diff(times))
     times[-1] = s0.t + t
     return CarPath(cfg=cfg, times=times, states=states)
@@ -432,18 +411,20 @@ def cockayne_check(pursuer: CarConfig, evader: CarConfig) -> CockayneVerdict:
 
 
 def _tangent_path(p0: CarState, goal: np.ndarray, goal_heading: float,
-                  cfg: CarConfig) -> list[tuple[float, float]]:
+                  cfg: CarConfig) -> tuple[np.ndarray, np.ndarray]:
     """Shortest turn-straight-turn route to a goal pose.
 
     Evaluates the four circle-tangent-circle constructions (both turn
     senses on each end) at the admissible turn radius and returns the
-    shortest as (rate, duration) segments. The same-sense pairs always
-    admit a tangent, so a route exists for every goal.
+    shortest as the rates and durations, each shape (3,), of its turn,
+    straight and turn; a segment the route does not need lasts 0. The
+    same-sense pairs always admit a tangent, so a route exists for
+    every goal.
     """
     u = cfg.admissible_rate
     rho = cfg.v / u
     theta0 = p0.theta
-    best: list[tuple[float, float]] | None = None
+    best = None
     best_time = math.inf
     for sign0 in (1.0, -1.0):
         # turn center sits a lever arm to the side of the heading
@@ -469,10 +450,9 @@ def _tangent_path(p0: CarState, goal: np.ndarray, goal_heading: float,
             total = (turn0 + turn1) / u + straight / cfg.v
             if total < best_time:
                 best_time = total
-                best = [(sign0 * u, turn0 / u), (0.0, straight / cfg.v),
-                        (sign1 * u, turn1 / u)]
-    assert best is not None
-    return [(rate, dur) for rate, dur in best if dur > 0.0]
+                best = ((sign0 * u, 0.0, sign1 * u),
+                        (turn0 / u, straight / cfg.v, turn1 / u))
+    return np.array(best[0]), np.array(best[1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -551,9 +531,7 @@ def explicit_policy_pursuit(pursuer: CarConfig, evader: CarConfig,
             f"evader track ends at {track_end}, before the pursuit "
             f"starts at {p0.t}")
     start = evader_path.states[0]
-    segments = _tangent_path(p0, np.array(start[:2]), float(start[2]), pursuer)
-    # a pursuer already on the track start gets no segments at all
-    rates, durations = np.array(segments).reshape(-1, 2).T
+    rates, durations = _tangent_path(p0, start[:2], float(start[2]), pursuer)
     edges = np.concatenate([[0.0], np.cumsum(durations)])
     corners = _arc_poses(pursuer.v, (p0.x, p0.y, p0.theta), rates, durations)
     t_acq = p0.t + float(edges[-1])
@@ -572,17 +550,14 @@ def explicit_policy_pursuit(pursuer: CarConfig, evader: CarConfig,
         times = p0.t + span * np.arange(lo, hi) / n
         states = np.empty((hi - lo, 3))
         n_approach = int(np.searchsorted(times, t_acq, side="right"))
-        if segments:
-            # each approach sample flies one arc from the corner where its
-            # segment starts; every segment before it was flown in full
-            elapsed = times[:n_approach] - p0.t
-            seg = np.searchsorted(edges[1:-1], elapsed)
-            states[:n_approach] = _arc_poses(
-                pursuer.v, corners[seg], rates[seg, None],
-                np.clip(elapsed - edges[seg], 0.0, durations[seg])[:, None]
-            )[:, -1]
-        else:
-            states[:n_approach] = corners[0]
+        # each approach sample flies one arc from the corner where its
+        # segment starts; every segment before it was flown in full
+        elapsed = times[:n_approach] - p0.t
+        seg = np.searchsorted(edges[1:-1], elapsed)
+        states[:n_approach] = _arc_poses(
+            pursuer.v, corners[seg], rates[seg, None],
+            np.clip(elapsed - edges[seg], 0.0, durations[seg])[:, None]
+        )[:, -1]
         # follow the track: arc length v1*(t - t_acq) into a track recorded
         # at speed v2 lands at evader epoch u
         u = track_t0 + (pursuer.v / evader.v) * (times[n_approach:] - t_acq)

@@ -266,9 +266,7 @@ def test_criterion_7_two_cars_equivalence():
                         R=float(rng.uniform(0.5, 3.0)))
         amp = 0.95 * cfg.admissible_rate
         freq = float(rng.uniform(0.3, 1.5)) * cfg.v / cfg.R
-        law = SteeringLaw(
-            thetadot=lambda t, a=amp, w=freq: a * math.sin(w * t),
-            rate_cap=amp)
+        law = SteeringLaw(lambda t, a=amp, w=freq: a * np.sin(w * t))
         s0 = CarState(x=0.0, y=0.0, theta=float(rng.uniform(0.0, TWO_PI)),
                       t=0.0)
         path = propagate_car(cfg, s0, law, t=6.0 * cfg.R / cfg.v,

@@ -16,7 +16,7 @@ from futurecone.errors import (
     ScenarioParseError,
     ScenarioSchemaError,
 )
-from futurecone.kepler import StateVector, arcs_from_states
+from futurecone.kepler import StateVector, arcs_from_states, propagate_time
 from futurecone.maneuver import ImpulsiveSchedule, propagate_schedule
 from futurecone.scenario_io import (
     FY1CParameters,
@@ -699,17 +699,53 @@ class TestFY1C:
         assert 0.0101 <= scn.target.budget <= 0.011
 
     def test_vertex_altitude(self):
+        params = FY1CParameters()
         scn = builtin_scenario("fy1c")
         alt = np.linalg.norm(scn.interceptor.vertex.r) - EARTH_RADIUS_KM
-        assert abs(alt - 104.0) < 1e-9
+        assert abs(alt - params.vertex_alt_km) < 1e-9
         assert scn.interceptor.vertex.t == 68.0
 
     def test_target_orbit_is_circular_860(self):
+        params = FY1CParameters()
         scn = builtin_scenario("fy1c")
         r = float(np.linalg.norm(scn.target.vertex.r))
         v = float(np.linalg.norm(scn.target.vertex.v))
-        np.testing.assert_allclose(r, EARTH_RADIUS_KM + 860.0, rtol=1e-9)
+        np.testing.assert_allclose(r, EARTH_RADIUS_KM + params.target_alt_km,
+                                   rtol=1e-9)
         np.testing.assert_allclose(v, math.sqrt(MU_EARTH / r), rtol=1e-9)
+        h = np.cross(scn.target.vertex.r, scn.target.vertex.v)
+        inclination = math.degrees(math.acos(h[2] / np.linalg.norm(h)))
+        assert inclination == pytest.approx(params.target_inclination_deg,
+                                            abs=1e-9)
+
+    def test_ascent_follows_the_site_great_circle(self):
+        """The interceptor vertex and the target coasted to the
+        encounter epoch lie on the great circle from the launch site at
+        the launch azimuth; the encounter is 250 km downrange at the
+        target altitude, mid target window (the file's derivation)."""
+        params = FY1CParameters()
+        scn = builtin_scenario("fy1c")
+        lat, lon, azimuth = np.radians([params.site_lat_deg,
+                                        params.site_lon_deg,
+                                        params.launch_azimuth_deg])
+        site = np.array([math.cos(lat) * math.cos(lon),
+                         math.cos(lat) * math.sin(lon), math.sin(lat)])
+        north = np.array([-math.sin(lat) * math.cos(lon),
+                          -math.sin(lat) * math.sin(lon), math.cos(lat)])
+        east = np.array([-math.sin(lon), math.cos(lon), 0.0])
+        heading = math.cos(azimuth) * north + math.sin(azimuth) * east
+        normal = np.cross(site, heading)
+        encounter = propagate_time(scn.target.vertex, params.encounter_t_s,
+                                   scn.mu)
+        for r in (scn.interceptor.vertex.r, encounter.r):
+            assert abs(r @ normal) < 1e-9 * np.linalg.norm(r)
+        radius = float(np.linalg.norm(encounter.r))
+        downrange = EARTH_RADIUS_KM * math.atan2(encounter.r @ heading,
+                                                 encounter.r @ site)
+        assert downrange == pytest.approx(250.0, abs=1e-4)
+        assert radius - EARTH_RADIUS_KM == pytest.approx(params.target_alt_km,
+                                                         abs=1e-4)
+        assert sum(params.target_window_s) / 2.0 == params.encounter_t_s
 
     def test_parameter_invariants_guard_budgets(self):
         with pytest.raises(ValueError, match="^remaining target stock"):

@@ -58,7 +58,7 @@ def loop_propagate(cfg, s0, law, t, step):
     for k in range(n):
         lo = s0.t + (t * k) / n
         hi = s0.t + (t * (k + 1)) / n
-        u = law.thetadot(0.5 * (lo + hi))
+        u = float(law.rates_at(np.array([0.5 * (lo + hi)]))[0])
         turn = u * (hi - lo)
         if abs(turn) < 1e-12:
             chord, half = cfg.v * (hi - lo), 0.0
@@ -141,25 +141,24 @@ class TestSteeringLaw:
     def test_constant_validates(self):
         cfg = CarConfig(v=1.0, R=2.0)
         law = SteeringLaw.constant(0.4, cfg)
-        assert law.thetadot(123.0) == 0.4
-        assert law.rate_cap == 0.4
+        assert law.rates_at(np.array([123.0])).tolist() == [0.4]
         with pytest.raises(ValueError):
             SteeringLaw.constant(cfg.max_turn_rate, cfg)
-
-    @pytest.mark.parametrize("cap", [-0.1, math.inf, math.nan])
-    def test_rejects_rate_cap_that_is_not_finite_and_nonnegative(self, cap):
-        with pytest.raises(ValueError,
-                           match="^rate cap must be finite and nonnegative"):
-            SteeringLaw(thetadot=lambda t: 0.0, rate_cap=cap)
 
     def test_piecewise_lookup(self):
         cfg = CarConfig(v=1.0, R=1.0)
         law = SteeringLaw.piecewise([1.0, 2.0], [0.1, -0.2, 0.3], cfg)
-        assert law.thetadot(0.5) == 0.1
-        assert law.thetadot(1.0) == -0.2
-        assert law.thetadot(1.5) == -0.2
-        assert law.thetadot(5.0) == 0.3
-        assert law.rate_cap == 0.3
+        rates = law.rates_at(np.array([0.5, 1.0, 1.5, 5.0]))
+        assert rates.tolist() == [0.1, -0.2, -0.2, 0.3]
+
+    def test_piecewise_keeps_its_own_table(self):
+        """Writing to the caller's arrays after construction changes
+        neither the law nor its validated rates."""
+        cfg = CarConfig(v=1.0, R=1.0)
+        switches, rates = np.array([1.0]), np.array([0.1, 0.2])
+        law = SteeringLaw.piecewise(switches, rates, cfg)
+        switches[0], rates[:] = 5.0, 2.0
+        assert law.rates_at(np.array([0.5, 2.0])).tolist() == [0.1, 0.2]
 
     def test_piecewise_validates(self):
         cfg = CarConfig(v=1.0, R=1.0)
@@ -176,6 +175,20 @@ class TestSteeringLaw:
                                match="^switch epochs must be finite"):
                 SteeringLaw.piecewise(switches,
                                       [0.1] * len(switches) + [-0.2], cfg)
+
+    @pytest.mark.parametrize("switches, rates, shapes", [
+        ([[1.0], [2.0]], [0.1, 0.2, 0.3], r"\(2, 1\) and rates \(3,\)"),
+        ([], 0.1, r"\(0,\) and rates \(\)"),
+        ([1.0], [[0.1, 0.2]], r"\(1,\) and rates \(1, 2\)"),
+    ], ids=["switches_2d", "rates_0d", "rates_2d"])
+    def test_piecewise_refuses_misshapen_tables(self, switches, rates,
+                                                shapes):
+        """Both shapes are named; 2-D switches once built a law that
+        numpy refused at the first propagation."""
+        with pytest.raises(ValueError, match=(
+                r"^need switches \(k,\) and rates \(k \+ 1,\), got "
+                r"switches " + shapes + "$")):
+            SteeringLaw.piecewise(switches, rates, CarConfig(v=1.0, R=1.0))
 
 
 class TestPropagateCar:
@@ -219,8 +232,7 @@ class TestPropagateCar:
     def test_step_halving_converges(self):
         cfg = CarConfig(v=1.0, R=1.0)
         amp = 0.9 * cfg.admissible_rate
-        law = SteeringLaw(thetadot=lambda t: amp * math.sin(1.3 * t),
-                          rate_cap=amp)
+        law = SteeringLaw(lambda t: amp * np.sin(1.3 * t))
         s0 = CarState(x=0.0, y=0.0, theta=0.2, t=0.0)
         coarse = propagate_car(cfg, s0, law, t=10.0, step=2.5e-4)
         fine = propagate_car(cfg, s0, law, t=10.0, step=1.25e-4)
@@ -238,14 +250,22 @@ class TestPropagateCar:
 
     def test_rejects_inadmissible_law(self):
         cfg = CarConfig(v=1.0, R=1.0)
-        overdriven = SteeringLaw(thetadot=lambda t: 2.0, rate_cap=2.0)
+        overdriven = SteeringLaw(lambda t: np.full_like(t, 2.0))
         s0 = CarState(x=0.0, y=0.0, theta=0.0, t=0.0)
         with pytest.raises(ValueError):
             propagate_car(cfg, s0, overdriven, t=1.0, step=0.1)
-        # a law lying about its cap is caught when sampled
-        liar = SteeringLaw(thetadot=lambda t: 0.9, rate_cap=0.1)
-        with pytest.raises(ValueError):
-            propagate_car(cfg, s0, liar, t=1.0, step=0.1)
+
+    @pytest.mark.parametrize("rates_at, shape", [
+        (lambda t: 0.5, r"\(\)"),
+        (lambda t: np.zeros(t.size + 1), r"\(11,\)"),
+        (lambda t: np.zeros((t.size, 1)), r"\(10, 1\)"),
+    ], ids=["scalar", "one_too_many", "column"])
+    def test_rejects_law_without_one_rate_per_step(self, rates_at, shape):
+        cfg = CarConfig(v=1.0, R=1.0)
+        s0 = CarState(x=0.0, y=0.0, theta=0.0, t=0.0)
+        with pytest.raises(ValueError, match=(
+                f"^law returned rates of shape {shape} for 10 epochs$")):
+            propagate_car(cfg, s0, SteeringLaw(rates_at), t=1.0, step=0.1)
 
     def test_rejects_bad_spans(self):
         cfg = CarConfig(v=1.0, R=1.0)
@@ -259,11 +279,10 @@ class TestPropagateCar:
     def test_error_names_first_rate_over_cap(self):
         cfg = CarConfig(v=1.0, R=1.0)
         s0 = CarState(x=0.0, y=0.0, theta=0.0, t=0.0)
-        liar = SteeringLaw(
-            thetadot=lambda t: 0.0 if t < 0.5 else (0.7 if t < 0.8 else 0.9),
-            rate_cap=0.1)
-        with pytest.raises(ValueError, match="rate 0.7 above"):
-            propagate_car(cfg, s0, liar, t=1.0, step=0.1)
+        law = SteeringLaw(
+            lambda t: np.select([t < 0.5, t < 0.8], [0.0, 1.7], 1.9))
+        with pytest.raises(ValueError, match="^turn rate 1.7 exceeds"):
+            propagate_car(cfg, s0, law, t=1.0, step=0.1)
 
     def test_matches_scalar_loop(self):
         """The array kernel agrees with the per-step loop; numpy's sin
@@ -271,8 +290,7 @@ class TestPropagateCar:
         cfg = CarConfig(v=BANGBANG_V, R=BANGBANG_R)
         amp = 0.9 * cfg.admissible_rate
         laws = [SteeringLaw.piecewise(BANGBANG_SWITCHES, BANGBANG_RATES, cfg),
-                SteeringLaw(thetadot=lambda t: amp * math.sin(1.3 * t),
-                            rate_cap=amp)]
+                SteeringLaw(lambda t: amp * np.sin(1.3 * t))]
         s0 = CarState(*BANGBANG_START, t=0.25)
         for law in laws:
             path = propagate_car(cfg, s0, law, t=7.0, step=0.013)
@@ -280,18 +298,6 @@ class TestPropagateCar:
             assert np.array_equal(path.times, times)
             assert_allclose(path.states, states, rtol=1e-12,
                             atol=1e-12 * cfg.v * 7.0)
-
-    def test_raw_callable_matches_table(self):
-        """A raw callable wrapping a piecewise law takes the per-epoch
-        branch of rates_at and must drive the identical path."""
-        cfg = CarConfig(v=BANGBANG_V, R=BANGBANG_R)
-        table = SteeringLaw.piecewise(BANGBANG_SWITCHES, BANGBANG_RATES, cfg)
-        raw = SteeringLaw(thetadot=table.thetadot, rate_cap=table.rate_cap)
-        s0 = CarState(*BANGBANG_START, t=0.25)
-        a = propagate_car(cfg, s0, table, t=4.0, step=0.013)
-        b = propagate_car(cfg, s0, raw, t=4.0, step=0.013)
-        assert np.array_equal(a.times, b.times)
-        assert np.array_equal(a.states, b.states)
 
 
 class TestPathInvariants:
@@ -304,9 +310,7 @@ class TestPathInvariants:
             cfg = CarConfig(v=v, R=R)
             amp = 0.95 * cfg.admissible_rate
             freq = float(rng.uniform(0.3, 1.5)) * v / R
-            law = SteeringLaw(
-                thetadot=lambda t, a=amp, w=freq: a * math.sin(w * t),
-                rate_cap=amp)
+            law = SteeringLaw(lambda t, a=amp, w=freq: a * np.sin(w * t))
             s0 = CarState(x=0.0, y=0.0, theta=float(rng.uniform(0, TWO_PI)),
                           t=0.0)
             path = propagate_car(cfg, s0, law, t=6.0 * R / v,
@@ -444,11 +448,10 @@ class TestTangentPath:
                           t=0.0)
             goal = rng.uniform(-5, 5, 2)
             goal_heading = float(rng.uniform(-math.pi, 3 * math.pi))
-            segments = _tangent_path(p0, goal, goal_heading, cfg)
-            for rate, duration in segments:
-                assert abs(rate) <= cfg.admissible_rate * (1 + 1e-12)
-                assert duration > 0.0
-            rates, durations = np.array(segments).T
+            rates, durations = _tangent_path(p0, goal, goal_heading, cfg)
+            assert rates.shape == durations.shape == (3,)
+            assert np.all(np.abs(rates) <= cfg.admissible_rate * (1 + 1e-12))
+            assert np.all(durations >= 0.0)
             x, y, theta = _arc_poses(cfg.v, (p0.x, p0.y, p0.theta), rates,
                                      durations)[-1]
             assert_allclose([x, y], goal, atol=1e-9)
@@ -457,11 +460,10 @@ class TestTangentPath:
     def test_straight_ahead_goal_is_a_straight_drive(self):
         cfg = CarConfig(v=2.0, R=1.0)
         p0 = CarState(x=0.0, y=0.0, theta=0.0, t=0.0)
-        segments = _tangent_path(p0, np.array([0.0, 5.0]), 0.0, cfg)
-        assert len(segments) == 1
-        rate, duration = segments[0]
-        assert rate == 0.0
-        assert duration == pytest.approx(5.0 / cfg.v)
+        rates, durations = _tangent_path(p0, np.array([0.0, 5.0]), 0.0, cfg)
+        assert rates[1] == 0.0
+        assert durations[0] == durations[2] == 0.0
+        assert durations[1] == pytest.approx(5.0 / cfg.v)
 
 
 def weaving_game(seed: int):
@@ -548,6 +550,11 @@ class TestExplicitPolicyPursuit:
             np.interp(result.path.times, track.times, track.states[:, 1])])
         gaps = np.linalg.norm(result.path.positions - evader_pos, axis=1)
         assert np.all(np.diff(gaps) >= -1e-9)
+        # the closest approach is the separation at its own sample
+        closest = np.flatnonzero(result.path.times == result.closest_time)
+        assert closest.size == 1
+        assert gaps[closest[0]] == pytest.approx(result.closest_approach,
+                                                 rel=1e-12)
 
     def test_random_cockayne_true_engagements_capture(self):
         """Faster pursuer with tighter turning catches weaving evaders
@@ -585,7 +592,8 @@ class TestExplicitPolicyPursuit:
         e0 = CarState(x=1.0, y=2.0, theta=0.0, t=0.0)
         track = propagate_car(evader, e0, SteeringLaw.constant(0.3, evader),
                               t=5.0, step=0.01)
-        assert _tangent_path(e0, e0.position, e0.theta, pursuer) == []
+        _, durations = _tangent_path(e0, e0.position, e0.theta, pursuer)
+        assert durations.tolist() == [0.0, 0.0, 0.0]
         result = explicit_policy_pursuit(pursuer, evader, e0, track)
         assert result.acquisition_time == 0.0
         assert result.captured and result.capture_time == 0.0

@@ -152,8 +152,7 @@ def explicit_policy_pursuit(pursuer: CarConfig, evader: CarConfig,
             f"evader track ends at {track_end}, before the pursuit "
             f"starts at {p0.t}")
     start = evader_path.states[0]
-    segments = _tangent_path(p0, np.array(start[:2]), float(start[2]), pursuer)
-    rates, durations = np.array(segments).reshape(-1, 2).T
+    rates, durations = _tangent_path(p0, start[:2], float(start[2]), pursuer)
     edges = np.concatenate([[0.0], np.cumsum(durations)])
     t_acq = p0.t + float(edges[-1])
 
