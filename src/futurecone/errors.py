@@ -25,7 +25,16 @@ class SurfaceViolation(FutureConeError):
 
 
 class ConvergenceError(FutureConeError):
-    """An iterative solver hit its iteration cap without meeting tolerance."""
+    """An iterative solver hit its iteration cap without meeting tolerance.
+
+    Attributes:
+        row: Index of the offending row when raised from a batch of
+            solves (kepler's Kepler solve), else None.
+    """
+
+    def __init__(self, message: str, row: int | None = None):
+        super().__init__(message)
+        self.row = row
 
 
 class AmbiguousPlane(FutureConeError):

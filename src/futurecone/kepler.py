@@ -175,7 +175,8 @@ def _solve_kepler(M: np.ndarray, e: np.ndarray) -> np.ndarray:
     steps is bisected on [Mr - e, Mr + e] down to float resolution.
 
     Raises:
-        ConvergenceError: a row did not converge; names the first.
+        ConvergenceError: a row did not converge; names the first, and
+            carries its index as row.
     """
     branch = _TWO_PI * np.floor(M / _TWO_PI)
     Mr = M - branch
@@ -205,7 +206,8 @@ def _solve_kepler(M: np.ndarray, e: np.ndarray) -> np.ndarray:
         if np.count_nonzero(failed):
             i = np.flatnonzero(stray)[np.argmax(failed)]
             raise ConvergenceError(f"Kepler solve did not converge for "
-                                   f"M={float(M[i])!r}, e={float(e[i])!r}")
+                                   f"M={float(M[i])!r}, e={float(e[i])!r}",
+                                   row=int(i))
         E[stray] = mid
     return E + branch
 

@@ -4,8 +4,10 @@ The chain loop that builds a StateVector per state: each segment coasts
 with `kepler.coast`, each shock checks the floor and `kepler.is_bound`
 on its own, and the trajectory's arcs are derived once more at the end
 from the states the segments started at. `maneuver.propagate_schedule`
-must give the same arcs, bit for bit, and raise the same errors with
-the same messages.
+solves the same chain by Newton multiple shooting. It must give the
+same arcs, bit for bit when the chain has at most one shock after its
+origin and to 1e-11 relative beyond, and raise the same errors with the
+same messages up to numbers within 1e-11 relative.
 """
 from __future__ import annotations
 

@@ -599,6 +599,15 @@ class TestArrayKernels:
         with pytest.raises(ConvergenceError):
             propagate_time(s, 600.0)
 
+    def test_kepler_stall_carries_its_row(self, monkeypatch):
+        """The first row that does not converge is named in the message
+        and by index, so a batch's caller can tell whose solve it was."""
+        monkeypatch.setattr(kepler, "_KEPLER_MAX_ITER", 0)
+        monkeypatch.setattr(kepler, "_BISECT_STEPS", 1)
+        with pytest.raises(ConvergenceError, match="M=2.5, e=0.3") as info:
+            _solve_kepler(np.array([0.0, 2.5, 1.0]), np.array([0.0, 0.3, 0.1]))
+        assert info.value.row == 1
+
     def test_is_bound_matches_arc_from_state(self):
         r = np.tile([7000.0, 0.0, 0.0], (4, 1))
         escape = math.sqrt(2.0 * MU_EARTH / 7000.0)
