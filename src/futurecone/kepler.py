@@ -16,8 +16,9 @@ states_at derives the conic of each arc of a batch once and gathers it
 for every row that queries the arc; the scalar functions are batches of
 one. Row norms come from _row_norm, np.linalg.norm(x, axis=-1)'s bits
 without its reduction pass: every floor test, bound test and burn cost
-reads it, while Lambert's internal geometry and maneuver's RK4
-reference keep their own sums, which the pinned digests cover.
+reads it, and maneuver's RK4 sums its float radii in its order, while
+Lambert's internal geometry keeps its own sums, which the pinned digests
+cover.
 
 The bound test is a function of its own (_require_bound, on the fields
 of the one vis-viva pass _ellipse), and so is the floor test: _conic

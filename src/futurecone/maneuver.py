@@ -199,7 +199,11 @@ class ThrustProfile:
 
     Attributes:
         accel: Maps time (s) to an acceleration vector (km/s^2, 3
-            components); integrable over the window.
+            components); integrable over the window. integrate_thrust
+            calls it 2n + 1 times per resolution of n steps, at the
+            window start and at each step's midpoint and end;
+            shock_approximation and profile_impulse at 8 Gauss nodes per
+            sub-interval.
         window: (t_start, t_end) thrusting interval, s, finite.
     """
 
@@ -518,16 +522,17 @@ def _check_chain(r0, v0, t0, ends, shocks, stalled, n_shocks: int,
         raise type(exc)(f"{label}: {exc}") from exc
 
 
-def _as_accel(value) -> np.ndarray:
-    """value as a thrust acceleration; a ValueError that names accel
-    unless it is 3 finite components."""
+def _as_accel(value) -> list[float]:
+    """value as a thrust acceleration, its three components as floats; a
+    ValueError that names accel unless it is 3 finite components."""
     thrust = np.asarray(value, dtype=float)
     if thrust.shape != (3,):
         raise ValueError(f"accel must return 3 components, got an array of "
                          f"shape {thrust.shape}")
-    if not all(map(math.isfinite, thrust.tolist())):
+    components = thrust.tolist()
+    if not all(map(math.isfinite, components)):
         raise ValueError(f"accel must return finite components, got {thrust}")
-    return thrust
+    return components
 
 
 def integrate_thrust(origin: StateVector, profile: ThrustProfile,
@@ -538,6 +543,12 @@ def integrate_thrust(origin: StateVector, profile: ThrustProfile,
     Integrates dr/dt = v, dv/dt = -mu r/|r|^3 + accel(t) over the profile
     window. The step count doubles from 64 until halving it moves the
     endpoint by less than _SETTLE_TOL relative to the position scale.
+    A resolution of n steps samples the thrust 2n + 1 times: at the
+    window start, then at each step's midpoint and end, the end sample
+    serving as the next step's start; each sample is checked as it is
+    taken. The recurrence runs on six floats, every radius summed in
+    kepler._row_norm's order, and the floor and bound checks run after
+    every step.
 
     Args:
         origin: State at the window start; epochs must agree.
@@ -560,12 +571,7 @@ def integrate_thrust(origin: StateVector, profile: ThrustProfile,
         raise ValueError(
             f"origin epoch {origin.t} must equal the window start {t0}")
     floor_radius = EARTH_RADIUS_KM + floor
-
-    def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        r = y[:3]
-        rn = float(np.linalg.norm(r))
-        return np.concatenate([y[3:], -mu / rn**3 * r
-                               + _as_accel(profile.accel(t))])
+    accel = profile.accel
 
     def run(n_steps: int) -> tuple[np.ndarray, np.ndarray]:
         if n_steps > _MAX_STEPS:
@@ -573,36 +579,58 @@ def integrate_thrust(origin: StateVector, profile: ThrustProfile,
                 f"endpoint did not settle to {_SETTLE_TOL} within the cap of "
                 f"{_MAX_STEPS} steps")
         h = (t1 - t0) / n_steps
-        times = np.empty(n_steps + 1)
-        rows = np.empty((n_steps + 1, 6))
-        y = np.concatenate([origin.r, origin.v])
-        times[0] = t0
-        rows[0] = y
+        half, sixth = h / 2.0, h / 6.0
+        x, y, z = origin.r.tolist()
+        u, v, w = origin.v.tolist()
+        rn = math.sqrt(x * x + y * y + z * z)
+        times = [t0]
+        rows = [(x, y, z, u, v, w)]
+        a_end = _as_accel(accel(t0))
         for i in range(n_steps):
             t = t0 + i * h
-            k1 = rhs(t, y)
-            k2 = rhs(t + h / 2.0, y + h / 2.0 * k1)
-            k3 = rhs(t + h / 2.0, y + h / 2.0 * k2)
-            k4 = rhs(t + h, y + h * k3)
-            y = y + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            rn = float(np.linalg.norm(y[:3]))
+            ax, ay, az = a_end
+            mx, my, mz = _as_accel(accel(t + half))
+            a_end = bx, by, bz = _as_accel(accel(t + h))
+            # stage k's state is (xk, yk, zk, uk, vk, wk), stage 1 the
+            # step's start; its rates are its velocity and (duk, dvk, dwk)
+            c = -mu / rn**3
+            du1, dv1, dw1 = c * x + ax, c * y + ay, c * z + az
+            x2, y2, z2 = x + half * u, y + half * v, z + half * w
+            u2, v2, w2 = u + half * du1, v + half * dv1, w + half * dw1
+            c = -mu / math.sqrt(x2 * x2 + y2 * y2 + z2 * z2)**3
+            du2, dv2, dw2 = c * x2 + mx, c * y2 + my, c * z2 + mz
+            x3, y3, z3 = x + half * u2, y + half * v2, z + half * w2
+            u3, v3, w3 = u + half * du2, v + half * dv2, w + half * dw2
+            c = -mu / math.sqrt(x3 * x3 + y3 * y3 + z3 * z3)**3
+            du3, dv3, dw3 = c * x3 + mx, c * y3 + my, c * z3 + mz
+            x4, y4, z4 = x + h * u3, y + h * v3, z + h * w3
+            u4, v4, w4 = u + h * du3, v + h * dv3, w + h * dw3
+            c = -mu / math.sqrt(x4 * x4 + y4 * y4 + z4 * z4)**3
+            du4, dv4, dw4 = c * x4 + bx, c * y4 + by, c * z4 + bz
+            x = x + sixth * (u + 2.0 * u2 + 2.0 * u3 + u4)
+            y = y + sixth * (v + 2.0 * v2 + 2.0 * v3 + v4)
+            z = z + sixth * (w + 2.0 * w2 + 2.0 * w3 + w4)
+            u = u + sixth * (du1 + 2.0 * du2 + 2.0 * du3 + du4)
+            v = v + sixth * (dv1 + 2.0 * dv2 + 2.0 * dv3 + dv4)
+            w = w + sixth * (dw1 + 2.0 * dw2 + 2.0 * dw3 + dw4)
+            rn = math.sqrt(x * x + y * y + z * z)
             if rn < floor_radius:
                 raise SurfaceViolation(
                     f"radius {rn!r} km below floor at t={t + h!r} s")
-            if float(y[3:] @ y[3:]) / 2.0 - mu / rn >= 0.0:
+            if (u * u + v * v + w * w) / 2.0 - mu / rn >= 0.0:
                 raise UnboundResult(f"state unbound at t={t + h!r} s")
-            times[i + 1] = t + h
-            rows[i + 1] = y
-        return times, rows
+            times.append(t + h)
+            rows.append((x, y, z, u, v, w))
+        return np.array(times), np.array(rows)
 
-    scale = float(np.linalg.norm(origin.r))
+    scale = float(_row_norm(origin.r))
     n = 64
     rows = run(n)[1]
     while True:
         n *= 2
         end = rows[-1, :3]
         times, rows = run(n)
-        if float(np.linalg.norm(rows[-1, :3] - end)) / scale < _SETTLE_TOL:
+        if float(_row_norm(rows[-1, :3] - end)) / scale < _SETTLE_TOL:
             return SampledTrajectory(times=times, rv=rows)
 
 
@@ -680,4 +708,4 @@ def profile_impulse(profile: ThrustProfile, n: int = 512) -> float:
     """Numerical total impulse of a profile: integral of |accel(t)| dt
     over n >= 1 equal sub-intervals (ValueError for n < 1)."""
     _, half, accel = _thrust_at_nodes(profile, n)
-    return float(_GAUSS_WEIGHTS @ np.linalg.norm(accel, axis=2) @ half)
+    return float(_GAUSS_WEIGHTS @ _row_norm(accel) @ half)

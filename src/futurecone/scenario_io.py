@@ -20,6 +20,7 @@ site 28.13 N 102.02 E, azimuth 345.73 deg, vertex at 104 km altitude
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass, field
 from importlib import resources
 
@@ -276,8 +277,9 @@ def _values(section: str, pairs: _Pairs) -> dict:
 # field's own name, or this where the two differ:
 _FIELD_KEYS = {"window": "window_s", "budget": "budget_km_s",
                "vertex": "r_km", "floor": "floor_km", "mu": "mu_km3_s2",
-               "t": "t_s", "dv": "dv_km_s", "r": "r_km", "v": "v_km_s",
-               "epoch": "t_s", "position": "r_km"}
+               "t": "t_s", "dv": "dv_km_s", "position": "r_km"}
+# A cone's vertex state names its fields so; a file names them by key.
+_VERTEX_KEYS = {"r": "r_km", "v": "v_km_s", "epoch": "t_s"}
 
 
 def _invariant(exc: ValueError, label: str, where: tuple[_Pairs, ...],
@@ -301,9 +303,15 @@ def _build(make, label: str, where: tuple[_Pairs, ...], line: int | None,
 
 
 def _cone(mu: float, floor: float, r, v, t, budget, window) -> ConeSpec:
-    """A cone from its section's values."""
-    return ConeSpec(vertex=StateVector(r=r, v=v, t=t), budget=budget,
-                    window=window, floor=floor, mu=mu)
+    """A cone from its section's values; a refused vertex state value is
+    named by its key."""
+    try:
+        vertex = StateVector(r=r, v=v, t=t)
+    except ValueError as exc:
+        field, _, rest = str(exc).partition(" ")
+        raise ValueError(f"{_VERTEX_KEYS.get(field, field)} {rest}") from exc
+    return ConeSpec(vertex=vertex, budget=budget, window=window, floor=floor,
+                    mu=mu)
 
 
 def load_scenario(path) -> Scenario:
@@ -610,6 +618,21 @@ def _write_rows(path, rows) -> None:
         writer.writerows(rows)
 
 
+def _write_points(path, rows, body_tag: str) -> None:
+    """rows, pairs (t, [x, y, z]) of floats, as csv rows under the header
+    with body_tag and a blank margin: _write_rows's bytes, built as one
+    join and written in one call. A float's repr needs no quoting, and
+    the tag is quoted once, as csv.writer quotes it."""
+    quoted = io.StringIO()
+    csv.writer(quoted, lineterminator="\n").writerow((body_tag, ""))
+    tail = quoted.getvalue()
+    text = "".join([",".join(_CSV_HEADER) + "\n",
+                    *[f"{t!r},{x!r},{y!r},{z!r},{tail}"
+                      for t, (x, y, z) in rows]])
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        handle.write(text)
+
+
 def _report_lines(verdict) -> list[str]:
     """The verdict's report, one field per line."""
     if isinstance(verdict, ContainmentReport):
@@ -689,5 +712,4 @@ def export_points(obj, path, format: str = "csv", *, body_tag: str = "cone",
         rows = [(t, p) for t in times for p in leaf(obj, t).tolist()]
     else:
         rows = zip(times, obj.states(times)[0].tolist())
-    _write_rows(path, [(repr(t), *map(repr, p), body_tag, "")
-                       for t, p in rows])
+    _write_points(path, rows, body_tag)

@@ -1,4 +1,4 @@
-"""Shock chains one object at a time: the test oracle.
+"""Shock chains one object at a time, and the vector RK4: the test oracles.
 
 The chain loop that builds a StateVector per state: each segment coasts
 with `kepler.coast`, each shock checks the floor and `kepler.is_bound`
@@ -8,13 +8,25 @@ solves the same chain by Newton multiple shooting. It must give the
 same arcs, bit for bit when the chain has at most one shock after its
 origin and to 1e-11 relative beyond, and raise the same errors with the
 same messages up to numbers within 1e-11 relative.
+
+`integrate_thrust` is the RK4 on numpy vectors: four `rhs` calls a step,
+each sampling the thrust, with a 1-D `np.linalg.norm` radius and one
+`np.concatenate` per stage. `maneuver.integrate_thrust` runs the same
+recurrence on six floats and samples the thrust 2n + 1 times per
+resolution. It must take the same step count and land every row within
+1e-14 relative, and refuse the same way at the same step.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from futurecone.constants import DEFAULT_FLOOR_KM, EARTH_RADIUS_KM, MU_EARTH
-from futurecone.errors import FutureConeError, SurfaceViolation, UnboundResult
+from futurecone.errors import (
+    FutureConeError,
+    SurfaceViolation,
+    UnboundResult,
+    WorkCapExceeded,
+)
 from futurecone.kepler import (
     StateVector,
     _row_norm,
@@ -22,7 +34,15 @@ from futurecone.kepler import (
     coast,
     is_bound,
 )
-from futurecone.maneuver import ImpulsiveSchedule, ImpulsiveTrajectory
+from futurecone.maneuver import (
+    _MAX_STEPS,
+    _SETTLE_TOL,
+    ImpulsiveSchedule,
+    ImpulsiveTrajectory,
+    SampledTrajectory,
+    ThrustProfile,
+    _as_accel,
+)
 
 
 def apply_shock(s: StateVector, dv, mu: float = MU_EARTH,
@@ -89,3 +109,58 @@ def propagate_schedule(origin: StateVector, sched: ImpulsiveSchedule,
                             [s.t for s in starts], mu)
     return ImpulsiveTrajectory(arcs=arcs, t_end=t_end, schedule=sched,
                                origin=origin)
+
+
+def integrate_thrust(origin: StateVector, profile: ThrustProfile,
+                     mu: float = MU_EARTH,
+                     floor: float = DEFAULT_FLOOR_KM) -> SampledTrajectory:
+    """Fixed-step RK4 integration of gravity plus the thrust profile."""
+    t0, t1 = profile.window
+    if origin.t != t0:
+        raise ValueError(
+            f"origin epoch {origin.t} must equal the window start {t0}")
+    floor_radius = EARTH_RADIUS_KM + floor
+
+    def rhs(t: float, y: np.ndarray) -> np.ndarray:
+        r = y[:3]
+        rn = float(np.linalg.norm(r))
+        return np.concatenate([y[3:], -mu / rn**3 * r
+                               + np.array(_as_accel(profile.accel(t)))])
+
+    def run(n_steps: int) -> tuple[np.ndarray, np.ndarray]:
+        if n_steps > _MAX_STEPS:
+            raise WorkCapExceeded(
+                f"endpoint did not settle to {_SETTLE_TOL} within the cap of "
+                f"{_MAX_STEPS} steps")
+        h = (t1 - t0) / n_steps
+        times = np.empty(n_steps + 1)
+        rows = np.empty((n_steps + 1, 6))
+        y = np.concatenate([origin.r, origin.v])
+        times[0] = t0
+        rows[0] = y
+        for i in range(n_steps):
+            t = t0 + i * h
+            k1 = rhs(t, y)
+            k2 = rhs(t + h / 2.0, y + h / 2.0 * k1)
+            k3 = rhs(t + h / 2.0, y + h / 2.0 * k2)
+            k4 = rhs(t + h, y + h * k3)
+            y = y + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            rn = float(np.linalg.norm(y[:3]))
+            if rn < floor_radius:
+                raise SurfaceViolation(
+                    f"radius {rn!r} km below floor at t={t + h!r} s")
+            if float(y[3:] @ y[3:]) / 2.0 - mu / rn >= 0.0:
+                raise UnboundResult(f"state unbound at t={t + h!r} s")
+            times[i + 1] = t + h
+            rows[i + 1] = y
+        return times, rows
+
+    scale = float(np.linalg.norm(origin.r))
+    n = 64
+    rows = run(n)[1]
+    while True:
+        n *= 2
+        end = rows[-1, :3]
+        times, rows = run(n)
+        if float(np.linalg.norm(rows[-1, :3] - end)) / scale < _SETTLE_TOL:
+            return SampledTrajectory(times=times, rv=rows)

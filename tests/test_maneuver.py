@@ -805,8 +805,83 @@ class TestIntegrateThrust:
         calls.clear()
         with pytest.raises(WorkCapExceeded, match="cap"):
             integrate_thrust(s, profile)
-        # RK4 takes 4 samples per step; only the resolutions under the cap ran
-        assert len(calls) == 4 * (steps - 64)
+        # a resolution of m steps samples 2m + 1 times; only the
+        # resolutions under the cap ran
+        ran = [m for m in (64 * 2**k for k in range(steps.bit_length()))
+               if m < steps]
+        assert ran and len(calls) == sum(2 * m + 1 for m in ran)
+
+
+BURN_SHAPES = ("along", "radial", "axis")
+
+
+def burn_draw(gen: np.random.Generator, shape: str):
+    """Origin and thrust profile shaped like a burn_chains request: a
+    circular orbit in a random plane and 1-4 um/s^2 over 0.1-0.3 of its
+    period, turning with the orbit along track or radially, or pulsing
+    on a fixed axis."""
+    radius = float(gen.uniform(6778.0, 7378.0))
+    inc = float(gen.uniform(0.0, math.pi))
+    node = float(gen.uniform(0.0, 2.0 * math.pi))
+    p = np.array([math.cos(node), math.sin(node), 0.0])
+    q = np.array([-math.sin(node) * math.cos(inc),
+                  math.cos(node) * math.cos(inc), math.sin(inc)])
+    speed = math.sqrt(MU_EARTH / radius)
+    rate = speed / radius
+    horizon = float(gen.uniform(0.1, 0.3)) * 2.0 * math.pi / rate
+    amp = float(gen.uniform(1e-6, 4e-6))
+    phase = float(gen.uniform(0.0, 2.0 * math.pi))
+    if shape == "along":
+        def accel(t):
+            a = rate * t + phase
+            return amp * (-math.sin(a) * p + math.cos(a) * q)
+    elif shape == "radial":
+        def accel(t):
+            a = rate * t + phase
+            return amp * (math.cos(a) * p + math.sin(a) * q)
+    else:
+        axis = gen.normal(size=3)
+        axis /= np.linalg.norm(axis)
+
+        def accel(t):
+            return amp * math.sin(t / 200.0) * axis
+    origin = StateVector(radius * p, speed * q, 0.0)
+    return origin, ThrustProfile(accel, (0.0, horizon))
+
+
+class TestThrustAgainstReference:
+    """The float recurrence against the vector RK4 it replaced."""
+
+    @pytest.mark.parametrize("shape", BURN_SHAPES)
+    def test_burns_match_reference(self, shape):
+        """The same step count and times, and every position and
+        velocity within 1e-14 of the reference's, relative to its row's
+        largest component."""
+        gen = np.random.default_rng([26, BURN_SHAPES.index(shape)])
+        for _ in range(4):
+            origin, profile = burn_draw(gen, shape)
+            got = integrate_thrust(origin, profile)
+            want = ref.integrate_thrust(origin, profile)
+            assert got.times.tobytes() == want.times.tobytes()
+            assert_rows_close(got.rv[:, :3], want.rv[:, :3], rtol=1e-14)
+            assert_rows_close(got.rv[:, 3:], want.rv[:, 3:], rtol=1e-14)
+
+    @pytest.mark.parametrize("push, error", [
+        (lambda t: np.array([0.0, -4e-3, 0.0]), SurfaceViolation),
+        (lambda t: np.array([0.0, 5e-3, 0.0]), UnboundResult),
+    ], ids=["retro", "escape"])
+    def test_refusals_match_reference(self, push, error):
+        """A floor crossing and an escape are refused as the reference
+        refuses them, at the same step time."""
+        profile = ThrustProfile(push, (0.0, 2000.0))
+        with pytest.raises(error) as got:
+            integrate_thrust(circular_state(), profile)
+        with pytest.raises(error) as want:
+            ref.integrate_thrust(circular_state(), profile)
+        assert_same_error(got.value, want.value)
+        step = re.compile(r"at t=(\S+) s$")
+        assert (step.search(str(got.value))[1]
+                == step.search(str(want.value))[1])
 
 
 class TestShockApproximation:

@@ -1,6 +1,7 @@
 """Scenario parsing, the bundled engagement, and exports."""
 from __future__ import annotations
 
+import csv
 import math
 
 import numpy as np
@@ -8,7 +9,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from futurecone.cone import ConeSampleSet, ConeSpec, ContainmentReport, containment
+from futurecone.cone import (
+    ConeSampleSet,
+    ConeSpec,
+    ContainmentReport,
+    containment,
+    leaf,
+    sample_cone,
+)
 from futurecone.constants import EARTH_RADIUS_KM, MU_EARTH
 from futurecone.errors import (
     ScenarioError,
@@ -372,15 +380,16 @@ class TestLoadScenario:
         ("mu_km3_s2 = nan", "mu"),
         ("mu_km3_s2 = inf", "mu"),
         ("mu_km3_s2 = -398600.4418", "mu"),
-        ("r_km = nan, 0.0, 0.0", "r"),
+        ("r_km = nan, 0.0, 0.0", "r_km"),
         ("r_km = 0.0, 0.0, 0.0", "position"),
-        ("v_km_s = inf, 1.0, 1.0", "v"),
-        ("t_s = inf", "epoch"),
+        ("v_km_s = inf, 1.0, 1.0", "v_km_s"),
+        ("t_s = inf", "t_s"),
     ])
     def test_bad_cone_number_reports_its_key_line(self, tmp_path, line,
                                                   field):
         """A refused number is reported at its own key line, also when
-        the interceptor's vertex state refuses it."""
+        the interceptor's vertex state refuses it; a refused vertex
+        value is named by its key, not the state's field."""
         key = line.split(" = ")[0]
         vertex = key in ("r_km", "v_km_s", "t_s")
         if key == "budget_km_s":
@@ -918,6 +927,33 @@ class TestExportPoints:
         lines = path.read_text().splitlines()
         assert len(lines) == 2
         assert lines[1] == "450.0,1.0,2.0,3.0,worst,0.5"
+
+    @pytest.mark.parametrize("tag", ["chain", "a,b", 'say "hi"',
+                                     "two\nlines", ""])
+    @pytest.mark.parametrize("kind", ["trajectory", "cloud"])
+    def test_csv_is_csv_writers_bytes(self, tmp_path, kind, tag):
+        """Point rows are joined by hand and the tag quoted once; the file
+        is csv.writer's, row by row, also for a tag that needs quoting."""
+        times = np.linspace(100.0, 900.0, 7)
+        if kind == "cloud":
+            spec = ConeSpec(vertex=leo_vertex(), budget=0.05,
+                            window=(100.0, 900.0))
+            obj = sample_cone(spec, 12, seed=3)
+            rows = [(t, p) for t in times.tolist()
+                    for p in leaf(obj, t).tolist()]
+        else:
+            sched = ImpulsiveSchedule([500.0], [(0.0, 0.01, 0.0)])
+            obj = propagate_schedule(leo_vertex(), sched, t_end=2000.0)
+            rows = zip(times.tolist(), obj.states(times)[0].tolist())
+        want = tmp_path / "want.csv"
+        with open(want, "w", encoding="utf-8", newline="") as handle:
+            writer = csv.writer(handle, lineterminator="\n")
+            writer.writerow(("t", "x", "y", "z", "body_tag", "margin"))
+            writer.writerows((repr(t), *map(repr, p), tag, "")
+                             for t, p in rows)
+        got = tmp_path / "got.csv"
+        export_points(obj, got, body_tag=tag, times=times)
+        assert got.read_bytes() == want.read_bytes()
 
     def test_export_is_deterministic(self, tmp_path):
         cloud = self.sample_set()
