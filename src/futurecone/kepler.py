@@ -8,10 +8,12 @@ are tracked unwrapped (multi-revolution); angles are reduced only inside
 trig evaluation.
 
 Each computation is written once, as an array kernel over many rows:
-the Kepler solve, the step (states_at, coast) and the perigee-crossing
-floor test in dE (states_at; arc_min_radius, from an arc's two end
-states without a Kepler solve). An ArcBatch holds epoch states only,
-C-ordered, so a row's bits do not depend on how its batch was built.
+the Kepler solve, the step (states_at, coast), its 6x6 transition
+matrix in closed form from the step's Lagrange coefficients
+(_transition) and the perigee-crossing floor test in dE (the step;
+arc_min_radius, from an arc's two end states without a Kepler solve).
+An ArcBatch holds epoch states only, C-ordered, so a row's bits do not
+depend on how its batch was built.
 states_at derives the conic of each arc of a batch once and gathers it
 for every row that queries the arc; the scalar functions are batches of
 one. Row norms come from _row_norm, np.linalg.norm(x, axis=-1)'s bits
@@ -23,11 +25,11 @@ cover.
 The bound test is a function of its own (_require_bound, on the fields
 of the one vis-viva pass _ellipse), and so is the floor test: _conic
 runs the bound test and derives the conic from the same pass
-(_conic_of), and _fly is the Lagrange step (_step) plus the floor test.
+(_conic_of), and the Lagrange step (_step) ends with the floor test.
 A caller that defers its checks flies on _vis_viva, _conic_of and _step
 alone, where a row that is not a bound ellipse turns to nan instead of
-raising; the shock chains of maneuver fly so and test all their states
-in one batch afterwards.
+raising; the shock chains of maneuver fly so, with _transition, and
+test all their states in one batch afterwards.
 
 Units: km, s, km/s. Bound orbits only (0 <= e < 1); unbound states raise.
 A bound state so nearly rectilinear that its e rounds to 1 is flown at
@@ -324,8 +326,9 @@ def _step(r0, v0, t0, conic, t, mu: float):
     """The Lagrange step from epoch states whose _conic_of is given: E1
     solves Kepler's equation at M = E0 - e*sin(E0) + n*dt, and the
     Lagrange coefficients and r1 = a*(1 - e*cos(E1)) are written in
-    dE = E1 - E0. Returns r1, v1 and the a, dE and |r1| the floor test
-    reads."""
+    dE = E1 - E0. Returns r1, v1, the lowest radius from each epoch to
+    t (_floor_radius), and the dt, |r0|, a, dE, |r1| and Lagrange
+    coefficients F, G, Ft, Gt that _transition reads."""
     rn0, alpha, sigma0, E0, e = conic
     dt = np.asarray(t, dtype=float) - t0
     n = np.sqrt(mu * alpha**3)
@@ -346,15 +349,42 @@ def _step(r0, v0, t0, conic, t, mu: float):
     if np.count_nonzero(at_epoch):
         at_epoch = np.broadcast_to(at_epoch, F.shape)
         r1[at_epoch], v1[at_epoch] = r0[at_epoch], v0[at_epoch]
-    return r1, v1, a, dE, r1n
+    return (r1, v1, _floor_radius(a, e, E0, dE, rn0, r1n),
+            (dt, rn0, a, dE, r1n, F, G, Ft, Gt))
 
 
-def _fly(r0, v0, t0, conic, t, mu: float):
-    """coast from epoch states whose _conic_of is given: the _step, and
-    the lowest radius from each epoch to t (_floor_radius)."""
-    r1, v1, a, dE, r1n = _step(r0, v0, t0, conic, t, mu)
-    rn0, _, _, E0, e = conic
-    return r1, v1, _floor_radius(a, e, E0, dE, rn0, r1n)
+def _transition(r0, v0, flight, mu: float):
+    """The 6x6 transition matrix d(r1, v1)/d(r0, v0) of each row of the
+    _step flight of epoch states r0, v0, in closed form (Goodyear 1965;
+    Battin 1987, sec. 9.7): four 3x3 blocks of outer products of the two
+    states, in the step's Lagrange coefficients and
+    C = a^(5/2)/sqrt(mu) (3 sin dE - 3 dE + dE (1 - cos dE))
+    - a dt (1 - cos dE)."""
+    r1, v1, _, (dt, rn0, a, dE, r1n, *lagrange) = flight
+    versine = 1.0 - np.cos(dE)
+    C = (a**2.5 / math.sqrt(mu) * (3.0 * np.sin(dE) - 3.0 * dE + dE * versine)
+         - a * dt * versine)
+    # per-row scalars as columns, to scale state rows
+    rn0, r1n, C, F, G, Ft, Gt = (x[:, None] for x in (rn0, r1n, C, *lagrange))
+    r0f, dr, dv = rn0 * (1.0 - F), r1 - r0, v1 - v0
+    # (r1 v1^T - v1 r1^T) r1
+    w = r1 * np.einsum("...i,...i->...", r1, v1)[:, None] - v1 * r1n**2
+
+    def block(diagonal, *terms):
+        """diagonal * I plus the outer product x y^T of each (x, y)."""
+        x, y = zip(*terms)
+        return (np.stack(x, 2) @ np.stack(y, 1)
+                + diagonal[:, :, None] * np.eye(3))
+
+    return np.block([
+        [block(F, (r1n / mu * dv, dv), ((r0f * r1 + C * v1) / rn0**3, r0)),
+         block(G, (r0f / mu * dr, v0), (-r0f / mu * dv, r0),
+               (C / mu * v1, v0))],
+        [block(Ft, (-dv / rn0**2, r0), (-r1 / r1n**2, dv),
+               (-Ft / r1n**2 * r1, r1), (Ft / (mu * r1n) * w, dv),
+               (-mu * C / (r1n * rn0)**3 * r1, r0)),
+         block(Gt, (rn0 / mu * dv, dv), (r0f / r1n**3 * r1, r0),
+               (-C / r1n**3 * r1, v0))]])
 
 
 def states_at(arcs: ArcBatch, t, rows=None):
@@ -378,8 +408,8 @@ def states_at(arcs: ArcBatch, t, rows=None):
     """
     rows = slice(None) if rows is None else rows
     conic = tuple(c[rows] for c in _conic(arcs.r0, arcs.v0, arcs.mu))
-    return _fly(arcs.r0[rows], arcs.v0[rows], arcs.t0[rows], conic, t,
-                arcs.mu)
+    return _step(arcs.r0[rows], arcs.v0[rows], arcs.t0[rows], conic, t,
+                 arcs.mu)[:3]
 
 
 def coast(r, v, t, t_end, mu: float = MU_EARTH):
@@ -389,7 +419,7 @@ def coast(r, v, t, t_end, mu: float = MU_EARTH):
     Raises:
         EccentricityOutOfRange: some row is unbound or rectilinear.
     """
-    return _fly(r, v, t, _conic(r, v, mu), t_end, mu)
+    return _step(r, v, t, _conic(r, v, mu), t_end, mu)[:3]
 
 
 def arc_min_radius(r0, v0, r1, v1, revs, mu: float = MU_EARTH) -> np.ndarray:
@@ -398,7 +428,7 @@ def arc_min_radius(r0, v0, r1, v1, revs, mu: float = MU_EARTH) -> np.ndarray:
 
     E1 is the anomaly of the arrival state on the departure conic, so
     the arc sweeps dE = (E1 - E0 mod 2*pi) + 2*pi*revs: the floor test
-    _fly applies, with no Kepler solve. Positions in km, velocities in
+    _step applies, with no Kepler solve. Positions in km, velocities in
     km/s, (..., 3); mu in km^3/s^2.
     """
     r0n, alpha, _, E0, e = _conic_of(r0, v0, _vis_viva(r0, v0, mu), mu)

@@ -526,7 +526,7 @@ class TestGoldenBytes:
     def test_shock_chain_bytes(self, tmp_path):
         """A five-shock chain through propagate (csv), and the canonical
         text of its scenario. The csv is the shooting solution's: its
-        numbers are within 1.9e-14 relative of the sequential loop's."""
+        numbers are within 3.0e-14 relative of the sequential loop's."""
         source, saved, out = (tmp_path / name
                               for name in ("in.cone", "saved.cone", "out"))
         source.write_text(FIVE_SHOCKS)
@@ -536,4 +536,4 @@ class TestGoldenBytes:
         assert main(["propagate", "--scenario", str(source), "--format",
                      "csv", "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-            "f497d2877aeb6626573fc968e17e2cce6a117fb1e0e3bf6a4fa94a653b1a0cf5")
+            "30d2984eeaf42815bc6a508dced42556faf3be8d6bdcaaa0f12e721a9c9175e3")

@@ -90,6 +90,40 @@ def solve_kepler(M: float, e: float) -> float:
                                np.array([e], dtype=float))[0])
 
 
+def flown(r, v, dt):
+    """The _step of state rows from t = 0 to dt, and its _transition,
+    without the bound test: a nudged copy of a state held at
+    _E_BELOW_ONE may not pass it."""
+    conic = kepler._conic_of(r, v, kepler._vis_viva(r, v, MU_EARTH), MU_EARTH)
+    step = kepler._step(r, v, 0.0, conic, dt, MU_EARTH)
+    return step, kepler._transition(r, v, step, MU_EARTH)
+
+
+def central_differences(r, v, dt, h: float = 1e-6) -> np.ndarray:
+    """d(r1, v1)/d(r0, v0) of _step by central differences, each position
+    component nudged by h |r0| and each velocity component by h times
+    the circular speed at |r0|: the oracle for _transition."""
+    x = np.concatenate([r, v], axis=1)
+    rn = np.linalg.norm(r, axis=1)
+    nudge = h * np.stack([rn, np.sqrt(MU_EARTH / rn)], axis=1)
+    phi = np.empty((len(x), 6, 6))
+    for c in range(6):
+        up, down = x.copy(), x.copy()
+        up[:, c] += nudge[:, c // 3]
+        down[:, c] -= nudge[:, c // 3]
+        (r_up, v_up, *_), _ = flown(up[:, :3], up[:, 3:], dt)
+        (r_down, v_down, *_), _ = flown(down[:, :3], down[:, 3:], dt)
+        width = (up[:, c] - down[:, c])[:, None]
+        phi[:, :3, c] = (r_up - r_down) / width
+        phi[:, 3:, c] = (v_up - v_down) / width
+    return phi
+
+
+def largest(phi) -> np.ndarray:
+    """Each matrix's largest entry in magnitude."""
+    return np.abs(phi).max(axis=(-2, -1))
+
+
 class TestSolveKepler:
     """The Kepler kernel, one row at a time."""
 
@@ -636,6 +670,76 @@ class TestArrayKernels:
         assert not is_bound(r, np.array([1.0, 1e-12, 0.0]))
 
 
+class TestTransition:
+    """The closed-form transition matrix of the step against central
+    differences of the step, and the identities every two-body
+    transition matrix keeps."""
+
+    def arcs(self, n: int = 300):
+        """n bound states in random frames (a 6800-25000 km, e up to
+        0.9), with flight times of 100-20,000 s: up to about three
+        revolutions."""
+        gen = np.random.default_rng(27)
+        states = [state_from_elements(gen.uniform(6800.0, 25000.0),
+                                      gen.uniform(0.0, 0.9),
+                                      gen.uniform(-math.pi, math.pi),
+                                      np.linalg.qr(gen.normal(size=(3, 3)))[0])
+                  for _ in range(n)]
+        return (np.array([s.r for s in states]),
+                np.array([s.v for s in states]),
+                gen.uniform(100.0, 20000.0, n))
+
+    def test_matches_central_differences(self):
+        """Within 1e-6 of each matrix's largest entry, multi-revolution
+        arcs included: the differences' own truncation error."""
+        r, v, dt = self.arcs()
+        (*_, (_, _, _, dE, *_)), phi = flown(r, v, dt)
+        assert np.count_nonzero(dE > 2.0 * math.pi) > 30  # multi-rev arcs
+        gap = largest(phi - central_differences(r, v, dt))
+        assert np.all(gap <= 1e-6 * largest(phi)), gap.max()
+
+    def test_symplectic_with_unit_determinant(self):
+        """Phi^T J Phi = J and det Phi = 1, as for any Hamiltonian flow."""
+        r, v, dt = self.arcs()
+        _, phi = flown(r, v, dt)
+        J = np.block([[np.zeros((3, 3)), np.eye(3)],
+                      [-np.eye(3), np.zeros((3, 3))]])
+        residual = largest(phi.transpose(0, 2, 1) @ J @ phi - J)
+        assert np.all(residual <= 1e-15 * largest(phi)**2)
+        assert np.abs(np.linalg.det(phi) - 1.0).max() <= 1e-10
+
+    @given(st.floats(6800.0, 40000.0), st.floats(0.0, 0.9),
+           st.floats(-math.pi, math.pi), st.floats(1.0, 15000.0),
+           st.floats(1.0, 15000.0), st.integers(0, 2**32 - 1))
+    def test_composition(self, a, e, f, dt1, dt2, seed):
+        """Phi(t2, t0) = Phi(t2, t1) Phi(t1, t0)."""
+        frame, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(3, 3)))
+        s0 = state_from_elements(a, e, f, frame)
+        (r1, v1, *_), first = flown(s0.r[None], s0.v[None], dt1)
+        _, second = flown(r1, v1, dt2)
+        _, whole = flown(s0.r[None], s0.v[None], dt1 + dt2)
+        gap = largest(whole - second @ first)
+        assert gap <= 1e-12 * largest(second) * largest(first)
+
+    def test_short_step_is_the_taylor_series(self):
+        """dE -> 0: at dt = 1e-4 s, Phi is [[I, dt I], [0, I]] plus the
+        gravity-gradient terms of exp(M dt), M = [[0, I], [A, 0]] with
+        A = -mu/|r|^3 (I - 3 r r^T/|r|^2), to two units in the last
+        place of 1. On states above the Earth's surface the change of A
+        over the step is below round-off."""
+        dt = 1e-4
+        r, v, _ = self.arcs()
+        above = np.linalg.norm(r, axis=1) >= 6378.0
+        _, phi = flown(r[above], v[above], dt)
+        for x, got in zip(r[above], phi):
+            rn = np.linalg.norm(x)
+            A = -MU_EARTH / rn**3 * (np.eye(3) - 3.0 * np.outer(x, x) / rn**2)
+            M = np.block([[np.zeros((3, 3)), np.eye(3)],
+                          [A, np.zeros((3, 3))]]) * dt
+            want = np.eye(6) + M + M @ M / 2.0 + M @ M @ M / 6.0
+            assert np.abs(got - want).max() <= 2.0 * np.finfo(float).eps
+
+
 class TestRowNorm:
     @given(hnp.arrays(float, st.tuples(st.integers(0, 40), st.just(3)),
                       elements=st.floats(-1e300, 1e300)))
@@ -689,3 +793,17 @@ class TestNearlyRadialStates:
         kinetic1, potential1 = terms(r1, v1)
         drift = np.abs((kinetic1 - potential1) - (kinetic0 - potential0))
         assert np.all(drift <= 1e-13 * (kinetic1 + potential1))
+
+    def test_transition_matches_central_differences(self):
+        """On the rows held at _E_BELOW_ONE, flown 60-600 s (some
+        through a few hundred km of the center), the closed-form
+        transition matrix is central differences of the step."""
+        r, v = self.states()
+        rn, alpha, sigma0, _, e = _conic(r, v, MU_EARTH)
+        held = np.hypot(sigma0 * np.sqrt(alpha), 1.0 - rn * alpha) >= 1.0
+        assert np.all(e[held] == kepler._E_BELOW_ONE)
+        r, v = r[held], v[held]
+        for dt in (60.0, 300.0, 600.0):
+            _, phi = flown(r, v, dt)
+            gap = largest(phi - central_differences(r, v, dt))
+            assert np.all(gap <= 1e-6 * largest(phi)), gap.max()

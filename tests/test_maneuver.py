@@ -606,10 +606,9 @@ class TestChainErrors:
     ], ids=["stall_reported", "earlier_unbinding_shock_first"])
     def test_stalled_flight_after_earlier_checks(self, monkeypatch, kick,
                                                   kind, label):
-        """A Kepler solve that stalls on segment 1's rows (the flight from
-        shock 0 at t = 100 s to shock 1 at t = 500 s, and its shooting
-        copies) is reported, as by the reference, only when no shock or
-        segment before it fails."""
+        """A Kepler solve that stalls on segment 1's row (the flight from
+        shock 0 at t = 100 s to shock 1 at t = 500 s) is reported, as by
+        the reference, only when no shock or segment before it fails."""
         solve, step = kepler._solve_kepler, kepler._step
 
         def tracked_step(r0, v0, t0, conic, t, mu):
@@ -669,8 +668,10 @@ def test_unbound_shock_then_more_shocks_warns_nothing():
 
 def test_kernel_calls_do_not_grow_with_shocks(monkeypatch):
     """The same burn as 16, 64 and 256 shocks: the chain takes one
-    Lagrange-step batch for its guess, one per shooting pass and one
-    for its checks, the same few whatever its shock count."""
+    Lagrange-step batch for its guess and one per shooting pass, the
+    same few whatever its shock count, and no batch flies more than one
+    row a segment; its checks read the lowest radii of the last pass and
+    fly nothing."""
     period = 2.0 * math.pi / mean_motion(RN)
     profile = ThrustProfile(
         lambda t: 3e-6 * np.array([-math.sin(t / period), math.cos(t / period),
@@ -679,7 +680,7 @@ def test_kernel_calls_do_not_grow_with_shocks(monkeypatch):
     step = kepler._step
 
     def counted(*args):
-        flights.append(1)
+        flights.append(len(args[0]))
         return step(*args)
 
     for module in (kepler, maneuver):
@@ -691,21 +692,22 @@ def test_kernel_calls_do_not_grow_with_shocks(monkeypatch):
                                   0.25 * period)
         assert len(traj.arcs) == n + 1
         assert len(flights) <= 6
+        assert max(flights) == n + 1
 
 
 def test_shooting_rows_pass_the_work_cap(monkeypatch):
-    """Eight segments fly as 104 shooting rows: refused under a cap of
-    103 before any flight, flown under a cap of 104."""
+    """Eight segments fly as 8 shooting rows, one a segment: refused
+    under a cap of 7 before any flight, flown under a cap of 8."""
     sched = ImpulsiveSchedule(100.0 * np.arange(1, 8), [[0.0, 0.0, 1e-3]] * 7)
     flights = []
     monkeypatch.setattr(maneuver, "_step", lambda *args: flights.append(1))
-    monkeypatch.setattr(errors, "_WORK_CAP", 103)
+    monkeypatch.setattr(errors, "_WORK_CAP", 7)
     with pytest.raises(WorkCapExceeded,
-                       match="^shooting rows: 104 requested, capped at 103$"):
+                       match="^shooting rows: 8 requested, capped at 7$"):
         propagate_schedule(circular_state(), sched, 900.0)
     assert not flights
     monkeypatch.undo()
-    monkeypatch.setattr(errors, "_WORK_CAP", 104)
+    monkeypatch.setattr(errors, "_WORK_CAP", 8)
     assert len(propagate_schedule(circular_state(), sched, 900.0).arcs) == 8
 
 
