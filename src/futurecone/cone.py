@@ -18,7 +18,8 @@ from one lambert_batch call, its floor check in closed form from the
 eccentric anomaly at each arc's two ends (kepler.arc_min_radius), and
 each point's cheapest admissible arc from one minimum over the arcs.
 membership and leaf are batches of one on the same kernels;
-reduce_to_single_burn is one lambert_batch row, its burns priced alike.
+reduce_to_single_burn is one row of the same pricing (_burn_costs), held
+to its chain's floor.
 """
 from __future__ import annotations
 
@@ -117,14 +118,12 @@ class ConeSampleSet:
         spec: The generating cone.
         trajectories: Post-burn ballistic arcs, one ArcBatch row per
             retained draw.
-        seed: RNG seed used for the draws.
 
     Leaves are taken at the times a caller asks for (``leaf``).
     """
 
     spec: ConeSpec
     trajectories: ArcBatch
-    seed: int
 
 
 @dataclass(frozen=True)
@@ -213,7 +212,7 @@ def sample_cone(spec: ConeSpec, n: int, seed: int) -> ConeSampleSet:
             f"no bound trajectory among {n} draws at budget "
             f"{spec.budget!r} km/s")
     arcs = arcs_from_states(spec.vertex.r, v, spec.vertex.t, spec.mu)
-    return ConeSampleSet(spec=spec, trajectories=arcs, seed=int(seed))
+    return ConeSampleSet(spec=spec, trajectories=arcs)
 
 
 def leaf(sample_set: ConeSampleSet, t: float) -> np.ndarray:
@@ -281,15 +280,25 @@ def membership(spec: ConeSpec, point, t: float,
                             solutions_checked=int(checked[0]))
 
 
+def _burn_costs(vertex: StateVector, points: np.ndarray, times: np.ndarray,
+                mu: float, floor: float, max_revs: int):
+    """Every connecting arc from vertex to each point at its time, by one
+    lambert_batch: (row of its point, departure burn, cost) per arc. The
+    cost is the burn's |dv|, or +inf for an arc that dips below the
+    altitude floor (the closed-form kepler.arc_min_radius)."""
+    sols = lambert_batch(vertex.r, points, times - vertex.t, mu, max_revs)
+    lowest = arc_min_radius(vertex.r, sols.v_depart,
+                            points.take(sols.row, axis=0), sols.v_arrive,
+                            sols.revs[sols.slot], mu)
+    dv = sols.v_depart - vertex.v
+    cost = np.where(lowest >= EARTH_RADIUS_KM + floor, _row_norm(dv), np.inf)
+    return sols.row, dv, cost
+
+
 def _required_dv(spec: ConeSpec, points: np.ndarray, times: np.ndarray,
                  max_revs: int) -> tuple[np.ndarray, np.ndarray]:
-    """Cheapest admissible departure burn from the vertex to each point.
-
-    One lambert_batch over the rows, then the closed-form floor check on
-    every connecting arc; arcs dipping below the floor are not
-    admissible. Each row's required dv is the least cost over its
-    admissible arcs, one reduction over the arcs; rows with none cost
-    +inf.
+    """Cheapest admissible departure burn from the vertex to each point:
+    the least _burn_costs cost over its arcs, +inf where none is.
 
     Returns:
         (required dv per row, km/s; connecting arcs examined per row).
@@ -299,20 +308,15 @@ def _required_dv(spec: ConeSpec, points: np.ndarray, times: np.ndarray,
             time of the first such row.
     """
     try:
-        sols = lambert_batch(spec.vertex.r, points, times - spec.vertex.t,
-                             spec.mu, max_revs)
+        row, _, cost = _burn_costs(spec.vertex, points, times, spec.mu,
+                                   spec.floor, max_revs)
     except AmbiguousPlane as exc:
         raise AmbiguousPlane(
             f"membership query at t={float(times[exc.row])}: {exc}",
             row=exc.row) from exc
-    lowest = arc_min_radius(spec.vertex.r, sols.v_depart,
-                            points.take(sols.row, axis=0), sols.v_arrive,
-                            sols.revs[sols.slot], spec.mu)
-    cost = np.where(lowest >= EARTH_RADIUS_KM + spec.floor,
-                    _row_norm(sols.v_depart - spec.vertex.v), np.inf)
     required = np.full(len(points), np.inf)
-    np.minimum.at(required, sols.row, cost)
-    return required, np.bincount(sols.row, minlength=len(points))
+    np.minimum.at(required, row, cost)
+    return required, np.bincount(row, minlength=len(points))
 
 
 def containment(interceptor: ConeSpec, target: ConeSpec,
@@ -404,11 +408,12 @@ def reduce_to_single_burn(traj: ImpulsiveTrajectory,
     """Equivalent single burn at the origin for a multi-shock trajectory.
 
     Takes the cheapest departure burn over the arcs from the origin to
-    the endpoint (one lambert_batch row, priced as membership prices a
-    burn) and requires it to cost no more than the schedule spent. The
-    chain adds no reach over vertex burns only up to about a quarter
-    period: past it, a late shock can need about 1/sin(n t_end) times
-    its size at the vertex (n the mean motion), and NoBoundArc is raised.
+    the endpoint that stay above the chain's altitude floor (traj.floor;
+    one _burn_costs row, priced as membership prices a burn) and
+    requires it to cost no more than the schedule spent. The chain adds
+    no reach over vertex burns only up to about a quarter period: past
+    it, a late shock can need about 1/sin(n t_end) times its size at the
+    vertex (n the mean motion), and NoBoundArc is raised.
 
     Args:
         traj: Propagated shock trajectory.
@@ -418,18 +423,21 @@ def reduce_to_single_burn(traj: ImpulsiveTrajectory,
         dv0 vector, km/s, with |dv0| <= schedule total + 1e-6.
 
     Raises:
-        NoBoundArc: the rev-capped search found no arc within the
-            schedule total (reported, never silently dropped).
+        NoBoundArc: the rev-capped search found no arc above the floor,
+            or none within the schedule total (reported, never silently
+            dropped).
     """
     origin = traj.origin
     dt = traj.t_end - origin.t
-    dv = lambert_batch(origin.r, traj.state_at(traj.t_end).r, dt,
-                       traj.arcs.mu, max_revs).v_depart - origin.v
-    if not len(dv):
+    _, dv, cost = _burn_costs(origin, traj.state_at(traj.t_end).r[None],
+                              np.array([traj.t_end]), traj.arcs.mu,
+                              traj.floor, max_revs)
+    if not np.isfinite(cost).any():
+        dips = (f" stays above the floor radius "
+                f"{EARTH_RADIUS_KM + traj.floor!r} km" if len(cost) else "")
         raise NoBoundArc(
             f"no bound arc from origin to endpoint over {dt!r} s at "
-            f"max_revs={max_revs}")
-    cost = _row_norm(dv)
+            f"max_revs={max_revs}{dips}")
     i = int(np.argmin(cost))
     total = traj.schedule.total_dv
     if cost[i] > total + 1e-6:

@@ -28,8 +28,9 @@ runs the bound test and derives the conic from the same pass
 (_conic_of), and the Lagrange step (_step) ends with the floor test.
 A caller that defers its checks flies on _vis_viva, _conic_of and _step
 alone, where a row that is not a bound ellipse turns to nan instead of
-raising; the shock chains of maneuver fly so, with _transition, and
-test all their states in one batch afterwards.
+raising; the shock chains of maneuver fly so, check the states each
+shooting pass has converged in one batch, and take _transition only on
+a pass that corrects.
 
 Units: km, s, km/s. Bound orbits only (0 <= e < 1); unbound states raise.
 A bound state so nearly rectilinear that its e rounds to 1 is flown at

@@ -9,9 +9,10 @@ trajectory as the step count grows is what licenses treating finite
 thrust inside the impulsive framework.
 
 A chain's epoch states are solved by Newton multiple shooting, all
-segments flown in one batch per pass, one row a segment with its
-closed-form transition matrix, so a burn of hundreds of shocks costs a
-few kernel calls rather than one flight per shock. A chain of at most
+segments flown in one batch per pass, one row a segment, and checked as
+they converge; a pass that corrects takes the closed-form transition
+matrices of its flight. A burn of hundreds of shocks costs a few kernel
+calls rather than one flight per shock. A chain of at most
 one shock after its origin is bit-identical to flying the segments one
 after another; a longer one agrees with that to 4.3e-13 relative, the
 worst of 1,500 random chains measured.
@@ -154,12 +155,15 @@ class ImpulsiveTrajectory:
         t_end: End of the last segment, s.
         schedule: The generating schedule.
         origin: State at the start of the chain.
+        floor: Altitude floor the chain was checked against, km; a
+            burn that stands in for the chain is held to it too.
     """
 
     arcs: ArcBatch
     t_end: float
     schedule: ImpulsiveSchedule
     origin: StateVector
+    floor: float = DEFAULT_FLOOR_KM
 
     def __post_init__(self):
         object.__setattr__(self, "t_end", float(self.t_end))
@@ -260,19 +264,6 @@ def rocket_delta_v(isp: float, m_i: float, m_f: float) -> float:
     return isp * G0_KM_S2 * math.log(m_i / m_f)
 
 
-def _refuse_shock(rn: float, bound: bool, v, floor_radius: float) -> None:
-    """A shock's floor and bound checks on its post-shock state, given
-    its radius (kepler._row_norm) and its bound test (kepler._ellipse)."""
-    if rn < floor_radius:
-        raise SurfaceViolation(
-            f"state radius {rn!r} km is below the floor radius "
-            f"{floor_radius!r} km")
-    if not bound:
-        raise UnboundResult(
-            f"post-shock state is unbound or rectilinear: |v| = "
-            f"{float(np.linalg.norm(v))!r} km/s at r = {rn!r} km")
-
-
 def propagate_schedule(origin: StateVector, sched: ImpulsiveSchedule,
                        t_end: float, mu: float = MU_EARTH,
                        floor: float = DEFAULT_FLOOR_KM) -> ImpulsiveTrajectory:
@@ -281,19 +272,21 @@ def propagate_schedule(origin: StateVector, sched: ImpulsiveSchedule,
     Coasts on Lagrange-coefficient arcs between shock epochs, applies each
     shock in turn, and coasts to t_end. The epoch states of the segments
     are solved together by Newton multiple shooting (_shoot): every pass
-    flies each segment as one row of one batch, with its closed-form
-    transition matrix, so the chain's kernel calls do not grow with its
-    shock count. A chain of at most one shock after the origin is the
-    sequential recurrence's own arithmetic, bit for bit. A longer one
-    meets every shock within _SHOOTING_TOL (1e-13) of the state's
-    largest components, and agrees with the sequential recurrence to
-    4.3e-13 relative, the worst of 1,500 random chains measured. The
-    checks then run once over all epoch states: the origin's bound test,
-    each shock's floor and bound checks on its post-shock state (radius
-    by kepler._row_norm) and each segment's lowest radius, from the last
-    shooting pass, against the altitude floor. The first failing check
-    in chain order raises; a state past it is never read. A segment
-    whose flight stalls is reported after the checks before it.
+    flies each segment as one row of one batch, and a pass that corrects
+    takes the closed-form transition matrices of its flight, so the
+    chain's kernel calls do not grow with its shock count. A chain of at
+    most one shock after the origin is the sequential recurrence's own
+    arithmetic, bit for bit. A longer one meets every shock within
+    _SHOOTING_TOL (1e-13) of the state's largest components, and agrees
+    with the sequential recurrence to 4.3e-13 relative, the worst of
+    1,500 random chains measured. Each pass checks the states it has
+    converged, with their segments' lowest radii from its own flight
+    (_check_chain): the origin's bound test, each shock's floor and
+    bound checks on its post-shock state (radius by kepler._row_norm),
+    a stalled flight, and each segment's lowest radius against the
+    altitude floor. The first failing check in chain order raises, as
+    soon as the states up to it are converged; a state that has not
+    converged is never read.
 
     Args:
         origin: State at the start of the window.
@@ -337,31 +330,27 @@ def propagate_schedule(origin: StateVector, sched: ImpulsiveSchedule,
     starts = np.concatenate([[origin.t], times[at_origin:]])
     ends = np.append(starts[1:], t_end)
     _check_work(len(starts), "shooting rows")
-    v_first = (origin.v[None] + sched.shocks[0] if at_origin
-               else origin.v[None])
+    first = np.concatenate(
+        [origin.r, origin.v + sched.shocks[0] if at_origin else origin.v])
     # states past a failed check turn to nan or junk, read by no one
     with np.errstate(all="ignore"):
-        r0, v0, lowest, stalled = _shoot(origin.r[None], v_first, starts,
-                                         ends, sched.shocks[shocks[1:]],
-                                         shocks, times.size, mu)
-        _check_chain(r0, v0, lowest, shocks[:len(r0)], stalled, times.size,
-                     mu, EARTH_RADIUS_KM + floor)
+        r0, v0 = _shoot(first, starts, ends, sched.shocks[shocks[1:]], shocks,
+                        times.size, mu, EARTH_RADIUS_KM + floor)
     return ImpulsiveTrajectory(arcs=ArcBatch(r0, v0, starts, mu=mu),
-                               t_end=t_end, schedule=sched, origin=origin)
+                               t_end=t_end, schedule=sched, origin=origin,
+                               floor=floor)
 
 
 def _flight(r, v, t0, t, mu: float):
     """States r, v at epochs t0 flown to t on the deferred-check kernels,
     where a row that is not a bound ellipse turns to nan. A row whose
-    Kepler solve stalls is flown again as nan. Returns the flown r and v,
-    each row's lowest radius from t0 to t and its 6x6 transition matrix
-    (kepler._transition), and the stalls, {row: ConvergenceError}."""
+    Kepler solve stalls is flown again as nan. Returns the _step flight
+    and the stalls, {row: ConvergenceError}."""
     stalls = {}
     while True:
         try:
             conic = _conic_of(r, v, _vis_viva(r, v, mu), mu)
-            flight = _step(r, v, t0, conic, t, mu)
-            return (*flight[:3], _transition(r, v, flight, mu), stalls)
+            return _step(r, v, t0, conic, t, mu), stalls
         except ConvergenceError as exc:
             if exc.row is None or exc.row in stalls:
                 raise
@@ -370,67 +359,60 @@ def _flight(r, v, t0, t, mu: float):
             r[exc.row] = v[exc.row] = np.nan
 
 
-def _shoot(r0, v0, starts, ends, kicks, shocks, n_shocks: int, mu: float):
+def _shoot(first, starts, ends, kicks, shocks, n_shocks: int, mu: float,
+           floor_radius: float):
     """Epoch states of a shock chain by Newton multiple shooting
-    (Keller 1968), in parareal form (Lions, Maday & Turinici 2001).
+    (Keller 1968), in parareal form (Lions, Maday & Turinici 2001),
+    each checked once it has converged.
 
     Segment j flies from starts[j] to ends[j]; the first starts from
-    (r0, v0), and segment j >= 1 from segment j-1's flight plus
-    kicks[j-1] on the velocity. The guess coasts the first state to every
-    later start and adds the dv of every shock since. Each pass flies
-    every segment's state X[j] in one batch, one row a segment, giving
-    the flight G[j+1] (kick added) and its closed-form 6x6 transition
-    matrix Phi[j], and then updates in chain order
-    X[j+1] <- G[j+1] + Phi[j] (X[j]_new - X[j]_old). The update never
-    reads the old X[j+1], so a nan in a bad guess does not stick, and
-    each pass makes exact the first state that was not: the chain
-    converges within as many passes as it has segments, and one more is
-    the cap.
-
-    The passes stop when every residual X[j] - G[j] before the first
-    flight that is not finite is within _SHOOTING_TOL of its state's
-    largest position and largest velocity component. That flight (an
-    unbinding shock) then becomes its successor's state, for the checks
-    to find; if its Kepler solve stalled, the chain ends at its segment.
-    The last pass flew every returned state but that successor, whose
-    lowest radius is stale: the checks refuse the unbinding state first.
+    first, the state (r, v) as 6 components, and segment j >= 1 from
+    segment j-1's flight plus kicks[j-1] on the velocity. The guess
+    coasts the first state to every later start and adds the dv of
+    every shock since. Each pass flies every state X[j] in one batch,
+    one row a segment, giving G[j+1] (kick added). The states before the
+    first whose residual X[j] - G[j] exceeds _SHOOTING_TOL of its
+    largest position or velocity component are converged: _check_chain
+    checks them, with their segments' lowest radii and stalls from this
+    flight. Once all are, they are returned; otherwise the pass takes
+    the 6x6 transition matrices Phi[j] of its flight (kepler._transition)
+    and updates in chain order X[j+1] <- G[j+1] + Phi[j] (X[j]_new -
+    X[j]_old). The update never reads the old X[j+1], so a nan in a bad
+    guess or past an unbinding shock does not stick, and each pass makes
+    exact the first state that was not: the chain converges within as
+    many passes as it has segments, and one more is the cap.
 
     Returns:
-        (r, v, lowest, stalled): the epoch states, each (segments, 3),
-        the lowest radius of each segment, and None; or the states up to
-        a segment whose flight stalled, the lowest radii of the segments
-        before it, and its ConvergenceError.
+        (r, v): the epoch states, each (segments, 3).
 
     Raises:
+        FutureConeError: _check_chain's, for the first failing check.
         ConvergenceError: the cap was reached; names the first segment
             not converged.
     """
     k = len(starts)
     x = np.empty((k, 6))
-    x[0, :3], x[0, 3:] = r0[0], v0[0]
+    x[0] = first
     if k > 1:
-        r, v, *_ = _flight(np.repeat(r0, k - 1, axis=0),
-                           np.repeat(v0, k - 1, axis=0), starts[0],
-                           starts[1:], mu)
+        (r, v, *_), _ = _flight(np.repeat(x[:1, :3], k - 1, axis=0),
+                                np.repeat(x[:1, 3:], k - 1, axis=0),
+                                starts[0], starts[1:], mu)
         x[1:, :3], x[1:, 3:] = r, v + np.cumsum(kicks, axis=0)
     cap = k + 1
     for _ in range(cap):
         # the largest position and velocity component of each state
         size = np.abs(x).reshape(k, 2, 3).max(axis=2)
-        r, v, lowest, phi, stalls = _flight(x[:, :3], x[:, 3:], starts, ends,
-                                            mu)
+        flight, stalls = _flight(x[:, :3], x[:, 3:], starts, ends, mu)
+        r, v, lowest, _ = flight
         g = np.concatenate([r[:-1], v[:-1] + kicks], axis=1)
         resid = np.abs(x[1:] - g).reshape(k - 1, 2, 3).max(axis=2)
         ok = (resid <= _SHOOTING_TOL * size[1:]).all(axis=1)
-        finite = np.isfinite(g).all(axis=1)
-        first = k - 1 if finite.all() else int(np.argmin(finite))
-        if ok[:first].all():
-            if first in stalls:
-                return (x[:first + 1, :3], x[:first + 1, 3:], lowest[:first],
-                        stalls[first])
-            if first < k - 1:
-                x[first + 1] = g[first]
-            return x[:, :3], x[:, 3:], lowest, None
+        done = k if ok.all() else int(np.argmin(ok)) + 1
+        _check_chain(x[:done, :3], x[:done, 3:], lowest[:done], stalls,
+                     shocks[:done], n_shocks, mu, floor_radius)
+        if done == k:
+            return x[:, :3], x[:, 3:]
+        phi = _transition(x[:, :3], x[:, 3:], flight, mu)
         # up to the first state off its predecessor's flight, each state
         # takes that flight as it is; the rest take the correction
         new = x.copy()
@@ -452,42 +434,43 @@ def _segment_label(shock: int, n_shocks: int) -> str:
             else "final segment")
 
 
-def _check_chain(r0, v0, lowest, shocks, stalled, n_shocks: int,
-                 mu: float, floor_radius: float) -> None:
-    """propagate_schedule's checks on all segments at once, given their
-    epoch states, lowest radii (from _shoot) and starting shocks (-1 for
-    the origin). Raises for the first failing check in chain order,
-    labelled with its shock or segment. With a stalled flight, the last
-    segment is the one that raised, and it has no lowest radius."""
-    ellipse = _ellipse(r0, v0, mu)
-    rn, _, _, _, _, bound = ellipse
-    flown = len(lowest)
-    failed = ~bound | ((shocks >= 0) & (rn < floor_radius))
-    failed[:flown] |= lowest < floor_radius
-    if np.count_nonzero(failed):
-        k = int(np.argmax(failed))
-    elif stalled is not None:
-        k = flown
-    else:
+def _check_chain(r0, v0, lowest, stalls, shocks, n_shocks: int, mu: float,
+                 floor_radius: float) -> None:
+    """propagate_schedule's checks on converged segments, given their
+    epoch states, their lowest radii and the stalls ({row:
+    ConvergenceError}) of one flight, and their starting shocks (-1 for
+    the origin). In chain order, a segment fails on its shock's floor
+    test (radius by kepler._row_norm), its state's bound test (the
+    shock's, or the origin's), a stalled flight, or a lowest radius
+    below the floor; the first failure raises, labelled with its shock
+    or segment."""
+    rn, *_, bound = ellipse = _ellipse(r0, v0, mu)
+    low = (shocks >= 0) & (rn < floor_radius)
+    failed = low | ~bound | (lowest < floor_radius)
+    k = min([*np.flatnonzero(failed)[:1].tolist(), *stalls],
+            default=len(failed))
+    if k >= len(failed):
         return
     shock = int(shocks[k])
-    if shock >= 0:
-        try:
-            _refuse_shock(float(rn[k]), bool(bound[k]), v0[k],
-                          floor_radius)
-        except FutureConeError as exc:
-            raise type(exc)(f"shock {shock}: {exc}") from exc
-    label = _segment_label(shock, n_shocks)
+    if low[k]:
+        raise SurfaceViolation(
+            f"shock {shock}: state radius {float(rn[k])!r} km is below the "
+            f"floor radius {floor_radius!r} km")
+    if shock >= 0 and not bound[k]:
+        raise UnboundResult(
+            f"shock {shock}: post-shock state is unbound or rectilinear: "
+            f"|v| = {float(np.linalg.norm(v0[k]))!r} km/s at r = "
+            f"{float(rn[k])!r} km")
     try:
-        if shock < 0:
-            _require_bound(tuple(field[k:k + 1] for field in ellipse))
-        if k == flown:
-            raise stalled
+        # the origin's bound test: a shock's state here is bound
+        _require_bound(tuple(field[k:k + 1] for field in ellipse))
+        if k in stalls:
+            raise stalls[k]
         raise SurfaceViolation(
             f"segment dips to radius {float(lowest[k])!r} km, below "
             f"the floor radius {floor_radius!r} km")
     except FutureConeError as exc:
-        raise type(exc)(f"{label}: {exc}") from exc
+        raise type(exc)(f"{_segment_label(shock, n_shocks)}: {exc}") from exc
 
 
 def _as_accel(value) -> list[float]:

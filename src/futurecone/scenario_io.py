@@ -611,20 +611,14 @@ def builtin_scenario(name: str) -> Scenario:
 _CSV_HEADER = ("t", "x", "y", "z", "body_tag", "margin")
 
 
-def _write_rows(path, rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(_CSV_HEADER)
-        writer.writerows(rows)
-
-
-def _write_points(path, rows, body_tag: str) -> None:
-    """rows, pairs (t, [x, y, z]) of floats, as csv rows under the header
-    with body_tag and a blank margin: _write_rows's bytes, built as one
-    join and written in one call. A float's repr needs no quoting, and
-    the tag is quoted once, as csv.writer quotes it."""
+def _write_points(path, rows, tail: tuple[str, str]) -> None:
+    """rows, pairs (t, [x, y, z]) of floats, as csv rows under the header,
+    each ending in tail, its (body_tag, margin) columns: csv.writer's
+    bytes, built as one join and written in one call. A float's repr
+    needs no quoting, and the tail is quoted once, as csv.writer quotes
+    it."""
     quoted = io.StringIO()
-    csv.writer(quoted, lineterminator="\n").writerow((body_tag, ""))
+    csv.writer(quoted, lineterminator="\n").writerow(tail)
     tail = quoted.getvalue()
     text = "".join([",".join(_CSV_HEADER) + "\n",
                     *[f"{t!r},{x!r},{y!r},{z!r},{tail}"
@@ -699,9 +693,8 @@ def export_points(obj, path, format: str = "csv", *, body_tag: str = "cone",
         raise ValueError("twocars verdicts only have a report form")
     if isinstance(obj, ContainmentReport):
         r, t = obj.worst_point
-        _write_rows(path, [(repr(float(t)), repr(float(r[0])),
-                            repr(float(r[1])), repr(float(r[2])),
-                            "worst", repr(obj.worst_margin))])
+        _write_points(path, [(t, r.tolist())],
+                      ("worst", repr(obj.worst_margin)))
         return
     if not isinstance(obj, (ConeSampleSet, ImpulsiveTrajectory)):
         raise ValueError(f"cannot export {type(obj).__name__}")
@@ -712,4 +705,4 @@ def export_points(obj, path, format: str = "csv", *, body_tag: str = "cone",
         rows = [(t, p) for t in times for p in leaf(obj, t).tolist()]
     else:
         rows = zip(times, obj.states(times)[0].tolist())
-    _write_points(path, rows, body_tag)
+    _write_points(path, rows, (body_tag, ""))

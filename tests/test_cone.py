@@ -600,6 +600,54 @@ class TestReduceToSingleBurn:
             assert named == required, (r, t_end, t_shock, dv)
         assert 0 < refused < len(chains)
 
+    def test_certificate_arc_stays_above_the_chain_floor(self):
+        """A low chain that passes its floor checks, whose cheapest
+        Lambert arc to the endpoint (0.1546 km/s, under the schedule's
+        0.1751 km/s) dips to 6423.96 km, below the 6468.137 km floor:
+        the certificate prices arcs as membership does, so it refuses
+        with membership's required dv instead of naming that arc."""
+        r, t_end = 6478.2041931826125, 3044.5585703740066
+        origin = StateVector([r, 0.0, 0.0],
+                             [0.0, math.sqrt(MU_EARTH / r), 0.0], 0.0)
+        sched = ImpulsiveSchedule(
+            [896.972111699592, 2530.968716140158, 2561.8894310450028],
+            [[-0.09183728525968399, -0.010238305841693354,
+              -0.017612850520561524],
+             [0.013254545346516176, -0.02321222958187408,
+              -0.023931923152636227],
+             [-0.036065787392430236, -0.025987988618508942,
+              0.008011335315871216]])
+        traj = propagate_schedule(origin, sched, t_end)
+        spec = ConeSpec(vertex=origin, budget=sched.total_dv,
+                        window=(t_end / 2.0, t_end))
+        verdict = membership(spec, traj.state_at(t_end).r, t_end)
+        assert not verdict.member
+        with pytest.raises(NoBoundArc, match=(
+                f"^cheapest single burn {verdict.required_dv!r} km/s "
+                f"exceeds the schedule total {sched.total_dv!r} km/s")):
+            reduce_to_single_burn(traj)
+
+    def test_no_certificate_when_every_arc_dips(self):
+        """A low chain whose every connecting arc at max_revs=1 dips
+        below its floor: the refusal says no arc stays above it."""
+        r, t_end = 6480.290644496709, 2459.1552022729106
+        origin = StateVector([r, 0.0, 0.0],
+                             [0.0, math.sqrt(MU_EARTH / r), 0.0], 0.0)
+        sched = ImpulsiveSchedule(
+            [1045.3313769441888, 1690.885884942259, 2318.092377808802],
+            [[-0.017350007954750418, 0.02427815634611327,
+              -0.025449871860776067],
+             [-0.0810555893323392, -0.015981087833721538,
+              0.029722345956660887],
+             [-0.03139104159619677, -0.0020940930252944853,
+              -0.03874400760019105]])
+        traj = propagate_schedule(origin, sched, t_end)
+        with pytest.raises(NoBoundArc, match=(
+                f"^no bound arc from origin to endpoint over {t_end!r} s "
+                r"at max_revs=1 stays above the floor radius 6468\.137 "
+                r"km$")):
+            reduce_to_single_burn(traj)
+
     def test_package_paths_build_no_lambert_solution(self, monkeypatch):
         """Containment and the certificate read Lambert arcs as arrays:
         neither builds a per-solution object."""

@@ -695,6 +695,63 @@ def test_kernel_calls_do_not_grow_with_shocks(monkeypatch):
         assert max(flights) == n + 1
 
 
+def count_kernels(monkeypatch) -> dict:
+    """Counts of the chain's Lagrange-step and transition-matrix calls."""
+    calls = {"_step": 0, "_transition": 0}
+
+    def counting(name, kernel):
+        def counted(*args):
+            calls[name] += 1
+            return kernel(*args)
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(maneuver, name,
+                            counting(name, getattr(maneuver, name)))
+    return calls
+
+
+def quarter_period_burn(n: int) -> tuple[ImpulsiveSchedule, float]:
+    """test_kernel_calls_do_not_grow_with_shocks's burn as n shocks, and
+    its end."""
+    period = 2.0 * math.pi / mean_motion(RN)
+    profile = ThrustProfile(
+        lambda t: 3e-6 * np.array([-math.sin(t / period), math.cos(t / period),
+                                   0.1]), (0.0, 0.25 * period))
+    return shock_approximation(profile, n), 0.25 * period
+
+
+def test_transition_only_on_correcting_passes(monkeypatch):
+    """A converging 256-shock chain: one Lagrange step for the guess and
+    one a pass, and a transition matrix only for the passes that
+    correct, never for the guess or the last pass."""
+    calls = count_kernels(monkeypatch)
+    sched, t_end = quarter_period_burn(256)
+    propagate_schedule(circular_state(), sched, t_end)
+    assert calls == {"_step": 4, "_transition": 2}
+
+
+def test_early_dip_raises_before_the_chain_converges(monkeypatch):
+    """The burn with a 0.3 km/s retrograde kick at shock 40 converges
+    under a 90 km floor; under an 830 km floor it dips 35 segments
+    later, which is refused as soon as the states up to that segment
+    have converged, a pass before the whole chain has."""
+    sched, t_end = quarter_period_burn(256)
+    dv = sched.shocks.copy()
+    dv[40] = [0.0, -0.3, 0.0]
+    sched = ImpulsiveSchedule(sched.times, dv)
+    calls = count_kernels(monkeypatch)
+    propagate_schedule(circular_state(), sched, t_end)
+    converged = calls["_step"]
+    monkeypatch.undo()
+    calls = count_kernels(monkeypatch)
+    with pytest.raises(SurfaceViolation,
+                       match=r"^segment before shock 77: segment dips to "
+                             r"radius 7207\.76"):
+        propagate_schedule(circular_state(), sched, t_end, floor=830.0)
+    assert calls["_step"] < converged
+
+
 def test_shooting_rows_pass_the_work_cap(monkeypatch):
     """Eight segments fly as 8 shooting rows, one a segment: refused
     under a cap of 7 before any flight, flown under a cap of 8."""

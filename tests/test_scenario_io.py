@@ -795,12 +795,12 @@ class TestExportPoints:
                         window=(100.0, 900.0))
         arcs = arcs_from_states(spec.vertex.r, spec.vertex.v[None],
                                 spec.vertex.t)
-        return ConeSampleSet(spec=spec, trajectories=arcs, seed=0)
+        return ConeSampleSet(spec=spec, trajectories=arcs)
 
     def test_empty_cloud_writes_header_only(self, tmp_path):
         cloud = self.sample_set()
         empty = ConeSampleSet(spec=cloud.spec,
-                              trajectories=cloud.trajectories[:0], seed=0)
+                              trajectories=cloud.trajectories[:0])
         path = tmp_path / "empty.csv"
         export_points(empty, path, times=[100.0])
         assert path.read_text() == "t,x,y,z,body_tag,margin\n"
