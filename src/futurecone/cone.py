@@ -34,6 +34,7 @@ from .errors import (
     EmptyCone,
     EmptyOverlap,
     NoBoundArc,
+    _check_floor,
     _check_work,
 )
 from .kepler import (
@@ -89,8 +90,7 @@ class ConeSpec:
         if not 0.0 <= self.budget < math.inf:
             raise ValueError(
                 f"budget must be finite and nonnegative, got {self.budget}")
-        if not math.isfinite(self.floor):
-            raise ValueError(f"floor must be finite, got {self.floor}")
+        _check_floor(self.floor)
         if not 0.0 < self.mu < math.inf:
             raise ValueError(f"mu must be finite and positive, got {self.mu}")
         t1, t2 = self.window

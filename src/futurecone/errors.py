@@ -3,9 +3,11 @@
 Every failure mode that callers are expected to branch on gets its own class;
 all inherit from FutureConeError so batch drivers can catch the family. The
 package's one work cap is here too: every caller-set count that sizes an array
-passes _check_work before the array exists.
+passes _check_work before the array exists; every altitude floor, _check_floor.
 """
 from __future__ import annotations
+
+import math
 
 
 class FutureConeError(Exception):
@@ -75,6 +77,12 @@ def _check_work(count: float, noun: str) -> None:
     if count > _WORK_CAP:
         raise WorkCapExceeded(
             f"{noun}: {count:.10g} requested, capped at {_WORK_CAP}")
+
+
+def _check_floor(floor: float) -> None:
+    """Refuse an altitude floor that is not finite."""
+    if not math.isfinite(floor):
+        raise ValueError(f"floor must be finite, got {floor}")
 
 
 class ScenarioError(FutureConeError):

@@ -33,6 +33,7 @@ from .errors import (
     SurfaceViolation,
     UnboundResult,
     WorkCapExceeded,
+    _check_floor,
     _check_work,
 )
 from .kepler import (
@@ -201,8 +202,8 @@ class ThrustProfile:
     Attributes:
         accel: Maps time (s) to an acceleration vector (km/s^2, 3
             components); integrable over the window. integrate_thrust
-            calls it 2n + 1 times per resolution of n steps, at the
-            window start and at each step's midpoint and end;
+            calls it 2n + 1 times in all, n the step count it accepts,
+            at the window start and each step's midpoint and end;
             shock_approximation and profile_impulse at 8 Gauss nodes per
             sub-interval.
         window: (t_start, t_end) thrusting interval, s, finite.
@@ -300,8 +301,8 @@ def propagate_schedule(origin: StateVector, sched: ImpulsiveSchedule,
         The trajectory chain, queryable at any t in [origin.t, t_end].
 
     Raises:
-        ValueError: t_end not finite, shock epochs outside the window,
-            or t_end not beyond the last shock.
+        ValueError: t_end or floor not finite, shock epochs outside the
+            window, or t_end not beyond the last shock.
         UnboundResult, SurfaceViolation, EccentricityOutOfRange,
         ConvergenceError: from the offending segment or shock, with its
             index attached.
@@ -310,6 +311,7 @@ def propagate_schedule(origin: StateVector, sched: ImpulsiveSchedule,
     """
     if not math.isfinite(t_end):
         raise ValueError(f"t_end must be finite, got {t_end}")
+    _check_floor(floor)
     times = sched.times
     if times.size:
         if times[0] < origin.t:
@@ -376,11 +378,11 @@ def _shoot(first, starts, ends, kicks, shocks, n_shocks: int, mu: float,
     checks them, with their segments' lowest radii and stalls from this
     flight. Once all are, they are returned; otherwise the pass takes
     the 6x6 transition matrices Phi[j] of its flight (kepler._transition)
-    and updates in chain order X[j+1] <- G[j+1] + Phi[j] (X[j]_new -
-    X[j]_old). The update never reads the old X[j+1], so a nan in a bad
-    guess or past an unbinding shock does not stick, and each pass makes
-    exact the first state that was not: the chain converges within as
-    many passes as it has segments, and one more is the cap.
+    and updates the states by _correct. The update never reads the old
+    X[j+1], so a nan in a bad guess or past an unbinding shock does not
+    stick, and each pass makes exact the first state that was not: the
+    chain converges within as many passes as it has segments, and one
+    more is the cap.
 
     Returns:
         (r, v): the epoch states, each (segments, 3).
@@ -412,19 +414,33 @@ def _shoot(first, starts, ends, kicks, shocks, n_shocks: int, mu: float,
                      shocks[:done], n_shocks, mu, floor_radius)
         if done == k:
             return x[:, :3], x[:, 3:]
-        phi = _transition(x[:, :3], x[:, 3:], flight, mu)
-        # up to the first state off its predecessor's flight, each state
-        # takes that flight as it is; the rest take the correction
-        new = x.copy()
-        off = int(np.argmin((x[1:] == g).all(axis=1))) + 1
-        new[1:off + 1] = g[:off]
-        for j in range(off + 1, k):
-            new[j] = g[j - 1] + phi[j - 1] @ (new[j - 1] - x[j - 1])
-        x = new
+        x = _correct(x, g, _transition(x[:, :3], x[:, 3:], flight, mu))
     j = int(np.argmin(ok)) + 1
     raise ConvergenceError(
         f"{_segment_label(shocks[j], n_shocks)}: epoch state not converged "
         f"after {cap} shooting passes, residual {float(resid[j - 1].max())!r}")
+
+
+def _correct(x, g, phi):
+    """_shoot's update of epoch states x (k, 6) from their predecessors'
+    flights g (kicks added) and those flights' transition matrices phi,
+    which it overwrites. Up to the first state off its predecessor's
+    flight, each takes that flight; each later one follows new[j] =
+    phi[j-1] new[j-1] + g[j-1] - phi[j-1] x[j-1], by an inclusive scan
+    of these affine maps (Hillis & Steele 1986)."""
+    new = x.copy()
+    off = int(np.argmin((x[1:] == g).all(axis=1))) + 1
+    new[1:off + 1] = g[:off]
+    new[off + 1:] = g[off:] - (phi[off:-1] @ x[off:-1, :, None])[..., 0]
+    # after stride d, b[i] has the maps of rows (i - 2d, i] applied, and
+    # a[i] is their product where i >= 2d, the rows the next stride reads
+    b, a = new[off:], phi[off - 1:-1]
+    d = 1
+    while d < len(b):
+        b[d:] += (a[d:] @ b[:-d, :, None])[..., 0]
+        a[2 * d:] = a[2 * d:] @ a[d:-d]
+        d *= 2
+    return new
 
 
 def _segment_label(shock: int, n_shocks: int) -> str:
@@ -494,12 +510,12 @@ def integrate_thrust(origin: StateVector, profile: ThrustProfile,
     Integrates dr/dt = v, dv/dt = -mu r/|r|^3 + accel(t) over the profile
     window. The step count doubles from 64 until halving it moves the
     endpoint by less than _SETTLE_TOL relative to the position scale.
-    A resolution of n steps samples the thrust 2n + 1 times: at the
-    window start, then at each step's midpoint and end, the end sample
-    serving as the next step's start; each sample is checked as it is
-    taken. The recurrence runs on six floats, every radius summed in
-    kepler._row_norm's order, and the floor and bound checks run after
-    every step.
+    A resolution of n steps takes the thrust at t0 + k (t1 - t0) / 2n,
+    k = 0..2n, and its even samples are the coarser resolution's, so
+    the accepted n has sampled 2n + 1 times in all, each checked when
+    first taken. The recurrence runs on six floats, every radius summed
+    in kepler._row_norm's order, and the floor and bound checks run
+    after every step.
 
     Args:
         origin: State at the window start; epochs must agree.
@@ -511,8 +527,8 @@ def integrate_thrust(origin: StateVector, profile: ThrustProfile,
         SampledTrajectory over the window at the accepted resolution.
 
     Raises:
-        ValueError: origin epoch differs from the window start, or accel
-            returned other than 3 finite components.
+        ValueError: origin epoch off the window start, floor not finite,
+            or accel returned other than 3 finite components.
         SurfaceViolation, UnboundResult: first violation time attached.
         WorkCapExceeded: the endpoint has not settled at _MAX_STEPS
             steps.
@@ -521,10 +537,11 @@ def integrate_thrust(origin: StateVector, profile: ThrustProfile,
     if origin.t != t0:
         raise ValueError(
             f"origin epoch {origin.t} must equal the window start {t0}")
+    _check_floor(floor)
     floor_radius = EARTH_RADIUS_KM + floor
     accel = profile.accel
 
-    def run(n_steps: int) -> tuple[np.ndarray, np.ndarray]:
+    def run(n_steps: int, coarse: list) -> tuple[np.ndarray, np.ndarray, list]:
         if n_steps > _MAX_STEPS:
             raise WorkCapExceeded(
                 f"endpoint did not settle to {_SETTLE_TOL} within the cap of "
@@ -536,12 +553,15 @@ def integrate_thrust(origin: StateVector, profile: ThrustProfile,
         rn = math.sqrt(x * x + y * y + z * z)
         times = [t0]
         rows = [(x, y, z, u, v, w)]
-        a_end = _as_accel(accel(t0))
+        # sample k is at t0 + k * half, a coarser run's sample j is 2j's
+        samples = [coarse[0] if coarse else _as_accel(accel(t0))]
         for i in range(n_steps):
             t = t0 + i * h
-            ax, ay, az = a_end
-            mx, my, mz = _as_accel(accel(t + half))
-            a_end = bx, by, bz = _as_accel(accel(t + h))
+            ax, ay, az = samples[-1]
+            mid = mx, my, mz = _as_accel(accel(t0 + (2 * i + 1) * half))
+            last = bx, by, bz = (coarse[i + 1] if coarse else
+                                 _as_accel(accel(t0 + (2 * i + 2) * half)))
+            samples += mid, last
             # stage k's state is (xk, yk, zk, uk, vk, wk), stage 1 the
             # step's start; its rates are its velocity and (duk, dvk, dwk)
             c = -mu / rn**3
@@ -572,15 +592,15 @@ def integrate_thrust(origin: StateVector, profile: ThrustProfile,
                 raise UnboundResult(f"state unbound at t={t + h!r} s")
             times.append(t + h)
             rows.append((x, y, z, u, v, w))
-        return np.array(times), np.array(rows)
+        return np.array(times), np.array(rows), samples
 
     scale = float(_row_norm(origin.r))
     n = 64
-    rows = run(n)[1]
+    _, rows, samples = run(n, [])
     while True:
         n *= 2
         end = rows[-1, :3]
-        times, rows = run(n)
+        times, rows, samples = run(n, samples)
         if float(_row_norm(rows[-1, :3] - end)) / scale < _SETTLE_TOL:
             return SampledTrajectory(times=times, rv=rows)
 

@@ -540,7 +540,9 @@ def explicit_policy_pursuit(pursuer: CarConfig, evader: CarConfig,
     # capture ball between samples, and no coarser than the track
     step = capture_radius / (pursuer.v + evader.v)
     if evader_path.times.size > 1:
-        step = min(float(np.median(np.diff(evader_path.times))), step)
+        gaps = np.diff(evader_path.times)
+        if step > gaps.min():  # else the median, no less, cannot win
+            step = min(float(np.median(gaps)), step)
     span = track_end - p0.t
     n = _sample_count(span / step, "pursuit samples")
     # sample in blocks, and stop after the first block that holds a hit

@@ -13,9 +13,11 @@ random chains, the arcs agree to 4.3e-13 relative at worst.
 `integrate_thrust` is the RK4 on numpy vectors: four `rhs` calls a step,
 each sampling the thrust, with a 1-D `np.linalg.norm` radius and one
 `np.concatenate` per stage. `maneuver.integrate_thrust` runs the same
-recurrence on six floats and samples the thrust 2n + 1 times per
-resolution. It must take the same step count and land every row within
-1e-14 relative, and refuse the same way at the same step.
+recurrence on six floats and samples each thrust time once: the 2n + 1
+times t0 + k (t1 - t0) / 2n of the accepted n steps, where this loop
+samples at t + h/2 and t + h afresh in every resolution. It must take
+the same step count and times and land every row within 1e-14
+relative, and refuse the same way at the same step.
 """
 from __future__ import annotations
 

@@ -731,6 +731,66 @@ def test_transition_only_on_correcting_passes(monkeypatch):
     assert calls == {"_step": 4, "_transition": 2}
 
 
+def sequential_correction(x, g, phi):
+    """_correct's update as the chain-order loop it replaced: the states
+    up to the first off its predecessor's flight take that flight, and
+    each later one new[j] = phi[j-1] new[j-1] + g[j-1] - phi[j-1] x[j-1]."""
+    new = x.copy()
+    off = int(np.argmin((x[1:] == g).all(axis=1))) + 1
+    new[1:off + 1] = g[:off]
+    for j in range(off + 1, len(x)):
+        new[j] = phi[j - 1] @ new[j - 1] + (g[j - 1] - phi[j - 1] @ x[j - 1])
+    return new
+
+
+def correction_draw(gen: np.random.Generator, k: int, off: int):
+    """States x of k segments near a chain of affine flights, the
+    flights g of x and their matrices phi, with the states up to row off
+    on their predecessors' flights. Each matrix is a rotation near the
+    identity, so the chain keeps its size over any length, as a Kepler
+    chain does."""
+    phi, _ = np.linalg.qr(np.eye(6) + 0.1 * gen.normal(size=(k, 6, 6)))
+    drift = 1e-2 * gen.normal(size=(k, 6))
+    x = np.empty((k, 6))
+    x[0] = gen.normal(size=6)
+    for j in range(1, k):
+        x[j] = phi[j - 1] @ x[j - 1] + drift[j - 1]
+    x[1:] += 1e-3 * gen.normal(size=(k - 1, 6))
+    g = (phi[:-1] @ x[:-1, :, None])[..., 0] + drift[:-1]
+    x[1:off] = g[:off - 1]
+    return x, g, phi
+
+
+@pytest.mark.parametrize("k, off", [(2, 1), (3, 1), (17, 5), (256, 1),
+                                    (257, 200)])
+def test_correction_scan_matches_the_recurrence(k, off):
+    """The scan of affine maps lands every state within 1e-14 of the
+    sequential recurrence, relative to its largest component, on random
+    matrices."""
+    gen = np.random.default_rng([29, k, off])
+    for _ in range(5):
+        x, g, phi = correction_draw(gen, k, off)
+        want = sequential_correction(x, g, phi)
+        got = maneuver._correct(x, g, phi.copy())
+        assert_rows_close(got, want, rtol=1e-14)
+
+
+@pytest.mark.parametrize("where", ["phi", "x"])
+def test_correction_confines_a_nan_to_the_rows_after_it(where):
+    """A nan in segment 40's transition matrix, or in its old state,
+    reaches every later state and no other: the states up to 40 are the
+    same bits as without it, so a bad state does not stick."""
+    x, g, phi = correction_draw(np.random.default_rng(29), 128, 3)
+    clean = maneuver._correct(x, g, phi.copy())
+    if where == "phi":
+        phi[40, 2, 4] = math.nan
+    else:
+        x[40] = math.nan
+    got = maneuver._correct(x, g, phi)
+    assert got[:41].tobytes() == clean[:41].tobytes()
+    assert np.isnan(got[41:]).any(axis=1).all()
+
+
 def test_early_dip_raises_before_the_chain_converges(monkeypatch):
     """The burn with a 0.3 km/s retrograde kick at shock 40 converges
     under a 90 km floor; under an 830 km floor it dips 35 segments
@@ -864,11 +924,81 @@ class TestIntegrateThrust:
         calls.clear()
         with pytest.raises(WorkCapExceeded, match="cap"):
             integrate_thrust(s, profile)
-        # a resolution of m steps samples 2m + 1 times; only the
-        # resolutions under the cap ran
+        # the resolutions under the cap ran, and the finest of m steps
+        # sampled 2m + 1 times in all
         ran = [m for m in (64 * 2**k for k in range(steps.bit_length()))
                if m < steps]
-        assert ran and len(calls) == sum(2 * m + 1 for m in ran)
+        assert ran and len(calls) == 2 * max(ran) + 1
+
+    def test_samples_each_thrust_time_once(self):
+        """The accepted resolution of n steps sampled the thrust 2n + 1
+        times in all, once at each t0 + k * ((t1 - t0) / (2n)): a finer
+        resolution takes its even samples from the coarser one."""
+        calls = []
+
+        def push(t):
+            calls.append(t)
+            return np.array([1e-6, 0.0, 2e-6 * math.sin(t / 90.0)])
+
+        t0, t1 = 100.3, 1900.7
+        traj = integrate_thrust(circular_state(t0),
+                                ThrustProfile(push, (t0, t1)))
+        n = traj.times.size - 1
+        assert n >= 128
+        assert len(calls) == 2 * n + 1
+        q = (t1 - t0) / (2 * n)
+        assert sorted(calls) == [t0 + k * q for k in range(2 * n + 1)]
+
+    def test_nan_at_a_refinement_midpoint_is_refused_where_sampled(self):
+        """A thrust that is nan only near the midpoint of step 5 of the
+        128-step run, a time the 64-step run never samples, is refused
+        with accel's message when that step samples it, after every
+        64-step sample and the five midpoints before it."""
+        t0, t1 = 0.0, 600.0
+        q = (t1 - t0) / 256
+        bad = t0 + 11 * q
+        calls = []
+
+        def push(t):
+            calls.append(t)
+            return np.array([1e-6, 0.0, math.nan if abs(t - bad) < q / 2
+                             else 0.0])
+
+        profile = ThrustProfile(push, (t0, t1))
+        with pytest.raises(ValueError, match=r"^accel must return finite "
+                           r"components, got \[1\.e-06 0\.e\+00\s+nan\]$"):
+            integrate_thrust(circular_state(), profile)
+        assert abs(calls[-1] - bad) < q / 2
+        assert len(calls) == 129 + 6
+        assert sorted(calls[:129]) == [t0 + 2 * k * q for k in range(129)]
+
+
+@pytest.mark.parametrize("floor", [math.nan, math.inf, -math.inf])
+class TestFloorMustBeFinite:
+    """A floor that is not finite is refused before any flight. Every
+    radius test passed against a nan floor, so a chain and a burn from
+    LOW, 6,400 km out and under the default floor, were accepted."""
+
+    def test_propagate_schedule(self, monkeypatch, floor):
+        sched = ImpulsiveSchedule([100.0], [[0.0, -1.5, 0.0]])
+        with pytest.raises(SurfaceViolation):
+            propagate_schedule(LOW, sched, 3000.0)
+        monkeypatch.setattr(maneuver, "_step", None)  # flies nothing
+        with pytest.raises(ValueError,
+                           match=f"^floor must be finite, got {floor}$"):
+            propagate_schedule(LOW, sched, 3000.0, floor=floor)
+
+    def test_integrate_thrust(self, floor):
+        calls = []
+        profile = ThrustProfile(lambda t: calls.append(t) or np.zeros(3),
+                                (0.0, 3000.0))
+        with pytest.raises(SurfaceViolation):
+            integrate_thrust(LOW, profile)
+        calls.clear()
+        with pytest.raises(ValueError,
+                           match=f"^floor must be finite, got {floor}$"):
+            integrate_thrust(LOW, profile, floor=floor)
+        assert not calls
 
 
 BURN_SHAPES = ("along", "radial", "axis")

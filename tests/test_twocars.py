@@ -971,6 +971,31 @@ class TestAgainstReference:
         assert not self.assert_same_pursuit(pursuer, evader, p0,
                                             track).captured
 
+    @pytest.mark.parametrize("capture_radius, thin, medians", [
+        (None, 1, 0), (0.029, 1, 0), (0.031, 1, 1), (1.5, 1, 1),
+        (0.06, 5, 1)])
+    def test_median_gap_taken_only_when_it_can_set_the_step(
+            self, monkeypatch, capture_radius, thin, medians):
+        """The sampling step is the smaller of the capture step and the
+        track's median gap, 0.01 s on a track of 0.01 s steps, also when
+        it keeps only every fifth step after t = 4 s. At or below the
+        track's least gap the capture step is the smaller, and the median
+        is not taken: the pursuit is the oracle's either way."""
+        pursuer, evader = CarConfig(v=2.0, R=1.0), CarConfig(v=1.0, R=1.0)
+        e0 = CarState(x=0.0, y=6.0, theta=math.pi, t=0.0)
+        track = propagate_car(evader, e0, SteeringLaw.constant(0.4, evader),
+                              t=8.0, step=0.01)
+        keep = (np.arange(track.times.size) % thin == 0) | (track.times <= 4.0)
+        track = CarPath(cfg=evader, times=track.times[keep],
+                        states=track.states[keep])
+        median, taken = np.median, []
+        monkeypatch.setattr(np, "median",
+                            lambda a: taken.append(1) or median(a))
+        self.assert_same_pursuit(pursuer, evader,
+                                 CarState(x=0.0, y=0.0, theta=0.0, t=0.0),
+                                 track, capture_radius=capture_radius)
+        assert len(taken) == medians + 1  # the oracle's is always taken
+
     def test_capture_during_approach(self):
         pursuer, evader = CarConfig(v=2.0, R=1.0), CarConfig(v=1.0, R=1.0)
         e0 = CarState(x=0.0, y=6.0, theta=math.pi, t=0.0)
