@@ -13,11 +13,14 @@ not-contained verdict. Each command takes only the flags it uses, and
 the parser refuses the rest before any work. Verdict files are written
 even when the verdict is negative. Every error path prints a
 single-line ``futurecone: error: ...`` diagnostic to stderr, and
-identical invocations produce byte-identical output files.
+identical invocations produce byte-identical output files. The parser
+is built once per process, which saves time only for callers that run
+main more than once.
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from collections.abc import Sequence
 from dataclasses import replace
@@ -175,6 +178,7 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="futurecone",
                      description="Reachability runs from scenario files.")

@@ -13,17 +13,19 @@ U-shaped, infinite at both ends, and only T >= M*pi can reach its
 bottom T_min; a time above T_min has one arc on each side of it.
 
 One array kernel, lambert_batch, solves many boundary problems at once
-and returns only the arcs that exist. T_min is the root of dT/dx by
-Halley steps from x = 0, each arc a root of T(x) - T by Householder
-steps from Izzo's closed-form guess. Every search stays inside a bracket
-that each step shrinks, a step leaving it is replaced by the midpoint,
-and every element iterates until its own step is negligible, so a row's
-solution does not depend on the other rows of its batch. T(x) is
-Battin's hypergeometric series near the parabola and near zero transfer
-angle, where Lancaster's closed form cancels, and that form elsewhere;
-each element evaluates only its own form, and the check that a
-multi-revolution time reaches the bottom of T evaluates T alone, without
-its slopes. solve_lambert is the batch of one.
+and returns only the arcs that exist. T_min <= T(0), so a
+multi-revolution time above T(0) has its two arcs either side of x = 0;
+only times at or below T(0) search for T_min, the root of dT/dx, by
+Halley steps from x = 0 (Izzo 2015). Each arc is a root of T(x) - T by
+Householder steps from Izzo's closed-form guess. Every search stays
+inside a bracket that each step shrinks, a step leaving it is replaced
+by the midpoint, and every element iterates until its own step is
+negligible, so a row's solution does not depend on the other rows of its
+batch. T(x) is Battin's hypergeometric series near the parabola and near
+zero transfer angle, where Lancaster's closed form cancels, and that
+form elsewhere; each element evaluates only its own form, and T(0) and
+the check that a time reaches T_min evaluate T alone, without its
+slopes. solve_lambert is the batch of one.
 
 Coincident endpoints (periodic self-transfer) are a separate closed-form
 branch: lambda reaches +-1 there and the transfer plane is undefined,
@@ -256,16 +258,23 @@ def _roots(lam, one_minus_lam2, T, max_revs: int):
     parts = [(row, k, k, np.zeros(n), guess, np.full(n, -1.0), np.ones(n),
               np.ones(n, dtype=bool))]
 
-    # M revolutions: rows with T >= M pi may reach T_min; one arc each side
+    # M revolutions: rows with T >= M pi may reach T_min; one arc each side.
+    # T_min <= T(0), so only rows at or below T(0) search for it
     revs = np.arange(1, max_revs + 1)
     row, k, m = np.nonzero(np.broadcast_to(
         (T[:, None] >= math.pi * revs)[:, None, :], (T.size, 2, max_revs)))
     m = revs[m].astype(float)
     if row.size:
         args = (lam[row] * sense[k], one_minus_lam2[row], m)
-        bottom = _bracketed(_halley_bottom, np.zeros(row.size),
-                            np.full(row.size, -1.0), np.ones(row.size), *args)
-        reach = T[row] >= _time(bottom, *args)[0]
+        bottom = np.zeros(row.size)
+        reach = T[row] > _time(bottom, *args)[0]
+        low = np.flatnonzero(~reach)
+        if low.size:
+            sub = tuple(a[low] for a in args)
+            bottom[low] = _bracketed(_halley_bottom, bottom[low],
+                                     np.full(low.size, -1.0),
+                                     np.ones(low.size), *sub)
+            reach[low] = T[row[low]] >= _time(bottom[low], *sub)[0]
         row, k, m, bottom = row[reach], k[reach], m[reach], bottom[reach]
         n = row.size
         tt = T[row]

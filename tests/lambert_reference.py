@@ -12,7 +12,9 @@ transfer plane. Slots are laid out as futurecone.lambert numbers them.
 
 Also here: t_of_x, Izzo's time of flight as futurecone.lambert computed
 it before each element evaluated only its own branch, both branches on
-every element and np.where keeping one.
+every element and np.where keeping one; and roots_searching_every_bottom,
+futurecone.lambert's root finder as it was before rows above T(0) skipped
+the search for the bottom of T.
 """
 from __future__ import annotations
 
@@ -22,7 +24,14 @@ import numpy as np
 
 from futurecone.constants import MU_EARTH
 from futurecone.kepler import is_bound
-from futurecone.lambert import _SERIES, _SERIES_S1
+from futurecone.lambert import (
+    _SERIES,
+    _SERIES_S1,
+    _bracketed,
+    _halley_bottom,
+    _householder,
+    _time,
+)
 
 _FOUR_PI2 = 4.0 * math.pi**2
 _EDGE_INSET = 1e-9       # relative inset from band edges where tof blows up
@@ -67,6 +76,51 @@ def t_of_x(x, lam, one_minus_lam2, revs) -> tuple[np.ndarray, ...]:
     dddT = (7.0 * x * ddT + 8.0 * dT
             - 6.0 * one_minus_lam2 * lam3 * lam_sq * x / (y3 * y_sq)) / u2
     return T, dT, ddT, dddT
+
+
+def roots_searching_every_bottom(lam, one_minus_lam2, T, max_revs: int):
+    """futurecone.lambert._roots with the Halley search for T_min run on
+    every multi-revolution candidate, T >= M pi, whatever its T(0)."""
+    sense = np.array([1.0, -1.0])
+    lam_sq = lam * lam
+    t1 = (2.0 / 3.0) * np.stack(
+        [one_minus_lam2 * (1.0 + lam + lam_sq) / (1.0 + lam),
+         1.0 + lam * lam_sq], axis=1)
+    row, k = np.nonzero(T[:, None] > t1)
+    lam0, oml0, tt, t1 = (lam[row] * sense[k], one_minus_lam2[row], T[row],
+                          t1[row, k])
+    t0 = np.arctan2(np.sqrt(oml0), lam0) + lam0 * np.sqrt(oml0)
+    slow = tt >= t0
+    guess = np.where(slow, t0 / tt, tt / t0) ** np.where(
+        slow, 2.0 / 3.0, math.log(2.0) / np.log(t1 / t0)) - 1.0
+    n = row.size
+    parts = [(row, k, k, np.zeros(n), guess, np.full(n, -1.0), np.ones(n),
+              np.ones(n, dtype=bool))]
+    revs = np.arange(1, max_revs + 1)
+    row, k, m = np.nonzero(np.broadcast_to(
+        (T[:, None] >= math.pi * revs)[:, None, :], (T.size, 2, max_revs)))
+    m = revs[m].astype(float)
+    if row.size:
+        args = (lam[row] * sense[k], one_minus_lam2[row], m)
+        bottom = _bracketed(_halley_bottom, np.zeros(row.size),
+                            np.full(row.size, -1.0), np.ones(row.size), *args)
+        reach = T[row] >= _time(bottom, *args)[0]
+        row, k, m, bottom = row[reach], k[reach], m[reach], bottom[reach]
+        n = row.size
+        tt = T[row]
+        left = ((m + 1.0) * math.pi / (8.0 * tt)) ** (2.0 / 3.0)
+        right = (8.0 * tt / (m * math.pi)) ** (2.0 / 3.0)
+        slot = (4 * m - 2 + 2 * k).astype(np.intp)
+        parts.append((row, k, slot, m, (right - 1.0) / (right + 1.0), bottom,
+                      np.ones(n), np.zeros(n, dtype=bool)))
+        parts.append((row, k, slot + 1, m, (left - 1.0) / (left + 1.0),
+                      np.full(n, -1.0), bottom, np.ones(n, dtype=bool)))
+    if len(parts) > 1:
+        parts = [tuple(np.concatenate(c) for c in zip(*parts))]
+    row, k, slot, m, guess, lo, hi, falling = parts[0]
+    x = _bracketed(_householder, guess, lo, hi, lam[row] * sense[k],
+                   one_minus_lam2[row], m, T[row], falling)
+    return row, slot, x, sense[k]
 
 
 def _stumpff(psi) -> tuple[np.ndarray, ...]:

@@ -494,6 +494,25 @@ class TestDeterminism:
         main(["twocars", "--scenario", str(path), "--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
 
+    def test_reused_parser_keeps_no_flag_of_an_earlier_call(self, tmp_path,
+                                                            capsys):
+        """The parser is built once per process: a call without --seed
+        and --samples after one with them writes the bytes of a fresh
+        parser, and a later usage error still exits 1 on one line."""
+        first, second, fresh = (tmp_path / f"{name}.report"
+                                for name in ("first", "second", "fresh"))
+        flags = ["contain", "--builtin", "fy1c", "--grid", "6"]
+        main(flags + ["--seed", "5", "--samples", "40", "--out", str(first)])
+        main(flags + ["--out", str(second)])
+        assert cli._build_parser() is cli._build_parser()
+        cli._build_parser.cache_clear()
+        main(flags + ["--out", str(fresh)])
+        assert second.read_bytes() == fresh.read_bytes()
+        assert second.read_bytes() != first.read_bytes()
+        capsys.readouterr()
+        usage_error(["contain", "--builtin", "fy1c", "--samples", "x",
+                     "--out", str(first)], capsys)
+
     def test_seed_flag_changes_the_draw(self, tmp_path):
         path, _ = orbital_file(tmp_path, interceptor_budget=0.05,
                                target_budget=0.01, name="seeds")

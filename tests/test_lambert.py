@@ -570,3 +570,109 @@ class TestSkippedPasses:
             for name in ("slot", "v_depart", "v_arrive"):
                 assert_bits_equal(getattr(single, name),
                                   getattr(batch, name)[mine])
+
+
+def nondimensional_rows(rows):
+    """r0, r1 and dt of planar rows given as (|r0|, |r1|, transfer
+    angle, T), where T is Izzo's nondimensional time of flight."""
+    r0n, r1n, angle, T = (np.array(c, dtype=float) for c in zip(*rows))
+    zero = np.zeros_like(angle)
+    r0 = np.stack([r0n, zero, zero], axis=1)
+    r1 = r1n[:, None] * np.stack([np.cos(angle), np.sin(angle), zero],
+                                 axis=1)
+    s = 0.5 * (r0n + r1n + np.linalg.norm(r1 - r0, axis=1))
+    return r0, r1, T / np.sqrt(2.0 * MU_EARTH / s**3)
+
+
+def arcs_land(r0, r1, dt, batch) -> bool:
+    landed, _, _ = coast(r0[batch.row], batch.v_depart, 0.0, dt[batch.row])
+    miss = (np.linalg.norm(landed - r1[batch.row], axis=1)
+            / np.linalg.norm(r1[batch.row], axis=1))
+    return bool(miss.max() < 1e-8)
+
+
+# A row whose short-sense T lies between T_min and T(0) of its first
+# multi-revolution band: T(0) - T_min is about 0.146 there
+BETWEEN_ROW = (7000.0, 9000.0, 1.5, 4.58)
+
+
+class TestBottomSearch:
+    """T_min <= T(0), so a multi-revolution candidate above T(0) has one
+    arc each side of x = 0 and skips the Halley search for T_min (Izzo
+    2015); only candidates at or below T(0) search. Both ways give the
+    bits of the search on every candidate."""
+
+    @pytest.fixture
+    def halley_calls(self, monkeypatch):
+        """Sizes of the batches lambert._halley_bottom steps on."""
+        halley = lambert._halley_bottom
+        calls = []
+
+        def spy(*args):
+            calls.append(args[0].size)
+            return halley(*args)
+
+        monkeypatch.setattr(lambert, "_halley_bottom", spy)
+        return calls
+
+    def test_rows_above_t0_skip_the_search(self, monkeypatch, halley_calls):
+        # a near-circular LEO orbit over a window of 1.05 to 1.25 of its
+        # period: every one-revolution candidate of both senses is above
+        # its T(0)
+        s0 = StateVector((7000.0, 0.0, 0.0), (0.0, 7.54, 0.05), 0.0)
+        period = 2.0 * math.pi / mean_motion(arc_from_state(s0).a)
+        dt = np.linspace(1.05, 1.25, 9) * period
+        r1 = np.array([propagate_time(s0, d).r for d in dt])
+        r0 = np.broadcast_to(s0.r, r1.shape)
+        batch = lambert_batch(r0, r1, dt, MU_EARTH, 1)
+        assert halley_calls == []
+        # every row has both arcs of both senses on its first band
+        assert_array_equal(np.bincount(batch.slot, minlength=6)[2:],
+                           [dt.size] * 4)
+        assert arcs_land(r0, r1, dt, batch)
+        monkeypatch.setattr(lambert, "_roots",
+                            lambert_reference.roots_searching_every_bottom)
+        want = lambert_batch(r0, r1, dt, MU_EARTH, 1)
+        assert batch_digest(batch) == batch_digest(want)
+
+    @given(st.lists(st.tuples(st.floats(6500.0, 42000.0),
+                              st.floats(6500.0, 42000.0),
+                              st.floats(0.01, 2.0 * math.pi - 0.01),
+                              st.floats(1.0, 12.0)),
+                    min_size=1, max_size=20),
+           st.integers(1, 3))
+    @example([BETWEEN_ROW, (7000.0, 9000.0, 1.5, 10.0)], 3)
+    def test_matches_search_on_every_candidate(self, rows, max_revs):
+        r0, r1, dt = nondimensional_rows(
+            [r for r in rows if abs(r[2] - math.pi) > 1e-6] or [BETWEEN_ROW])
+        got = lambert_batch(r0, r1, dt, MU_EARTH, max_revs)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(lambert, "_roots",
+                          lambert_reference.roots_searching_every_bottom)
+            want = lambert_batch(r0, r1, dt, MU_EARTH, max_revs)
+        for name in ("row", "slot", "v_depart", "v_arrive"):
+            assert_bits_equal(getattr(got, name), getattr(want, name))
+
+    def test_arcs_between_t_min_and_t0_exist_and_none_below_t_min(
+            self, halley_calls):
+        r0n, r1n, angle, _ = BETWEEN_ROW
+        r0, r1, dt = nondimensional_rows([BETWEEN_ROW])
+        chord = np.linalg.norm(r1 - r0, axis=1)
+        s = 0.5 * (r0n + r1n + chord)
+        # the short sense's lambda, |i0 + i1| = 2 cos(angle / 2)
+        args = (math.sqrt(r0n * r1n) * math.cos(0.5 * angle) / s, chord / s,
+                np.ones(1))
+        bottom = lambert._bracketed(lambert._halley_bottom, np.zeros(1),
+                                    -np.ones(1), np.ones(1), *args)
+        t_min = lambert._time(bottom, *args)[0][0]
+        t0 = lambert._time(np.zeros(1), *args)[0][0]
+        assert t_min < BETWEEN_ROW[3] < t0
+        halley_calls.clear()
+        batch = lambert_batch(r0, r1, dt, MU_EARTH, 1)
+        assert halley_calls  # the short sense searched
+        assert {2, 3} <= set(batch.slot.tolist())  # short right and left
+        assert arcs_land(r0, r1, dt, batch)
+        below = nondimensional_rows(
+            [BETWEEN_ROW[:3] + (t_min * (1.0 - 1e-9),)])
+        assert not {2, 3} & set(
+            lambert_batch(*below, MU_EARTH, 1).slot.tolist())
