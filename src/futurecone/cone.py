@@ -55,7 +55,10 @@ from .maneuver import ImpulsiveTrajectory
 # membership in its own zero-budget cone.
 _DV_SLACK = 1e-12
 # Target points per containment chunk: bounds the kernels' working
-# arrays (a few MB) whatever the sample count and grid.
+# arrays (a few MB) whatever the sample count and grid. The CLI process
+# keeps that working set mapped between chunks and requests
+# (cli._keep_heap_mapped); under glibc's defaults each chunk faults it
+# in again.
 _CHUNK_POINTS = 16384
 
 

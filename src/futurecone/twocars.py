@@ -628,9 +628,8 @@ class EquivalenceVerdict:
             starting position.
         evader_peak_accel: Measured evader peak, m/s^2.
         pursuer_peak_accel: Measured pursuer peak, m/s^2.
-        headstart: First grid time, s.
         horizon: Last grid time, s.
-        n_times: Grid times across [headstart, horizon].
+        n_times: Grid times from the headstart to the horizon.
     """
 
     contained: bool
@@ -640,7 +639,6 @@ class EquivalenceVerdict:
     witness: np.ndarray | None
     evader_peak_accel: float
     pursuer_peak_accel: float
-    headstart: float
     horizon: float
     n_times: int
 
@@ -738,4 +736,4 @@ def containment_equivalence(pursuer: CarConfig, evader: CarConfig,
         accel_ok=cockayne.accel_ok, cockayne=cockayne, witness=witness,
         evader_peak_accel=_measured_peak_accel(evader),
         pursuer_peak_accel=_measured_peak_accel(pursuer),
-        headstart=headstart, horizon=horizon, n_times=time_grid)
+        horizon=horizon, n_times=time_grid)

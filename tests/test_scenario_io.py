@@ -872,8 +872,7 @@ class TestExportPoints:
             contained=False, radius_ok=False, accel_ok=True,
             cockayne=CockayneVerdict(speed_ok=False, accel_ok=True),
             witness=witness, evader_peak_accel=0.5,
-            pursuer_peak_accel=np.float64(0.75), headstart=1.0, horizon=9.0,
-            n_times=3)
+            pursuer_peak_accel=np.float64(0.75), horizon=9.0, n_times=3)
 
     def test_twocars_report_text(self, tmp_path):
         path = tmp_path / "v.report"

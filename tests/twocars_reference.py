@@ -129,7 +129,7 @@ def containment_equivalence(pursuer: CarConfig, evader: CarConfig,
         accel_ok=accel_ok, cockayne=cockayne_check(pursuer, evader),
         witness=witness, evader_peak_accel=_measured_peak_accel(evader),
         pursuer_peak_accel=_measured_peak_accel(pursuer),
-        headstart=headstart, horizon=horizon, n_times=time_grid)
+        horizon=horizon, n_times=time_grid)
 
 
 def explicit_policy_pursuit(pursuer: CarConfig, evader: CarConfig,
