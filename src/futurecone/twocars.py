@@ -13,7 +13,7 @@ that is compared against the inequalities.
 
 Every path is built by one exact arc kernel over constant-rate
 segments: each moves by its chord along the mid-heading, and heading
-and position accumulate by cumulative sums. A steering law is one
+and position accumulate by running sums. A steering law is one
 vectorized rate function (``SteeringLaw.rates_at``), so a propagation
 is one rate call, one check of every rate against the car's bound and
 one kernel call; a pursuit route is three rate/duration rows.
@@ -37,8 +37,6 @@ _TINY_TURN = 1e-12
 # Relative headroom granted to empirical comparisons against analytic
 # bounds, absorbing round-off without admitting real violations.
 _GEOM_SLACK = 1e-12
-# Samples in a pursuit's first block; each later block doubles the last.
-_FIRST_BLOCK = 1024
 
 TWO_PI = 2.0 * math.pi
 
@@ -244,7 +242,8 @@ def _arc_poses(v: float | np.ndarray,
     mid-heading, which avoids the cancellation of differenced cosines
     and never exceeds the arc length v*tau, so the distance bound
     survives round-off. Heading and position accumulate from the start
-    pose segment by segment, in order.
+    pose segment by segment, in order, in a segment-first buffer, so
+    each running sum adds contiguous lanes.
 
     Args:
         v: Speed, m/s, broadcasting against rates.
@@ -256,22 +255,44 @@ def _arc_poses(v: float | np.ndarray,
         Poses (x, y, theta), shape (..., k + 1, 3): the start pose, then
         the pose after each of the k segments.
     """
-    turn = rates * durations
-    half = 0.5 * turn
-    with np.errstate(divide="ignore", invalid="ignore"):
-        chord = np.where(np.abs(turn) < _TINY_TURN, v * durations,
-                         2.0 * (v / rates) * np.sin(half))
-    poses = np.empty(chord.shape[:-1] + (chord.shape[-1] + 1, 3))
-    poses[..., 0, :] = start
-    x, y, theta = np.moveaxis(poses, -1, 0)
-    theta[..., 1:] = turn
-    np.cumsum(theta, axis=-1, out=theta)
-    mid = theta[..., :-1] + half
-    np.multiply(chord, np.sin(mid), out=x[..., 1:])
-    np.cumsum(x, axis=-1, out=x)
-    np.multiply(chord, np.cos(mid), out=y[..., 1:])
-    np.cumsum(y, axis=-1, out=y)
-    return poses
+    shape = np.broadcast_shapes(np.shape(v), rates.shape, durations.shape)
+    poses = np.empty((3, shape[-1] + 1) + shape[:-1])
+    x, y, theta = poses
+    x[0], y[0], theta[0] = np.moveaxis(np.asarray(start, float), -1, 0)
+    # each step is built in its slot of the buffer: the turn in theta's,
+    # the half turn, then the mid-heading, in y's, the chord in x's
+    turn, half, chord = (np.moveaxis(c[1:], 0, -1) for c in (theta, y, x))
+    np.multiply(rates, durations, out=turn)
+    np.multiply(turn, 0.5, out=half)
+    # a rate at or near zero turns tinily, and its chord is patched below
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        scale = v / rates
+        scale *= 2.0
+        np.sin(half, out=chord)
+        chord *= scale
+    tiny = np.abs(turn) < _TINY_TURN
+    if tiny.any():
+        chord[tiny] = np.broadcast_to(v * durations, shape)[tiny]
+    _accumulate(theta)
+    np.add(half, np.moveaxis(theta[:-1], 0, -1), out=half)
+    step_y = np.cos(half)
+    step_y *= chord
+    np.sin(half, out=half)
+    chord *= half
+    half[...] = step_y
+    _accumulate(x)
+    _accumulate(y)
+    return np.moveaxis(poses, (0, 1), (-1, -2))
+
+
+def _accumulate(steps: np.ndarray) -> None:
+    """Running sums down axis 0, in place: a cumsum of one lane, or one
+    add over all lanes per segment."""
+    if steps.ndim == 1:
+        np.cumsum(steps, out=steps)
+    else:
+        for prev, row in zip(steps, steps[1:]):
+            np.add(prev, row, out=row)
 
 
 def _sample_count(ratio: float, what: str) -> int:
@@ -305,8 +326,9 @@ def propagate_car(cfg: CarConfig, s0: CarState, law: SteeringLaw, t: float,
         CarPath sampled at every step boundary, including s0.
 
     Raises:
-        ValueError: nonpositive t or step, a law rate over the bound,
-            or not one law rate per step.
+        ValueError: nonpositive t or step, a step below the float
+            spacing of the epochs it separates, a law rate over the
+            bound, or not one law rate per step.
         WorkCapExceeded: more steps than the package's cap.
     """
     if not (t > 0.0 and math.isfinite(t)):
@@ -314,13 +336,25 @@ def propagate_car(cfg: CarConfig, s0: CarState, law: SteeringLaw, t: float,
     if not (step > 0.0 and math.isfinite(step)):
         raise ValueError(f"step must be positive and finite, got {step}")
     n_steps = _sample_count(t / step - _GEOM_SLACK, "propagation steps")
-    times = s0.t + (t * np.arange(n_steps + 1)) / n_steps
-    rates = np.asarray(law.rates_at(0.5 * (times[:-1] + times[1:])), float)
+    times = np.arange(n_steps + 1, dtype=float)
+    times *= t
+    times /= n_steps
+    times += s0.t
+    durations = np.diff(times)
+    if not durations.min() > 0.0:
+        epoch = times[np.argmin(durations)]
+        raise ValueError(
+            f"step {t / n_steps} s falls below the float spacing "
+            f"{np.spacing(abs(epoch))} s of epoch {epoch} s")
+    mid = times[:-1] + times[1:]
+    mid *= 0.5
+    rates = np.asarray(law.rates_at(mid), float)
+    del mid  # the kernel's buffers can take its memory
     if rates.shape != (n_steps,):
         raise ValueError(f"law returned rates of shape {rates.shape} for "
                          f"{n_steps} epochs")
     _check_rates(rates, cfg)
-    states = _arc_poses(cfg.v, (s0.x, s0.y, s0.theta), rates, np.diff(times))
+    states = _arc_poses(cfg.v, (s0.x, s0.y, s0.theta), rates, durations)
     times[-1] = s0.t + t
     return CarPath(cfg=cfg, times=times, states=states)
 
@@ -494,9 +528,11 @@ def explicit_policy_pursuit(pursuer: CarConfig, evader: CarConfig,
     presumes the track's curvature lies within the pursuer's own
     capability, which holds whenever the pursuer's turn radius is no
     larger than the evader's. Capture is the first sampled epoch at
-    which the separation falls within the capture radius (the span is
-    sampled in blocks of doubling length, and none past the capture);
-    failure is reported in band with the closest approach.
+    which the separation falls within the capture radius; failure is
+    reported in band with the closest approach. A faster pursuer's
+    span is sampled up to the sample where it trails the evader by at
+    most the capture radius of arc, a sure hit on a driven track, and
+    past it only if no hit came.
 
     Args:
         pursuer: Chasing car.
@@ -545,10 +581,20 @@ def explicit_policy_pursuit(pursuer: CarConfig, evader: CarConfig,
             step = min(float(np.median(gaps)), step)
     span = track_end - p0.t
     n = _sample_count(span / step, "pursuit samples")
-    # sample in blocks, and stop after the first block that holds a hit
-    blocks, hit, lo, size = [], None, 0, _FIRST_BLOCK
-    while hit is None and lo <= n:
-        hi = min(lo + size, n + 1)
+    # no chord of a driven track outruns its arc, so a follow sample
+    # trailing the evader by at most the capture radius of arc is a
+    # hit: sample up to the first one, two samples on for rounding, and
+    # the rest of the span only if no hit came by then
+    sure = n
+    if pursuer.v > evader.v:
+        t_sure = (pursuer.v * t_acq - evader.v * track_t0
+                  - capture_radius) / (pursuer.v - evader.v)
+        sure = min(n, 2 + math.ceil((max(t_sure, t_acq) - p0.t)
+                                    / span * n))
+    passes, hit = [], None
+    for lo, hi in ((0, sure + 1), (sure + 1, n + 1)):
+        if hit is not None or lo == hi:
+            break
         times = p0.t + span * np.arange(lo, hi) / n
         states = np.empty((hi - lo, 3))
         n_approach = int(np.searchsorted(times, t_acq, side="right"))
@@ -563,7 +609,7 @@ def explicit_policy_pursuit(pursuer: CarConfig, evader: CarConfig,
         # follow the track: arc length v1*(t - t_acq) into a track recorded
         # at speed v2 lands at evader epoch u
         u = track_t0 + (pursuer.v / evader.v) * (times[n_approach:] - t_acq)
-        # the track samples bracketing this block's epochs and u: each
+        # the track samples bracketing this pass's epochs and u: each
         # interpolation reads the same two samples as on the whole track
         at = np.searchsorted(evader_path.times,
                              [times[0], times[-1], *u[:1], *u[-1:]], "right")
@@ -577,10 +623,11 @@ def explicit_policy_pursuit(pursuer: CarConfig, evader: CarConfig,
         gap = np.sqrt(dx * dx + dy * dy)
         hits = np.flatnonzero(gap <= capture_radius)
         hit = lo + int(hits[0]) if hits.size else None
-        blocks.append((times, states, gap))
-        lo, size = hi, 2 * size
+        passes.append((times, states, gap))
     end = n + 1 if hit is None else hit + 1
-    times, states, gap = (np.concatenate(part)[:end] for part in zip(*blocks))
+    times, states, gap = (
+        (part[0] if len(part) == 1 else np.concatenate(part))[:end]
+        for part in zip(*passes))
     closest = int(np.argmin(gap))
     return PursuitResult(
         captured=hit is not None,

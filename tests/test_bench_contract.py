@@ -31,6 +31,8 @@ HOOK_ARGUMENTS = {
 # Counters that one traced request 0 of a workload reports.
 TRACED_COUNTS = {
     "BurnChains": {"maneuver.shocks": 256},
+    "TwocarsPursuit": {"twocars.propagate_car.steps": 109_149,
+                       "twocars.explicit_policy_pursuit.samples": 39_557},
 }
 WORKLOADS = ["Fy1cContain", "LeoMultirevContain", "BurnChains",
              "TwocarsPursuit"]

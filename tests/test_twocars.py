@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose
 
 from futurecone import twocars
@@ -276,6 +277,20 @@ class TestPropagateCar:
         with pytest.raises(ValueError):
             propagate_car(cfg, s0, law, t=1.0, step=0.0)
 
+    def test_rejects_a_step_below_the_epoch_spacing(self):
+        """At epoch 1e12 s floats lie 2**-13 s apart, so 1e-6 s steps
+        would repeat sample epochs: the call names the step and the
+        epoch, and a step above the spacing there is driven."""
+        cfg = CarConfig(v=1.0, R=1.0)
+        s0 = CarState(x=0.0, y=0.0, theta=0.0, t=1e12)
+        law = SteeringLaw.constant(0.1, cfg)
+        with pytest.raises(ValueError, match=(
+                r"^step 1e-06 s falls below the float spacing "
+                r"0\.0001220703125 s of epoch 1000000000000\.0 s$")):
+            propagate_car(cfg, s0, law, t=1e-3, step=1e-6)
+        path = propagate_car(cfg, s0, law, t=1.0, step=1e-3)
+        assert path.times[0] == 1e12 and path.times[-1] == 1e12 + 1.0
+
     def test_error_names_first_rate_over_cap(self):
         cfg = CarConfig(v=1.0, R=1.0)
         s0 = CarState(x=0.0, y=0.0, theta=0.0, t=0.0)
@@ -352,6 +367,45 @@ class TestPathInvariants:
         # symmetric differences of a uniformly rotating velocity are
         # exactly perpendicular to it
         assert dots.max() < 1e-12
+
+
+def assert_same_bits(a: np.ndarray, b: np.ndarray) -> None:
+    assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def lead_shapes():
+    """Leading shapes of the kernel's callers: one track, one row per
+    approach sample, and (car, grid time, extremal)."""
+    return st.one_of(st.just(()), st.tuples(st.integers(1, 9)),
+                     st.tuples(st.just(2), st.integers(1, 4), st.just(31)))
+
+
+# zero, tiny (the straight-segment branch) and ordinary turn rates
+arc_rates = st.one_of(st.just(0.0), st.floats(-1e-13, 1e-13),
+                      st.floats(-5.0, 5.0))
+
+
+class TestArcPoses:
+    """The segment-first kernel against the oracle's column-built one."""
+
+    @settings(max_examples=200)
+    @given(data=st.data(), lead=lead_shapes(), k=st.integers(1, 4),
+           per_row=st.booleans(), broadcast_speed=st.booleans())
+    def test_matches_the_oracle_bit_for_bit(self, data, lead, k, per_row,
+                                            broadcast_speed):
+        """Scalar or per-row speeds, one start pose or one per row, and
+        segments with zero, tiny and ordinary turns."""
+        rates = data.draw(hnp.arrays(float, lead + (k,), elements=arc_rates))
+        durations = data.draw(hnp.arrays(float, lead + (k,),
+                                         elements=st.floats(0.0, 10.0)))
+        speeds = st.floats(0.1, 10.0)
+        v = (data.draw(hnp.arrays(float, lead + (1,), elements=speeds))
+             if broadcast_speed else data.draw(speeds))
+        coords = st.floats(-1e3, 1e3)
+        start = (data.draw(hnp.arrays(float, lead + (3,), elements=coords))
+                 if per_row else tuple(data.draw(coords) for _ in range(3)))
+        assert_same_bits(_arc_poses(v, start, rates, durations),
+                         ref.arc_poses(v, start, rates, durations))
 
 
 class TestReachableSet:
@@ -810,10 +864,6 @@ class TestContainmentEquivalence:
         assert slower.witness[2] == 4.0 and len(calls) == 1
 
 
-def assert_same_bits(a: np.ndarray, b: np.ndarray) -> None:
-    assert a.shape == b.shape and a.tobytes() == b.tobytes()
-
-
 class TestAgainstReference:
     """Verdicts and pursuits equal the oracle's bit for bit, in every
     field: the oracle adds random controls to each car's family and
@@ -898,7 +948,8 @@ class TestAgainstReference:
                                             track).captured
 
     def test_equal_speed_chase_without_capture(self):
-        """No hit in any block: the path covers the whole span."""
+        """No hit, and no sure sample at equal speeds: the path covers
+        the whole span."""
         pursuer, evader = CarConfig(v=1.0, R=1.0), CarConfig(v=1.0, R=1.0)
         e0 = CarState(x=0.0, y=3.0, theta=0.0, t=0.0)
         track = propagate_car(evader, e0, SteeringLaw.constant(0.2, evader),
@@ -908,36 +959,87 @@ class TestAgainstReference:
         assert not result.captured
         assert result.path.times[0] == p0.t
         assert result.path.times[-1] == pytest.approx(12.0, rel=1e-15)
-        # 12 s at capture radius / (v1 + v2) = 5e-4 s: many blocks
+        # 12 s at capture radius / (v1 + v2) = 5e-4 s
         assert result.path.times.size > 24_000
 
-    @pytest.mark.parametrize("first_block", [1, 5])
-    def test_never_captured_over_small_blocks(self, monkeypatch,
-                                              first_block):
-        """Blocks of 1 or 5 samples, doubling, still cover the span."""
-        monkeypatch.setattr(twocars, "_FIRST_BLOCK", first_block)
-        self.test_equal_speed_chase_without_capture()
+    @staticmethod
+    def sure_sample(pursuer, evader, p0, track, result, n):
+        """The pursuit's split: the first sample past the epoch where a
+        pursuer following the track trails the evader by the capture
+        radius of arc, two samples on, at most n."""
+        t_acq, radius = result.acquisition_time, result.capture_radius
+        t_sure = (pursuer.v * t_acq - evader.v * track.times[0]
+                  - radius) / (pursuer.v - evader.v)
+        span = track.times[-1] - p0.t
+        return min(n, math.ceil((max(t_sure, t_acq) - p0.t) / span * n) + 2)
 
-    @pytest.mark.parametrize("where", [
-        "last sample of the first block",
-        "first sample of the second block",
-        "inside the third block"])
-    def test_capture_at_a_block_edge(self, monkeypatch, where):
-        """The first block is sized around the oracle's hit: the path
-        still ends at it, whichever block holds it."""
-        pursuer, evader, p0, track, _ = weaving_game(104)
-        want = ref.explicit_policy_pursuit(pursuer, evader, p0, track)
-        hit = int(np.flatnonzero(want.path.times == want.capture_time)[0])
-        # blocks of B, 2B and 4B samples start at 0, B and 3B
-        first_block = {"last sample of the first block": hit + 1,
-                       "first sample of the second block": hit,
-                       "inside the third block": hit // 3}[where]
-        assert where != "inside the third block" \
-            or 3 * first_block <= hit < 7 * first_block
-        monkeypatch.setattr(twocars, "_FIRST_BLOCK", first_block)
-        result = self.assert_same_pursuit(pursuer, evader, p0, track)
+    @staticmethod
+    def count_passes(monkeypatch):
+        """Calls of the arc kernel, less the one for the route's
+        corners: one per sampling pass."""
+        calls = []
+        kernel = twocars._arc_poses
+        monkeypatch.setattr(twocars, "_arc_poses",
+                            lambda *args: calls.append(1) or kernel(*args))
+        return lambda: len(calls) - 1
+
+    @pytest.mark.parametrize("offset", [0, -1, 1], ids=[
+        "at the sure sample", "one before it", "past it"])
+    def test_hit_around_the_sure_sample(self, monkeypatch, offset):
+        """A straight track recorded at s times its car's speed: its
+        separation s v2 (t - u) crosses the capture radius halfway
+        between two samples, placed by s next to the sure sample. A hit
+        at or before it takes one pass; past it, which only a track
+        whose chords outrun its speed can do, a second pass."""
+        pursuer, evader = CarConfig(v=2.0, R=1.0), CarConfig(v=1.0, R=1.0)
+        times = np.linspace(0.0, 10.0, 1001)
+        p0 = CarState(x=0.0, y=-1.0, theta=0.0, t=0.0)
+        unit = CarPath(cfg=evader, times=times, states=np.column_stack(
+            [np.zeros_like(times), times, np.zeros_like(times)]))
+        first = ref.explicit_policy_pursuit(pursuer, evader, p0, unit,
+                                            capture_radius=0.05)
+        n = first.path.times.size - 1
+        sure = self.sure_sample(pursuer, evader, p0, unit, first, n)
+        # on the unit-speed track the pursuer trails by 2 t_acq - t
+        t_cross = p0.t + (times[-1] - p0.t) * (sure + offset - 0.5) / n
+        scale = 0.05 / (2.0 * first.acquisition_time - t_cross)
+        track = CarPath(cfg=evader, times=times,
+                        states=unit.states * [1.0, scale, 1.0])
+        passes = self.count_passes(monkeypatch)
+        result = self.assert_same_pursuit(pursuer, evader, p0, track,
+                                          capture_radius=0.05)
         assert result.captured
-        assert result.path.times.size == hit + 1
+        assert result.path.times.size == sure + offset + 1
+        assert passes() == (1 if offset <= 0 else 2)
+
+    @settings(max_examples=40)
+    @given(v2=st.floats(0.5, 1.5), excess=st.floats(0.3, 1.0),
+           r1=st.floats(0.5, 1.0), r2=st.floats(0.5, 2.0),
+           gap=st.floats(0.5, 3.0), angles=st.tuples(*[st.floats(
+               0.0, TWO_PI)] * 3), law_seed=st.integers(0, 2 ** 32 - 1),
+           reach=st.floats(0.5, 3.0), radius=st.floats(1e-3, 0.05))
+    def test_one_pass_on_driven_tracks(self, v2, excess, r1, r2, gap,
+                                       angles, law_seed, reach, radius):
+        """On a track that propagate_car drove, a faster pursuer's hit
+        comes by the sure sample: the pursuit samples in one pass, and
+        equals the oracle bit for bit. The track runs for reach times a
+        rough capture epoch, so some games end before the capture."""
+        horizon = reach * (gap + math.pi * r1) / excess
+        pursuer = CarConfig(v=v2 + excess, R=r1)
+        evader = CarConfig(v=v2, R=r2)
+        local = np.random.default_rng(law_seed)
+        u2 = evader.admissible_rate
+        law = SteeringLaw.piecewise(np.sort(local.uniform(0.0, horizon, 4)),
+                                    local.uniform(-u2, u2, 5), evader)
+        e0 = CarState(x=0.0, y=0.0, theta=angles[0], t=0.0)
+        track = propagate_car(evader, e0, law, t=horizon, step=0.01)
+        p0 = CarState(x=gap * math.sin(angles[1]),
+                      y=gap * math.cos(angles[1]), theta=angles[2], t=0.0)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            passes = self.count_passes(monkeypatch)
+            self.assert_same_pursuit(pursuer, evader, p0, track,
+                                     capture_radius=radius)
+            assert passes() == 1
 
     def test_capture_after_the_sure_sample(self):
         """A track whose chords outrun its recorded speed: trailing it by

@@ -33,23 +33,26 @@ from futurecone.twocars import (
 )
 
 
-def arc_poses(v: float, start: tuple[float, float, float],
+def arc_poses(v: float | np.ndarray,
+              start: tuple[float, float, float] | np.ndarray,
               rates: np.ndarray, durations: np.ndarray) -> np.ndarray:
-    """Poses (..., k + 1, 3) along constant-rate segments."""
+    """Poses (..., k + 1, 3) along constant-rate segments, from one
+    start pose (3,) or start poses (..., 3)."""
     turn = rates * durations
     half = 0.5 * turn
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         chord = np.where(np.abs(turn) < _TINY_TURN, v * durations,
                          2.0 * (v / rates) * np.sin(half))
 
-    def accumulate(origin: float, steps: np.ndarray) -> np.ndarray:
-        head = np.full(steps.shape[:-1] + (1,), origin)
+    def accumulate(origin: np.ndarray, steps: np.ndarray) -> np.ndarray:
+        head = np.full(steps.shape[:-1] + (1,), origin[..., None])
         return np.cumsum(np.concatenate([head, steps], axis=-1), axis=-1)
 
-    theta = accumulate(start[2], turn)
+    start = np.asarray(start, float)
+    theta = accumulate(start[..., 2], np.broadcast_to(turn, chord.shape))
     mid = theta[..., :-1] + half
-    x = accumulate(start[0], chord * np.sin(mid))
-    y = accumulate(start[1], chord * np.cos(mid))
+    x = accumulate(start[..., 0], chord * np.sin(mid))
+    y = accumulate(start[..., 1], chord * np.cos(mid))
     return np.stack([x, y, theta], axis=-1)
 
 
