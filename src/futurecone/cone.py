@@ -13,7 +13,8 @@ commitment to meet the target wherever it goes.
 Containment is batched: the target's sampled arcs are held as arrays
 (kepler.ArcBatch), and the draws x grid times are tested in chunks of at
 most _CHUNK_POINTS points. Each chunk takes its leaf positions from one
-vectorized Kepler solve on one conic per target arc, its connecting arcs
+vectorized Kepler solve on one conic per target arc (the position half
+of the Lagrange step; no velocity is flown), its connecting arcs
 from one lambert_batch call, its floor check in closed form from the
 eccentric anomaly at each arc's two ends (kepler.arc_min_radius), and
 each point's cheapest admissible arc from one minimum over the arcs.
@@ -41,11 +42,11 @@ from .kepler import (
     ArcBatch,
     StateVector,
     _as_vec3,
+    _positions_at,
     _row_norm,
     arc_min_radius,
     arcs_from_states,
     is_bound,
-    states_at,
 )
 from .lambert import lambert_batch
 from .maneuver import ImpulsiveTrajectory
@@ -199,13 +200,15 @@ def sample_cone(spec: ConeSpec, n: int, seed: int) -> ConeSampleSet:
         seed: RNG seed; fixed seed gives identical sets.
 
     Raises:
-        ValueError: n < 1.
+        ValueError: n < 1, or a negative seed.
         WorkCapExceeded: n above the package's cap, refused before any
             array of that length exists.
         EmptyCone: no draw produced a bound trajectory.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
     _check_work(n, "cone draws")
     rng = np.random.default_rng(seed)
     v = spec.vertex.v + _ball_points(rng, n, spec.budget)
@@ -239,7 +242,7 @@ def leaf(sample_set: ConeSampleSet, t: float) -> np.ndarray:
     if not spec.vertex.t <= t <= spec.window[1]:
         raise ValueError(
             f"t={t} outside [{spec.vertex.t}, {spec.window[1]}]")
-    points, _, _ = states_at(sample_set.trajectories, t)
+    points = _positions_at(sample_set.trajectories, t)
     keep = _row_norm(points) >= EARTH_RADIUS_KM + spec.floor
     return points[keep]
 
@@ -349,7 +352,8 @@ def containment(interceptor: ConeSpec, target: ConeSpec,
 
     Raises:
         EmptyOverlap: the windows do not intersect.
-        ValueError: time_grid below 1, then n_target_samples below 1.
+        ValueError: time_grid below 1, then n_target_samples below 1,
+            then a negative seed.
         WorkCapExceeded: time_grid, then n_target_samples, above the
             package's cap; both are refused before sampling.
         EmptyCone: target sampling or floor truncation left nothing to
@@ -379,7 +383,7 @@ def containment(interceptor: ConeSpec, target: ConeSpec,
     for start in range(0, total, _CHUNK_POINTS):
         flat = np.arange(start, min(start + _CHUNK_POINTS, total))
         t = times[flat // len(arcs)]
-        points, _, _ = states_at(arcs, t, flat % len(arcs))
+        points = _positions_at(arcs, t, flat % len(arcs))
         above = _row_norm(points) >= floor_radius
         points, t = points[above], t[above]
         if not t.size:

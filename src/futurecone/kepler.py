@@ -15,12 +15,18 @@ arc_min_radius, from an arc's two end states without a Kepler solve).
 An ArcBatch holds epoch states only, C-ordered, so a row's bits do not
 depend on how its batch was built.
 states_at derives the conic of each arc of a batch once and gathers it
-for every row that queries the arc; the scalar functions are batches of
-one. Row norms come from _row_norm, np.linalg.norm(x, axis=-1)'s bits
-without its reduction pass: every floor test, bound test and burn cost
-reads it, and maneuver's RK4 sums its float radii in its order, while
-Lambert's internal geometry keeps its own sums, which the pinned digests
-cover.
+for every row that queries the arc, and _positions_at flies only the
+position half of the same step (_position) for callers that read r
+alone; the scalar functions are batches of one.
+
+Two summation orders remain, each written once from the three columns:
+_row_norm sums np.linalg.norm(x, axis=-1)'s order, for radii, bound and
+floor tests and burn magnitudes (maneuver's RK4 sums its float radii in
+it too); _dot sums np.einsum's C-order, for every dot product and
+Lambert's norms. _dot's bits do not depend on the rows' memory layout,
+as einsum's do. Both stay: merging them would move Lambert's bits,
+which the pinned digests cover. _cross writes np.cross's bits into one
+buffer.
 
 The bound test is a function of its own (_require_bound, on the fields
 of the one vis-viva pass _ellipse), and so is the floor test: _conic
@@ -131,8 +137,11 @@ def propagate_time(s0: StateVector, dt: float,
     """Propagate a bound state by a time interval (Kepler inversion).
 
     Raises:
+        ValueError: dt is not finite.
         EccentricityOutOfRange: s0 is not a bound ellipse.
     """
+    if not math.isfinite(dt):
+        raise ValueError(f"dt must be finite, got {dt}")
     t = s0.t + dt
     r, v, _ = coast(s0.r[None], s0.v[None], s0.t, t, mu)
     return StateVector(r[0], v[0], t)
@@ -217,11 +226,27 @@ def _solve_kepler(M: np.ndarray, e: np.ndarray) -> np.ndarray:
 
 
 def _cross(x, y):
-    """np.cross on the last axis, without its 40 us cost a call."""
+    """np.cross on the last axis bit for bit, each component written
+    into its column of one (..., 3) buffer: no np.cross call overhead
+    and no stacking pass."""
     x0, x1, x2 = x[..., 0], x[..., 1], x[..., 2]
     y0, y1, y2 = y[..., 0], y[..., 1], y[..., 2]
-    return np.stack([x1 * y2 - x2 * y1, x2 * y0 - x0 * y2,
-                     x0 * y1 - x1 * y0], axis=-1)
+    out = np.empty(np.broadcast_shapes(np.shape(x), np.shape(y)))
+    np.subtract(x1 * y2, x2 * y1, out=out[..., 0])
+    np.subtract(x2 * y0, x0 * y2, out=out[..., 1])
+    np.subtract(x0 * y1, x1 * y0, out=out[..., 2])
+    return out
+
+
+def _dot(x, y):
+    """np.einsum("...i,...i->...", x, y) of C-ordered rows bit for bit,
+    summed from the three columns in its order: from +0.0 (so products
+    that are all -0.0 sum to +0.0), then x0 y0, x2 y2 and x1 y1. One
+    order whatever the rows' memory layout (einsum sums Fortran-ordered
+    rows in another), and no einsum call overhead."""
+    x0, x1, x2 = x[..., 0], x[..., 1], x[..., 2]
+    y0, y1, y2 = y[..., 0], y[..., 1], y[..., 2]
+    return 0.0 + x0 * y0 + x2 * y2 + x1 * y1
 
 
 def _row_norm(x):
@@ -235,7 +260,7 @@ def _vis_viva(r, v, mu: float):
     """|r| and 1/a = 2/|r| - |v|^2/mu per state row: the vis-viva pass
     every conic starts from."""
     rn = _row_norm(r)
-    return rn, 2.0 / rn - np.einsum("...i,...i->...", v, v) / mu
+    return rn, 2.0 / rn - _dot(v, v) / mu
 
 
 def _ellipse(r, v, mu: float):
@@ -244,7 +269,7 @@ def _ellipse(r, v, mu: float):
     non-rectilinear ellipse (the one test of arcs_from_states)."""
     rn, alpha = _vis_viva(r, v, mu)
     h = _cross(r, v)
-    p = np.einsum("...i,...i->...", h, h) / mu
+    p = _dot(h, h) / mu
     with np.errstate(divide="ignore"):
         a = 1.0 / alpha
     e = np.sqrt(np.maximum(1.0 - p / a, 0.0))
@@ -285,7 +310,7 @@ def _conic_of(r, v, vis_viva, mu: float):
     The hypot of a nearly rectilinear ellipse can round to 1 or just
     above; e is held below 1, where Kepler's equation is solved."""
     rn, alpha = vis_viva
-    sigma0 = np.einsum("...i,...i->...", r, v) / math.sqrt(mu)
+    sigma0 = _dot(r, v) / math.sqrt(mu)
     e_cos, e_sin = 1.0 - rn * alpha, sigma0 * np.sqrt(alpha)
     return (rn, alpha, sigma0, np.arctan2(e_sin, e_cos),
             np.minimum(np.hypot(e_sin, e_cos), _E_BELOW_ONE))
@@ -323,13 +348,13 @@ def _floor_radius(a, e, E0, dE, r0n, r1n):
     return np.where(crossed, a * (1.0 - e), np.minimum(r0n, r1n))
 
 
-def _step(r0, v0, t0, conic, t, mu: float):
-    """The Lagrange step from epoch states whose _conic_of is given: E1
-    solves Kepler's equation at M = E0 - e*sin(E0) + n*dt, and the
-    Lagrange coefficients and r1 = a*(1 - e*cos(E1)) are written in
-    dE = E1 - E0. Returns r1, v1, the lowest radius from each epoch to
-    t (_floor_radius), and the dt, |r0|, a, dE, |r1| and Lagrange
-    coefficients F, G, Ft, Gt that _transition reads."""
+def _position(r0, v0, t0, conic, t, mu: float):
+    """The position half of the Lagrange step from epoch states whose
+    _conic_of is given: E1 solves Kepler's equation at
+    M = E0 - e*sin(E0) + n*dt, and F, G and r1 = F r0 + G v0 are written
+    in dE = E1 - E0. A query at the epoch returns the epoch position
+    exactly. Returns r1 and the dt, a, dE, 1 - cos dE, sin dE, F, G and
+    epoch rows that _step goes on from."""
     rn0, alpha, sigma0, E0, e = conic
     dt = np.asarray(t, dtype=float) - t0
     n = np.sqrt(mu * alpha**3)
@@ -337,19 +362,33 @@ def _step(r0, v0, t0, conic, t, mu: float):
     a = 1.0 / alpha
     versine = 1.0 - np.cos(dE)
     sin_d = np.sin(dE)
-    r1n = rn0 + (a - rn0) * versine + sigma0 * np.sqrt(a) * sin_d
-    # the Lagrange coefficients F, G, Ft, Gt of the step by dE
     F = 1.0 - (a / rn0) * versine
     G = dt - (dE - sin_d) / n
-    Ft = -np.sqrt(mu * a) * sin_d / (rn0 * r1n)
-    Gt = 1.0 - (a / r1n) * versine
     r1 = F[:, None] * r0 + G[:, None] * v0
-    v1 = Ft[:, None] * r0 + Gt[:, None] * v0
-    # a query at the epoch returns the epoch state exactly
     at_epoch = dt == 0.0
     if np.count_nonzero(at_epoch):
         at_epoch = np.broadcast_to(at_epoch, F.shape)
-        r1[at_epoch], v1[at_epoch] = r0[at_epoch], v0[at_epoch]
+        r1[at_epoch] = r0[at_epoch]
+    else:
+        at_epoch = None
+    return r1, (dt, a, dE, versine, sin_d, F, G, at_epoch)
+
+
+def _step(r0, v0, t0, conic, t, mu: float):
+    """The Lagrange step: _position, then |r1| = a*(1 - e*cos(E1)), the
+    velocity coefficients Ft, Gt and v1 in the same dE (the epoch
+    velocity at the epoch). Returns r1, v1, the lowest radius from each
+    epoch to t (_floor_radius), and the dt, |r0|, a, dE, |r1| and
+    Lagrange coefficients F, G, Ft, Gt that _transition reads."""
+    rn0, _, sigma0, E0, e = conic
+    r1, (dt, a, dE, versine, sin_d, F, G, at_epoch) = _position(
+        r0, v0, t0, conic, t, mu)
+    r1n = rn0 + (a - rn0) * versine + sigma0 * np.sqrt(a) * sin_d
+    Ft = -np.sqrt(mu * a) * sin_d / (rn0 * r1n)
+    Gt = 1.0 - (a / r1n) * versine
+    v1 = Ft[:, None] * r0 + Gt[:, None] * v0
+    if at_epoch is not None:
+        v1[at_epoch] = v0[at_epoch]
     return (r1, v1, _floor_radius(a, e, E0, dE, rn0, r1n),
             (dt, rn0, a, dE, r1n, F, G, Ft, Gt))
 
@@ -369,7 +408,7 @@ def _transition(r0, v0, flight, mu: float):
     rn0, r1n, C, F, G, Ft, Gt = (x[:, None] for x in (rn0, r1n, C, *lagrange))
     r0f, dr, dv = rn0 * (1.0 - F), r1 - r0, v1 - v0
     # (r1 v1^T - v1 r1^T) r1
-    w = r1 * np.einsum("...i,...i->...", r1, v1)[:, None] - v1 * r1n**2
+    w = r1 * _dot(r1, v1)[:, None] - v1 * r1n**2
 
     def block(diagonal, *terms):
         """diagonal * I plus the outer product x y^T of each (x, y)."""
@@ -407,10 +446,21 @@ def states_at(arcs: ArcBatch, t, rows=None):
         (r, v, lowest): positions, km, and velocities, km/s, each of
         shape (len(rows), 3), and the lowest radii, km.
     """
+    return _step(*_epoch_rows(arcs, rows), t, arcs.mu)[:3]
+
+
+def _epoch_rows(arcs: ArcBatch, rows):
+    """The epoch states, epochs and conics of the arcs rows query (every
+    arc for None), each conic derived once per arc of the batch."""
     rows = slice(None) if rows is None else rows
     conic = tuple(c[rows] for c in _conic(arcs.r0, arcs.v0, arcs.mu))
-    return _step(arcs.r0[rows], arcs.v0[rows], arcs.t0[rows], conic, t,
-                 arcs.mu)[:3]
+    return arcs.r0[rows], arcs.v0[rows], arcs.t0[rows], conic
+
+
+def _positions_at(arcs: ArcBatch, t, rows=None) -> np.ndarray:
+    """The positions of states_at, bit for bit, by the position half of
+    its step (_position): for callers that read r alone."""
+    return _position(*_epoch_rows(arcs, rows), t, arcs.mu)[0]
 
 
 def coast(r, v, t, t_end, mu: float = MU_EARTH):
@@ -434,7 +484,7 @@ def arc_min_radius(r0, v0, r1, v1, revs, mu: float = MU_EARTH) -> np.ndarray:
     """
     r0n, alpha, _, E0, e = _conic_of(r0, v0, _vis_viva(r0, v0, mu), mu)
     r1n = _row_norm(r1)
-    sigma1 = np.einsum("...i,...i->...", r1, v1) / math.sqrt(mu)
+    sigma1 = _dot(r1, v1) / math.sqrt(mu)
     E1 = np.arctan2(sigma1 * np.sqrt(alpha), 1.0 - r1n * alpha)
     dE = E1 - E0  # in [-2*pi, 2*pi]: one wrap, 8x faster than np.mod
     dE = np.where(dE < 0.0, dE + _TWO_PI, dE) + _TWO_PI * revs

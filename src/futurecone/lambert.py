@@ -27,6 +27,12 @@ form elsewhere; each element evaluates only its own form, and T(0) and
 the check that a time reaches T_min evaluate T alone, without its
 slopes. solve_lambert is the batch of one.
 
+Lambert's norms and transfer-angle cosine sum in kepler._dot's order
+(einsum's C-order, whatever the rows' layout), not in kepler._row_norm's
+(np.linalg.norm's), which prices burns and tests radii: the two orders
+stay apart because moving these sums onto _row_norm would move every
+arc's bits.
+
 Coincident endpoints (periodic self-transfer) are a separate closed-form
 branch: lambda reaches +-1 there and the transfer plane is undefined,
 but the solution family is elementary (any arc whose period divides the
@@ -41,7 +47,7 @@ import numpy as np
 
 from .constants import MU_EARTH
 from .errors import AmbiguousPlane
-from .kepler import _cross, is_bound
+from .kepler import _cross, _dot, is_bound
 
 _TWO_PI = 2.0 * math.pi
 _PLANE_TOL = 1e-8        # rad, transfer angles this close to pi are ambiguous
@@ -119,8 +125,8 @@ class LambertBatch:
 
 
 def _norm(v) -> np.ndarray:
-    """Euclidean norm over the last axis."""
-    return np.sqrt(np.einsum("...i,...i->...", v, v))
+    """Euclidean norm over the last axis, summed in _dot's order."""
+    return np.sqrt(_dot(v, v))
 
 
 def _battin(s1, eta, lam) -> np.ndarray:
@@ -260,11 +266,12 @@ def _roots(lam, one_minus_lam2, T, max_revs: int):
 
     # M revolutions: rows with T >= M pi may reach T_min; one arc each side.
     # T_min <= T(0), so only rows at or below T(0) search for it
-    revs = np.arange(1, max_revs + 1)
-    row, k, m = np.nonzero(np.broadcast_to(
-        (T[:, None] >= math.pi * revs)[:, None, :], (T.size, 2, max_revs)))
-    m = revs[m].astype(float)
+    row, m = np.nonzero(T[:, None] >= math.pi * np.arange(1, max_revs + 1))
     if row.size:
+        # each (row, M) in both senses; every root solve is elementwise,
+        # so the candidates' order is free
+        row, m = np.tile(row, 2), np.tile(m + 1.0, 2)
+        k = np.repeat([0, 1], row.size // 2)
         args = (lam[row] * sense[k], one_minus_lam2[row], m)
         bottom = np.zeros(row.size)
         reach = T[row] > _time(bottom, *args)[0]
@@ -377,8 +384,7 @@ def lambert_batch(r0, r1, dt, mu: float = MU_EARTH,
         delta = r1 - r0
         chord = _norm(delta)
         coincident = chord <= _COINCIDENT_REL * r0n
-        cos_dnu = np.clip(np.einsum("ij,ij->i", r0, r1) / (r0n * r1n),
-                          -1.0, 1.0)
+        cos_dnu = np.clip(_dot(r0, r1) / (r0n * r1n), -1.0, 1.0)
         dnu = np.arccos(cos_dnu)
         flat = ~coincident & (np.abs(dnu - math.pi) < _PLANE_TOL)
         bad = np.flatnonzero(flat | (coincident & (chord == 0.0)))
@@ -436,17 +442,17 @@ def lambert_batch(r0, r1, dt, mu: float = MU_EARTH,
             departs += c_vs
             arrives += c_vs
 
+    slot_revs, slot_sense = _slots(max_revs)
     # _roots lists the zero-rev arcs first, in (row, slot) order as
     # np.nonzero found them, and the multi-rev arcs (slots from 2) after
     # them: only those, or appended self-transfer arcs, need the sort
     if len(rows) > 1 or (slot.size and slot[-1] > 1):
         row = np.concatenate(rows)
         slot = np.concatenate(slots)
-        order = np.lexsort((slot, row))
+        order = np.argsort(row * len(slot_revs) + slot, kind="stable")
         row, slot = row[order], slot[order]
         v_depart = np.concatenate(departs)[order]
         v_arrive = np.concatenate(arrives)[order]
-    slot_revs, slot_sense = _slots(max_revs)
     return LambertBatch(
         row=row, slot=slot, v_depart=v_depart, v_arrive=v_arrive,
         revs=slot_revs,

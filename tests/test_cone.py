@@ -1,7 +1,9 @@
 """Tests for cone sampling, membership, and containment."""
+import functools
 import math
 import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,6 +33,7 @@ from futurecone import lambert
 from futurecone.cone import _required_dv
 from futurecone.errors import EmptyCone
 from futurecone.kepler import (
+    _positions_at,
     _row_norm,
     arc_min_radius,
     arcs_from_states,
@@ -39,7 +42,7 @@ from futurecone.kepler import (
 )
 from futurecone.lambert import lambert_batch
 from futurecone.maneuver import ImpulsiveTrajectory
-from futurecone.scenario_io import builtin_scenario
+from futurecone.scenario_io import builtin_scenario, load_scenario
 
 from kepler_reference import mean_motion
 
@@ -121,6 +124,15 @@ class TestSampleCone:
             dv = v - spec.vertex.v
             assert float(np.linalg.norm(dv)) <= 0.03 + 1e-15
 
+    def test_rejects_a_negative_seed(self):
+        """Named as seed, by sample_cone and so by containment."""
+        spec = leo_spec()
+        message = "^seed must be nonnegative, got -1$"
+        with pytest.raises(ValueError, match=message):
+            sample_cone(spec, 4, seed=-1)
+        with pytest.raises(ValueError, match=message):
+            containment(spec, spec, n_target_samples=4, time_grid=2, seed=-1)
+
     @pytest.mark.parametrize("n", [0, -3])
     def test_rejects_fewer_than_one_draw(self, n):
         with pytest.raises(ValueError, match=f"^n must be >= 1, got {n}$"):
@@ -185,6 +197,49 @@ class TestLeaf:
             leaf(sset, 601.0)
         with pytest.raises(ValueError):
             leaf(sset, -1.0)
+
+
+LEO_MULTIREV = (Path(__file__).resolve().parents[1] / "perfbench"
+                / "scenarios" / "leo_multirev.cone")
+
+
+@functools.cache
+def engagement(name: str):
+    """The interceptor and target of a workload's scenario."""
+    scn = (builtin_scenario("fy1c") if name == "fy1c"
+           else load_scenario(LEO_MULTIREV))
+    return scn.interceptor, scn.target
+
+
+class TestPositionStep:
+    """containment and leaf read positions alone, from the position half
+    of the Lagrange step: the positions of states_at, bit for bit."""
+
+    @given(st.sampled_from(["fy1c", "leo_multirev"]), st.integers(0, 2**32),
+           st.integers(1, 60), st.integers(1, 8), st.data())
+    @example("leo_multirev", 0, 7, 3, None)
+    def test_gathered_rows_match_states_at(self, name, seed, n, grid, data):
+        """Rows gathered as containment gathers them (draws within a
+        grid time), over the overlap grid and the arcs' own epoch."""
+        interceptor, target = engagement(name)
+        arcs = sample_cone(target, n, seed).trajectories
+        lo = max(interceptor.window[0], target.window[0])
+        hi = min(interceptor.window[1], target.window[1])
+        times = np.append(target.vertex.t, np.linspace(lo, hi, grid))
+        total = times.size * len(arcs)
+        start, stop = 0, total
+        if data is not None:
+            start = data.draw(st.integers(0, total - 1))
+            stop = data.draw(st.integers(start + 1, total))
+        flat = np.arange(start, stop)
+        t, rows = times[flat // len(arcs)], flat % len(arcs)
+        got = _positions_at(arcs, t, rows)
+        assert got.tobytes() == states_at(arcs, t, rows)[0].tobytes()
+        at_epoch = t == target.vertex.t
+        assert np.array_equal(got[at_epoch], arcs.r0[rows[at_epoch]])
+        for one in (times[0], times[-1]):
+            assert (_positions_at(arcs, one).tobytes()
+                    == states_at(arcs, one)[0].tobytes())
 
 
 class TestMembership:

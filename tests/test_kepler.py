@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose
@@ -20,7 +20,10 @@ from futurecone.errors import ConvergenceError
 from futurecone.kepler import (
     ArcBatch,
     _conic,
+    _cross,
+    _dot,
     _ellipse,
+    _positions_at,
     _row_norm,
     _solve_kepler,
     arc_from_state,
@@ -373,6 +376,13 @@ class TestPropagation:
         assert_allclose(s1.r, s0.r, rtol=1e-8)
         assert_allclose(s1.v, s0.v, rtol=1e-8)
 
+    @pytest.mark.parametrize("dt", [math.nan, math.inf, -math.inf])
+    def test_rejects_a_dt_that_is_not_finite(self, dt):
+        """Named as dt, before any kernel runs (an infinite dt warned in
+        the step, then blamed r)."""
+        with pytest.raises(ValueError, match=f"^dt must be finite, got {dt}$"):
+            propagate_time(random_bound_state(), dt)
+
     def test_state_at_epoch_is_identity(self):
         s0 = random_bound_state()
         assert state_at(arc_from_state(s0), s0.t) == s0
@@ -563,6 +573,20 @@ class TestArrayKernels:
         assert np.array_equal(r[:5], arcs.r0[rows[:5]])
         assert np.array_equal(v[:5], arcs.v0[rows[:5]])
 
+    def test_epoch_query_keeps_signed_zeros(self):
+        """A query at the epoch returns the epoch state's bits, -0.0
+        components included, from states_at and _positions_at alike;
+        the step itself would give +0.0 there."""
+        r = np.array([[7000.0, -0.0, 0.0], [-0.0, 7100.0, -0.0]])
+        v = np.array([[0.0, 7.5, 0.5], [-7.4, 0.0, 1.0]])
+        arcs = arcs_from_states(r, v, 0.0)
+        for rows in (None, np.array([1, 0, 1])):
+            want = r if rows is None else r[rows]
+            got, vel, _ = states_at(arcs, 0.0, rows)
+            assert got.tobytes() == want.tobytes()
+            assert vel.tobytes() == (v if rows is None else v[rows]).tobytes()
+            assert _positions_at(arcs, 0.0, rows).tobytes() == want.tobytes()
+
     def test_rows_do_not_depend_on_the_batch(self):
         """A row of a large batch equals the same query as a batch of
         one, bit for bit."""
@@ -575,6 +599,17 @@ class TestArrayKernels:
             assert np.array_equal(r1[0], r[i])
             assert np.array_equal(v1[0], v[i])
             assert lowest1[0] == lowest[i]
+
+    def test_rows_do_not_depend_on_the_layout(self):
+        """Fortran-ordered states fly to the bits of C-ordered ones:
+        every dot product sums in _dot's one order."""
+        states, _ = self.batch(400)
+        r = np.array([s.r for s in states])
+        v = np.array([s.v for s in states])
+        flown = [coast(order(r), order(v), 0.0, 5000.0)
+                 for order in (np.ascontiguousarray, np.asfortranarray)]
+        for c, f in zip(*flown):
+            assert c.tobytes() == f.tobytes()
 
     def test_slices_are_batches(self):
         _, arcs = self.batch(5)
@@ -753,6 +788,84 @@ class TestRowNorm:
     def test_one_row(self):
         x = np.array([3.0, -4.0, 12.0])
         assert _row_norm(x) == np.linalg.norm(x, axis=-1) == 13.0
+
+
+def assert_bits_equal(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def einsum_dot(x, y):
+    return np.einsum("...i,...i->...", x, y)
+
+
+# from subnormals up to 1e150, both signs: no sum of three products
+# overflows
+row_elements = st.floats(-1e150, 1e150)
+
+
+@st.composite
+def row_pairs(draw):
+    """Two operands of a row product in one of the layouts the package
+    passes: C-ordered (n, 3) rows, a (3,) row against (n, 3) rows (either
+    side), two (3,) vectors, and [:, :3] or [:, 3:] views of (n, 6)
+    rows."""
+    n = draw(st.integers(1, 30))
+    rows = hnp.arrays(float, (n, 3), elements=row_elements)
+    one = hnp.arrays(float, 3, elements=row_elements)
+    layout = draw(st.sampled_from(["rows", "one_left", "one_right",
+                                   "vectors", "views"]))
+    if layout == "rows":
+        return draw(rows), draw(rows)
+    if layout == "one_left":
+        return draw(one), draw(rows)
+    if layout == "one_right":
+        return draw(rows), draw(one)
+    if layout == "vectors":
+        return draw(one), draw(one)
+    wide = hnp.arrays(float, (n, 6), elements=row_elements)
+    x, y = draw(wide), draw(wide)
+    return x[:, :3], (x[:, 3:] if draw(st.booleans()) else y[:, :3])
+
+
+class TestDot:
+    """_dot sums in einsum's order on the layouts the package passes,
+    and in that same order on Fortran-ordered rows, where einsum does
+    not."""
+
+    @given(row_pairs())
+    @example((np.zeros(3), np.full(3, -0.0)))
+    def test_equals_einsum_bit_for_bit(self, pair):
+        """Signed zeros too: products that are all -0.0 sum to +0.0."""
+        x, y = pair
+        assert_bits_equal(_dot(x, y), einsum_dot(x, y))
+
+    @given(hnp.arrays(float, st.tuples(st.integers(2, 30), st.just(3)),
+                      elements=row_elements),
+           hnp.arrays(float, st.tuples(st.just(1), st.just(3)),
+                      elements=row_elements))
+    def test_does_not_depend_on_the_layout(self, x, y):
+        y = np.repeat(y, len(x), axis=0)
+        assert_bits_equal(_dot(np.asfortranarray(x), np.asfortranarray(y)),
+                          einsum_dot(x, y))
+
+    def test_fortran_rows_where_einsum_moves(self):
+        """(1 + -1) + 2^-53 in einsum's C order; its Fortran-order sum
+        (1 + 2^-53) + -1 rounds to 0."""
+        x = np.tile([1.0, 2.0**-53, -1.0], (4, 1))
+        y = np.ones((4, 3))
+        xf, yf = np.asfortranarray(x), np.asfortranarray(y)
+        assert np.all(einsum_dot(x, y) == 2.0**-53)
+        assert np.all(einsum_dot(xf, yf) == 0.0)
+        assert_bits_equal(_dot(xf, yf), einsum_dot(x, y))
+
+
+class TestCross:
+    @given(row_pairs())
+    def test_equals_np_cross_bit_for_bit(self, pair):
+        x, y = pair
+        assert_bits_equal(_cross(x, y), np.cross(x, y))
 
 
 class TestNearlyRadialStates:

@@ -474,7 +474,19 @@ def fy1c_rows():
 def multirev_rows():
     """Random bound origins flown 1.1 to 2.5 periods: multi-revolution
     arcs in every row."""
-    gen = np.random.default_rng(14)
+    return flown_rows(14, 2.5, 2)
+
+
+def multirev3_rows():
+    """Random bound origins flown 1.1 to 3.9 periods, searched to three
+    revolutions: rows reaching one, two and three revolution bands."""
+    return flown_rows(15, 3.9, 3)
+
+
+def flown_rows(seed: int, periods: float, max_revs: int):
+    """12 random bound origins (e <= 0.3), each flown for 1.1 to
+    `periods` of its own orbital periods."""
+    gen = np.random.default_rng(seed)
     r0, r1, dts = [], [], []
     for _ in range(12):
         s0 = random_bound_state(e_max=0.3, gen=gen)
@@ -482,11 +494,11 @@ def multirev_rows():
         # taken on its bits, which the oracle's a can miss by an ulp
         a = _ellipse(s0.r[None], s0.v[None], MU_EARTH)[2][0]
         period = 2.0 * math.pi / mean_motion(float(a))
-        dt = float(gen.uniform(1.1, 2.5)) * period
+        dt = float(gen.uniform(1.1, periods)) * period
         r0.append(s0.r)
         r1.append(propagate_time(s0, dt).r)
         dts.append(dt)
-    return np.array(r0), np.array(r1), np.array(dts), 2
+    return np.array(r0), np.array(r1), np.array(dts), max_revs
 
 
 def quarter_rows(n: int):
@@ -529,7 +541,8 @@ class TestSkippedPasses:
     unbound, and sorts only when multi-revolution or self-transfer arcs
     were appended. Both ways give each row its batch of one, and every
     field the bits the code gave before these passes were skipped
-    (digests taken from that code)."""
+    (digests taken from that code; the max_revs 3 digest from the code
+    that still summed by np.einsum)."""
 
     @pytest.mark.parametrize("rows, compacted, resorted, digest", [
         (fy1c_rows, False, False,
@@ -542,8 +555,10 @@ class TestSkippedPasses:
          "8deba5f39ec2877382f320bca9e7724dad67274550f4cb3d7005da0935cafeec"),
         (self_transfer_rows, False, True,
          "6e323ee5e47efbf932705aa984bff52c50c05a6539ddad40513193233da261e9"),
+        (multirev3_rows, False, True,
+         "3794998068edb81be45efa031de1793737ebc9147c8aa09d2bb8c62882550739"),
     ], ids=["fy1c", "multirev", "unbound", "multirev_unbound",
-            "self_transfer"])
+            "self_transfer", "multirev3"])
     def test_rows_match_batch_of_one_and_old_bits(self, monkeypatch, rows,
                                                  compacted, resorted, digest):
         r0, r1, dt, max_revs = rows()
@@ -570,6 +585,20 @@ class TestSkippedPasses:
             for name in ("slot", "v_depart", "v_arrive"):
                 assert_bits_equal(getattr(single, name),
                                   getattr(batch, name)[mine])
+
+
+@pytest.mark.parametrize("rows", [fy1c_rows, multirev3_rows],
+                         ids=["fy1c", "multirev3"])
+def test_bits_do_not_depend_on_the_layout(rows):
+    """Fortran-ordered positions give every field the bits of C-ordered
+    ones: each sum runs in kepler._dot's one order, where np.einsum
+    summed Fortran-ordered rows in another."""
+    r0, r1, dt, max_revs = rows()
+    r0 = np.broadcast_to(r0, r1.shape)
+    digests = {batch_digest(lambert_batch(order(r0), order(r1), dt,
+                                          MU_EARTH, max_revs))
+               for order in (np.ascontiguousarray, np.asfortranarray)}
+    assert len(digests) == 1
 
 
 def nondimensional_rows(rows):
